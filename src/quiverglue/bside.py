@@ -17,17 +17,10 @@ coordinates coincide.
 
 from __future__ import annotations
 
-from .errors import FalsificationError, SpecError
-from .gluing import CHAIN, StackyCurveSpec
+from .errors import FalsificationError
+from .gluing import DEFAULT_BASE  # noqa: F401  (a public name of this module)
+from .gluing import StackyCurveSpec, window_origins
 from .quiver import GradedQuiver
-
-DEFAULT_BASE = (0, -1)
-
-
-def _component_ranks(c: StackyCurveSpec, i: int, n: int) -> tuple[int, int]:
-    if c.shape == CHAIN:
-        return c.ranks[i - 1], c.ranks[i]
-    return c.ranks[(i - 2) % n], c.ranks[i - 1]
 
 
 def build_bside(
@@ -37,17 +30,10 @@ def build_bside(
     """Quiver of the exceptional collection of a chain or ring, over a
     per-component choice of window origin (default (0, -1) for all).
     """
-    n = len(c.ranks) - 1 if c.shape == CHAIN else len(c.ranks)
-    base = {i: DEFAULT_BASE for i in range(1, n + 1)}
-    if bases:
-        unknown = set(bases) - set(base)
-        if unknown:
-            raise SpecError(f"no components {sorted(unknown)}")
-        base.update(bases)
-
+    base = window_origins(c, bases)
     q = GradedQuiver()
-    for i in range(1, n + 1):
-        rm, rp = _component_ranks(c, i, n)
+    for i in c.components():
+        rm, rp = c.minus_rank(i), c.plus_rank(i)
         ji, mi = base[i]
         q.add_vertex(("P", i, ji, mi))
         for t in range(1, rm):
@@ -60,18 +46,16 @@ def build_bside(
         for s in range(rp):
             q.add_arrow(("y", i, s), ("P", i, ji, mi + s), ("P", i, ji, mi + s + 1))
 
-    nodes = range(1, n) if c.shape == CHAIN else range(1, n + 1)
-    for i in nodes:
-        r = c.ranks[i - 1] if c.shape != CHAIN else c.ranks[i]
-        k = c.twists[i - 1]
-        nxt = i % n + 1 if c.shape != CHAIN else i + 1
-        jn, _ = base[nxt]
+    for i, k in zip(c.junctions(), c.twists):
+        r = c.junction_rank(i)
+        nxt = c.next_component(i)
+        jn, mn = base[nxt]
         ji, mi = base[i]
         for cls in range(r):
             q.add_vertex(("S", i, cls), shift=-1)
         for j in range(r):
             q.add_arrow(
-                ("b", i, j), ("S", i, (-jn - j - 1) % r), ("P", nxt, jn + j, base[nxt][1])
+                ("b", i, j), ("S", i, (-jn - j - 1) % r), ("P", nxt, jn + j, mn)
             )
             q.add_relation(("b", i, j), ("x", nxt, j))
         for m in range(r):

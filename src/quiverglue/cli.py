@@ -13,12 +13,18 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .aside import build_aside
 from .bside import build_bside
 from .errors import FalsificationError, QuiverError, SpecError
 from .gluing import (
+    CHAIN,
+    CIRCULAR,
+    LINEAR,
+    RING,
     GluingSpec,
+    Shape,
     StackyCurveSpec,
     from_curve,
     predicted_topology,
@@ -57,9 +63,9 @@ def load_spec(path):
     if not isinstance(data, dict):
         raise SpecError(f"{path}: top level must be a JSON object")
     if "perms" in data:
-        return "gluing", GluingSpec.from_json(json.dumps(data))
+        return "gluing", GluingSpec.from_obj(data)
     if "twists" in data:
-        return "curve", StackyCurveSpec.from_json(json.dumps(data))
+        return "curve", StackyCurveSpec.from_obj(data)
     if "vertices" in data:
         return "quiver", GradedQuiver.from_json_obj(data)
     raise SpecError(
@@ -311,35 +317,30 @@ def cmd_ext(args):
     return 0
 
 
+# How many ranks a sampled spec of each shape has (one to three components).
+_SAMPLED_RANK_COUNTS = {
+    LINEAR: (2, 4), CHAIN: (2, 4), CIRCULAR: (1, 3), RING: (1, 3)
+}
+
+
+def _random_shape(rng, shapes):
+    shape = rng.choice(shapes)
+    count = rng.randint(*_SAMPLED_RANK_COUNTS[shape])
+    return Shape(shape, tuple(rng.randint(1, 4) for _ in range(count)))
+
+
 def _random_gluing(rng):
-    shape = rng.choice(["linear", "circular"])
-    if shape == "linear":
-        ranks = tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 4)))
-        perms = tuple(
-            random_permutation(ranks[i + 1], rng)
-            for i in range(len(ranks) - 2)
-        )
-    else:
-        n = rng.randint(1, 3)
-        ranks = tuple(rng.randint(1, 4) for _ in range(n))
-        perms = tuple(random_permutation(r, rng) for r in ranks)
-    return GluingSpec(shape, ranks, perms)
+    s = _random_shape(rng, [LINEAR, CIRCULAR])
+    perms = tuple(random_permutation(r, rng) for r in s.node_ranks())
+    return GluingSpec(s.shape, s.ranks, perms)
 
 
 def _random_curve(rng):
-    from math import gcd
-
-    shape = rng.choice(["chain", "ring"])
-    if shape == "chain":
-        ranks = tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 4)))
-        nodes = ranks[1:-1]
-    else:
-        ranks = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
-        nodes = ranks
+    s = _random_shape(rng, [CHAIN, RING])
     twists = tuple(
-        rng.choice([k for k in range(r) if gcd(k, r) == 1]) for r in nodes
+        rng.choice([k for k in range(r) if gcd(k, r) == 1]) for r in s.node_ranks()
     )
-    return StackyCurveSpec(shape, ranks, twists)
+    return StackyCurveSpec(s.shape, s.ranks, twists)
 
 
 def cmd_sweep(args):

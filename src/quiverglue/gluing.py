@@ -12,7 +12,8 @@ strips.  A *circular* gluing has ranks ``r_1..r_n``, every component
 glued to the next cyclically, with n junctions.  On the curve side the
 same numbers appear as a chain or ring of rational curves with stacky
 points of the given orders and a twist k_i at each node, gcd(k_i, r_i)
-= 1; the node permutation is x |-> -k_i * x.
+= 1; the node permutation is x |-> -k_i * x.  :class:`Shape` holds the
+index arithmetic of all four shapes, and both spec classes build on it.
 """
 
 from __future__ import annotations
@@ -22,12 +23,16 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import FalsificationError, SpecError
-from .perms import Permutation, from_twist, tau
+from .perms import Permutation, tau
 
 LINEAR = "linear"
 CIRCULAR = "circular"
 CHAIN = "chain"
 RING = "ring"
+
+# Window origin (j, m) of a component's exceptional collection unless a
+# caller moves it; see bside.
+DEFAULT_BASE = (0, -1)
 
 
 @dataclass(frozen=True)
@@ -67,104 +72,163 @@ class SurfaceTopology:
 
 
 @dataclass(frozen=True)
-class GluingSpec:
+class Shape:
+    """A shape with its ranks, and the index arithmetic that a gluing and
+    its mirror curve share.
+
+    Component i has a minus and a plus side.  Junction (or node) i glues
+    the plus side of component i to the minus side of component
+    ``next_component(i)`` and has the plus rank of component i.  An open
+    shape (linear, chain) with ranks ``r_0..r_n`` has n components,
+    junctions 1..n-1 and two free end sides; a closed one (circular,
+    ring) with ranks ``r_1..r_n`` has n components and n junctions.
+    """
+
+    shape: str
+    ranks: tuple[int, ...]
+
+    _SHAPES = (LINEAR, CIRCULAR, CHAIN, RING)
+
+    def __post_init__(self) -> None:
+        if self.shape not in self._SHAPES:
+            raise SpecError(f"unknown shape {self.shape!r}")
+        ranks = _int_tuple(self.ranks, "ranks")
+        object.__setattr__(self, "ranks", ranks)
+        least = 1 if self.closed else 2
+        if len(ranks) < least:
+            raise SpecError(f"a {self.shape} shape needs {least} or more ranks")
+        if min(ranks) < 1:
+            raise SpecError("ranks must be positive")
+
+    @property
+    def closed(self) -> bool:
+        return self.shape in (CIRCULAR, RING)
+
+    @property
+    def n_components(self) -> int:
+        return len(self.ranks) if self.closed else len(self.ranks) - 1
+
+    def components(self) -> range:
+        return range(1, self.n_components + 1)
+
+    def junctions(self) -> range:
+        n = len(self.ranks)
+        return range(1, n + 1) if self.closed else range(1, n - 1)
+
+    def minus_rank(self, i: int) -> int:
+        """Mark count on the minus boundary circle of component i."""
+        if self.closed:
+            return self.ranks[(i - 2) % len(self.ranks)]
+        return self.ranks[i - 1]
+
+    def plus_rank(self, i: int) -> int:
+        return self.ranks[i - 1] if self.closed else self.ranks[i]
+
+    junction_rank = plus_rank
+
+    def node_ranks(self) -> tuple[int, ...]:
+        """The rank of every junction, in order."""
+        return self.ranks if self.closed else self.ranks[1:-1]
+
+    def next_component(self, i: int) -> int:
+        return i % len(self.ranks) + 1 if self.closed else i + 1
+
+    def junction_before(self, i: int) -> int | None:
+        """The junction feeding the minus side of component i, or None
+        when that side is free."""
+        if self.closed:
+            return (i - 2) % len(self.ranks) + 1
+        return i - 1 if i > 1 else None
+
+    def junction_after(self, i: int) -> int | None:
+        """The junction leaving the plus side of component i, or None
+        when that side is free."""
+        return i if self.closed or i < len(self.ranks) - 1 else None
+
+    # -- spec plumbing: each subclass names its per-junction field in _ITEMS
+
+    def _per_junction(self, items: tuple, noun: str):
+        """(junction, rank, item) for every junction, after checking that
+        there is one item per junction."""
+        node_ranks = self.node_ranks()
+        if len(items) != len(node_ranks):
+            raise SpecError(
+                f"{self.shape} with ranks {self.ranks} needs "
+                f"{len(node_ranks)} {noun}, got {len(items)}"
+            )
+        return zip(range(1, len(items) + 1), node_ranks, items)
+
+    @classmethod
+    def from_obj(cls, data: dict):
+        """Build a spec from parsed JSON: an object with "shape", "ranks"
+        and the items of the spec class.  Every number must be an
+        integer; bools and floats are rejected."""
+        try:
+            items = cls._items_from_obj(data[cls._ITEMS])
+            return cls(data["shape"], data["ranks"], items)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpecError(f"bad {cls.__name__} data: {exc}") from exc
+
+    @staticmethod
+    def _items_from_obj(items):
+        return items
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_obj(json.loads(text))
+
+    def to_json(self) -> str:
+        items = getattr(self, self._ITEMS)
+        return json.dumps(
+            {"shape": self.shape, "ranks": self.ranks, self._ITEMS: items},
+            default=lambda perm: perm.image,
+        )
+
+
+def _int_tuple(values, what: str) -> tuple[int, ...]:
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise SpecError(f"{what} must be integers, got {x!r}")
+    return values
+
+
+@dataclass(frozen=True)
+class GluingSpec(Shape):
     """Combinatorial gluing data for a surface assembled from annuli.
 
     ``perms[i]`` is the strip permutation at junction i+1 and must have
     degree equal to the rank of that junction.
     """
 
-    shape: str
-    ranks: tuple[int, ...]
     perms: tuple[Permutation, ...] = field(default_factory=tuple)
 
+    _SHAPES = (LINEAR, CIRCULAR)
+    _ITEMS = "perms"
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ranks", tuple(self.ranks))
-        object.__setattr__(self, "perms", tuple(self.perms))
-        if self.shape not in (LINEAR, CIRCULAR):
-            raise SpecError(f"unknown shape {self.shape!r}")
-        if any(r < 1 for r in self.ranks):
-            raise SpecError("ranks must be positive")
-        if self.shape == LINEAR:
-            if len(self.ranks) < 2:
-                raise SpecError("a linear gluing needs at least two ranks")
-            expected = len(self.ranks) - 2
-        else:
-            if len(self.ranks) < 1:
-                raise SpecError("a circular gluing needs at least one rank")
-            expected = len(self.ranks)
-        if len(self.perms) != expected:
-            raise SpecError(
-                f"{self.shape} gluing with ranks {self.ranks} needs "
-                f"{expected} permutations, got {len(self.perms)}"
-            )
-        for i, p in zip(self.junctions(), self.perms):
-            if p.degree != self.junction_rank(i):
+        super().__post_init__()
+        perms = tuple(self.perms)
+        object.__setattr__(self, "perms", perms)
+        for i, r, p in self._per_junction(perms, "permutations"):
+            if p.degree != r:
                 raise SpecError(
-                    f"junction {i} has rank {self.junction_rank(i)} but "
-                    f"its permutation has degree {p.degree}"
+                    f"junction {i} has rank {r} but its permutation has "
+                    f"degree {p.degree}"
                 )
 
-    @property
-    def n_components(self) -> int:
-        if self.shape == LINEAR:
-            return len(self.ranks) - 1
-        return len(self.ranks)
-
-    def components(self) -> range:
-        return range(1, self.n_components + 1)
-
-    def junctions(self) -> range:
-        if self.shape == LINEAR:
-            return range(1, self.n_components)
-        return range(1, self.n_components + 1)
-
-    def minus_rank(self, i: int) -> int:
-        """Mark count on the minus boundary circle of component i."""
-        if self.shape == LINEAR:
-            return self.ranks[i - 1]
-        return self.ranks[(i - 2) % self.n_components]
-
-    def plus_rank(self, i: int) -> int:
-        if self.shape == LINEAR:
-            return self.ranks[i]
-        return self.ranks[i - 1]
-
-    def junction_rank(self, i: int) -> int:
-        return self.plus_rank(i)
+    @staticmethod
+    def _items_from_obj(images) -> tuple[Permutation, ...]:
+        return tuple(
+            Permutation(_int_tuple(image, "permutation images")) for image in images
+        )
 
     def perm(self, i: int) -> Permutation:
         return self.perms[i - 1]
 
-    def next_component(self, i: int) -> int:
-        if self.shape == CIRCULAR:
-            return i % self.n_components + 1
-        return i + 1
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "shape": self.shape,
-                "ranks": list(self.ranks),
-                "perms": [list(p.image) for p in self.perms],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GluingSpec":
-        data = json.loads(text)
-        try:
-            return cls(
-                shape=data["shape"],
-                ranks=tuple(data["ranks"]),
-                perms=tuple(Permutation(tuple(im)) for im in data["perms"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise SpecError(f"bad gluing data: {exc}") from exc
-
 
 @dataclass(frozen=True)
-class StackyCurveSpec:
+class StackyCurveSpec(Shape):
     """A chain or ring of rational curves with one stacky point of order
     ``ranks[i]`` per component and twist ``twists[i]`` at node i.
 
@@ -173,69 +237,62 @@ class StackyCurveSpec:
     must be a unit modulo the rank of its node.
     """
 
-    shape: str
-    ranks: tuple[int, ...]
     twists: tuple[int, ...] = field(default_factory=tuple)
 
+    _SHAPES = (CHAIN, RING)
+    _ITEMS = "twists"
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ranks", tuple(self.ranks))
-        object.__setattr__(self, "twists", tuple(self.twists))
-        if self.shape not in (CHAIN, RING):
-            raise SpecError(f"unknown shape {self.shape!r}")
-        if any(r < 1 for r in self.ranks):
-            raise SpecError("ranks must be positive")
-        if self.shape == CHAIN:
-            if len(self.ranks) < 2:
-                raise SpecError("a chain needs at least two ranks")
-            expected = len(self.ranks) - 2
-        else:
-            if len(self.ranks) < 1:
-                raise SpecError("a ring needs at least one rank")
-            expected = len(self.ranks)
-        if len(self.twists) != expected:
-            raise SpecError(
-                f"{self.shape} with ranks {self.ranks} needs {expected} "
-                f"twists, got {len(self.twists)}"
-            )
-        for i, (k, r) in enumerate(zip(self.twists, self.node_ranks()), 1):
+        super().__post_init__()
+        twists = _int_tuple(self.twists, "twists")
+        object.__setattr__(self, "twists", twists)
+        for i, r, k in self._per_junction(twists, "twists"):
             if math.gcd(k, r) != 1:
                 raise SpecError(f"twist {k} at node {i} is not a unit mod {r}")
 
-    def node_ranks(self) -> tuple[int, ...]:
-        if self.shape == CHAIN:
-            return self.ranks[1:-1]
-        return self.ranks
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "shape": self.shape,
-                "ranks": list(self.ranks),
-                "twists": list(self.twists),
-            }
-        )
+def window_origins(
+    curve: StackyCurveSpec, bases: dict[int, tuple[int, int]] | None = None
+) -> dict[int, tuple[int, int]]:
+    """The window origin (j_i, m_i) of every component of ``curve``:
+    ``DEFAULT_BASE`` unless ``bases`` moves it.  Rejects components the
+    curve does not have."""
+    base = dict.fromkeys(curve.components(), DEFAULT_BASE)
+    if bases:
+        unknown = set(bases) - set(base)
+        if unknown:
+            raise SpecError(f"no components {sorted(unknown)}")
+        base.update(bases)
+    return base
 
-    @classmethod
-    def from_json(cls, text: str) -> "StackyCurveSpec":
-        data = json.loads(text)
-        try:
-            return cls(
-                shape=data["shape"],
-                ranks=tuple(data["ranks"]),
-                twists=tuple(data["twists"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise SpecError(f"bad curve data: {exc}") from exc
+
+def twisted_gluing(
+    curve: StackyCurveSpec,
+    bases: dict[int, tuple[int, int]] | None = None,
+) -> GluingSpec:
+    """Gluing whose generator quiver matches the collection built at the
+    given window origins.
+
+    Moving the origin of component i by (j_i, m_i) composes the node
+    permutation with a rotation: sigma(x) = -k_i x - k_i (m_i + 1) +
+    j_{i+1}, which is the plain twist permutation when all origins are
+    default.  Rotated permutations have the same commutator with tau,
+    so the surface never notices the origin.
+    """
+    base = window_origins(curve, bases)
+    perms = []
+    for i, k in zip(curve.junctions(), curve.twists):
+        r = curve.junction_rank(i)
+        shift = -k * (base[i][1] + 1) + base[curve.next_component(i)][0]
+        perms.append(Permutation(tuple((-k * x + shift) % r for x in range(r))))
+    return GluingSpec(CIRCULAR if curve.closed else LINEAR, curve.ranks, tuple(perms))
 
 
 def from_curve(curve: StackyCurveSpec) -> GluingSpec:
     """The gluing mirror to a stacky curve: twist k at a node of rank r
-    becomes the strip permutation x |-> -k*x mod r."""
-    shape = LINEAR if curve.shape == CHAIN else CIRCULAR
-    perms = tuple(
-        from_twist(k, r) for k, r in zip(curve.twists, curve.node_ranks())
-    )
-    return GluingSpec(shape=shape, ranks=curve.ranks, perms=perms)
+    becomes the strip permutation x |-> -k*x mod r.  This is
+    ``twisted_gluing`` at the default window origins."""
+    return twisted_gluing(curve)
 
 
 def predicted_topology(g: GluingSpec) -> SurfaceTopology:
@@ -253,7 +310,7 @@ def predicted_topology(g: GluingSpec) -> SurfaceTopology:
         chi -= r
         comm = g.perm(i).commutator(tau(r))
         boundary.extend(2 * l for l in comm.cycle_decomposition().lengths)
-    if g.shape == LINEAR:
+    if not g.closed:
         boundary.append(g.ranks[0])
         boundary.append(g.ranks[-1])
     genus2 = 2 - len(boundary) - chi
@@ -280,7 +337,7 @@ def predicted_topology_curve(curve: StackyCurveSpec) -> SurfaceTopology:
         p = math.gcd(k + 1, r)
         defect += r - p
         boundary.extend([2 * (r // p)] * p)
-    if curve.shape == CHAIN:
+    if not curve.closed:
         boundary.append(curve.ranks[0])
         boundary.append(curve.ranks[-1])
         genus = defect // 2

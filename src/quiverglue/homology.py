@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import FalsificationError, SpecError
-from .gluing import LINEAR, GluingSpec
+from .gluing import GluingSpec
 from .linalg import kernel_basis, rank, solve
 from .quiver import ArrowName, GradedQuiver, Label
 
@@ -38,9 +38,7 @@ Entry = list[tuple[Fraction, Path]]
 
 
 def _paths(q: GradedQuiver, u: Label, v: Label) -> tuple[Path, ...]:
-    cache = getattr(q, "_paths_cache", None)
-    if cache is None:
-        cache = q._paths_cache = {}
+    cache = q._paths_cache
     key = (q.vertex_id(u), q.vertex_id(v))
     if key not in cache:
         cache[key] = tuple(q.paths_between(u, v))
@@ -354,19 +352,6 @@ class LocObject:
     cx: TwistedComplex
 
 
-def _junction_before(g: GluingSpec, i: int) -> int | None:
-    """The junction feeding the minus side of component i, if any."""
-    if g.shape == LINEAR:
-        return i - 1 if i > 1 else None
-    return (i - 2) % g.n_components + 1
-
-
-def _junction_after(g: GluingSpec, i: int) -> int | None:
-    if g.shape == LINEAR:
-        return i if i < g.n_components else None
-    return i
-
-
 def localization_object(
     aq: GradedQuiver, kind: str, i: int, j: int
 ) -> TwistedComplex:
@@ -383,7 +368,7 @@ def localization_object(
             raise SpecError(f"position {j} out of range for E-({i},·)")
         chain = [(("P-", i, j), 2), (("P-", i, j + 1), 1)]
         step = ("x", i, j)
-        junction = _junction_before(g, i)
+        junction = g.junction_before(i)
         if junction is not None:
             # this S index is the one whose b-arrow lands on P-(i,j)
             sigma = g.perm(junction)
@@ -395,7 +380,7 @@ def localization_object(
             raise SpecError(f"position {j} out of range for E+({i},·)")
         chain = [(("P+", i, j), 2), (("P+", i, j + 1), 1)]
         step = ("y", i, j)
-        junction = _junction_after(g, i)
+        junction = g.junction_after(i)
         if junction is not None:
             s_vertex = ("S", i, j)
             feed = ("a", i, j)
@@ -525,9 +510,7 @@ def module_of(E: TwistedComplex) -> ThinModule:
 def _arrow_cocycle(q: GradedQuiver, name: ArrowName) -> Cocycle:
     """The degree-0 class of a single arrow in Hom(P(source), P(target)),
     cached per quiver."""
-    cache = getattr(q, "_arrow_cocycles", None)
-    if cache is None:
-        cache = q._arrow_cocycles = {}
+    cache = q._arrow_cocycles
     if name not in cache:
         ar = q.arrow(name)
         h = HomComplex(

@@ -9,52 +9,19 @@ import math
 from dataclasses import dataclass, field
 
 from .aside import build_aside, object_count
-from .bside import DEFAULT_BASE, build_bside
+from .bside import build_bside
 from .errors import FalsificationError, SpecError
 from .gluing import (
-    CHAIN,
-    CIRCULAR,
-    LINEAR,
     RING,
     GluingSpec,
     StackyCurveSpec,
     from_curve,
     predicted_topology_curve,
+    twisted_gluing,
+    window_origins,
 )
-from .perms import Permutation
 from .quiver import GradedQuiver, map_equals
 from .surface import surface_topology
-
-
-def twisted_gluing(
-    c: StackyCurveSpec,
-    bases: dict[int, tuple[int, int]] | None = None,
-) -> GluingSpec:
-    """Gluing whose generator quiver matches the collection built at the
-    given window origins.
-
-    Moving the origin of component i by (j_i, m_i) composes the node
-    permutation with a rotation: sigma(x) = -k_i x - k_i (m_i + 1) +
-    j_{i+1}, which is the plain twist permutation when all origins are
-    default.  Rotated permutations have the same commutator with tau,
-    so the surface never notices the origin.
-    """
-    n = len(c.ranks) - 1 if c.shape == CHAIN else len(c.ranks)
-    base = {i: DEFAULT_BASE for i in range(1, n + 1)}
-    base.update(bases or {})
-    shape = LINEAR if c.shape == CHAIN else CIRCULAR
-    perms = []
-    nodes = range(1, n) if c.shape == CHAIN else range(1, n + 1)
-    for i in nodes:
-        r = c.ranks[i] if c.shape == CHAIN else c.ranks[i - 1]
-        k = c.twists[i - 1]
-        nxt = i + 1 if c.shape == CHAIN else i % n + 1
-        ji, mi = base[i]
-        jn = base[nxt][0]
-        perms.append(
-            Permutation(tuple((-k * x - k * (mi + 1) + jn) % r for x in range(r)))
-        )
-    return GluingSpec(shape=shape, ranks=c.ranks, perms=tuple(perms))
 
 
 def canonical_correspondence(
@@ -68,28 +35,22 @@ def canonical_correspondence(
     P+(i,m)); the twist class S(i,c) maps to the S(i,j) whose b-arrow
     lands on the same slot on the other side.
     """
-    n = len(c.ranks) - 1 if c.shape == CHAIN else len(c.ranks)
-    base = {i: DEFAULT_BASE for i in range(1, n + 1)}
-    base.update(bases or {})
+    base = window_origins(c, bases)
     g = twisted_gluing(c, bases)
     vmap = {}
-    for i in range(1, n + 1):
-        rm = g.minus_rank(i)
-        rp = g.plus_rank(i)
+    for i in c.components():
         ji, mi = base[i]
-        for t in range(rm + 1):
+        for t in range(c.minus_rank(i) + 1):
             vmap[("P", i, ji + t, mi)] = ("P-", i, t)
-        for s in range(rp + 1):
+        for s in range(c.plus_rank(i) + 1):
             vmap[("P", i, ji, mi + s)] = ("P+", i, s)
-    nodes = range(1, n) if c.shape == CHAIN else range(1, n + 1)
-    for i in nodes:
-        r = g.junction_rank(i)
-        sigma = g.perm(i)
-        nxt = g.next_component(i)
-        jn = base[nxt][0]
+    for i in c.junctions():
+        r = c.junction_rank(i)
+        sigma_inv = g.perm(i).inverse()
+        jn = base[c.next_component(i)][0]
         for cls in range(r):
             j_slot = (-jn - cls - 1) % r
-            vmap[("S", i, cls)] = ("S", i, sigma.inverse()((r - 1 - j_slot) % r))
+            vmap[("S", i, cls)] = ("S", i, sigma_inv((r - 1 - j_slot) % r))
     return vmap
 
 

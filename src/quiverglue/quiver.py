@@ -46,6 +46,15 @@ class GradedQuiver:
         self.arrows: list[Arrow] = []
         self._arrow_by_name: dict[ArrowName, Arrow] = {}
         self.relations: set[tuple[ArrowName, ArrowName]] = set()
+        # Filled by homology (paths per vertex-id pair, arrow classes);
+        # every add_* call empties them, so they never outlive a change.
+        self._paths_cache: dict = {}
+        self._arrow_cocycles: dict = {}
+
+    def _changed(self) -> None:
+        if self._paths_cache or self._arrow_cocycles:
+            self._paths_cache.clear()
+            self._arrow_cocycles.clear()
 
     # -- construction ---------------------------------------------------
 
@@ -57,6 +66,7 @@ class GradedQuiver:
         for lab in labels:
             if lab in self._label_to_id:
                 raise QuiverError(f"duplicate vertex label {label_str(lab)}")
+        self._changed()
         vid = len(self.vertex_labels)
         for lab in labels:
             self._label_to_id[lab] = vid
@@ -82,6 +92,7 @@ class GradedQuiver:
         if name in self._arrow_by_name:
             raise QuiverError(f"duplicate arrow {label_str(name)}")
         ar = Arrow(name, self.vertex_id(source), self.vertex_id(target), degree)
+        self._changed()
         self.arrows.append(ar)
         self._arrow_by_name[name] = ar
         return ar
@@ -101,6 +112,7 @@ class GradedQuiver:
                 f"{label_str(self.primary_label(fa.target))}, {label_str(g)} "
                 f"starts at {label_str(self.primary_label(ga.source))}"
             )
+        self._changed()
         self.relations.add((f, g))
 
     # -- structure ------------------------------------------------------

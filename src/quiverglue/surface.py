@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FalsificationError
-from .gluing import CIRCULAR, LINEAR, GluingSpec, SurfaceTopology
+from .gluing import GluingSpec, SurfaceTopology
 
 
 class _DisjointSet:
@@ -155,13 +155,10 @@ def build_map(g: GluingSpec) -> CombinatorialMap:
         return arcs
 
     for i in g.components():
-        circular = g.shape == CIRCULAR
-        plus_glued = circular or i < g.n_components
-        minus_glued = circular or i > 1
         plus_slots[i] = []
         minus_slots[i] = []
-        bottom = side(g.plus_rank(i), plus_glued, plus_slots[i])
-        top = side(g.minus_rank(i), minus_glued, minus_slots[i])
+        bottom = side(g.plus_rank(i), g.junction_after(i) is not None, plus_slots[i])
+        top = side(g.minus_rank(i), g.junction_before(i) is not None, minus_slots[i])
         seam_r = b.dart()
         seam_l = b.dart()
         b.face(bottom + [seam_r] + top[::-1] + [seam_l])

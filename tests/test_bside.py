@@ -7,6 +7,7 @@ from quiverglue.bside import build_bside
 from quiverglue.errors import SpecError
 from quiverglue.gluing import StackyCurveSpec, from_curve
 from quiverglue.aside import object_count
+from quiverglue.mirror import canonical_correspondence, twisted_gluing
 
 
 def test_minimal_chain():
@@ -92,6 +93,9 @@ def test_unknown_base_component_is_rejected():
     c = StackyCurveSpec("ring", (3,), (1,))
     with pytest.raises(SpecError):
         build_bside(c, bases={2: (0, 0)})
+    for build in (twisted_gluing, canonical_correspondence):
+        with pytest.raises(SpecError):
+            build(c, bases={7: (0, 0)})
 
 
 def test_ring_single_component_wraps_to_itself():

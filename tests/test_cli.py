@@ -202,11 +202,31 @@ def test_bad_json_is_a_usage_error(capsys, tmp_path):
     assert "bad JSON at line" in err
 
 
-def test_invalid_spec_is_a_usage_error(capsys, tmp_path):
-    empty = tmp_path / "empty.json"
-    empty.write_text('{"shape": "linear", "ranks": [], "perms": []}')
-    code, _, err = run(capsys, "topology", "--spec", str(empty))
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"shape": "linear", "ranks": [], "perms": []}',
+        '{"shape": "linear", "ranks": [1.5, 2], "perms": []}',
+        '{"shape": "chain", "ranks": [true, 2], "twists": []}',
+        '{"shape": "ring", "ranks": [2], "twists": [true]}',
+        '{"shape": "circular", "ranks": [2], "perms": [[1.0, 0.0]]}',
+        '{"shape": "circular", "ranks": [2], "perms": [[0, 0]]}',
+    ],
+    ids=[
+        "empty_ranks",
+        "float_rank",
+        "bool_rank",
+        "bool_twist",
+        "float_image",
+        "not_a_permutation",
+    ],
+)
+def test_invalid_spec_is_a_usage_error(capsys, tmp_path, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    code, _, err = run(capsys, "topology", "--spec", str(spec))
     assert code == 2
+    assert err.startswith("error:")
 
 
 def test_quiver_spec_cannot_feed_topology(capsys):

@@ -299,6 +299,20 @@ SMOKE_GLUINGS = [
 ]
 
 
+def test_path_cache_follows_later_relations():
+    # v1 -x-> v2 -a-> v3: the cached path x.a must go once a.x = 0 is added
+    q = GradedQuiver()
+    for v in ("v1", "v2", "v3"):
+        q.add_vertex((v,))
+    q.add_arrow(("x",), ("v1",), ("v2",))
+    q.add_arrow(("a",), ("v2",), ("v3",))
+    P1, P3 = projective(q, ("v1",)), projective(q, ("v3",))
+    assert hom_cohomology(P1, P3) == {0: 1}
+    q.add_relation(("x",), ("a",))
+    assert q.path_dims().between(("v1",), ("v3",)) == {}
+    assert hom_cohomology(P1, P3) == {}
+
+
 def test_localization_objects_are_valid_complexes():
     for g in SMOKE_GLUINGS:
         aq = build_aside(g)
