@@ -6,7 +6,7 @@ their keys: a gluing ({"shape", "ranks", "perms"}), a curve ({"shape",
 "ranks", "twists"}), or a raw quiver ({"vertices", "arrows", ...}).
 
 Exit codes: 0 when every check agrees, 1 on a mathematical mismatch,
-2 on a usage or input error.
+2 on a usage or input error, 3 on an internal error (a bug).
 """
 
 import argparse
@@ -438,6 +438,9 @@ def main(argv=None):
     except FalsificationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -493,35 +493,28 @@ def module_of(E: TwistedComplex) -> ThinModule:
         else:
             raise FalsificationError(f"no generating cocycle at {v}")
 
+    # An arrow a: u -> w acts by precomposition: the basis element
+    # (0, t, p) of Hom(P(w), E) goes to (0, t, a p) of Hom(P(u), E), or
+    # to zero when (a, p[0]) is a relation.
     actions: dict[ArrowName, Fraction] = {}
     for ar in q.arrows:
         u, w = q.primary_label(ar.source), q.primary_label(ar.target)
         if u not in dims or w not in dims:
             continue
-        composite = ext_product(gens[w], _arrow_cocycle(q, ar.name), target=homs[u])
-        lam = homs[u].scalar_against(composite, gens[u])
+        hu, hw = homs[u], homs[w]
+        image: dict[int, Fraction] = {}
+        for c, i in zip(gens[w].vector, hw.degrees[degree]):
+            _, t, p = hw.basis[i]
+            comp = hu._compose((ar.name,), p)
+            if c and comp is not None:
+                image[hu._index[(0, t, comp)]] = c
+        vec = [image.get(i, Fraction(0)) for i in hu.degrees[degree]]
+        lam = hu.scalar_against(hu.cocycle(vec, degree), gens[u])
         if lam:
             actions[ar.name] = lam
     module = ThinModule(dims, actions, degree)
     module.validate(q)
     return module
-
-
-def _arrow_cocycle(q: GradedQuiver, name: ArrowName) -> Cocycle:
-    """The degree-0 class of a single arrow in Hom(P(source), P(target)),
-    cached per quiver."""
-    cache = q._arrow_cocycles
-    if name not in cache:
-        ar = q.arrow(name)
-        h = HomComplex(
-            projective(q, q.primary_label(ar.source)),
-            projective(q, q.primary_label(ar.target)),
-        )
-        pos = h.degrees[0]
-        vec = [Fraction(0)] * len(pos)
-        vec[pos.index(h._index[(0, 0, (name,))])] = Fraction(1)
-        cache[name] = h.cocycle(vec, 0)
-    return cache[name]
 
 
 def predicted_module(aq: GradedQuiver, kind: str, i: int, j: int) -> ThinModule:

@@ -7,9 +7,12 @@ carrying integer degrees, and relations that are always of the form
 arrow names are structured tuples like ``("P-", 1, 0)`` or
 ``("x", 1, 2)``; :func:`label_str` renders them for reports.
 
-Besides construction, the module computes path-space dimensions (the
-Hom spaces of the algebra), checks whether a given vertex bijection is
-an isomorphism of quivers with relations, and searches for one.
+Each vertex keeps its out- and in-arrows.  One depth-first enumerator
+yields the nonzero paths out of a vertex and knows exactly when they
+are infinite; path_dims (the Hom spaces of the algebra) and
+paths_between are views of it.  The module also checks whether a given
+vertex bijection is an isomorphism of quivers with relations, and
+searches for one.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import QuiverError
+from .errors import QuiverError, SpecError
 
 Label = tuple
 ArrowName = tuple
@@ -46,15 +49,15 @@ class GradedQuiver:
         self.arrows: list[Arrow] = []
         self._arrow_by_name: dict[ArrowName, Arrow] = {}
         self.relations: set[tuple[ArrowName, ArrowName]] = set()
-        # Filled by homology (paths per vertex-id pair, arrow classes);
-        # every add_* call empties them, so they never outlive a change.
+        # Out- and in-arrows per vertex id, in insertion order.
+        self._out: list[list[Arrow]] = []
+        self._in: list[list[Arrow]] = []
+        # Paths per vertex-id pair, filled by homology; every add_* call
+        # empties it, so it never outlives a change.
         self._paths_cache: dict = {}
-        self._arrow_cocycles: dict = {}
 
     def _changed(self) -> None:
-        if self._paths_cache or self._arrow_cocycles:
-            self._paths_cache.clear()
-            self._arrow_cocycles.clear()
+        self._paths_cache.clear()
 
     # -- construction ---------------------------------------------------
 
@@ -72,6 +75,8 @@ class GradedQuiver:
             self._label_to_id[lab] = vid
         self.vertex_labels.append(tuple(labels))
         self.vertex_shifts.append(shift)
+        self._out.append([])
+        self._in.append([])
         return labels[0]
 
     def vertex_id(self, label: Label) -> int:
@@ -95,6 +100,8 @@ class GradedQuiver:
         self._changed()
         self.arrows.append(ar)
         self._arrow_by_name[name] = ar
+        self._out[ar.source].append(ar)
+        self._in[ar.target].append(ar)
         return ar
 
     def arrow(self, name: ArrowName) -> Arrow:
@@ -122,10 +129,10 @@ class GradedQuiver:
         return len(self.vertex_labels)
 
     def arrows_from(self, vid: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.source == vid]
+        return list(self._out[vid])
 
     def arrows_into(self, vid: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.target == vid]
+        return list(self._in[vid])
 
     def topological_order(self) -> list[int]:
         """Vertex ids in topological order; raises on a directed cycle."""
@@ -137,7 +144,7 @@ class GradedQuiver:
         while queue:
             v = queue.pop()
             order.append(v)
-            for a in self.arrows_from(v):
+            for a in self._out[v]:
                 indeg[a.target] -= 1
                 if indeg[a.target] == 0:
                     queue.append(a.target)
@@ -159,60 +166,53 @@ class GradedQuiver:
         i.e. some adjacent pair is a declared relation."""
         return any(pair in self.relations for pair in zip(names, names[1:]))
 
+    def _paths_from(self, s: int):
+        """(end vertex id, arrow names) for every nonzero path out of
+        ``s``, in depth-first preorder; the names list is reused, so
+        copy what you keep.  A nonzero path with more arrows than the
+        quiver repeats one, and the stretch between the repeats is a
+        cycle no relation kills: the path space is then infinite."""
+        limit = len(self.arrows)
+        names: list[ArrowName] = []
+        yield s, names
+        stack = [iter(self._out[s])]
+        while stack:
+            for ar in stack[-1]:
+                if names and (names[-1], ar.name) in self.relations:
+                    continue
+                if len(names) == limit:
+                    raise QuiverError("path space is infinite")
+                names.append(ar.name)
+                yield ar.target, names
+                stack.append(iter(self._out[ar.target]))
+                break
+            else:
+                stack.pop()
+                if names:
+                    names.pop()
+
     def path_dims(self) -> "HomTable":
         """All nonzero paths between all vertex pairs, organized by
-        degree.  Dynamic programming over a topological order with the
-        last arrow as state, so forbidden pairs prune exactly.  Rejects
-        cyclic quivers, whose path spaces may be infinite."""
-        order = self.topological_order()
-        out_arrows = [self.arrows_from(v) for v in range(self.num_vertices)]
-        position = {v: i for i, v in enumerate(order)}
+        degree.  Rejects cyclic quivers."""
+        self.topological_order()
         paths: dict[tuple[Label, Label, int], list[tuple[ArrowName, ...]]] = {}
-        for start in range(self.num_vertices):
-            # state[v] maps last-arrow name (None at the start) to the
-            # relation-free paths from start to v ending with it
-            state: dict[int, dict] = {start: {None: [()]}}
-            for v in order[position[start]:]:
-                if v not in state:
-                    continue
-                for last, plist in state[v].items():
-                    for ar in out_arrows[v]:
-                        if last is not None and (last, ar.name) in self.relations:
-                            continue
-                        bucket = state.setdefault(ar.target, {}).setdefault(
-                            ar.name, []
-                        )
-                        bucket.extend(p + (ar.name,) for p in plist)
-            s_lab = self.primary_label(start)
-            for v, by_last in state.items():
-                t_lab = self.primary_label(v)
-                for plist in by_last.values():
-                    for p in plist:
-                        deg = sum(self.arrow(n).degree for n in p)
-                        paths.setdefault((s_lab, t_lab, deg), []).append(p)
+        for s in range(self.num_vertices):
+            s_lab = self.primary_label(s)
+            for t, p in self._paths_from(s):
+                deg = sum(self.arrow(n).degree for n in p)
+                key = (s_lab, self.primary_label(t), deg)
+                paths.setdefault(key, []).append(tuple(p))
         return HomTable(paths)
 
     def paths_between(
         self, source: Label, target: Label
     ) -> list[tuple[ArrowName, ...]]:
-        """Nonzero paths source -> target by depth-first search; usable
-        on any quiver whose nonzero paths are finite in number."""
-        s, t = self.vertex_id(source), self.vertex_id(target)
-        found = []
-        limit = len(self.arrows) * max(1, self.num_vertices) + 1
-
-        def extend(v: int, names: tuple[ArrowName, ...]) -> None:
-            if len(names) > limit:
-                raise QuiverError("path space appears infinite")
-            if v == t:
-                found.append(names)
-            for ar in self.arrows_from(v):
-                if names and (names[-1], ar.name) in self.relations:
-                    continue
-                extend(ar.target, names + (ar.name,))
-
-        extend(s, ())
-        return found
+        """Nonzero paths source -> target; raises QuiverError when the
+        nonzero paths out of source are infinite in number."""
+        t = self.vertex_id(target)
+        return [
+            tuple(p) for v, p in self._paths_from(self.vertex_id(source)) if v == t
+        ]
 
     # -- export ---------------------------------------------------------
 
@@ -238,18 +238,42 @@ class GradedQuiver:
 
     @classmethod
     def from_json_obj(cls, data: dict) -> "GradedQuiver":
+        """Inverse of to_json_obj; ``shift`` and ``degree`` default to
+        0.  Malformed data raises SpecError naming the field."""
+
+        def listed(key):
+            if not isinstance(data.get(key), list):
+                raise SpecError(f"bad quiver data: {key!r} must be a list")
+            return data[key]
+
+        def integer(obj, key):
+            value = obj.get(key, 0)
+            if type(value) is not int:
+                raise SpecError(
+                    f"bad quiver data: {key!r} must be an integer, got {value!r}"
+                )
+            return value
+
         q = cls()
-        for v in data["vertices"]:
-            q.add_vertex(*(tuple(l) for l in v["labels"]), shift=v["shift"])
-        for a in data["arrows"]:
-            q.add_arrow(
-                tuple(a["name"]),
-                tuple(a["source"]),
-                tuple(a["target"]),
-                a.get("degree", 0),
-            )
-        for f, g in data["relations"]:
-            q.add_relation(tuple(f), tuple(g))
+        try:
+            for v in listed("vertices"):
+                labels = (tuple(l) for l in v["labels"])
+                q.add_vertex(*labels, shift=integer(v, "shift"))
+            for a in listed("arrows"):
+                q.add_arrow(
+                    tuple(a["name"]),
+                    tuple(a["source"]),
+                    tuple(a["target"]),
+                    integer(a, "degree"),
+                )
+            for rel in listed("relations"):
+                if not isinstance(rel, list) or len(rel) != 2:
+                    raise SpecError(f"bad quiver data: relation {rel!r} is not a pair")
+                q.add_relation(tuple(rel[0]), tuple(rel[1]))
+        except KeyError as exc:
+            raise SpecError(f"bad quiver data: missing field {exc}") from exc
+        except TypeError as exc:
+            raise SpecError(f"bad quiver data: {exc}") from exc
         return q
 
     def to_dot(self) -> str:
@@ -441,10 +465,8 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
 
 def _refine_colors(q: GradedQuiver) -> list[int]:
     colors = [0] * q.num_vertices
-    outs = [[(a.degree, a.target) for a in q.arrows_from(v)]
-            for v in range(q.num_vertices)]
-    ins = [[(a.degree, a.source) for a in q.arrows_into(v)]
-           for v in range(q.num_vertices)]
+    outs = [[(a.degree, a.target) for a in arrows] for arrows in q._out]
+    ins = [[(a.degree, a.source) for a in arrows] for arrows in q._in]
     while True:
         sigs = []
         for v in range(q.num_vertices):
@@ -486,11 +508,7 @@ def find_isomorphism(q1: GradedQuiver, q2: GradedQuiver) -> dict | None:
     order = sorted(range(q1.num_vertices), key=lambda v: len(candidates[v]))
 
     def profile(q: GradedQuiver, u: int, v: int) -> tuple:
-        return tuple(
-            sorted(
-                a.degree for a in q.arrows if a.source == u and a.target == v
-            )
-        )
+        return tuple(sorted(a.degree for a in q._out[u] if a.target == v))
 
     assignment: dict[int, int] = {}
     used: set[int] = set()

@@ -203,14 +203,25 @@ def test_bad_json_is_a_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, named",
     [
-        '{"shape": "linear", "ranks": [], "perms": []}',
-        '{"shape": "linear", "ranks": [1.5, 2], "perms": []}',
-        '{"shape": "chain", "ranks": [true, 2], "twists": []}',
-        '{"shape": "ring", "ranks": [2], "twists": [true]}',
-        '{"shape": "circular", "ranks": [2], "perms": [[1.0, 0.0]]}',
-        '{"shape": "circular", "ranks": [2], "perms": [[0, 0]]}',
+        ('{"shape": "linear", "ranks": [], "perms": []}', "GluingSpec"),
+        ('{"shape": "linear", "ranks": [1.5, 2], "perms": []}', "GluingSpec"),
+        ('{"shape": "chain", "ranks": [true, 2], "twists": []}', "StackyCurveSpec"),
+        ('{"shape": "ring", "ranks": [2], "twists": [true]}', "StackyCurveSpec"),
+        ('{"shape": "circular", "ranks": [2], "perms": [[1.0, 0.0]]}', "GluingSpec"),
+        ('{"shape": "circular", "ranks": [2], "perms": [[0, 0]]}', "GluingSpec"),
+        ('{"vertices": {}, "arrows": [], "relations": []}', "'vertices'"),
+        ('{"vertices": [], "relations": []}', "'arrows'"),
+        ('{"vertices": [], "arrows": [], "relations": {}}', "'relations'"),
+        ('{"vertices": [{"labels": [["a"]], "shift": true}], "arrows": [], '
+         '"relations": []}', "'shift'"),
+        ('{"vertices": [{"labels": [["a"]]}], "arrows": [{"name": ["f"], '
+         '"source": ["a"], "target": ["a"], "degree": 1.0}], "relations": []}',
+         "'degree'"),
+        ('{"vertices": [{"labels": [["a"]]}], "arrows": [{"name": ["f"], '
+         '"source": ["a"], "target": ["a"]}], "relations": [[["f"]]]}',
+         "relation"),
     ],
     ids=[
         "empty_ranks",
@@ -219,14 +230,96 @@ def test_bad_json_is_a_usage_error(capsys, tmp_path):
         "bool_twist",
         "float_image",
         "not_a_permutation",
+        "quiver_vertices_not_a_list",
+        "quiver_arrows_missing",
+        "quiver_relations_not_a_list",
+        "quiver_bool_shift",
+        "quiver_float_degree",
+        "quiver_relation_not_a_pair",
     ],
 )
-def test_invalid_spec_is_a_usage_error(capsys, tmp_path, text):
+def test_invalid_spec_is_a_usage_error(capsys, tmp_path, text, named):
     spec = tmp_path / "spec.json"
     spec.write_text(text)
     code, _, err = run(capsys, "topology", "--spec", str(spec))
     assert code == 2
     assert err.startswith("error:")
+    assert named in err
+
+
+def _write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _one_projective(tmp_path, label):
+    return _write_json(
+        tmp_path / "complexes.json",
+        {"complexes": [{"name": "P", "summands": [[label, 0]]}]},
+    )
+
+
+def test_quiver_shift_defaults_to_zero(capsys, tmp_path):
+    spec = _write_json(
+        tmp_path / "quiver.json",
+        {"vertices": [{"labels": [["a"]]}], "arrows": [], "relations": []},
+    )
+    code, out, _ = run(capsys, "ext", "--spec", spec, _one_projective(tmp_path, ["a"]))
+    assert code == 0
+    assert out == "hom(P -> P): {0: 1}\n"
+
+
+def test_infinite_path_space_is_a_usage_error(capsys, tmp_path):
+    # a directed cycle of 1,200 arrows and no relations; the old
+    # recursive enumerator hit the recursion limit here
+    n = 1200
+    spec = _write_json(
+        tmp_path / "cycle.json",
+        {
+            "vertices": [{"labels": [["v", i]]} for i in range(n)],
+            "arrows": [
+                {"name": ["f", i], "source": ["v", i], "target": ["v", (i + 1) % n]}
+                for i in range(n)
+            ],
+            "relations": [],
+        },
+    )
+    code, _, err = run(capsys, "ext", "--spec", spec, _one_projective(tmp_path, ["v", 0]))
+    assert code == 2
+    assert err == "error: path space is infinite\n"
+
+
+def test_localize_is_not_capped_by_recursion(capsys, tmp_path):
+    spec = _write_json(
+        tmp_path / "long.json", {"shape": "linear", "ranks": [1100, 1], "perms": []}
+    )
+    code, out, _ = run(capsys, "localize", "--spec", spec, "E-:1:0", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["degree"], data["dims"], data["actions"]) == (-1, {"P-(1,1)": 1}, {})
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken(spec):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "verify_theorem_A", broken)
+    code, out, err = run(capsys, "verify", "--spec", RING)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_base_exceptions_propagate(monkeypatch):
+    class Interrupt(BaseException):
+        pass
+
+    def interrupted(spec):
+        raise Interrupt
+
+    monkeypatch.setattr(cli, "verify_theorem_A", interrupted)
+    with pytest.raises(Interrupt):
+        cli.main(["verify", "--spec", RING])
 
 
 def test_quiver_spec_cannot_feed_topology(capsys):
