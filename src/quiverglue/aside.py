@@ -17,35 +17,45 @@ from .quiver import GradedQuiver
 
 
 def build_aside(g: GluingSpec) -> GradedQuiver:
-    """The generator quiver of a gluing.  The input spec is kept on the
-    result as ``q.gluing`` for downstream constructions."""
-    q = GradedQuiver()
+    """The generator quiver of a gluing."""
+    relations = ((arrow[0], killed) for arrow, killed in _feeds(g))
+    q = GradedQuiver(_vertices(g), _arrows(g), relations)
+    if not q.is_acyclic():
+        raise FalsificationError("generator quiver came out cyclic")
+    return q
+
+
+def _vertices(g: GluingSpec):
     for i in g.components():
         rm, rp = g.minus_rank(i), g.plus_rank(i)
-        q.add_vertex(("P-", i, 0), ("P+", i, 0))
-        for j in range(1, rm):
-            q.add_vertex(("P-", i, j))
-        for j in range(1, rp):
-            q.add_vertex(("P+", i, j))
-        q.add_vertex(("P-", i, rm), ("P+", i, rp))
-        for j in range(rm):
-            q.add_arrow(("x", i, j), ("P-", i, j), ("P-", i, j + 1))
-        for j in range(rp):
-            q.add_arrow(("y", i, j), ("P+", i, j), ("P+", i, j + 1))
+        yield (("P-", i, 0), ("P+", i, 0)), 0
+        yield from (((("P-", i, j),), 0) for j in range(1, rm))
+        yield from (((("P+", i, j),), 0) for j in range(1, rp))
+        yield (("P-", i, rm), ("P+", i, rp)), 0
+    for i in g.junctions():
+        for j in range(g.junction_rank(i)):
+            yield (("S", i, j),), 0
+
+
+def _arrows(g: GluingSpec):
+    for i in g.components():
+        for j in range(g.minus_rank(i)):
+            yield ("x", i, j), ("P-", i, j), ("P-", i, j + 1), 0
+        for j in range(g.plus_rank(i)):
+            yield ("y", i, j), ("P+", i, j), ("P+", i, j + 1), 0
+    yield from (arrow for arrow, _ in _feeds(g))
+
+
+def _feeds(g: GluingSpec):
+    """(arrow parts, chain arrow it kills) per a- and b-arrow."""
     for i in g.junctions():
         r = g.junction_rank(i)
         sigma = g.perm(i)
         nxt = g.next_component(i)
         for j in range(r):
-            q.add_vertex(("S", i, j))
-            q.add_arrow(("a", i, j), ("S", i, j), ("P+", i, j))
-            q.add_arrow(("b", i, j), ("S", i, j), ("P-", nxt, r - 1 - sigma(j)))
-            q.add_relation(("a", i, j), ("y", i, j))
-            q.add_relation(("b", i, j), ("x", nxt, r - 1 - sigma(j)))
-    if not q.is_acyclic():
-        raise FalsificationError("generator quiver came out cyclic")
-    q.gluing = g
-    return q
+            k = r - 1 - sigma(j)
+            yield (("a", i, j), ("S", i, j), ("P+", i, j), 0), ("y", i, j)
+            yield (("b", i, j), ("S", i, j), ("P-", nxt, k), 0), ("x", nxt, k)
 
 
 def object_count(g: GluingSpec) -> int:

@@ -31,39 +31,46 @@ def build_bside(
     per-component choice of window origin (default (0, -1) for all).
     """
     base = window_origins(c, bases)
-    q = GradedQuiver()
+    relations = ((arrow[0], killed) for arrow, killed in _feeds(c, base))
+    q = GradedQuiver(_vertices(c, base), _arrows(c, base), relations)
+    if not q.is_acyclic():
+        raise FalsificationError("exceptional-collection quiver came out cyclic")
+    return q
+
+
+def _vertices(c: StackyCurveSpec, base):
     for i in c.components():
         rm, rp = c.minus_rank(i), c.plus_rank(i)
         ji, mi = base[i]
-        q.add_vertex(("P", i, ji, mi))
-        for t in range(1, rm):
-            q.add_vertex(("P", i, ji + t, mi))
-        for s in range(1, rp):
-            q.add_vertex(("P", i, ji, mi + s))
-        q.add_vertex(("P", i, ji + rm, mi), ("P", i, ji, mi + rp))
-        for t in range(rm):
-            q.add_arrow(("x", i, t), ("P", i, ji + t, mi), ("P", i, ji + t + 1, mi))
-        for s in range(rp):
-            q.add_arrow(("y", i, s), ("P", i, ji, mi + s), ("P", i, ji, mi + s + 1))
+        yield (("P", i, ji, mi),), 0
+        yield from (((("P", i, ji + t, mi),), 0) for t in range(1, rm))
+        yield from (((("P", i, ji, mi + s),), 0) for s in range(1, rp))
+        yield (("P", i, ji + rm, mi), ("P", i, ji, mi + rp)), 0
+    for i in c.junctions():
+        for cls in range(c.junction_rank(i)):
+            yield (("S", i, cls),), -1
 
+
+def _arrows(c: StackyCurveSpec, base):
+    for i in c.components():
+        ji, mi = base[i]
+        for t in range(c.minus_rank(i)):
+            yield ("x", i, t), ("P", i, ji + t, mi), ("P", i, ji + t + 1, mi), 0
+        for s in range(c.plus_rank(i)):
+            yield ("y", i, s), ("P", i, ji, mi + s), ("P", i, ji, mi + s + 1), 0
+    yield from (arrow for arrow, _ in _feeds(c, base))
+
+
+def _feeds(c: StackyCurveSpec, base):
+    """(arrow parts, row arrow it kills) per b- and a-arrow."""
     for i, k in zip(c.junctions(), c.twists):
         r = c.junction_rank(i)
         nxt = c.next_component(i)
         jn, mn = base[nxt]
         ji, mi = base[i]
-        for cls in range(r):
-            q.add_vertex(("S", i, cls), shift=-1)
         for j in range(r):
-            q.add_arrow(
-                ("b", i, j), ("S", i, (-jn - j - 1) % r), ("P", nxt, jn + j, mn)
-            )
-            q.add_relation(("b", i, j), ("x", nxt, j))
+            s = ("S", i, (-jn - j - 1) % r)
+            yield (("b", i, j), s, ("P", nxt, jn + j, mn), 0), ("x", nxt, j)
         for m in range(r):
-            q.add_arrow(
-                ("a", i, m), ("S", i, (-k * (mi + m + 1)) % r), ("P", i, ji, mi + m)
-            )
-            q.add_relation(("a", i, m), ("y", i, m))
-    if not q.is_acyclic():
-        raise FalsificationError("exceptional-collection quiver came out cyclic")
-    q.curve = c
-    return q
+            s = ("S", i, (-k * (mi + m + 1)) % r)
+            yield (("a", i, m), s, ("P", i, ji, mi + m), 0), ("y", i, m)

@@ -26,23 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import FalsificationError, SpecError
-from .gluing import GluingSpec
+from .errors import FalsificationError, QuiverError, SpecError
 from .linalg import kernel_basis, rank, solve
-from .quiver import ArrowName, GradedQuiver, Label
+from .quiver import ArrowName, GradedQuiver, Label, label_str
 
 GradedDims = dict[int, int]
 
 Path = tuple  # of ArrowName
 Entry = list[tuple[Fraction, Path]]
-
-
-def _paths(q: GradedQuiver, u: Label, v: Label) -> tuple[Path, ...]:
-    cache = q._paths_cache
-    key = (q.vertex_id(u), q.vertex_id(v))
-    if key not in cache:
-        cache[key] = tuple(q.paths_between(u, v))
-    return cache[key]
 
 
 def _path_degree(q: GradedQuiver, p: Path) -> int:
@@ -111,9 +102,6 @@ class TwistedComplex:
     def shift_of(self, index: int) -> int:
         return self.summands[index][1]
 
-    def vertex_of(self, index: int) -> Label:
-        return self.summands[index][0]
-
 
 def projective(q: GradedQuiver, v: Label) -> TwistedComplex:
     return TwistedComplex(q, ((q.primary_label(q.vertex_id(v)), 0),))
@@ -148,7 +136,7 @@ class HomComplex:
         self.basis: list[tuple[int, int, Path]] = []
         for si, (vs, ns) in enumerate(X.summands):
             for ti, (vt, nt) in enumerate(Y.summands):
-                for p in _paths(q, vs, vt):
+                for p in q.paths_between(vs, vt):
                     self.basis.append((si, ti, p))
         self._index = {elt: i for i, elt in enumerate(self.basis)}
         self.degrees: dict[int, list[int]] = {}
@@ -158,9 +146,6 @@ class HomComplex:
             self._degree_of.append(d)
             self.degrees.setdefault(d, []).append(i)
         self._diff_cache: dict[int, list[list[Fraction]]] = {}
-
-    def degree_of(self, index: int) -> int:
-        return self._degree_of[index]
 
     def _compose(self, p: Path, p2: Path) -> Path | None:
         """p then p2, or None when the junction hits a relation."""
@@ -298,7 +283,7 @@ def euler_characteristic(X: TwistedComplex, Y: TwistedComplex) -> int:
     total = 0
     for vs, ns in X.summands:
         for vt, nt in Y.summands:
-            for p in _paths(q, vs, vt):
+            for p in q.paths_between(vs, vt):
                 total += -1 if (_path_degree(q, p) + ns - nt) % 2 else 1
     return total
 
@@ -352,60 +337,51 @@ class LocObject:
     cx: TwistedComplex
 
 
+# Per kind: the name heads of its chain vertices, its chain arrows, and
+# the junction arrows that feed a chain vertex.
+_CHAINS = {"E-": ("P-", "x", "b"), "E+": ("P+", "y", "a")}
+
+
 def localization_object(
     aq: GradedQuiver, kind: str, i: int, j: int
 ) -> TwistedComplex:
     """The object whose quotient deletes one marked point: a two-term
-    cone over the chain arrow at a free boundary, with the matching S
-    generator stacked on top wherever a junction meets the chain."""
-    g: GluingSpec = aq.gluing
-    if i not in g.components():
-        raise SpecError(f"no component {i}")
+    cone over the chain arrow x(i,j) (E-) or y(i,j) (E+) of a generator
+    quiver, topped by the S generator whose b- or a-arrow feeds the
+    cone's source wherever a junction meets the chain."""
+    try:
+        vertex, step, feed_kind = _CHAINS[kind]
+    except KeyError:
+        raise SpecError(f"unknown localization kind {kind!r}") from None
+    try:
+        arrow = aq.arrow((step, i, j))
+    except QuiverError:
+        raise SpecError(
+            f"no position {kind}({i},{j}): the quiver has no arrow "
+            f"{label_str((step, i, j))}"
+        ) from None
     one = Fraction(1)
-    if kind == "E-":
-        r = g.minus_rank(i)
-        if not 0 <= j < r:
-            raise SpecError(f"position {j} out of range for E-({i},·)")
-        chain = [(("P-", i, j), 2), (("P-", i, j + 1), 1)]
-        step = ("x", i, j)
-        junction = g.junction_before(i)
-        if junction is not None:
-            # this S index is the one whose b-arrow lands on P-(i,j)
-            sigma = g.perm(junction)
-            s_vertex = ("S", junction, sigma.inverse()(r - 1 - j))
-            feed = ("b", junction, sigma.inverse()(r - 1 - j))
-    elif kind == "E+":
-        r = g.plus_rank(i)
-        if not 0 <= j < r:
-            raise SpecError(f"position {j} out of range for E+({i},·)")
-        chain = [(("P+", i, j), 2), (("P+", i, j + 1), 1)]
-        step = ("y", i, j)
-        junction = g.junction_after(i)
-        if junction is not None:
-            s_vertex = ("S", i, j)
-            feed = ("a", i, j)
-    else:
-        raise SpecError(f"unknown localization kind {kind!r}")
-
-    if junction is None:
-        return TwistedComplex(
-            aq, tuple(chain), {(1, 0): [(one, (step,))]}
-        )
-    return TwistedComplex(
-        aq,
-        ((s_vertex, 3), *chain),
-        {(1, 0): [(one, (feed,))], (2, 1): [(one, (step,))]},
-    )
+    chain = (((vertex, i, j), 2), ((vertex, i, j + 1), 1))
+    for feed in aq.arrows_into(arrow.source):
+        if feed.name[0] == feed_kind:
+            return TwistedComplex(
+                aq,
+                ((aq.primary_label(feed.source), 3), *chain),
+                {(1, 0): [(one, (feed.name,))], (2, 1): [(one, (arrow.name,))]},
+            )
+    return TwistedComplex(aq, chain, {(1, 0): [(one, (arrow.name,))]})
 
 
 def all_localization_objects(aq: GradedQuiver) -> list[LocObject]:
-    g: GluingSpec = aq.gluing
+    """The localization object of every chain arrow, in the generator
+    quiver's arrow order: per component, E- along x, then E+ along y."""
+    kinds = {step: kind for kind, (_, step, _) in _CHAINS.items()}
     out = []
-    for i in g.components():
-        for j in range(g.minus_rank(i)):
-            out.append(LocObject("E-", i, j, localization_object(aq, "E-", i, j)))
-        for j in range(g.plus_rank(i)):
-            out.append(LocObject("E+", i, j, localization_object(aq, "E+", i, j)))
+    for ar in aq.arrows:
+        kind = kinds.get(ar.name[0])
+        if kind is not None:
+            _, i, j = ar.name
+            out.append(LocObject(kind, i, j, localization_object(aq, kind, i, j)))
     return out
 
 
@@ -522,22 +498,18 @@ def predicted_module(aq: GradedQuiver, kind: str, i: int, j: int) -> ThinModule:
     combinatorially: one basis path per supported vertex, namely the
     unique nonzero path into the cone tip that does not route through
     the collapsed chain arrow.  Independent of all linear algebra."""
-    if kind == "E-":
-        tip = ("P-", i, j + 1)
-        collapsed = ("x", i, j)
-    elif kind == "E+":
-        tip = ("P+", i, j + 1)
-        collapsed = ("y", i, j)
-    else:
+    if kind not in _CHAINS:
         raise SpecError(f"unknown localization kind {kind!r}")
-    tip = aq.primary_label(aq.vertex_id(tip))
+    vertex, step, _ = _CHAINS[kind]
+    tip = aq.primary_label(aq.vertex_id((vertex, i, j + 1)))
+    collapsed = (step, i, j)
 
     chosen: dict[Label, Path] = {}
     for vid in range(aq.num_vertices):
         v = aq.primary_label(vid)
         allowed = [
             p
-            for p in _paths(aq, v, tip)
+            for p in aq.paths_between(v, tip)
             if not (p and p[-1] == collapsed)
         ]
         if len(allowed) > 1:

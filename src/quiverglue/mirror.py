@@ -139,6 +139,12 @@ def k0_rank(g: GluingSpec) -> int:
     return topo.k0_rank
 
 
+# The most strips (rank sum 2g + n - 2) a searched ring may have: map_equals
+# recurses once per arrow group, and 188 strips is the largest ring verify
+# is known to pass (375 exhausts the default recursion limit).
+MAX_SEARCH_STRIPS = 188
+
+
 def search_ring_mirror(genus: int, n: int = 1) -> list[int]:
     """All twists k making the one-stacky-point ring of ranks
     (2g-1, 1, ..., 1) mirror to a genus-g surface with n boundary
@@ -146,11 +152,16 @@ def search_ring_mirror(genus: int, n: int = 1) -> list[int]:
 
     Nonempty for every genus >= 2 (k = 1 always qualifies since 2g-1
     is odd); an empty result would falsify the existence theorem.
+    Rings of more than MAX_SEARCH_STRIPS strips are rejected.
     """
     if genus < 2:
         raise SpecError("search needs genus >= 2")
     if n < 1:
         raise SpecError("need at least one boundary circle")
+    strips = 2 * genus + n - 2
+    if strips > MAX_SEARCH_STRIPS:
+        raise SpecError(f"ring of {strips} strips exceeds the search limit "
+                        f"{MAX_SEARCH_STRIPS}")
     m = 2 * genus - 1
     hits = []
     for k in range(1, m):

@@ -7,11 +7,14 @@ carrying integer degrees, and relations that are always of the form
 arrow names are structured tuples like ``("P-", 1, 0)`` or
 ``("x", 1, 2)``; :func:`label_str` renders them for reports.
 
-Each vertex keeps its out- and in-arrows.  One depth-first enumerator
-yields the nonzero paths out of a vertex and knows exactly when they
-are infinite; path_dims (the Hom spaces of the algebra) and
-paths_between are views of it.  The module also checks whether a given
-vertex bijection is an isomorphism of quivers with relations, and
+A quiver is built once from its vertices, arrows and relations and is
+immutable afterwards; aside and bside hand it their parts as
+generators.  Each vertex keeps its out- and in-arrows.  One depth-first
+enumerator yields the nonzero paths out of a vertex and knows exactly
+when they are infinite; path_dims (the Hom spaces of the algebra) and
+paths_between are views of it, and paths_between remembers its answer
+per vertex pair.  The module also checks whether a given vertex
+bijection is an isomorphism of quivers with relations, and
 searches for one.
 """
 
@@ -33,7 +36,7 @@ def label_str(label) -> str:
     return str(label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow:
     name: ArrowName
     source: int
@@ -42,42 +45,64 @@ class Arrow:
 
 
 class GradedQuiver:
-    def __init__(self) -> None:
+    """A graded quiver with quadratic monomial relations, built once from
+    its parts.
+
+    ``vertices`` yields ``(labels, shift)``, where ``labels`` names one
+    vertex by one or more aliases (the first is primary); ``arrows``
+    yields ``(name, source, target, degree)`` with endpoints named by
+    any alias; ``relations`` yields composable pairs ``(f, g)``, meaning
+    g∘f = 0.  Each is read once, in that order, so generators will do.
+    The parts are kept as tuples and a frozenset in slots, so nothing
+    can be added later and the path memo cannot go stale.
+    """
+
+    __slots__ = ("_label_to_id", "vertex_labels", "vertex_shifts", "arrows",
+                 "_arrow_by_name", "relations", "_out", "_in", "_paths")
+
+    def __init__(self, vertices, arrows, relations) -> None:
         self._label_to_id: dict[Label, int] = {}
-        self.vertex_labels: list[tuple[Label, ...]] = []
-        self.vertex_shifts: list[int] = []
-        self.arrows: list[Arrow] = []
+        all_labels, shifts = [], []
+        for labels, shift in vertices:
+            labels = tuple(labels)
+            if not labels:
+                raise QuiverError("vertex needs at least one label")
+            for lab in labels:
+                if lab in self._label_to_id:
+                    raise QuiverError(f"duplicate vertex label {label_str(lab)}")
+                self._label_to_id[lab] = len(all_labels)
+            all_labels.append(labels)
+            shifts.append(shift)
+        self.vertex_labels = tuple(all_labels)
+        self.vertex_shifts = tuple(shifts)
+
+        # Out- and in-arrows per vertex id, in the order they came.
+        out = [[] for _ in all_labels]
+        into = [[] for _ in all_labels]
         self._arrow_by_name: dict[ArrowName, Arrow] = {}
-        self.relations: set[tuple[ArrowName, ArrowName]] = set()
-        # Out- and in-arrows per vertex id, in insertion order.
-        self._out: list[list[Arrow]] = []
-        self._in: list[list[Arrow]] = []
-        # Paths per vertex-id pair, filled by homology; every add_* call
-        # empties it, so it never outlives a change.
-        self._paths_cache: dict = {}
+        for name, source, target, degree in arrows:
+            if name in self._arrow_by_name:
+                raise QuiverError(f"duplicate arrow {label_str(name)}")
+            ar = Arrow(name, self.vertex_id(source), self.vertex_id(target), degree)
+            self._arrow_by_name[name] = ar
+            out[ar.source].append(ar)
+            into[ar.target].append(ar)
+        self.arrows = tuple(self._arrow_by_name.values())
+        self._out, self._in = tuple(map(tuple, out)), tuple(map(tuple, into))
 
-    def _changed(self) -> None:
-        self._paths_cache.clear()
-
-    # -- construction ---------------------------------------------------
-
-    def add_vertex(self, *labels: Label, shift: int = 0) -> Label:
-        """Add one vertex carrying all the given labels (aliases for the
-        same object); returns the primary (first) label."""
-        if not labels:
-            raise QuiverError("vertex needs at least one label")
-        for lab in labels:
-            if lab in self._label_to_id:
-                raise QuiverError(f"duplicate vertex label {label_str(lab)}")
-        self._changed()
-        vid = len(self.vertex_labels)
-        for lab in labels:
-            self._label_to_id[lab] = vid
-        self.vertex_labels.append(tuple(labels))
-        self.vertex_shifts.append(shift)
-        self._out.append([])
-        self._in.append([])
-        return labels[0]
+        pairs = set()
+        for f, g in relations:
+            fa, ga = self.arrow(f), self.arrow(g)
+            if fa.target != ga.source:
+                raise QuiverError(
+                    f"relation pair not composable: {label_str(f)} ends at "
+                    f"{label_str(self.primary_label(fa.target))}, {label_str(g)} "
+                    f"starts at {label_str(self.primary_label(ga.source))}"
+                )
+            pairs.add((f, g))
+        self.relations = frozenset(pairs)
+        # Nonzero paths per vertex-id pair, filled by paths_between.
+        self._paths: dict[tuple[int, int], tuple] = {}
 
     def vertex_id(self, label: Label) -> int:
         try:
@@ -91,36 +116,11 @@ class GradedQuiver:
     def shift_of(self, label: Label) -> int:
         return self.vertex_shifts[self.vertex_id(label)]
 
-    def add_arrow(
-        self, name: ArrowName, source: Label, target: Label, degree: int = 0
-    ) -> Arrow:
-        if name in self._arrow_by_name:
-            raise QuiverError(f"duplicate arrow {label_str(name)}")
-        ar = Arrow(name, self.vertex_id(source), self.vertex_id(target), degree)
-        self._changed()
-        self.arrows.append(ar)
-        self._arrow_by_name[name] = ar
-        self._out[ar.source].append(ar)
-        self._in[ar.target].append(ar)
-        return ar
-
     def arrow(self, name: ArrowName) -> Arrow:
         try:
             return self._arrow_by_name[name]
         except KeyError:
             raise QuiverError(f"unknown arrow {label_str(name)}") from None
-
-    def add_relation(self, f: ArrowName, g: ArrowName) -> None:
-        """Declare g∘f = 0.  The pair must be composable."""
-        fa, ga = self.arrow(f), self.arrow(g)
-        if fa.target != ga.source:
-            raise QuiverError(
-                f"relation pair not composable: {label_str(f)} ends at "
-                f"{label_str(self.primary_label(fa.target))}, {label_str(g)} "
-                f"starts at {label_str(self.primary_label(ga.source))}"
-            )
-        self._changed()
-        self.relations.add((f, g))
 
     # -- structure ------------------------------------------------------
 
@@ -128,17 +128,15 @@ class GradedQuiver:
     def num_vertices(self) -> int:
         return len(self.vertex_labels)
 
-    def arrows_from(self, vid: int) -> list[Arrow]:
-        return list(self._out[vid])
+    def arrows_from(self, vid: int) -> tuple[Arrow, ...]:
+        return self._out[vid]
 
-    def arrows_into(self, vid: int) -> list[Arrow]:
-        return list(self._in[vid])
+    def arrows_into(self, vid: int) -> tuple[Arrow, ...]:
+        return self._in[vid]
 
     def topological_order(self) -> list[int]:
         """Vertex ids in topological order; raises on a directed cycle."""
-        indeg = [0] * self.num_vertices
-        for a in self.arrows:
-            indeg[a.target] += 1
+        indeg = [len(arrows) for arrows in self._in]
         queue = [v for v in range(self.num_vertices) if indeg[v] == 0]
         order = []
         while queue:
@@ -206,13 +204,16 @@ class GradedQuiver:
 
     def paths_between(
         self, source: Label, target: Label
-    ) -> list[tuple[ArrowName, ...]]:
-        """Nonzero paths source -> target; raises QuiverError when the
-        nonzero paths out of source are infinite in number."""
-        t = self.vertex_id(target)
-        return [
-            tuple(p) for v, p in self._paths_from(self.vertex_id(source)) if v == t
-        ]
+    ) -> tuple[tuple[ArrowName, ...], ...]:
+        """Nonzero paths source -> target, remembered per vertex pair;
+        raises QuiverError when the nonzero paths out of source are
+        infinite in number."""
+        key = s, t = self.vertex_id(source), self.vertex_id(target)
+        paths = self._paths.get(key)
+        if paths is None:
+            paths = tuple(tuple(p) for v, p in self._paths_from(s) if v == t)
+            self._paths[key] = paths
+        return paths
 
     # -- export ---------------------------------------------------------
 
@@ -254,27 +255,23 @@ class GradedQuiver:
                 )
             return value
 
-        q = cls()
+        def relation(rel):
+            if not isinstance(rel, list) or len(rel) != 2:
+                raise SpecError(f"bad quiver data: relation {rel!r} is not a pair")
+            return tuple(rel[0]), tuple(rel[1])
+
         try:
-            for v in listed("vertices"):
-                labels = (tuple(l) for l in v["labels"])
-                q.add_vertex(*labels, shift=integer(v, "shift"))
-            for a in listed("arrows"):
-                q.add_arrow(
-                    tuple(a["name"]),
-                    tuple(a["source"]),
-                    tuple(a["target"]),
-                    integer(a, "degree"),
-                )
-            for rel in listed("relations"):
-                if not isinstance(rel, list) or len(rel) != 2:
-                    raise SpecError(f"bad quiver data: relation {rel!r} is not a pair")
-                q.add_relation(tuple(rel[0]), tuple(rel[1]))
+            return cls(
+                ((tuple(map(tuple, v["labels"])), integer(v, "shift"))
+                 for v in listed("vertices")),
+                ((tuple(a["name"]), tuple(a["source"]), tuple(a["target"]),
+                  integer(a, "degree")) for a in listed("arrows")),
+                map(relation, listed("relations")),
+            )
         except KeyError as exc:
             raise SpecError(f"bad quiver data: missing field {exc}") from exc
         except TypeError as exc:
             raise SpecError(f"bad quiver data: {exc}") from exc
-        return q
 
     def to_dot(self) -> str:
         lines = ["digraph quiver {"]
@@ -317,9 +314,6 @@ class HomTable:
             if s == source and t == target and plist:
                 out[d] = len(plist)
         return out
-
-    def total(self, source: Label, target: Label) -> int:
-        return sum(self.between(source, target).values())
 
 
 @dataclass

@@ -17,9 +17,8 @@ def test_minimal_chain():
     assert q.num_vertices == 5
     s = q.vertex_id(("S", 1, 0))
     assert len(q.arrows_from(s)) == 2
-    assert q.arrows_into(s) == []
+    assert q.arrows_into(s) == ()
     assert q.shift_of(("S", 1, 0)) == -1
-    assert q.curve == c
 
 
 def test_default_base_labels_are_absolute():
@@ -73,7 +72,7 @@ def test_each_class_feeds_one_a_and_one_b():
             continue
         out = q.arrows_from(vid)
         assert sorted(a.name[0] for a in out) == ["a", "b"]
-        assert q.arrows_into(vid) == []
+        assert q.arrows_into(vid) == ()
     assert q.is_acyclic()
 
 

@@ -2,6 +2,7 @@
 report text, and the machine-readable formats."""
 
 import json
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -88,6 +89,25 @@ def test_search_degenerate_input(capsys):
     code, _, err = run(capsys, "search", "0")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["2", "1000000000"], ["1000000000"], ["2", "187"]])
+def test_search_rejects_rings_past_the_limit(capsys, argv):
+    # 2g + n - 2 strips over MAX_SEARCH_STRIPS (188): rejected before any
+    # ring is built
+    start = time.process_time()
+    code, _, err = run(capsys, "search", *argv)
+    assert code == 2
+    assert "exceeds the search limit 188" in err
+    assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize("genus, n", [(2, 1), (3, 2), (4, 3), (2, 186)])
+def test_search_passes_up_to_the_limit(capsys, genus, n):
+    # (2, 186) is a ring of exactly 188 strips
+    code, out, _ = run(capsys, "search", str(genus), str(n), "--format", "json")
+    assert code == 0
+    assert json.loads(out)
 
 
 def test_localize_text(capsys):

@@ -28,21 +28,27 @@ from quiverglue.homology import (
 )
 from quiverglue.perms import Permutation, identity, tau
 from quiverglue.quiver import GradedQuiver
+from test_acceptance import gluing_sweep
 
 ONE = Fraction(1)
 
 
+def plain(*labels):
+    """Vertex parts: one unshifted vertex per label."""
+    return [((lab,), 0) for lab in labels]
+
+
 def double_quiver():
-    q = GradedQuiver()
-    for v in (1, 2, 3):
-        q.add_vertex(("v", v))
-    q.add_arrow(("a",), ("v", 1), ("v", 2))
-    q.add_arrow(("b",), ("v", 1), ("v", 2))
-    q.add_arrow(("x",), ("v", 2), ("v", 3))
-    q.add_arrow(("y",), ("v", 2), ("v", 3))
-    q.add_relation(("a",), ("y",))
-    q.add_relation(("b",), ("x",))
-    return q
+    return GradedQuiver(
+        plain(("v", 1), ("v", 2), ("v", 3)),
+        [
+            (("a",), ("v", 1), ("v", 2), 0),
+            (("b",), ("v", 1), ("v", 2), 0),
+            (("x",), ("v", 2), ("v", 3), 0),
+            (("y",), ("v", 2), ("v", 3), 0),
+        ],
+        [(("a",), ("y",)), (("b",), ("x",))],
+    )
 
 
 def standard_pair(q):
@@ -108,11 +114,9 @@ def test_zero_paths_are_rejected():
 
 
 def test_delta_squared_is_enforced():
-    q = GradedQuiver()
-    for v in (1, 2, 3):
-        q.add_vertex(("v", v))
-    q.add_arrow(("f",), ("v", 1), ("v", 2))
-    q.add_arrow(("g",), ("v", 2), ("v", 3))
+    vertices = plain(("v", 1), ("v", 2), ("v", 3))
+    arrows = [(("f",), ("v", 1), ("v", 2), 0), (("g",), ("v", 2), ("v", 3), 0)]
+    q = GradedQuiver(vertices, arrows, [])
     with pytest.raises(SpecError):
         TwistedComplex(
             q,
@@ -123,9 +127,8 @@ def test_delta_squared_is_enforced():
             },
         )
     # with the composite killed, the same shape is a valid complex
-    q.add_relation(("f",), ("g",))
     TwistedComplex(
-        q,
+        GradedQuiver(vertices, arrows, [(("f",), ("g",))]),
         ((("v", 1), 2), (("v", 2), 1), (("v", 3), 0)),
         {
             (1, 0): [(ONE, (("f",),))],
@@ -268,10 +271,7 @@ def test_ext_product_needs_matching_middle():
 
 
 def test_cone_kills_the_source_projective():
-    q = GradedQuiver()
-    q.add_vertex(("v", 1))
-    q.add_vertex(("v", 2))
-    q.add_arrow(("f",), ("v", 1), ("v", 2))
+    q = GradedQuiver(plain(("v", 1), ("v", 2)), [(("f",), ("v", 1), ("v", 2), 0)], [])
     cone = TwistedComplex(
         q, ((("v", 1), 1), (("v", 2), 0)), {(1, 0): [(ONE, (("f",),))]}
     )
@@ -299,18 +299,33 @@ SMOKE_GLUINGS = [
 ]
 
 
-def test_path_cache_follows_later_relations():
-    # v1 -x-> v2 -a-> v3: the cached path x.a must go once a.x = 0 is added
-    q = GradedQuiver()
-    for v in ("v1", "v2", "v3"):
-        q.add_vertex((v,))
-    q.add_arrow(("x",), ("v1",), ("v2",))
-    q.add_arrow(("a",), ("v2",), ("v3",))
+def line_quiver(relations):
+    """v1 -x-> v2 -a-> v3 with the given relations."""
+    arrows = [(("x",), ("v1",), ("v2",), 0), (("a",), ("v2",), ("v3",), 0)]
+    return GradedQuiver(plain(("v1",), ("v2",), ("v3",)), arrows, relations)
+
+
+def test_rebuilt_quiver_with_a_relation_loses_the_path():
+    q = line_quiver([])
     P1, P3 = projective(q, ("v1",)), projective(q, ("v3",))
+    assert hom_cohomology(P1, P3) == {0: 1}  # fills the path memo
+    killed = line_quiver([(("x",), ("a",))])
+    assert killed.path_dims().between(("v1",), ("v3",)) == {}
+    assert hom_cohomology(projective(killed, ("v1",)), projective(killed, ("v3",))) == {}
     assert hom_cohomology(P1, P3) == {0: 1}
-    q.add_relation(("x",), ("a",))
-    assert q.path_dims().between(("v1",), ("v3",)) == {}
-    assert hom_cohomology(P1, P3) == {}
+
+
+def test_quiver_takes_no_new_attributes():
+    q = build_aside(GluingSpec("linear", (1, 2, 1), (identity(2),)))
+    with pytest.raises(AttributeError):
+        q.gluing = GluingSpec("linear", (1, 2, 1), (identity(2),))
+
+
+def test_quiver_relations_are_frozen():
+    q = line_quiver([(("x",), ("a",))])
+    assert isinstance(q.relations, frozenset)
+    with pytest.raises(AttributeError):
+        q.relations.discard((("x",), ("a",)))
 
 
 def test_localization_objects_are_valid_complexes():
@@ -334,8 +349,10 @@ def test_localization_term_counts():
     assert len(localization_object(aq, "E-", 2, 0).summands) == 3
     # free plus side of the last component
     assert len(localization_object(aq, "E+", 2, 0).summands) == 2
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match=r"no position E-\(1,1\).*no arrow x\(1,1\)"):
         localization_object(aq, "E-", 1, 1)
+    with pytest.raises(SpecError, match=r"no position E\+\(9,0\)"):
+        localization_object(aq, "E+", 9, 0)
     with pytest.raises(SpecError):
         localization_object(aq, "E?", 1, 0)
 
@@ -350,6 +367,36 @@ def test_three_term_object_structure():
     assert labels[0][0] == "S"
     assert aq.vertex_id(labels[1]) == aq.vertex_id(("P+", 1, 0))
     assert aq.vertex_id(labels[2]) == aq.vertex_id(("P+", 1, 1))
+
+
+def test_cones_follow_the_feed_arithmetic():
+    # Reference for reading the cones off the quiver: the S summand is
+    # the S whose b-arrow lands on P-(i,j), namely S(junction,
+    # sigma^-1(r-1-j)), or whose a-arrow lands on P+(i,j), namely S(i,j);
+    # objects come per component, E- then E+, positions ascending.
+    for g in gluing_sweep(2, 3):
+        aq = build_aside(g)
+        expected_order = []
+        for i in g.components():
+            expected_order += [("E-", i, j) for j in range(g.minus_rank(i))]
+            expected_order += [("E+", i, j) for j in range(g.plus_rank(i))]
+        objs = all_localization_objects(aq)
+        assert [(o.kind, o.component, o.position) for o in objs] == expected_order
+        for obj in objs:
+            i, j = obj.component, obj.position
+            if obj.kind == "E-":
+                junction = g.junction_before(i)
+                if junction is not None:
+                    r = g.minus_rank(i)
+                    s_vertex = ("S", junction, g.perm(junction).inverse()(r - 1 - j))
+            else:
+                junction = g.junction_after(i)
+                s_vertex = ("S", i, j)
+            summands = [lab for lab, _ in obj.cx.summands]
+            if junction is None:
+                assert len(summands) == 2, (g.to_json(), obj.kind, i, j)
+            else:
+                assert summands[0] == s_vertex, (g.to_json(), obj.kind, i, j)
 
 
 def test_modules_match_the_combinatorial_prediction():

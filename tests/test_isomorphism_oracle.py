@@ -41,7 +41,7 @@ def vf2_isomorphic(q1: GradedQuiver, q2: GradedQuiver) -> bool:
 
 
 def rebuilt(q: GradedQuiver, retarget=None, relations=None, shuffle=None) -> GradedQuiver:
-    """A copy of q through the builder, with one arrow optionally sent to
+    """A copy of q through the constructor, with one arrow optionally sent to
     another target vertex id, the relation set optionally replaced, and
     vertices and arrows optionally added in an order shuffled by
     ``shuffle`` (a random.Random)."""
@@ -50,15 +50,16 @@ def rebuilt(q: GradedQuiver, retarget=None, relations=None, shuffle=None) -> Gra
     if shuffle:
         shuffle.shuffle(vertices)
         shuffle.shuffle(arrows)
-    out = GradedQuiver()
-    for labels, shift in vertices:
-        out.add_vertex(*labels, shift=shift)
-    for a in arrows:
-        target = retarget[1] if retarget and a.name == retarget[0] else a.target
-        out.add_arrow(a.name, q.primary_label(a.source), q.primary_label(target), a.degree)
-    for f, h in sorted(q.relations if relations is None else relations):
-        out.add_relation(f, h)
-    return out
+
+    def target(a):
+        return retarget[1] if retarget and a.name == retarget[0] else a.target
+
+    return GradedQuiver(
+        vertices,
+        [(a.name, q.primary_label(a.source), q.primary_label(target(a)), a.degree)
+         for a in arrows],
+        sorted(q.relations if relations is None else relations),
+    )
 
 
 def moved_relation(q: GradedQuiver, rng) -> GradedQuiver | None:

@@ -15,7 +15,7 @@ from quiverglue.mirror import (
     verify_theorem_A,
 )
 from quiverglue.perms import Permutation, from_twist
-from quiverglue.quiver import find_isomorphism, map_equals
+from quiverglue.quiver import GradedQuiver, find_isomorphism, map_equals
 from quiverglue.surface import surface_topology
 
 SMOKE_CURVES = [
@@ -80,10 +80,27 @@ def test_verify_report_serializes():
     assert {c["name"] for c in obj["checks"]} == {"quiver", "topology", "k0"}
 
 
+def tampered_aside(c, dropped=None, retargeted=None):
+    """The generator quiver of ``c`` rebuilt through the constructor with
+    the relation ``dropped`` left out, or with the arrow named first in
+    ``retargeted`` sent to the vertex labelled second."""
+    aq = build_aside(twisted_gluing(c))
+
+    def target(a):
+        if retargeted and a.name == retargeted[0]:
+            return retargeted[1]
+        return aq.primary_label(a.target)
+
+    return GradedQuiver(
+        zip(aq.vertex_labels, aq.vertex_shifts),
+        [(a.name, aq.primary_label(a.source), target(a), a.degree) for a in aq.arrows],
+        aq.relations - {dropped},
+    )
+
+
 def test_negative_control_missing_relation():
     c = StackyCurveSpec("chain", (1, 2, 1), (1,))
-    tampered = build_aside(twisted_gluing(c))
-    tampered.relations.discard((("a", 1, 0), ("y", 1, 0)))
+    tampered = tampered_aside(c, dropped=(("a", 1, 0), ("y", 1, 0)))
     report = verify_theorem_A(c, aside_quiver=tampered)
     assert not report.ok
     quiver_check = report.checks[0]
@@ -92,14 +109,15 @@ def test_negative_control_missing_relation():
 
 
 def test_negative_control_retargeted_arrow():
-    from quiverglue.quiver import Arrow
-
     c = StackyCurveSpec("chain", (1, 2, 1), (1,))
-    tampered = build_aside(twisted_gluing(c))
-    old = tampered.arrow(("b", 1, 0))
-    new = Arrow(old.name, old.source, tampered.vertex_id(("P-", 2, 0)), 0)
-    tampered.arrows[tampered.arrows.index(old)] = new
-    tampered._arrow_by_name[old.name] = new
+    # b(1,0) moves from P-(2,1) to P-(2,0); its relation with x(2,1) no
+    # longer composes, so it goes too
+    tampered = tampered_aside(
+        c, dropped=(("b", 1, 0), ("x", 2, 1)), retargeted=(("b", 1, 0), ("P-", 2, 0))
+    )
+    # the arrow and the per-vertex arrow lists agree on the new target
+    moved = tampered.arrow(("b", 1, 0))
+    assert moved in tampered.arrows_into(tampered.vertex_id(("P-", 2, 0)))
     report = verify_theorem_A(c, aside_quiver=tampered)
     assert not report.ok
     assert any("arrows" in d for d in report.checks[0].details)

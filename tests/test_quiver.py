@@ -11,30 +11,31 @@ from quiverglue.quiver import (
 )
 
 
+def plain(*labels):
+    """Vertex parts: one unshifted vertex per label."""
+    return [((lab,), 0) for lab in labels]
+
+
 def chain_quiver(n, relations=()):
     """Linear A_n quiver 1 -> 2 -> ... -> n with optional zero composites
     given as positions i, meaning arrow i+1 after arrow i dies."""
-    q = GradedQuiver()
-    for v in range(1, n + 1):
-        q.add_vertex(("v", v))
-    for v in range(1, n):
-        q.add_arrow(("f", v), ("v", v), ("v", v + 1))
-    for i in relations:
-        q.add_relation(("f", i), ("f", i + 1))
-    return q
+    return GradedQuiver(
+        plain(*(("v", v) for v in range(1, n + 1))),
+        [(("f", v), ("v", v), ("v", v + 1), 0) for v in range(1, n)],
+        [(("f", i), ("f", i + 1)) for i in relations],
+    )
 
 
-def three_vertex_double():
-    q = GradedQuiver()
-    for v in (1, 2, 3):
-        q.add_vertex(("v", v))
-    q.add_arrow(("a",), ("v", 1), ("v", 2))
-    q.add_arrow(("b",), ("v", 1), ("v", 2))
-    q.add_arrow(("x",), ("v", 2), ("v", 3))
-    q.add_arrow(("y",), ("v", 2), ("v", 3))
-    q.add_relation(("a",), ("y",))
-    q.add_relation(("b",), ("x",))
-    return q
+DOUBLE_ARROWS = [
+    (("a",), ("v", 1), ("v", 2), 0),
+    (("b",), ("v", 1), ("v", 2), 0),
+    (("x",), ("v", 2), ("v", 3), 0),
+    (("y",), ("v", 2), ("v", 3), 0),
+]
+
+
+def three_vertex_double(relations=((("a",), ("y",)), (("b",), ("x",)))):
+    return GradedQuiver(plain(("v", 1), ("v", 2), ("v", 3)), DOUBLE_ARROWS, relations)
 
 
 def test_label_str():
@@ -43,19 +44,37 @@ def test_label_str():
 
 
 def test_construction_guards():
-    q = GradedQuiver()
-    q.add_vertex(("v", 1), ("alias", 1))
-    with pytest.raises(QuiverError):
-        q.add_vertex(("v", 1))
-    with pytest.raises(QuiverError):
-        q.add_arrow(("f",), ("v", 1), ("missing",))
-    q.add_vertex(("v", 2))
-    q.add_arrow(("f",), ("alias", 1), ("v", 2))
+    vertices = [((("v", 1), ("alias", 1)), 0), ((("v", 2),), 0)]
+    f = (("f",), ("alias", 1), ("v", 2), 0)
+    q = GradedQuiver(vertices, [f], [])
     assert q.arrow(("f",)).source == q.vertex_id(("v", 1))
-    with pytest.raises(QuiverError):
-        q.add_arrow(("f",), ("v", 1), ("v", 2))
-    with pytest.raises(QuiverError):
-        q.add_relation(("f",), ("f",))  # not composable: 2 != 1
+    with pytest.raises(QuiverError, match="at least one label"):
+        GradedQuiver([((), 0)], [], [])
+    with pytest.raises(QuiverError, match="duplicate vertex"):
+        GradedQuiver(vertices + plain(("v", 1)), [], [])
+    with pytest.raises(QuiverError, match="unknown vertex"):
+        GradedQuiver(vertices, [(("f",), ("v", 1), ("missing",), 0)], [])
+    with pytest.raises(QuiverError, match="duplicate arrow"):
+        GradedQuiver(vertices, [f, (("f",), ("v", 1), ("v", 2), 0)], [])
+    with pytest.raises(QuiverError, match="unknown arrow"):
+        GradedQuiver(vertices, [f], [(("f",), ("g",))])
+    with pytest.raises(QuiverError, match="not composable"):
+        GradedQuiver(vertices, [f], [(("f",), ("f",))])  # 2 != 1
+
+
+def test_construction_reads_each_part_once():
+    # generators are consumed exactly once: a relation checked from a
+    # generator is still there afterwards
+    q = GradedQuiver(
+        (v for v in plain(("v", 1), ("v", 2), ("v", 3))),
+        (a for a in DOUBLE_ARROWS),
+        (r for r in [(("a",), ("y",))]),
+    )
+    assert q.relations == frozenset({(("a",), ("y",))})
+    assert q.num_vertices == 3 and len(q.arrows) == 4
+    assert q.paths_between(("v", 1), ("v", 3)) == (
+        (("a",), ("x",)), (("b",), ("x",)), (("b",), ("y",))
+    )
 
 
 def test_path_dims_chain():
@@ -82,12 +101,7 @@ def test_path_dims_double_arrows_with_relations():
 
 def test_path_dims_matches_matrix_powers():
     # without relations the degree-0 dims are adjacency matrix powers
-    q = three_vertex_double()
-    free = GradedQuiver()
-    for v in (1, 2, 3):
-        free.add_vertex(("v", v))
-    for a in q.arrows:
-        free.add_arrow(a.name, q.primary_label(a.source), q.primary_label(a.target))
+    free = three_vertex_double(relations=())
     table = free.path_dims()
     n = 3
     adj = [[0] * n for _ in range(n)]
@@ -111,20 +125,19 @@ def test_path_dims_matches_matrix_powers():
 def test_relation_deletion_is_monotone():
     full = three_vertex_double()
     full_dims = full.path_dims().dims
-    for dropped in list(full.relations):
-        q = three_vertex_double()
-        q.relations.discard(dropped)
+    for dropped in full.relations:
+        q = three_vertex_double(relations=full.relations - {dropped})
         bigger = q.path_dims().dims
         for key, count in full_dims.items():
             assert bigger.get(key, 0) >= count
 
 
 def test_path_dims_rejects_cycles():
-    q = GradedQuiver()
-    q.add_vertex(("v", 1))
-    q.add_vertex(("v", 2))
-    q.add_arrow(("f",), ("v", 1), ("v", 2))
-    q.add_arrow(("g",), ("v", 2), ("v", 1))
+    q = GradedQuiver(
+        plain(("v", 1), ("v", 2)),
+        [(("f",), ("v", 1), ("v", 2), 0), (("g",), ("v", 2), ("v", 1), 0)],
+        [],
+    )
     assert not q.is_acyclic()
     with pytest.raises(QuiverError):
         q.path_dims()
@@ -136,18 +149,17 @@ def test_paths_between_respects_relations():
         (("a",), ("x",)),
         (("b",), ("y",)),
     ]
-    assert q.paths_between(("v", 3), ("v", 1)) == []
+    assert q.paths_between(("v", 3), ("v", 1)) == ()
     assert q.path_is_zero((("a",), ("y",)))
     assert not q.path_is_zero((("a",), ("x",)))
 
 
 def test_arrow_degrees_show_up_in_path_degrees():
-    q = GradedQuiver()
-    q.add_vertex(("v", 1))
-    q.add_vertex(("v", 2))
-    q.add_vertex(("v", 3))
-    q.add_arrow(("f",), ("v", 1), ("v", 2), degree=1)
-    q.add_arrow(("g",), ("v", 2), ("v", 3), degree=2)
+    q = GradedQuiver(
+        plain(("v", 1), ("v", 2), ("v", 3)),
+        [(("f",), ("v", 1), ("v", 2), 1), (("g",), ("v", 2), ("v", 3), 2)],
+        [],
+    )
     table = q.path_dims()
     assert table.between(("v", 1), ("v", 3)) == {3: 1}
     assert table.dim(("v", 1), ("v", 2), degree=1) == 1
@@ -175,14 +187,10 @@ def test_map_equals_identity_and_perturbation():
     assert map_equals(q, q, ident).ok
 
     # retarget one arrow: the arrow multisets stop matching
-    crooked = GradedQuiver()
-    for v in (1, 2, 3):
-        crooked.add_vertex(("v", v))
-    crooked.add_arrow(("a",), ("v", 1), ("v", 2))
-    crooked.add_arrow(("b",), ("v", 1), ("v", 3))
-    crooked.add_arrow(("x",), ("v", 2), ("v", 3))
-    crooked.add_arrow(("y",), ("v", 2), ("v", 3))
-    crooked.add_relation(("a",), ("y",))
+    arrows = [(("b",), ("v", 1), ("v", 3), 0) if a[0] == ("b",) else a
+              for a in DOUBLE_ARROWS]
+    crooked = GradedQuiver(plain(("v", 1), ("v", 2), ("v", 3)), arrows,
+                           [(("a",), ("y",))])
     report = map_equals(q, crooked, ident)
     assert not report.ok
     assert any("arrows" in d for d in report.diffs)
@@ -190,9 +198,9 @@ def test_map_equals_identity_and_perturbation():
 
 def test_map_equals_relation_mismatch_is_reported():
     q = three_vertex_double()
-    stripped = three_vertex_double()
-    stripped.relations.discard((("a",), ("y",)))
-    stripped.add_relation(("a",), ("x",))
+    stripped = three_vertex_double(
+        relations=((("b",), ("x",)), (("a",), ("x",)))
+    )
     ident = {("v", v): ("v", v) for v in (1, 2, 3)}
     report = map_equals(q, stripped, ident)
     assert not report.ok
@@ -210,30 +218,23 @@ def test_map_equals_needs_a_bijection():
 def test_map_equals_finds_the_right_arrow_matching():
     # swapping parallel arrow names still matches: x pairs with y
     q1 = three_vertex_double()
-    q2 = GradedQuiver()
-    for v in (1, 2, 3):
-        q2.add_vertex(("v", v))
-    q2.add_arrow(("a",), ("v", 1), ("v", 2))
-    q2.add_arrow(("b",), ("v", 1), ("v", 2))
-    q2.add_arrow(("x",), ("v", 2), ("v", 3))
-    q2.add_arrow(("y",), ("v", 2), ("v", 3))
-    q2.add_relation(("a",), ("x",))
-    q2.add_relation(("b",), ("y",))
+    q2 = three_vertex_double(relations=((("a",), ("x",)), (("b",), ("y",))))
     ident = {("v", v): ("v", v) for v in (1, 2, 3)}
     assert map_equals(q1, q2, ident).ok
 
 
 def test_find_isomorphism_on_relabeled_quiver():
     q1 = three_vertex_double()
-    q2 = GradedQuiver()
-    for v in ("c", "a", "b"):  # scrambled insertion order, new names
-        q2.add_vertex(("w", v))
-    q2.add_arrow(("p",), ("w", "a"), ("w", "b"))
-    q2.add_arrow(("q",), ("w", "a"), ("w", "b"))
-    q2.add_arrow(("r",), ("w", "b"), ("w", "c"))
-    q2.add_arrow(("s",), ("w", "b"), ("w", "c"))
-    q2.add_relation(("p",), ("r",))
-    q2.add_relation(("q",), ("s",))
+    q2 = GradedQuiver(
+        plain(("w", "c"), ("w", "a"), ("w", "b")),  # scrambled order, new names
+        [
+            (("p",), ("w", "a"), ("w", "b"), 0),
+            (("q",), ("w", "a"), ("w", "b"), 0),
+            (("r",), ("w", "b"), ("w", "c"), 0),
+            (("s",), ("w", "b"), ("w", "c"), 0),
+        ],
+        [(("p",), ("r",)), (("q",), ("s",))],
+    )
     vmap = find_isomorphism(q1, q2)
     assert vmap is not None
     assert map_equals(q1, q2, vmap).ok
@@ -242,11 +243,11 @@ def test_find_isomorphism_on_relabeled_quiver():
 
 def test_reversed_chain_is_isomorphic_by_relabeling():
     q1 = chain_quiver(3)
-    q2 = GradedQuiver()
-    for v in (1, 2, 3):
-        q2.add_vertex(("v", v))
-    q2.add_arrow(("f", 1), ("v", 3), ("v", 2))
-    q2.add_arrow(("f", 2), ("v", 2), ("v", 1))
+    q2 = GradedQuiver(
+        plain(("v", 1), ("v", 2), ("v", 3)),
+        [(("f", 1), ("v", 3), ("v", 2), 0), (("f", 2), ("v", 2), ("v", 1), 0)],
+        [],
+    )
     vmap = find_isomorphism(q1, q2)
     assert vmap is not None
     assert vmap[("v", 1)] == ("v", 3)
@@ -257,30 +258,24 @@ def test_find_isomorphism_honest_negatives():
     assert find_isomorphism(chain_quiver(3), chain_quiver(3, (1,))) is None
     # different arrow multiplicities
     q = chain_quiver(3)
-    doubled = chain_quiver(3)
-    doubled.add_arrow(("extra",), ("v", 1), ("v", 2))
+    doubled = GradedQuiver(
+        plain(("v", 1), ("v", 2), ("v", 3)),
+        [
+            (("f", 1), ("v", 1), ("v", 2), 0),
+            (("f", 2), ("v", 2), ("v", 3), 0),
+            (("extra",), ("v", 1), ("v", 2), 0),
+        ],
+        [],
+    )
     assert find_isomorphism(q, doubled) is None
     # both relations on the same composite vs one on each
     q1 = three_vertex_double()
-    q2 = GradedQuiver()
-    for v in (1, 2, 3):
-        q2.add_vertex(("v", v))
-    q2.add_arrow(("a",), ("v", 1), ("v", 2))
-    q2.add_arrow(("b",), ("v", 1), ("v", 2))
-    q2.add_arrow(("x",), ("v", 2), ("v", 3))
-    q2.add_arrow(("y",), ("v", 2), ("v", 3))
-    q2.add_relation(("a",), ("y",))
-    q2.add_relation(("a",), ("x",))
+    q2 = three_vertex_double(relations=((("a",), ("y",)), (("a",), ("x",))))
     assert find_isomorphism(q1, q2) is None
 
 
 def test_find_isomorphism_respects_degrees():
-    q1 = GradedQuiver()
-    q1.add_vertex(("v", 1))
-    q1.add_vertex(("v", 2))
-    q1.add_arrow(("f",), ("v", 1), ("v", 2), degree=1)
-    q2 = GradedQuiver()
-    q2.add_vertex(("v", 1))
-    q2.add_vertex(("v", 2))
-    q2.add_arrow(("f",), ("v", 1), ("v", 2), degree=0)
+    vertices = plain(("v", 1), ("v", 2))
+    q1 = GradedQuiver(vertices, [(("f",), ("v", 1), ("v", 2), 1)], [])
+    q2 = GradedQuiver(vertices, [(("f",), ("v", 1), ("v", 2), 0)], [])
     assert find_isomorphism(q1, q2) is None
