@@ -18,8 +18,8 @@ from .quiver import GradedQuiver
 
 def build_aside(g: GluingSpec) -> GradedQuiver:
     """The generator quiver of a gluing."""
-    relations = ((arrow[0], killed) for arrow, killed in _feeds(g))
-    q = GradedQuiver(_vertices(g), _arrows(g), relations)
+    relations = []
+    q = GradedQuiver(_vertices(g), _arrows(g, relations), relations)
     if not q.is_acyclic():
         raise FalsificationError("generator quiver came out cyclic")
     return q
@@ -37,25 +37,24 @@ def _vertices(g: GluingSpec):
             yield (("S", i, j),), 0
 
 
-def _arrows(g: GluingSpec):
+def _arrows(g: GluingSpec, relations: list):
+    """Chain arrows, then the a- and b-arrows of each junction; each
+    of those appends (itself, the chain arrow it kills) to ``relations``."""
     for i in g.components():
         for j in range(g.minus_rank(i)):
             yield ("x", i, j), ("P-", i, j), ("P-", i, j + 1), 0
         for j in range(g.plus_rank(i)):
             yield ("y", i, j), ("P+", i, j), ("P+", i, j + 1), 0
-    yield from (arrow for arrow, _ in _feeds(g))
-
-
-def _feeds(g: GluingSpec):
-    """(arrow parts, chain arrow it kills) per a- and b-arrow."""
     for i in g.junctions():
         r = g.junction_rank(i)
         sigma = g.perm(i)
         nxt = g.next_component(i)
         for j in range(r):
             k = r - 1 - sigma(j)
-            yield (("a", i, j), ("S", i, j), ("P+", i, j), 0), ("y", i, j)
-            yield (("b", i, j), ("S", i, j), ("P-", nxt, k), 0), ("x", nxt, k)
+            a, b = ("a", i, j), ("b", i, j)
+            relations += (a, ("y", i, j)), (b, ("x", nxt, k))
+            yield a, ("S", i, j), ("P+", i, j), 0
+            yield b, ("S", i, j), ("P-", nxt, k), 0
 
 
 def object_count(g: GluingSpec) -> int:

@@ -31,8 +31,8 @@ def build_bside(
     per-component choice of window origin (default (0, -1) for all).
     """
     base = window_origins(c, bases)
-    relations = ((arrow[0], killed) for arrow, killed in _feeds(c, base))
-    q = GradedQuiver(_vertices(c, base), _arrows(c, base), relations)
+    relations = []
+    q = GradedQuiver(_vertices(c, base), _arrows(c, base, relations), relations)
     if not q.is_acyclic():
         raise FalsificationError("exceptional-collection quiver came out cyclic")
     return q
@@ -51,26 +51,25 @@ def _vertices(c: StackyCurveSpec, base):
             yield (("S", i, cls),), -1
 
 
-def _arrows(c: StackyCurveSpec, base):
+def _arrows(c: StackyCurveSpec, base, relations: list):
+    """Row arrows, then the b- and a-arrows of each node; each of those
+    appends (itself, the row arrow it kills) to ``relations``."""
     for i in c.components():
         ji, mi = base[i]
         for t in range(c.minus_rank(i)):
             yield ("x", i, t), ("P", i, ji + t, mi), ("P", i, ji + t + 1, mi), 0
         for s in range(c.plus_rank(i)):
             yield ("y", i, s), ("P", i, ji, mi + s), ("P", i, ji, mi + s + 1), 0
-    yield from (arrow for arrow, _ in _feeds(c, base))
-
-
-def _feeds(c: StackyCurveSpec, base):
-    """(arrow parts, row arrow it kills) per b- and a-arrow."""
     for i, k in zip(c.junctions(), c.twists):
         r = c.junction_rank(i)
         nxt = c.next_component(i)
         jn, mn = base[nxt]
         ji, mi = base[i]
         for j in range(r):
-            s = ("S", i, (-jn - j - 1) % r)
-            yield (("b", i, j), s, ("P", nxt, jn + j, mn), 0), ("x", nxt, j)
+            b = ("b", i, j)
+            relations.append((b, ("x", nxt, j)))
+            yield b, ("S", i, (-jn - j - 1) % r), ("P", nxt, jn + j, mn), 0
         for m in range(r):
-            s = ("S", i, (-k * (mi + m + 1)) % r)
-            yield (("a", i, m), s, ("P", i, ji, mi + m), 0), ("y", i, m)
+            a = ("a", i, m)
+            relations.append((a, ("y", i, m)))
+            yield a, ("S", i, (-k * (mi + m + 1)) % r), ("P", i, ji, mi + m), 0

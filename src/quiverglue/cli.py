@@ -378,48 +378,49 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=True):
+    # Each subcommand accepts only the formats it prints.
+    quiver_formats, report_formats = ["text", "json", "dot"], ["text", "json"]
+
+    def common(p, formats, spec=True):
         if spec:
             p.add_argument("--spec", required=True, help="JSON spec file")
-        p.add_argument(
-            "--format", choices=["json", "dot", "text"], default="text"
-        )
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write the report here instead of stdout")
 
     p = sub.add_parser("topology", help="predicted vs recomputed topology")
-    common(p)
+    common(p, report_formats)
     p.set_defaults(func=cmd_topology)
 
     p = sub.add_parser("aside", help="quiver of a gluing")
-    common(p)
+    common(p, quiver_formats)
     p.set_defaults(func=cmd_aside)
 
     p = sub.add_parser("bside", help="quiver of a curve collection")
-    common(p)
+    common(p, quiver_formats)
     p.set_defaults(func=cmd_bside)
 
     p = sub.add_parser("verify", help="full curve-to-gluing comparison")
-    common(p)
+    common(p, report_formats)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="ring twists matching a genus")
     p.add_argument("genus", type=int)
     p.add_argument("components", type=int, nargs="?", default=1)
-    common(p, spec=False)
+    common(p, report_formats, spec=False)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("localize", help="module of one localization object")
-    common(p)
+    common(p, report_formats)
     p.add_argument("selector", help="KIND:COMPONENT:POSITION, e.g. E-:1:0")
     p.set_defaults(func=cmd_localize)
 
     p = sub.add_parser("ext", help="graded hom dimensions between complexes")
-    common(p)
+    common(p, report_formats)
     p.add_argument("complexes", help="JSON file listing twisted complexes")
     p.set_defaults(func=cmd_ext)
 
     p = sub.add_parser("sweep", help="randomized predictor-vs-oracle sweep")
-    common(p, spec=False)
+    common(p, ["text"], spec=False)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--samples", type=int, default=25)
     p.set_defaults(func=cmd_sweep)

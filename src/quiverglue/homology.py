@@ -288,17 +288,13 @@ def euler_characteristic(X: TwistedComplex, Y: TwistedComplex) -> int:
     return total
 
 
-def ext_product(
-    f: Cocycle, g: Cocycle, target: HomComplex | None = None
-) -> Cocycle:
+def ext_product(f: Cocycle, g: Cocycle) -> Cocycle:
     """Composition f∘g of cocycle classes, with g: X -> Y applied first
-    and f: Y -> Z; returns a cocycle in Hom(X, Z).  ``target`` lets the
-    caller reuse an already-built Hom complex for that pair."""
+    and f: Y -> Z; returns a cocycle in Hom(X, Z)."""
     hg, hf = g.hom, f.hom
     if hg.Y != hf.X:
         raise SpecError("cocycles do not share the middle complex")
-    if target is None:
-        target = HomComplex(hg.X, hf.Y, hg.convention)
+    target = HomComplex(hg.X, hf.Y, hg.convention)
     acc: dict[int, Fraction] = {}
     g_idxs = hg.degrees.get(g.degree, [])
     f_idxs = hf.degrees.get(f.degree, [])

@@ -8,9 +8,10 @@ arrow names are structured tuples like ``("P-", 1, 0)`` or
 ``("x", 1, 2)``; :func:`label_str` renders them for reports.
 
 A quiver is built once from its vertices, arrows and relations and is
-immutable afterwards; aside and bside hand it their parts as
-generators.  Each vertex keeps its out- and in-arrows.  One depth-first
-enumerator yields the nonzero paths out of a vertex and knows exactly
+immutable afterwards; aside and bside hand it their vertices and
+arrows as generators, and a relations list that the arrows fill.
+Each vertex keeps its out- and in-arrows.  One depth-first enumerator
+yields the nonzero paths out of a vertex and knows exactly
 when they are infinite; path_dims (the Hom spaces of the algebra) and
 paths_between are views of it, and paths_between remembers its answer
 per vertex pair.  The module also checks whether a given vertex

@@ -9,7 +9,8 @@ sides glued to each other to close the annulus; plus one quadrilateral
 face per strip of each junction, glued slot-to-slot.  Everything
 downstream (vertex count, Euler characteristic, boundary walks) is pure
 combinatorics on the resulting darts, with no input from the predicted
-formulas it is meant to check.
+formulas it is meant to check.  Vertices are counted as the orbits of
+the corner turn (see :meth:`CombinatorialMap.num_vertices`).
 """
 
 from __future__ import annotations
@@ -20,28 +21,15 @@ from .errors import FalsificationError
 from .gluing import GluingSpec, SurfaceTopology
 
 
-class _DisjointSet:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        self.parent[self.find(x)] = self.find(y)
-
-
 @dataclass
 class CombinatorialMap:
     """Faces as cyclic dart sequences plus a partial gluing involution.
 
     Dart d runs from endpoint slot 2d (tail) to 2d+1 (head); paired
-    darts are identified with opposite orientations.
+    darts are identified with opposite orientations.  Each slot meets
+    one slot of its face (the head of d is the tail of the next dart)
+    and at most one across an edge, so a vertex is a chain or a cycle
+    of corners, counted as one orbit of the corner turn.
     """
 
     next_in_face: list[int]
@@ -54,15 +42,27 @@ class CombinatorialMap:
         return len(self.next_in_face)
 
     def num_vertices(self) -> int:
-        ds = _DisjointSet(2 * self.num_darts)
-        for face in self.faces:
-            for d, e in zip(face, face[1:] + face[:1]):
-                ds.union(2 * d + 1, 2 * e)
-        for d, e in enumerate(self.pair):
-            if e >= 0:
-                ds.union(2 * d, 2 * e + 1)
-                ds.union(2 * d + 1, 2 * e)
-        return len({ds.find(x) for x in range(2 * self.num_darts)})
+        """Orbits of the corner turn d -> pair[next_in_face[d]].
+
+        The corner after dart d crosses the edge next(d) to the corner
+        after that edge's partner.  The turn is injective, undefined
+        exactly where next(d) is free, and lands only on paired darts;
+        so each free dart starts one open orbit, and every other dart
+        lies on one open orbit or on a closed cycle.
+        """
+        nxt, pair = self.next_in_face, self.pair
+        seen = [False] * self.num_darts
+        orbits = 0
+        # Free darts first, so that each open orbit is walked from its start.
+        free = [d for d, e in enumerate(pair) if e < 0]
+        for d in free + list(range(self.num_darts)):
+            if seen[d]:
+                continue
+            orbits += 1
+            while d >= 0 and not seen[d]:
+                seen[d] = True
+                d = pair[nxt[d]]
+        return orbits
 
     def num_edges(self) -> int:
         free = sum(1 for e in self.pair if e < 0)
@@ -109,71 +109,60 @@ class CombinatorialMap:
         )
 
 
-class _Builder:
-    def __init__(self) -> None:
-        self.next_in_face: list[int] = []
-        self.pair: list[int] = []
-        self.marked: list[bool] = []
-        self.faces: list[list[int]] = []
-
-    def dart(self, marked: bool = False) -> int:
-        d = len(self.pair)
-        self.next_in_face.append(-1)
-        self.pair.append(-1)
-        self.marked.append(marked)
-        return d
-
-    def face(self, darts: list[int]) -> None:
-        for d, e in zip(darts, darts[1:] + darts[:1]):
-            self.next_in_face[d] = e
-        self.faces.append(darts)
-
-    def glue(self, d: int, e: int) -> None:
-        self.pair[d] = e
-        self.pair[e] = d
-
-    def done(self) -> CombinatorialMap:
-        return CombinatorialMap(
-            self.next_in_face, self.pair, self.marked, self.faces
-        )
-
-
 def build_map(g: GluingSpec) -> CombinatorialMap:
-    b = _Builder()
-    plus_slots: dict[int, list[int]] = {}
-    minus_slots: dict[int, list[int]] = {}
+    next_in_face: list[int] = []
+    pair: list[int] = []
+    marked: list[bool] = []
+    faces: list[list[int]] = []
+
+    def dart(mark: bool = False) -> int:
+        next_in_face.append(-1)
+        pair.append(-1)
+        marked.append(mark)
+        return len(pair) - 1
+
+    def face(darts: list[int]) -> None:
+        for d, e in zip(darts, darts[1:] + darts[:1]):
+            next_in_face[d] = e
+        faces.append(darts)
+
+    def glue(d: int, e: int) -> None:
+        pair[d] = e
+        pair[e] = d
 
     def side(r: int, glued: bool, store: list[int]) -> list[int]:
         # Arcs left to right; glued sides alternate slot, marked gap.
         arcs = []
         for _ in range(r):
             if glued:
-                slot = b.dart()
+                slot = dart()
                 store.append(slot)
                 arcs.append(slot)
-            arcs.append(b.dart(marked=True))
+            arcs.append(dart(mark=True))
         return arcs
 
+    plus_slots: dict[int, list[int]] = {}
+    minus_slots: dict[int, list[int]] = {}
     for i in g.components():
         plus_slots[i] = []
         minus_slots[i] = []
         bottom = side(g.plus_rank(i), g.junction_after(i) is not None, plus_slots[i])
         top = side(g.minus_rank(i), g.junction_before(i) is not None, minus_slots[i])
-        seam_r = b.dart()
-        seam_l = b.dart()
-        b.face(bottom + [seam_r] + top[::-1] + [seam_l])
-        b.glue(seam_r, seam_l)
+        seam_r = dart()
+        seam_l = dart()
+        face(bottom + [seam_r] + top[::-1] + [seam_l])
+        glue(seam_r, seam_l)
 
     for i in g.junctions():
         r = g.junction_rank(i)
         sigma = g.perm(i)
         nxt = g.next_component(i)
         for j in range(r):
-            a, f1, bb, f2 = b.dart(), b.dart(), b.dart(), b.dart()
-            b.face([a, f1, bb, f2])
-            b.glue(a, plus_slots[i][r - 1 - j])
-            b.glue(bb, minus_slots[nxt][r - 1 - sigma(j)])
-    return b.done()
+            a, f1, bb, f2 = dart(), dart(), dart(), dart()
+            face([a, f1, bb, f2])
+            glue(a, plus_slots[i][r - 1 - j])
+            glue(bb, minus_slots[nxt][r - 1 - sigma(j)])
+    return CombinatorialMap(next_in_face, pair, marked, faces)
 
 
 def surface_topology(g: GluingSpec) -> SurfaceTopology:

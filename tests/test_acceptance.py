@@ -13,10 +13,13 @@ frozen independently in tests/test_homology.py.
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import quiverglue
 from quiverglue.aside import build_aside
 from quiverglue.bside import build_bside
 from quiverglue.gluing import (
@@ -53,6 +56,7 @@ from quiverglue.quiver import GradedQuiver, find_isomorphism, map_equals
 from quiverglue.surface import surface_topology
 
 SEED = 1729
+GRIDS = Path(__file__).resolve().parent.parent / "bench" / "grids.py"
 MAX_COMPONENTS = 3
 MAX_RANK = 5
 RANDOM_TUPLES = 50  # per rank combination whenever a junction rank > 3
@@ -377,3 +381,15 @@ def test_criterion_10_property_suite():
     report = verify_theorem_A(c, aside_quiver=moved)
     assert not report.ok
     assert any("arrows" in d for d in report.checks[0].details)
+
+
+def test_bench_grids_are_the_acceptance_grids(sweep):
+    """The benchmark sweeps the same grids as these tests at its default
+    seed.  bench/grids.py is executed from its source text, so nothing
+    is written under bench/."""
+    grids = types.ModuleType("grids")
+    exec(compile(GRIDS.read_text(), str(GRIDS), "exec"), grids.__dict__)
+    assert grids.DEFAULT_SEED == SEED
+    assert grids.gluing_sweep(quiverglue, 3, 5, SEED) == [g for g, _ in sweep]
+    assert grids.curve_sweep(quiverglue, 3, 5) == curve_sweep(3, 5)
+    assert grids.gluing_sweep(quiverglue, 2, 4, SEED) == gluing_sweep(2, 4)

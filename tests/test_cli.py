@@ -180,6 +180,38 @@ def test_aside_json_round_trip(capsys):
     assert "vertices" in data and "arrows" in data
 
 
+# Arguments that let each subcommand run, and the formats it prints.
+FORMAT_CASES = {
+    "topology": (["--spec", GLUING], ("text", "json")),
+    "aside": (["--spec", GLUING], ("text", "json", "dot")),
+    "bside": (["--spec", RING], ("text", "json", "dot")),
+    "verify": (["--spec", RING], ("text", "json")),
+    "search": (["2"], ("text", "json")),
+    "localize": (["--spec", CHAIN, "E-:1:0"], ("text", "json")),
+    "ext": (["--spec", QUIVER, COMPLEXES], ("text", "json")),
+    "sweep": (["--samples", "3"], ("text",)),
+}
+
+
+@pytest.mark.parametrize("command", FORMAT_CASES)
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_each_subcommand_accepts_only_the_formats_it_prints(capsys, command, fmt):
+    args, formats = FORMAT_CASES[command]
+    argv = [command, *args, "--format", fmt]
+    if fmt in formats:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        if fmt == "json":
+            json.loads(out)
+        elif fmt == "dot":
+            assert out.startswith("digraph")
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"invalid choice: '{fmt}'" in capsys.readouterr().err
+
+
 def test_bside_requires_curve(capsys):
     code, out, _ = run(capsys, "bside", "--spec", RING)
     assert code == 0

@@ -1,11 +1,15 @@
 """The combinatorial-map oracle against hand values and the closed-form
-predictor on exhaustive small sweeps."""
+predictor on exhaustive small sweeps, and its vertex count against
+connected components of the endpoint-slot graph (networkx)."""
 
 import random
 
+import networkx as nx
+
 from quiverglue.gluing import GluingSpec, predicted_topology
 from quiverglue.perms import all_permutations, random_permutation, swap
-from quiverglue.surface import build_map, surface_topology
+from quiverglue.surface import CombinatorialMap, build_map, surface_topology
+from test_acceptance import gluing_sweep
 
 
 def test_bare_annulus():
@@ -110,3 +114,30 @@ def test_two_circular_components_exhaustive():
                 for s2 in all_permutations(r2):
                     g = GluingSpec("circular", (r1, r2), (s1, s2))
                     assert predicted_topology(g) == surface_topology(g)
+
+
+def slot_components(m: CombinatorialMap) -> int:
+    """Vertices as connected components of the endpoint-slot graph:
+    the head of each dart meets the tail of the next dart in its face,
+    and paired darts meet head to tail."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(2 * m.num_darts))
+    for d in range(m.num_darts):
+        graph.add_edge(2 * d + 1, 2 * m.next_in_face[d])
+        e = m.pair[d]
+        if e >= 0:
+            graph.add_edge(2 * d, 2 * e + 1)
+            graph.add_edge(2 * d + 1, 2 * e)
+    return nx.number_connected_components(graph)
+
+
+def test_vertex_count_matches_slot_components():
+    torus = CombinatorialMap([1, 2, 3, 0], [2, 3, 0, 1], [False] * 4, [[0, 1, 2, 3]])
+    disk = CombinatorialMap([1, 2, 0], [-1, -1, -1], [True] * 3, [[0, 1, 2]])
+    # Only closed corner orbits, then only open ones.
+    assert torus.num_vertices() == slot_components(torus) == 1
+    assert disk.num_vertices() == slot_components(disk) == 3
+    assert torus.topology().genus == 1
+    for g in gluing_sweep(2, 4):
+        m = build_map(g)
+        assert m.num_vertices() == slot_components(m), g
