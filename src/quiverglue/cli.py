@@ -247,10 +247,24 @@ def cmd_localize(args):
     return 0
 
 
+def _shift(sh):
+    if type(sh) is not int:
+        raise ValueError(f"'shift' must be an integer, got {json.dumps(sh)}")
+    return sh
+
+
 def _coeff(c):
-    if isinstance(c, list):
-        return Fraction(c[0], c[1])
-    return Fraction(c)
+    """A differential coefficient: an integer, or an [integer, nonzero
+    integer] pair read as a fraction."""
+    if type(c) is int:
+        return Fraction(c)
+    if (isinstance(c, list) and len(c) == 2
+            and all(type(x) is int for x in c) and c[1]):
+        return Fraction(*c)
+    raise ValueError(
+        "'coefficient' must be an integer or an [integer, nonzero integer] "
+        f"pair, got {json.dumps(c)}"
+    )
 
 
 def _load_complexes(path, q):
@@ -264,7 +278,7 @@ def _load_complexes(path, q):
         try:
             name = entry["name"]
             summands = tuple(
-                (tuple(lab), int(sh)) for lab, sh in entry["summands"]
+                (tuple(lab), _shift(sh)) for lab, sh in entry["summands"]
             )
             diff = {}
             for a, b, terms in entry.get("differential", []):

@@ -431,6 +431,10 @@ class ThinModule:
 def module_of(E: TwistedComplex) -> ThinModule:
     """Hom(P(v), E) at every vertex v, assembled into a thin module.
 
+    Only the vertices with a nonzero path into a summand of E have a
+    nonzero Hom complex, so one backward walk into each summand finds
+    them, and they alone get a HomComplex, in vertex-id order.
+
     Raises a falsification alarm unless every value space has dimension
     at most one and all of them sit in one cohomological degree; both
     facts are theorems for localization objects.
@@ -440,7 +444,10 @@ def module_of(E: TwistedComplex) -> ThinModule:
     degree: int | None = None
     homs: dict[Label, HomComplex] = {}
     gens: dict[Label, Cocycle] = {}
-    for vid in range(q.num_vertices):
+    reached = set()
+    for lab, _ in E.summands:
+        reached.update(q.paths_into(lab))
+    for vid in sorted(reached):
         v = q.primary_label(vid)
         h = HomComplex(projective(q, v), E)
         coh = h.cohomology()
@@ -493,21 +500,17 @@ def predicted_module(aq: GradedQuiver, kind: str, i: int, j: int) -> ThinModule:
     """The transported presentation of a localization object, computed
     combinatorially: one basis path per supported vertex, namely the
     unique nonzero path into the cone tip that does not route through
-    the collapsed chain arrow.  Independent of all linear algebra."""
+    the collapsed chain arrow, read off the one backward walk into the
+    tip.  Independent of all linear algebra."""
     if kind not in _CHAINS:
         raise SpecError(f"unknown localization kind {kind!r}")
     vertex, step, _ = _CHAINS[kind]
-    tip = aq.primary_label(aq.vertex_id((vertex, i, j + 1)))
     collapsed = (step, i, j)
 
     chosen: dict[Label, Path] = {}
-    for vid in range(aq.num_vertices):
+    for vid, paths in aq.paths_into((vertex, i, j + 1)).items():
         v = aq.primary_label(vid)
-        allowed = [
-            p
-            for p in aq.paths_between(v, tip)
-            if not (p and p[-1] == collapsed)
-        ]
+        allowed = [p for p in paths if not (p and p[-1] == collapsed)]
         if len(allowed) > 1:
             raise FalsificationError(f"{len(allowed)} admissible paths at {v}")
         if allowed:

@@ -11,11 +11,13 @@ A quiver is built once from its vertices, arrows and relations and is
 immutable afterwards; aside and bside hand it their vertices and
 arrows as generators, and a relations list that the arrows fill.
 Each vertex keeps its out- and in-arrows.  One depth-first enumerator
-yields the nonzero paths out of a vertex and knows exactly
-when they are infinite; path_dims (the Hom spaces of the algebra) and
-paths_between are views of it, and paths_between remembers its answer
-per vertex pair.  The module also checks whether a given vertex
-bijection is an isomorphism of quivers with relations, and
+walks the nonzero paths out of a vertex along the out-arrows, or into
+it along the in-arrows, and knows exactly when they are infinite.
+path_dims (the Hom spaces of the algebra) is the forward walk from
+every vertex.  paths_into and paths_between read a memo per target
+vertex, filled by one backward walk that finds every source and path
+into the target at once.  The module also checks whether a given
+vertex bijection is an isomorphism of quivers with relations, and
 searches for one.
 """
 
@@ -102,8 +104,9 @@ class GradedQuiver:
                 )
             pairs.add((f, g))
         self.relations = frozenset(pairs)
-        # Nonzero paths per vertex-id pair, filled by paths_between.
-        self._paths: dict[tuple[int, int], tuple] = {}
+        # Nonzero paths into each target id, per source id, filled by
+        # paths_into.
+        self._paths: dict[int, dict[int, tuple]] = {}
 
     def vertex_id(self, label: Label) -> int:
         try:
@@ -165,25 +168,32 @@ class GradedQuiver:
         i.e. some adjacent pair is a declared relation."""
         return any(pair in self.relations for pair in zip(names, names[1:]))
 
-    def _paths_from(self, s: int):
+    def _paths_from(self, v: int, backward: bool = False):
         """(end vertex id, arrow names) for every nonzero path out of
-        ``s``, in depth-first preorder; the names list is reused, so
-        copy what you keep.  A nonzero path with more arrows than the
-        quiver repeats one, and the stretch between the repeats is a
-        cycle no relation kills: the path space is then infinite."""
+        ``v`` along the out-arrows, in depth-first preorder; with
+        ``backward``, for every nonzero path into ``v`` along the
+        in-arrows, its names listed from ``v`` backwards and its far
+        end as the end vertex.  The names list is reused, so copy what
+        you keep.  A nonzero path with more arrows than the quiver
+        repeats one, and the stretch between the repeats is a cycle no
+        relation kills: the path space is then infinite."""
         limit = len(self.arrows)
+        adjacent = self._in if backward else self._out
         names: list[ArrowName] = []
-        yield s, names
-        stack = [iter(self._out[s])]
+        yield v, names
+        stack = [iter(adjacent[v])]
         while stack:
             for ar in stack[-1]:
-                if names and (names[-1], ar.name) in self.relations:
+                if names and (
+                    (ar.name, names[-1]) if backward else (names[-1], ar.name)
+                ) in self.relations:
                     continue
                 if len(names) == limit:
                     raise QuiverError("path space is infinite")
                 names.append(ar.name)
-                yield ar.target, names
-                stack.append(iter(self._out[ar.target]))
+                end = ar.source if backward else ar.target
+                yield end, names
+                stack.append(iter(adjacent[end]))
                 break
             else:
                 stack.pop()
@@ -203,18 +213,38 @@ class GradedQuiver:
                 paths.setdefault(key, []).append(tuple(p))
         return HomTable(paths)
 
+    def paths_into(
+        self, target: Label
+    ) -> dict[int, tuple[tuple[ArrowName, ...], ...]]:
+        """Nonzero paths into ``target``, keyed by source vertex id in
+        ascending order, from one backward walk that is remembered per
+        target.  Each source's paths come in the forward depth-first
+        preorder that path_dims lists: the lexicographic order of their
+        arrows' insertion indices.  Raises QuiverError when the nonzero
+        paths into target are infinite in number."""
+        t = self.vertex_id(target)
+        into = self._paths.get(t)
+        if into is None:
+            found: dict[int, list] = {}
+            for s, back in self._paths_from(t, backward=True):
+                found.setdefault(s, []).append(tuple(reversed(back)))
+            index = None
+            for paths in found.values():
+                if len(paths) > 1:
+                    index = index or {n: i for i, n in enumerate(self._arrow_by_name)}
+                    paths.sort(key=lambda p: [index[n] for n in p])
+            into = {s: tuple(found[s]) for s in sorted(found)}
+            self._paths[t] = into
+        return into
+
     def paths_between(
         self, source: Label, target: Label
     ) -> tuple[tuple[ArrowName, ...], ...]:
-        """Nonzero paths source -> target, remembered per vertex pair;
-        raises QuiverError when the nonzero paths out of source are
+        """Nonzero paths source -> target in forward depth-first
+        preorder: a lookup in the target's memo of paths_into, so it
+        raises QuiverError when the nonzero paths into target are
         infinite in number."""
-        key = s, t = self.vertex_id(source), self.vertex_id(target)
-        paths = self._paths.get(key)
-        if paths is None:
-            paths = tuple(tuple(p) for v, p in self._paths_from(s) if v == t)
-            self._paths[key] = paths
-        return paths
+        return self.paths_into(target).get(self.vertex_id(source), ())
 
     # -- export ---------------------------------------------------------
 

@@ -254,6 +254,16 @@ def test_bad_json_is_a_usage_error(capsys, tmp_path):
     assert "bad JSON at line" in err
 
 
+def _complexes(shift=1, coeff=1):
+    """A complexes file holding bands_complexes.json's M1, with its first
+    shift and its one coefficient replaced."""
+    return json.dumps({"complexes": [{
+        "name": "M1",
+        "summands": [[["v", 2], shift], [["v", 3], 0]],
+        "differential": [[1, 0, [[coeff, [["y"]]]]]],
+    }]})
+
+
 @pytest.mark.parametrize(
     "text, named",
     [
@@ -274,6 +284,14 @@ def test_bad_json_is_a_usage_error(capsys, tmp_path):
         ('{"vertices": [{"labels": [["a"]]}], "arrows": [{"name": ["f"], '
          '"source": ["a"], "target": ["a"]}], "relations": [[["f"]]]}',
          "relation"),
+        (_complexes(shift=1.5), "'shift'"),
+        (_complexes(shift=True), "'shift'"),
+        (_complexes(shift="1"), "'shift'"),
+        (_complexes(coeff=True), "'coefficient'"),
+        (_complexes(coeff=0.5), "'coefficient'"),
+        (_complexes(coeff=[1, 0]), "'coefficient'"),
+        (_complexes(coeff=[1, True]), "'coefficient'"),
+        (_complexes(coeff=[1, 2, 3]), "'coefficient'"),
     ],
     ids=[
         "empty_ranks",
@@ -288,15 +306,34 @@ def test_bad_json_is_a_usage_error(capsys, tmp_path):
         "quiver_bool_shift",
         "quiver_float_degree",
         "quiver_relation_not_a_pair",
+        "complex_float_shift",
+        "complex_bool_shift",
+        "complex_string_shift",
+        "complex_bool_coefficient",
+        "complex_float_coefficient",
+        "complex_zero_denominator",
+        "complex_bool_denominator",
+        "complex_coefficient_triple",
     ],
 )
 def test_invalid_spec_is_a_usage_error(capsys, tmp_path, text, named):
     spec = tmp_path / "spec.json"
     spec.write_text(text)
-    code, _, err = run(capsys, "topology", "--spec", str(spec))
+    if '"complexes"' in text:
+        code, _, err = run(capsys, "ext", "--spec", QUIVER, str(spec))
+    else:
+        code, _, err = run(capsys, "topology", "--spec", str(spec))
     assert code == 2
     assert err.startswith("error:")
     assert named in err
+
+
+def test_fraction_coefficient_is_accepted(capsys, tmp_path):
+    complexes = tmp_path / "complexes.json"
+    complexes.write_text(_complexes(coeff=[-3, 2]))
+    code, out, _ = run(capsys, "ext", "--spec", QUIVER, str(complexes))
+    assert code == 0
+    assert out == "hom(M1 -> M1): {0: 1, 1: 1}\n"
 
 
 def _write_json(path, obj):

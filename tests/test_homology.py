@@ -13,6 +13,7 @@ import pytest
 from quiverglue.aside import build_aside
 from quiverglue.errors import FalsificationError, SpecError
 from quiverglue.gluing import GluingSpec
+from quiverglue.linalg import kernel_basis, rank, solve
 from quiverglue.homology import (
     HomComplex,
     TwistedComplex,
@@ -455,3 +456,169 @@ def test_localization_hom_conventions_agree():
     a, b = objs[0].cx, objs[1].cx
     assert hom_cohomology(a, b) == hom_cohomology(a, b, "flipped")
     assert HomComplex(a, b, "flipped").d_squared_vanishes()
+
+
+# -- module_of against a third route -------------------------------------
+
+
+def reference_module(E):
+    """The module of E by the all-vertex route: every vertex v gets
+    Hom(P(v), E), with its basis read off the forward walk out of v and
+    its differential, generating cocycle and action scalars worked out
+    here from linalg alone, with neither paths_between nor HomComplex.
+    Returns (degree, dims, actions) as module_of orders them."""
+    q = E.quiver
+    summand_ids = [q.vertex_id(lab) for lab, _ in E.summands]
+    shifts = [n for _, n in E.summands]
+    spaces = {}
+    for v in range(q.num_vertices):
+        ends = {}
+        for end, p in q._paths_from(v):
+            ends.setdefault(end, []).append(tuple(p))
+        basis = [(t, p) for t, sid in enumerate(summand_ids) for p in ends.get(sid, [])]
+        if not basis:
+            continue
+        index = {elt: i for i, elt in enumerate(basis)}
+        slices = {}
+        for i, (t, p) in enumerate(basis):
+            slices.setdefault(sum(q.arrow(n).degree for n in p) - shifts[t], []).append(i)
+
+        def matrix(d, basis=basis, index=index, slices=slices):
+            # P(v) has no differential, so D(f) = delta_E after f
+            cols, rows = slices.get(d, []), slices.get(d + 1, [])
+            pos = {i: r for r, i in enumerate(rows)}
+            mat = [[Fraction(0)] * len(cols) for _ in rows]
+            for col, i in enumerate(cols):
+                t, p = basis[i]
+                for (a, b), entry in E.diff.items():
+                    if b != t:
+                        continue
+                    for c, step in entry:
+                        if p and step and (p[-1], step[0]) in q.relations:
+                            continue
+                        mat[pos[index[(a, p + step)]]][col] += c
+            return mat
+
+        coh = {
+            d: len(idxs) - rank(matrix(d)) - rank(matrix(d - 1))
+            for d, idxs in slices.items()
+        }
+        spaces[v] = (basis, index, slices, matrix, {d: h for d, h in coh.items() if h})
+
+    degree, dims, gens = None, {}, {}
+    for v, (basis, index, slices, matrix, coh) in spaces.items():
+        if not coh:
+            continue
+        assert sum(coh.values()) == 1, (v, coh)
+        (d,) = coh
+        assert degree in (None, d)
+        degree = d
+        dims[q.primary_label(v)] = 1
+        for vec in kernel_basis(matrix(d), len(slices[d])):
+            if any(vec) and (
+                d - 1 not in slices or solve(matrix(d - 1), vec) is None
+            ):
+                gens[v] = vec
+                break
+        else:
+            raise AssertionError(f"no generating cocycle at {v}")
+
+    actions = {}
+    for ar in q.arrows:
+        u, w = ar.source, ar.target
+        if u not in gens or w not in gens:
+            continue
+        basis_u, index_u, slices_u, matrix_u, _ = spaces[u]
+        basis_w, _, slices_w, _, _ = spaces[w]
+        image = {}
+        for c, i in zip(gens[w], slices_w[degree]):
+            t, p = basis_w[i]
+            if c and not (p and (ar.name, p[0]) in q.relations):
+                image[index_u[(t, (ar.name,) + p)]] = c
+        vec = [image.get(i, Fraction(0)) for i in slices_u[degree]]
+        below = matrix_u(degree - 1) if degree - 1 in slices_u else []
+        rows = [row + [g] for row, g in zip(below or [[]] * len(vec), gens[u])]
+        lam = solve(rows, vec)[-1]
+        if lam:
+            actions[ar.name] = lam
+    return degree, dims, actions
+
+
+def test_module_of_agrees_with_the_all_vertex_route():
+    objects = 0
+    for g in gluing_sweep(2, 3):
+        aq = build_aside(g)
+        for obj in all_localization_objects(aq):
+            mod = module_of(obj.cx)
+            degree, dims, actions = reference_module(obj.cx)
+            assert mod.degree == degree, (g.to_json(), obj.kind)
+            assert list(mod.dims.items()) == list(dims.items())
+            assert list(mod.actions.items()) == list(actions.items())
+            objects += 1
+    assert objects > 1000
+
+
+# -- work counts: hom complexes only where a path reaches E ------------
+
+
+def count_hom_complexes(monkeypatch):
+    """Patch HomComplex to count its builds and their basis sizes."""
+    counts = {"built": 0, "basis": 0}
+    init = HomComplex.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        counts["built"] += 1
+        counts["basis"] += len(self.basis)
+
+    monkeypatch.setattr(HomComplex, "__init__", counted)
+    return counts
+
+
+def reaching(q, targets):
+    """Vertex ids with a nonzero path into one of ``targets``, by a
+    search backwards over (vertex, first arrow of the path so far)
+    states: an arrow f may be put in front of a path starting with g
+    unless g after f is a relation, and each state is visited once."""
+    found = set(targets)
+    stack = [(t, None) for t in targets]
+    seen = set(stack)
+    while stack:
+        v, first = stack.pop()
+        for ar in q.arrows_into(v):
+            state = (ar.source, ar.name)
+            if state in seen or (ar.name, first) in q.relations:
+                continue
+            seen.add(state)
+            stack.append(state)
+            found.add(ar.source)
+    return found
+
+
+def test_long_chain_localization_builds_few_hom_complexes(monkeypatch):
+    # one HomComplex per vertex that a nonzero path leads from into a
+    # summand of E, however long the chain: at 6,000 strips a build per
+    # vertex made localize quadratic in the chain length
+    aq = build_aside(GluingSpec("linear", (6000, 1), ()))
+    E = localization_object(aq, "E-", 1, 0)
+    counts = count_hom_complexes(monkeypatch)
+    mod = module_of(E)
+    assert (mod.degree, mod.dims, mod.actions) == (-1, {("P-", 1, 1): 1}, {})
+    summands = [aq.vertex_id(lab) for lab, _ in E.summands]
+    assert counts["built"] == len(reaching(aq, summands)) < 10
+    assert aq.num_vertices > 6000
+
+
+def test_localization_grid_hom_complex_counts(monkeypatch):
+    # over the 17,610 objects of the restricted grid: 104,690 complexes,
+    # one per vertex reaching E, where building one per vertex made
+    # 301,978 of which only these had a nonempty basis
+    counts = count_hom_complexes(monkeypatch)
+    objects = 0
+    for g in gluing_sweep(2, 4):
+        aq = build_aside(g)
+        for obj in all_localization_objects(aq):
+            module_of(obj.cx)
+            objects += 1
+    assert objects == 17610
+    assert (counts["built"], counts["basis"]) == (104690, 173658)

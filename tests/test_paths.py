@@ -1,11 +1,19 @@
-"""The one path enumerator: per-vertex arrow lists, depth-first preorder,
-and the exact test for an infinite path space."""
+"""The one path enumerator: per-vertex arrow lists, depth-first preorder
+forwards and backwards, and the exact test for an infinite path space."""
+
+import itertools
+import random
 
 import pytest
 
+from quiverglue.aside import build_aside
+from quiverglue.bside import build_bside
+from quiverglue.cli import _random_curve, _random_gluing
 from quiverglue.errors import QuiverError
 from quiverglue.homology import hom_cohomology, projective
 from quiverglue.quiver import GradedQuiver
+
+SEED = 1729
 
 
 def cycle_quiver(n, killed=()):
@@ -84,3 +92,68 @@ def test_paths_come_in_depth_first_preorder():
     ]
     assert list(q.paths_between(("v", 1), ("v", 3))) == expected
     assert q.path_dims().paths[(("v", 1), ("v", 3), 0)] == expected
+
+
+def forward_paths(q, s, t):
+    """The nonzero paths s -> t from the forward walk out of s."""
+    return [tuple(p) for v, p in q._paths_from(s) if v == t]
+
+
+def shuffled(q, rng):
+    """q rebuilt with its arrows inserted in a shuffled order."""
+    arrows = [
+        (a.name, q.primary_label(a.source), q.primary_label(a.target), a.degree)
+        for a in q.arrows
+    ]
+    rng.shuffle(arrows)
+    return GradedQuiver(zip(q.vertex_labels, q.vertex_shifts), arrows, q.relations)
+
+
+def test_backward_walk_keeps_the_forward_preorder():
+    # the memo of paths into t is filled by one backward walk and then
+    # sorted; it must list every pair's paths exactly as the forward walk
+    # out of s (and so path_dims) does, also after the arrows are
+    # inserted in another order
+    rng = random.Random(SEED)
+    several = 0
+    for _ in range(40):
+        for q in (build_aside(_random_gluing(rng)), build_bside(_random_curve(rng))):
+            for q in (q, shuffled(q, rng)):
+                assert {a.degree for a in q.arrows} == {0}
+                table = q.path_dims().paths
+                for s, t in itertools.product(range(q.num_vertices), repeat=2):
+                    s_lab, t_lab = q.primary_label(s), q.primary_label(t)
+                    got = list(q.paths_between(s_lab, t_lab))
+                    assert got == table.get((s_lab, t_lab, 0), [])
+                    assert got == forward_paths(q, s, t)
+                    several += len(got) > 1
+    assert several > 100
+
+
+@pytest.mark.parametrize(
+    "n, killed", [(2, (1,)), (3, (2,)), (5, (4,)), (3, (0, 2)), (4, (0, 1, 2, 3))]
+)
+def test_backward_walk_keeps_the_forward_preorder_on_cycles(n, killed):
+    q = cycle_quiver(n, killed)
+    for s, t in itertools.product(range(n), repeat=2):
+        got = q.paths_between(q.primary_label(s), q.primary_label(t))
+        assert list(got) == forward_paths(q, s, t)
+
+
+def test_infinite_paths_into_a_vertex_are_refused():
+    # v0 <-> v1 with no relation, and g: v1 -> w; no path leaves w, but
+    # infinitely many nonzero paths arrive there
+    q = GradedQuiver(
+        [((("v", 0),), 0), ((("v", 1),), 0), ((("w",),), 0)],
+        [
+            (("f", 0), ("v", 0), ("v", 1), 0),
+            (("f", 1), ("v", 1), ("v", 0), 0),
+            (("g",), ("v", 1), ("w",), 0),
+        ],
+        [],
+    )
+    assert forward_paths(q, 2, 2) == [()]
+    with pytest.raises(QuiverError, match="path space is infinite"):
+        q.paths_between(("w",), ("w",))
+    with pytest.raises(QuiverError, match="path space is infinite"):
+        list(q._paths_from(2, backward=True))
