@@ -139,8 +139,9 @@ def k0_rank(g: GluingSpec) -> int:
 
 
 # The most strips (rank sum 2g + n - 2) a searched ring may have: map_equals
-# recurses once per arrow group, and 188 strips is the largest ring verify
-# is known to pass (375 exhausts the default recursion limit).
+# reads each relation once but still recurses once per arrow group, and 188
+# strips is the largest ring verify is known to pass (375 exhausts the
+# default recursion limit).
 MAX_SEARCH_STRIPS = 188
 
 

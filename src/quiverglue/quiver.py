@@ -18,7 +18,11 @@ every vertex.  paths_into and paths_between read a memo per target
 vertex, filled by one backward walk that finds every source and path
 into the target at once.  The module also checks whether a given
 vertex bijection is an isomorphism of quivers with relations, and
-searches for one.
+searches for one.  Both searches recurse, map_equals once per group of
+parallel arrows and find_isomorphism once per vertex, and each step
+costs only the arrows and relations it touches: map_equals checks each
+relation at the one step that fixes both its arrows, and
+find_isomorphism compares a candidate's arrows to placed vertices only.
 """
 
 from __future__ import annotations
@@ -389,6 +393,13 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
 
     ``vmap`` maps q1 vertex labels (any alias) to q2 vertex labels.  The
     report lists the first structural mismatches found.
+
+    The arrow matching is searched recursively, one step per group of
+    parallel arrows.  Each relation is filed under the later group of
+    its two arrows and checked only at that group's step, so a step
+    costs its group's permutations times the group size plus the
+    relations filed there; with no parallel arrows the whole check
+    reads each relation once.  The recursion depth is the group count.
     """
     id_map, diffs = _resolve_vmap(q1, q2, vmap)
     if id_map is None:
@@ -427,40 +438,39 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
             f"{len(q2.relations)}"
         )
 
+    # Each relation is checked at the step that assigns the later of its
+    # two arrows' groups.  Step k overwrites its group's entries in both
+    # arrow maps; entries of later groups left by an abandoned branch are
+    # never read before their own step overwrites them.
     keys = list(groups1)
     group_of1 = {a.name: i for i, key in enumerate(keys) for a in groups1[key]}
     group_of2 = {a.name: i for i, key in enumerate(keys) for a in groups2[key]}
+    due1 = [[] for _ in keys]
+    for f, g in q1.relations:
+        due1[max(group_of1[f], group_of1[g])].append((f, g))
+    due2 = [[] for _ in keys]
+    for f, g in q2.relations:
+        due2[max(group_of2[f], group_of2[g])].append((f, g))
+    arrow_map: dict[ArrowName, ArrowName] = {}
+    inv: dict[ArrowName, ArrowName] = {}
 
-    def relations_match(arrow_map: dict, done: set[int]) -> bool:
-        inv = {v: k for k, v in arrow_map.items()}
-        for f, g in q1.relations:
-            if group_of1[f] in done and group_of1[g] in done:
-                if (arrow_map[f], arrow_map[g]) not in q2.relations:
-                    return False
-        for f, g in q2.relations:
-            if group_of2.get(f) in done and group_of2.get(g) in done:
-                if (inv[f], inv[g]) not in q1.relations:
-                    return False
-        return True
-
-    def search(k: int, arrow_map: dict, done: set[int]) -> dict | None:
+    def search(k: int) -> bool:
         if k == len(keys):
-            return dict(arrow_map)
+            return True
         g1, g2 = groups1[keys[k]], groups2[keys[k]]
         for perm in itertools.permutations(g2):
             for a1, a2 in zip(g1, perm):
                 arrow_map[a1.name] = a2.name
-            done.add(k)
-            if relations_match(arrow_map, done):
-                result = search(k + 1, arrow_map, done)
-                if result is not None:
-                    return result
-            done.discard(k)
-            for a1 in g1:
-                del arrow_map[a1.name]
-        return None
+                inv[a2.name] = a1.name
+            if (
+                all((arrow_map[f], arrow_map[g]) in q2.relations for f, g in due1[k])
+                and all((inv[f], inv[g]) in q1.relations for f, g in due2[k])
+                and search(k + 1)
+            ):
+                return True
+        return False
 
-    if not diffs and search(0, {}, set()) is not None:
+    if not diffs and search(0):
         return MatchReport(True)
 
     # No arrow matching carries the relations across.  Report against
@@ -512,10 +522,14 @@ def _refine_colors(q: GradedQuiver) -> list[int]:
 def find_isomorphism(q1: GradedQuiver, q2: GradedQuiver) -> dict | None:
     """Search for a vertex bijection under which map_equals holds.
 
-    Color refinement narrows the candidates, then backtracking with
-    pairwise arrow-multiset pruning; the witness is validated by
-    map_equals before being returned.  Exhaustive at the sizes this
-    package sweeps, so None means non-isomorphic.
+    Color refinement narrows the candidates to the q2 vertices of the
+    same color, then a recursive backtracking places one vertex per
+    step.  A candidate w for v survives when v's arrows to placed
+    vertices, as (direction, image of the neighbour, degree), equal w's
+    arrows to used vertices as a multiset, so a step costs the degrees
+    of v and of its candidates, not the number placed.  The witness is
+    validated by map_equals before being returned.  Exhaustive at the
+    sizes this package sweeps, so None means non-isomorphic.
     """
     if (
         q1.num_vertices != q2.num_vertices
@@ -526,18 +540,25 @@ def find_isomorphism(q1: GradedQuiver, q2: GradedQuiver) -> dict | None:
     c1, c2 = _refine_colors(q1), _refine_colors(q2)
     if sorted(c1) != sorted(c2):
         return None
-    candidates = {
-        v: [w for w in range(q2.num_vertices) if c2[w] == c1[v]]
-        for v in range(q1.num_vertices)
-    }
+    by_color: dict[int, list[int]] = {}
+    for w, color in enumerate(c2):
+        by_color.setdefault(color, []).append(w)
+    candidates = [by_color[color] for color in c1]
     order = sorted(range(q1.num_vertices), key=lambda v: len(candidates[v]))
 
-    def profile(q: GradedQuiver, u: int, v: int) -> tuple:
-        return tuple(sorted(a.degree for a in q._out[u] if a.target == v))
-
+    # assignment maps the placed q1 vertices into q2; used maps each q2
+    # vertex taken to itself, so both sides read their links alike.
     assignment: dict[int, int] = {}
-    used: set[int] = set()
+    used: dict[int, int] = {}
     found: list[dict] = []
+
+    def links(q: GradedQuiver, v: int, image: dict) -> list:
+        # v's arrows to the vertices image maps, as (direction, image of
+        # the neighbour, degree).
+        return sorted(
+            [(0, image[a.target], a.degree) for a in q._out[v] if a.target in image]
+            + [(1, image[a.source], a.degree) for a in q._in[v] if a.source in image]
+        )
 
     def place(k: int) -> bool:
         if k == len(order):
@@ -551,20 +572,16 @@ def find_isomorphism(q1: GradedQuiver, q2: GradedQuiver) -> dict | None:
                 return True
             return False
         v = order[k]
+        placed = links(q1, v, assignment)
         for w in candidates[v]:
-            if w in used:
+            if w in used or links(q2, w, used) != placed:
                 continue
-            if all(
-                profile(q1, u, v) == profile(q2, assignment[u], w)
-                and profile(q1, v, u) == profile(q2, w, assignment[u])
-                for u in assignment
-            ):
-                assignment[v] = w
-                used.add(w)
-                if place(k + 1):
-                    return True
-                del assignment[v]
-                used.discard(w)
+            assignment[v] = w
+            used[w] = w
+            if place(k + 1):
+                return True
+            del assignment[v]
+            del used[w]
         return False
 
     return found[0] if place(0) else None

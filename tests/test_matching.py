@@ -1,0 +1,285 @@
+"""The two quiver-matching searches against the full-rescan searches they
+replaced, kept here as references: map_equals once rescanned every
+relation of both sides at each arrow group, and find_isomorphism
+compared each candidate against every placed vertex.  Reports and
+witnesses must not change; map_equals must read each relation about
+once; and find_isomorphism must confirm its witness through the
+module-level map_equals, which the benchmark's tracer counts."""
+
+import itertools
+
+from quiverglue import quiver
+from quiverglue.aside import build_aside
+from quiverglue.bside import build_bside
+from quiverglue.gluing import StackyCurveSpec
+from quiverglue.mirror import canonical_correspondence, twisted_gluing
+from quiverglue.quiver import (
+    GradedQuiver,
+    MatchReport,
+    _refine_colors,
+    _resolve_vmap,
+    find_isomorphism,
+    label_str,
+    map_equals,
+)
+
+from test_acceptance import curve_sweep
+
+
+def rescan_map_equals(q1, q2, vmap):
+    """map_equals as it was: every step rescans all relations of both
+    sides and rebuilds the inverse arrow map."""
+    id_map, diffs = _resolve_vmap(q1, q2, vmap)
+    if id_map is None:
+        return MatchReport(False, diffs)
+    groups1, groups2 = {}, {}
+    for a in q1.arrows:
+        groups1.setdefault((id_map[a.source], id_map[a.target], a.degree), []).append(a)
+    for a in q2.arrows:
+        groups2.setdefault((a.source, a.target, a.degree), []).append(a)
+    for key, g1 in groups1.items():
+        g2 = groups2.get(key, [])
+        if len(g1) != len(g2):
+            src, tgt, deg = key
+            diffs.append(
+                f"{len(g1)} vs {len(g2)} arrows "
+                f"{label_str(q2.primary_label(src))} -> "
+                f"{label_str(q2.primary_label(tgt))} at degree {deg} "
+                f"(left: {', '.join(label_str(a.name) for a in g1)})"
+            )
+    for key, g2 in groups2.items():
+        if key not in groups1:
+            diffs.append(
+                f"extra arrows {', '.join(label_str(a.name) for a in g2)} "
+                f"on right at degree {key[2]}"
+            )
+    if diffs:
+        return MatchReport(False, diffs)
+    if len(q1.relations) != len(q2.relations):
+        diffs.append(
+            f"relation counts differ: {len(q1.relations)} vs {len(q2.relations)}"
+        )
+    keys = list(groups1)
+    group_of1 = {a.name: i for i, key in enumerate(keys) for a in groups1[key]}
+    group_of2 = {a.name: i for i, key in enumerate(keys) for a in groups2[key]}
+
+    def relations_match(arrow_map, done):
+        inv = {v: k for k, v in arrow_map.items()}
+        for f, g in q1.relations:
+            if group_of1[f] in done and group_of1[g] in done:
+                if (arrow_map[f], arrow_map[g]) not in q2.relations:
+                    return False
+        for f, g in q2.relations:
+            if group_of2.get(f) in done and group_of2.get(g) in done:
+                if (inv[f], inv[g]) not in q1.relations:
+                    return False
+        return True
+
+    def search(k, arrow_map, done):
+        if k == len(keys):
+            return dict(arrow_map)
+        g1, g2 = groups1[keys[k]], groups2[keys[k]]
+        for perm in itertools.permutations(g2):
+            for a1, a2 in zip(g1, perm):
+                arrow_map[a1.name] = a2.name
+            done.add(k)
+            if relations_match(arrow_map, done):
+                result = search(k + 1, arrow_map, done)
+                if result is not None:
+                    return result
+            done.discard(k)
+            for a1 in g1:
+                del arrow_map[a1.name]
+        return None
+
+    if not diffs and search(0, {}, set()) is not None:
+        return MatchReport(True)
+    canonical = {
+        a1.name: a2.name for key in keys for a1, a2 in zip(groups1[key], groups2[key])
+    }
+    inv = {v: k for k, v in canonical.items()}
+    for f, g in sorted(q1.relations):
+        if (canonical[f], canonical[g]) not in q2.relations:
+            diffs.append(
+                f"relation {label_str(g)} o {label_str(f)} = 0 has no image on the right"
+            )
+    for f, g in sorted(q2.relations):
+        if (inv[f], inv[g]) not in q1.relations:
+            diffs.append(
+                f"right relation {label_str(g)} o {label_str(f)} = 0 has no preimage"
+            )
+    if not diffs:
+        diffs.append("no arrow matching transports the relation set")
+    return MatchReport(False, diffs)
+
+
+def profile_find_isomorphism(q1, q2):
+    """find_isomorphism as it was: each vertex scans all of q2 for its
+    color, and each candidate is compared pairwise against every placed
+    vertex."""
+    if (
+        q1.num_vertices != q2.num_vertices
+        or len(q1.arrows) != len(q2.arrows)
+        or len(q1.relations) != len(q2.relations)
+    ):
+        return None
+    c1, c2 = _refine_colors(q1), _refine_colors(q2)
+    if sorted(c1) != sorted(c2):
+        return None
+    candidates = {
+        v: [w for w in range(q2.num_vertices) if c2[w] == c1[v]]
+        for v in range(q1.num_vertices)
+    }
+    order = sorted(range(q1.num_vertices), key=lambda v: len(candidates[v]))
+
+    def profile(q, u, v):
+        return tuple(sorted(a.degree for a in q.arrows_from(u) if a.target == v))
+
+    assignment, used, found = {}, set(), []
+
+    def place(k):
+        if k == len(order):
+            vmap = {
+                q1.primary_label(v): q2.primary_label(w) for v, w in assignment.items()
+            }
+            if rescan_map_equals(q1, q2, vmap):
+                found.append(vmap)
+                return True
+            return False
+        v = order[k]
+        for w in candidates[v]:
+            if w in used:
+                continue
+            if all(
+                profile(q1, u, v) == profile(q2, assignment[u], w)
+                and profile(q1, v, u) == profile(q2, w, assignment[u])
+                for u in assignment
+            ):
+                assignment[v] = w
+                used.add(w)
+                if place(k + 1):
+                    return True
+                del assignment[v]
+                used.discard(w)
+        return False
+
+    return found[0] if place(0) else None
+
+
+def rebuilt(q, retarget=None, relations=None):
+    """``q`` rebuilt through the constructor, with the arrow named first
+    in ``retarget`` sent to the vertex id second (its relations that no
+    longer compose dropped), or with ``relations`` in place of its own."""
+    target = {a.name: a.target for a in q.arrows}
+    if retarget:
+        target[retarget[0]] = retarget[1]
+    if relations is None:
+        relations = q.relations
+    return GradedQuiver(
+        zip(q.vertex_labels, q.vertex_shifts),
+        [(a.name, q.primary_label(a.source), q.primary_label(target[a.name]), a.degree)
+         for a in q.arrows],
+        [(f, g) for f, g in relations if target[f] == q.arrow(g).source],
+    )
+
+
+def controls(aq):
+    """The generator quiver and its negative controls: a relation
+    dropped, b(1,0) retargeted, and a relation moved onto a composable
+    pair that was not one (so the relation counts still agree)."""
+    out = [aq]
+    relations = sorted(aq.relations)
+    if relations:
+        out.append(rebuilt(aq, relations=relations[1:]))
+        free = sorted(
+            (f.name, g.name)
+            for f in aq.arrows
+            for g in aq.arrows_from(f.target)
+            if (f.name, g.name) not in aq.relations
+        )
+        if free:
+            out.append(rebuilt(aq, relations=relations[1:] + free[:1]))
+    if ("b", 1, 0) in {a.name for a in aq.arrows}:
+        moved = (aq.arrow(("b", 1, 0)).target + 1) % aq.num_vertices
+        out.append(rebuilt(aq, retarget=(("b", 1, 0), moved)))
+    return out
+
+
+def sweep_cases():
+    for c in curve_sweep(2, 4):
+        bq = build_bside(c)
+        for q in controls(build_aside(twisted_gluing(c))):
+            yield c, bq, q
+
+
+def test_sweep_has_the_expected_curves_and_controls():
+    cases = list(sweep_cases())
+    assert len({c for c, _, _ in cases}) == 154
+    assert len(cases) > 3 * 154
+
+
+def test_map_equals_agrees_with_the_rescan_reference():
+    seen = set()
+    for c, bq, q in sweep_cases():
+        vmap = canonical_correspondence(c)
+        new, old = map_equals(bq, q, vmap), rescan_map_equals(bq, q, vmap)
+        assert (new.ok, new.diffs) == (old.ok, old.diffs), c
+        seen.add(new.ok)
+    assert seen == {True, False}
+
+
+def test_find_isomorphism_agrees_with_the_profile_reference():
+    found = missed = 0
+    for c, bq, q in sweep_cases():
+        witness, old = find_isomorphism(bq, q), profile_find_isomorphism(bq, q)
+        # the same dict, built in the same placement order
+        assert witness == old and (witness is None or list(witness) == list(old)), c
+        if witness is None:
+            missed += 1
+        else:
+            found += 1
+    assert found >= 154 and missed > 0
+
+
+class CountingRelations(frozenset):
+    """A relation set that counts its membership lookups."""
+
+    lookups = 0
+
+    def __contains__(self, pair):
+        type(self).lookups += 1
+        return frozenset.__contains__(self, pair)
+
+
+def test_map_equals_reads_each_relation_about_once(monkeypatch):
+    # The 188-strip ring that the CLI's verify ladder passes.
+    c = StackyCurveSpec("ring", (188,), (1,))
+    bq, aq = build_bside(c), build_aside(twisted_gluing(c))
+    vmap = canonical_correspondence(c)
+    monkeypatch.setattr(CountingRelations, "lookups", 0)
+    bq.relations = CountingRelations(bq.relations)
+    aq.relations = CountingRelations(aq.relations)
+    assert map_equals(bq, aq, vmap).ok
+    groups = len({(a.source, a.target, a.degree) for a in aq.arrows})
+    bound = 2 * (len(bq.relations) + len(aq.relations)) + groups
+    # two relations and four singleton arrow groups per strip
+    assert groups == 4 * 188 and len(aq.relations) == len(bq.relations) == 2 * 188
+    assert CountingRelations.lookups <= bound
+
+
+def test_blind_search_confirms_its_witness_once(monkeypatch):
+    # bench/tracing.py counts witness_checks as calls of quiver.map_equals
+    # made from find_isomorphism, so the witness must go through that name.
+    calls = []
+
+    def counted(q1, q2, vmap):
+        calls.append(vmap)
+        return map_equals(q1, q2, vmap)
+
+    monkeypatch.setattr(quiver, "map_equals", counted)
+    for c in (StackyCurveSpec("ring", (3, 4, 5), (2, 3, 4)),
+              StackyCurveSpec("chain", (2, 3, 4, 2), (1, 3))):
+        calls.clear()
+        witness = find_isomorphism(build_bside(c), build_aside(twisted_gluing(c)))
+        assert witness is not None
+        assert calls == [witness]

@@ -1,6 +1,8 @@
 """The canonical correspondence, the verification pipeline, its negative
 controls, and the genus-targeted search."""
 
+import math
+
 import pytest
 
 from quiverglue.aside import build_aside
@@ -165,6 +167,16 @@ def test_search_known_answers():
     assert search_ring_mirror(2, 2) == [1]
     assert search_ring_mirror(3, 2) == [1, 2, 3]
     assert search_ring_mirror(4) == [1, 2, 3, 4, 5]
+
+
+def test_search_a_187_strip_ring():
+    # genus 94, one boundary circle: a ring of rank 187 = 11 * 17, just
+    # inside the search limit, verified in full for every hit
+    hits = search_ring_mirror(94, 1)
+    assert hits == [
+        k for k in range(1, 187) if math.gcd(k, 187) == math.gcd(k + 1, 187) == 1
+    ]
+    assert len(hits) == 135
 
 
 def test_search_rejects_degenerate_requests():
