@@ -31,7 +31,7 @@ from .gluing import (
     predicted_topology_curve,
 )
 from .homology import HomComplex, TwistedComplex, localization_object, module_of
-from .mirror import search_ring_mirror, twisted_gluing, verify_theorem_A
+from .mirror import MAX_STRIPS, search_ring_mirror, twisted_gluing, verify_theorem_A
 from .perms import Permutation, random_permutation
 from .quiver import GradedQuiver, label_str
 from .surface import surface_topology
@@ -177,6 +177,10 @@ def cmd_verify(args):
     kind, spec = load_spec(args.spec)
     if kind != "curve":
         raise SpecError("verify needs a curve spec")
+    strips = sum(spec.ranks)
+    if strips > MAX_STRIPS:
+        raise SpecError(f"curve of {strips} strips exceeds the verify limit "
+                        f"{MAX_STRIPS}")
     report = verify_theorem_A(spec)
     if args.format == "json":
         _emit(json.dumps(report.to_json_obj(), indent=2), args.out)

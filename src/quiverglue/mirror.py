@@ -138,11 +138,12 @@ def k0_rank(g: GluingSpec) -> int:
     return topo.k0_rank
 
 
-# The most strips (rank sum 2g + n - 2) a searched ring may have: map_equals
-# reads each relation once but still recurses once per arrow group, and 188
-# strips is the largest ring verify is known to pass (375 exhausts the
-# default recursion limit).
-MAX_SEARCH_STRIPS = 188
+# The most strips (rank sum) a curve may have for `quiverglue verify`, and
+# (2g + n - 2) a ring for search_ring_mirror.  Matching no longer recurses,
+# so this is a memory limit: the largest capacity-ladder rung whose quivers
+# keep the CLI's peak RSS near that of its other subcommands; the next rung,
+# 1,500 strips, raised it by about a quarter.
+MAX_STRIPS = 750
 
 
 def search_ring_mirror(genus: int, n: int = 1) -> list[int]:
@@ -152,16 +153,16 @@ def search_ring_mirror(genus: int, n: int = 1) -> list[int]:
 
     Nonempty for every genus >= 2 (k = 1 always qualifies since 2g-1
     is odd); an empty result would falsify the existence theorem.
-    Rings of more than MAX_SEARCH_STRIPS strips are rejected.
+    Rings of more than MAX_STRIPS strips are rejected.
     """
     if genus < 2:
         raise SpecError("search needs genus >= 2")
     if n < 1:
         raise SpecError("need at least one boundary circle")
     strips = 2 * genus + n - 2
-    if strips > MAX_SEARCH_STRIPS:
+    if strips > MAX_STRIPS:
         raise SpecError(f"ring of {strips} strips exceeds the search limit "
-                        f"{MAX_SEARCH_STRIPS}")
+                        f"{MAX_STRIPS}")
     m = 2 * genus - 1
     hits = []
     for k in range(1, m):

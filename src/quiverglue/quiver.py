@@ -18,11 +18,14 @@ every vertex.  paths_into and paths_between read a memo per target
 vertex, filled by one backward walk that finds every source and path
 into the target at once.  The module also checks whether a given
 vertex bijection is an isomorphism of quivers with relations, and
-searches for one.  Both searches recurse, map_equals once per group of
-parallel arrows and find_isomorphism once per vertex, and each step
-costs only the arrows and relations it touches: map_equals checks each
-relation at the one step that fixes both its arrows, and
-find_isomorphism compares a candidate's arrows to placed vertices only.
+searches for one.  Neither search recurses: each backtracks in a loop
+over an explicit stack of iterators, and each step costs only the
+arrows and relations it touches.  map_equals maps the arrows of every
+singleton group in one pass, reads each relation between two of them
+once, and backtracks only over groups of parallel arrows, checking each
+other relation at the one step that fixes both its arrows;
+find_isomorphism places one vertex per step and compares a candidate's
+arrows to placed vertices only.
 """
 
 from __future__ import annotations
@@ -95,7 +98,12 @@ class GradedQuiver:
             out[ar.source].append(ar)
             into[ar.target].append(ar)
         self.arrows = tuple(self._arrow_by_name.values())
-        self._out, self._in = tuple(map(tuple, out)), tuple(map(tuple, into))
+        # From lists, so each tuple is made at its final size: CPython
+        # resizes a tuple drawn from an iterator of unknown length, and
+        # frees it onto the spare list of the new size, where such tuples
+        # pile up between full garbage collections.
+        self._out = tuple([tuple(a) for a in out])
+        self._in = tuple([tuple(a) for a in into])
 
         pairs = set()
         for f, g in relations:
@@ -385,6 +393,65 @@ def _resolve_vmap(
     return (None, diffs) if diffs else (id_map, [])
 
 
+def _transports_relations(
+    q1: GradedQuiver, q2: GradedQuiver, groups1: dict, groups2: dict
+) -> bool:
+    """Whether some bijection of the arrows within each group (the keys
+    and sizes of ``groups1`` and ``groups2`` agree) carries the relations
+    of q1 exactly onto those of q2."""
+    arrow_map: dict[ArrowName, ArrowName] = {}
+    inv: dict[ArrowName, ArrowName] = {}
+    parallel = []
+    for key, g1 in groups1.items():
+        if len(g1) == 1:
+            arrow_map[g1[0].name] = groups2[key][0].name
+            inv[groups2[key][0].name] = g1[0].name
+        else:
+            parallel.append(key)
+
+    # A relation is read at the step that fixes the later parallel group
+    # of its two arrows, or once here when both arrows are forced.
+    # Step k overwrites its group's entries in both arrow maps; entries
+    # of later groups left by an abandoned branch are never read before
+    # their own step overwrites them.
+    def due(q, other, image, groups):
+        step = {a.name: k for k, key in enumerate(parallel) for a in groups[key]}
+        filed = [[] for _ in parallel]
+        for f, g in q.relations:
+            k = max(step.get(f, -1), step.get(g, -1))
+            if k >= 0:
+                filed[k].append((f, g))
+            elif (image[f], image[g]) not in other.relations:
+                return None
+        return filed
+
+    due1 = due(q1, q2, arrow_map, groups1)
+    due2 = None if due1 is None else due(q2, q1, inv, groups2)
+    if due2 is None:
+        return False
+    if not parallel:
+        return True
+
+    stack = [itertools.permutations(groups2[parallel[0]])]
+    while stack:
+        k = len(stack) - 1
+        for perm in stack[k]:
+            for a1, a2 in zip(groups1[parallel[k]], perm):
+                arrow_map[a1.name] = a2.name
+                inv[a2.name] = a1.name
+            if all(
+                (arrow_map[f], arrow_map[g]) in q2.relations for f, g in due1[k]
+            ) and all((inv[f], inv[g]) in q1.relations for f, g in due2[k]):
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(parallel):
+            return True
+        stack.append(itertools.permutations(groups2[parallel[len(stack)]]))
+    return False
+
+
 def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
     """Check that a vertex bijection is an isomorphism of quivers with
     relations: arrows must match as multisets per (source, target,
@@ -394,12 +461,15 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
     ``vmap`` maps q1 vertex labels (any alias) to q2 vertex labels.  The
     report lists the first structural mismatches found.
 
-    The arrow matching is searched recursively, one step per group of
-    parallel arrows.  Each relation is filed under the later group of
-    its two arrows and checked only at that group's step, so a step
-    costs its group's permutations times the group size plus the
-    relations filed there; with no parallel arrows the whole check
-    reads each relation once.  The recursion depth is the group count.
+    A group with one arrow on each side forces its image, so those
+    arrows are mapped in one pass and every relation between two of
+    them is read once.  The rest is a backtracking over the groups of
+    parallel arrows, in a loop over an explicit stack of permutation
+    iterators, not a recursion.  Each other relation is filed under the
+    later parallel group of its two arrows and read only at that
+    group's step, so a step costs its group's size plus the relations
+    filed there; with no parallel arrows the whole check reads each
+    relation exactly once.
     """
     id_map, diffs = _resolve_vmap(q1, q2, vmap)
     if id_map is None:
@@ -438,46 +508,14 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
             f"{len(q2.relations)}"
         )
 
-    # Each relation is checked at the step that assigns the later of its
-    # two arrows' groups.  Step k overwrites its group's entries in both
-    # arrow maps; entries of later groups left by an abandoned branch are
-    # never read before their own step overwrites them.
-    keys = list(groups1)
-    group_of1 = {a.name: i for i, key in enumerate(keys) for a in groups1[key]}
-    group_of2 = {a.name: i for i, key in enumerate(keys) for a in groups2[key]}
-    due1 = [[] for _ in keys]
-    for f, g in q1.relations:
-        due1[max(group_of1[f], group_of1[g])].append((f, g))
-    due2 = [[] for _ in keys]
-    for f, g in q2.relations:
-        due2[max(group_of2[f], group_of2[g])].append((f, g))
-    arrow_map: dict[ArrowName, ArrowName] = {}
-    inv: dict[ArrowName, ArrowName] = {}
-
-    def search(k: int) -> bool:
-        if k == len(keys):
-            return True
-        g1, g2 = groups1[keys[k]], groups2[keys[k]]
-        for perm in itertools.permutations(g2):
-            for a1, a2 in zip(g1, perm):
-                arrow_map[a1.name] = a2.name
-                inv[a2.name] = a1.name
-            if (
-                all((arrow_map[f], arrow_map[g]) in q2.relations for f, g in due1[k])
-                and all((inv[f], inv[g]) in q1.relations for f, g in due2[k])
-                and search(k + 1)
-            ):
-                return True
-        return False
-
-    if not diffs and search(0):
+    if not diffs and _transports_relations(q1, q2, groups1, groups2):
         return MatchReport(True)
 
     # No arrow matching carries the relations across.  Report against
     # the order-preserving matching so the diff names concrete pairs.
     canonical = {
         a1.name: a2.name
-        for key in keys
+        for key in groups1
         for a1, a2 in zip(groups1[key], groups2[key])
     }
     inv = {v: k for k, v in canonical.items()}
@@ -523,13 +561,14 @@ def find_isomorphism(q1: GradedQuiver, q2: GradedQuiver) -> dict | None:
     """Search for a vertex bijection under which map_equals holds.
 
     Color refinement narrows the candidates to the q2 vertices of the
-    same color, then a recursive backtracking places one vertex per
-    step.  A candidate w for v survives when v's arrows to placed
-    vertices, as (direction, image of the neighbour, degree), equal w's
-    arrows to used vertices as a multiset, so a step costs the degrees
-    of v and of its candidates, not the number placed.  The witness is
-    validated by map_equals before being returned.  Exhaustive at the
-    sizes this package sweeps, so None means non-isomorphic.
+    same color, then a backtracking places one vertex per step, in a
+    loop over an explicit stack of candidate iterators, not a recursion.
+    A candidate w for v survives when v's arrows to placed vertices, as
+    (direction, image of the neighbour, degree), equal w's arrows to used
+    vertices as a multiset, so a step costs the degrees of v and of its
+    candidates, not the number placed.  The witness is validated by
+    map_equals before being returned.  Exhaustive at the sizes this
+    package sweeps, so None means non-isomorphic.
     """
     if (
         q1.num_vertices != q2.num_vertices
@@ -550,7 +589,6 @@ def find_isomorphism(q1: GradedQuiver, q2: GradedQuiver) -> dict | None:
     # vertex taken to itself, so both sides read their links alike.
     assignment: dict[int, int] = {}
     used: dict[int, int] = {}
-    found: list[dict] = []
 
     def links(q: GradedQuiver, v: int, image: dict) -> list:
         # v's arrows to the vertices image maps, as (direction, image of
@@ -560,28 +598,32 @@ def find_isomorphism(q1: GradedQuiver, q2: GradedQuiver) -> dict | None:
             + [(1, image[a.source], a.degree) for a in q._in[v] if a.source in image]
         )
 
-    def place(k: int) -> bool:
-        if k == len(order):
+    # One frame per open step: the vertex it places, its links to the
+    # vertices placed before it, and the iterator over its candidates.
+    frames: list[tuple[int, list, object]] = []
+    while True:
+        if len(frames) == len(order):
             # Vertex-level match; confirm arrows and relations transport.
             vmap = {
                 q1.primary_label(v): q2.primary_label(w)
                 for v, w in assignment.items()
             }
             if map_equals(q1, q2, vmap):
-                found.append(vmap)
-                return True
-            return False
-        v = order[k]
-        placed = links(q1, v, assignment)
-        for w in candidates[v]:
-            if w in used or links(q2, w, used) != placed:
-                continue
-            assignment[v] = w
-            used[w] = w
-            if place(k + 1):
-                return True
-            del assignment[v]
-            del used[w]
-        return False
-
-    return found[0] if place(0) else None
+                return vmap
+        else:
+            v = order[len(frames)]
+            frames.append((v, links(q1, v, assignment), iter(candidates[v])))
+        # Move the innermost step to its next surviving candidate, closing
+        # the steps whose candidates run out.
+        while frames:
+            v, placed, untried = frames[-1]
+            if v in assignment:
+                del used[assignment.pop(v)]
+            w = next((w for w in untried
+                      if w not in used and links(q2, w, used) == placed), None)
+            if w is not None:
+                assignment[v] = used[w] = w
+                break
+            frames.pop()
+        else:
+            return None

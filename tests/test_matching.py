@@ -2,17 +2,20 @@
 replaced, kept here as references: map_equals once rescanned every
 relation of both sides at each arrow group, and find_isomorphism
 compared each candidate against every placed vertex.  Reports and
-witnesses must not change; map_equals must read each relation about
-once; and find_isomorphism must confirm its witness through the
+witnesses must not change; map_equals must read each relation exactly
+once when no arrows are parallel; neither search may recurse per arrow
+or per vertex; and find_isomorphism must confirm its witness through the
 module-level map_equals, which the benchmark's tracer counts."""
 
 import itertools
+import sys
+from contextlib import contextmanager
 
 from quiverglue import quiver
 from quiverglue.aside import build_aside
 from quiverglue.bside import build_bside
 from quiverglue.gluing import StackyCurveSpec
-from quiverglue.mirror import canonical_correspondence, twisted_gluing
+from quiverglue.mirror import canonical_correspondence, twisted_gluing, verify_theorem_A
 from quiverglue.quiver import (
     GradedQuiver,
     MatchReport,
@@ -251,20 +254,97 @@ class CountingRelations(frozenset):
         return frozenset.__contains__(self, pair)
 
 
-def test_map_equals_reads_each_relation_about_once(monkeypatch):
-    # The 188-strip ring that the CLI's verify ladder passes.
-    c = StackyCurveSpec("ring", (188,), (1,))
+def test_map_equals_reads_each_relation_once(monkeypatch):
+    # The 6,000-strip ring, through the library's verify: every arrow
+    # group is a singleton, so each relation of each side is read once.
+    c = StackyCurveSpec("ring", (6000,), (1,))
     bq, aq = build_bside(c), build_aside(twisted_gluing(c))
-    vmap = canonical_correspondence(c)
     monkeypatch.setattr(CountingRelations, "lookups", 0)
     bq.relations = CountingRelations(bq.relations)
     aq.relations = CountingRelations(aq.relations)
-    assert map_equals(bq, aq, vmap).ok
+    assert verify_theorem_A(c, aside_quiver=aq, bside_quiver=bq).ok
     groups = len({(a.source, a.target, a.degree) for a in aq.arrows})
-    bound = 2 * (len(bq.relations) + len(aq.relations)) + groups
     # two relations and four singleton arrow groups per strip
-    assert groups == 4 * 188 and len(aq.relations) == len(bq.relations) == 2 * 188
-    assert CountingRelations.lookups <= bound
+    assert groups == len(aq.arrows) == 4 * 6000
+    assert len(aq.relations) == len(bq.relations) == 2 * 6000
+    assert CountingRelations.lookups == len(bq.relations) + len(aq.relations)
+
+
+def stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@contextmanager
+def recursion_headroom(frames=60):
+    """Cap the recursion limit a few dozen frames above the caller, so a
+    search that recurses per arrow or per vertex raises RecursionError."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_matching_does_not_recurse():
+    c = StackyCurveSpec("ring", (6000,), (1,))
+    with recursion_headroom():
+        assert verify_theorem_A(c).ok
+    c = StackyCurveSpec("ring", (400,), (1,))
+    bq, aq = build_bside(c), build_aside(twisted_gluing(c))
+    with recursion_headroom():
+        witness = find_isomorphism(bq, aq)
+        assert witness is not None and map_equals(bq, aq, witness).ok
+
+
+def two_parallel_pairs(relations):
+    """a => b => c with two parallel arrows x1, x2 and then y1, y2 (two
+    groups of parallel arrows, x's first), and the given relations."""
+    return GradedQuiver(
+        [((("v", v),), 0) for v in "abc"],
+        [((head, i), ("v", s), ("v", t), 0)
+         for head, s, t in (("x", "a", "b"), ("y", "b", "c")) for i in (1, 2)],
+        relations,
+    )
+
+
+IDENTITY = {("v", v): ("v", v) for v in "abc"}
+X1, X2, Y1, Y2 = ("x", 1), ("x", 2), ("y", 1), ("y", 2)
+
+
+def test_map_equals_undoes_a_choice_refuted_at_a_later_group(monkeypatch):
+    # The x group's first choice, x1 -> x1, leaves no image for the
+    # relation y1 o x1 = 0, but that relation is filed under the later y
+    # group: both y choices fail there, and the search must go back and
+    # take x1 -> x2 (with y1 -> y1).
+    q1, q2 = two_parallel_pairs([(X1, Y1)]), two_parallel_pairs([(X2, Y1)])
+    opened = []
+    permutations = itertools.permutations
+
+    def counted(group):
+        opened.append(group[0].name[0])
+        return permutations(group)
+
+    monkeypatch.setattr(quiver.itertools, "permutations", counted)
+    report = map_equals(q1, q2, IDENTITY)
+    assert report.ok and report.diffs == []
+    assert opened == ["x", "y", "y"]
+    old = rescan_map_equals(q1, q2, IDENTITY)
+    assert (report.ok, report.diffs) == (old.ok, old.diffs)
+
+
+def test_map_equals_with_no_matching_over_parallel_groups():
+    # Two relations sharing their y against two sharing their x: no
+    # matching of either group carries one set onto the other.
+    q1 = two_parallel_pairs([(X1, Y1), (X2, Y1)])
+    q2 = two_parallel_pairs([(X1, Y1), (X1, Y2)])
+    for a, b in ((q1, q2), (q2, q1)):
+        new, old = map_equals(a, b, IDENTITY), rescan_map_equals(a, b, IDENTITY)
+        assert not new.ok and new.diffs
+        assert (new.ok, new.diffs) == (old.ok, old.diffs)
 
 
 def test_blind_search_confirms_its_witness_once(monkeypatch):

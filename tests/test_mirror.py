@@ -170,8 +170,8 @@ def test_search_known_answers():
 
 
 def test_search_a_187_strip_ring():
-    # genus 94, one boundary circle: a ring of rank 187 = 11 * 17, just
-    # inside the search limit, verified in full for every hit
+    # genus 94, one boundary circle: a ring of rank 187 = 11 * 17,
+    # verified in full for every hit
     hits = search_ring_mirror(94, 1)
     assert hits == [
         k for k in range(1, 187) if math.gcd(k, 187) == math.gcd(k + 1, 187) == 1
