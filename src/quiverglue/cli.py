@@ -5,11 +5,16 @@ stdout or ``--out``.  Spec files come in three kinds, told apart by
 their keys: a gluing ({"shape", "ranks", "perms"}), a curve ({"shape",
 "ranks", "twists"}), or a raw quiver ({"vertices", "arrows", ...}).
 
+``main`` builds its argument parser once per process and dispatches by
+command name: subcommand ``x`` runs the module's ``cmd_x``, looked up at
+call time, so the cached parser holds no functions.
+
 Exit codes: 0 when every check agrees, 1 on a mathematical mismatch,
 2 on a usage or input error, 3 on an internal error (a bug).
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -92,16 +97,14 @@ def _topology_json(t):
 def _quiver_text(q):
     lines = [f"{q.num_vertices} vertices, {len(q.arrows)} arrows, "
              f"{len(q.relations)} relations"]
-    for vid in range(q.num_vertices):
-        labs = ", ".join(label_str(l) for l in q.vertex_labels[vid])
-        sh = q.vertex_shifts[vid]
-        lines.append(f"  vertex {labs}" + (f"  [shift {sh}]" if sh else ""))
+    names = [label_str(labs[0]) for labs in q.vertex_labels]
+    for name, labs, sh in zip(names, q.vertex_labels, q.vertex_shifts):
+        extra = "".join(", " + label_str(l) for l in labs[1:])
+        lines.append(f"  vertex {name}{extra}" + (f"  [shift {sh}]" if sh else ""))
     for a in q.arrows:
         deg = f" (degree {a.degree})" if a.degree else ""
-        lines.append(
-            f"  {label_str(a.name)}: {label_str(q.primary_label(a.source))}"
-            f" -> {label_str(q.primary_label(a.target))}{deg}"
-        )
+        lines.append(f"  {label_str(a.name)}: {names[a.source]}"
+                     f" -> {names[a.target]}{deg}")
     for f, g in sorted(q.relations):
         lines.append(f"  relation: {label_str(g)} o {label_str(f)} = 0")
     return "\n".join(lines)
@@ -273,10 +276,11 @@ def _coeff(c):
 
 def _load_complexes(path, q):
     data = _read_json(path)
-    try:
-        entries = data["complexes"]
-    except (KeyError, TypeError) as exc:
-        raise SpecError(f"{path}: expected a top-level 'complexes' list") from exc
+    entries = data.get("complexes") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise SpecError(f"{path}: expected a top-level 'complexes' list")
+    if not entries:
+        raise SpecError(f"{path}: the 'complexes' list is empty")
     out = []
     for entry in entries:
         try:
@@ -292,6 +296,9 @@ def _load_complexes(path, q):
                 ]
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"{path}: bad complex entry: {exc}") from exc
+        # Report rows are keyed by the rendered names.
+        if str(name) in (str(n) for n, _ in out):
+            raise SpecError(f"{path}: two complexes are named {name}")
         out.append((name, TwistedComplex(q, summands, diff)))
     return out
 
@@ -388,6 +395,16 @@ def cmd_sweep(args):
 # -- driver ------------------------------------------------------------
 
 
+def _count(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="quiverglue",
@@ -407,50 +424,46 @@ def build_parser():
 
     p = sub.add_parser("topology", help="predicted vs recomputed topology")
     common(p, report_formats)
-    p.set_defaults(func=cmd_topology)
 
     p = sub.add_parser("aside", help="quiver of a gluing")
     common(p, quiver_formats)
-    p.set_defaults(func=cmd_aside)
 
     p = sub.add_parser("bside", help="quiver of a curve collection")
     common(p, quiver_formats)
-    p.set_defaults(func=cmd_bside)
 
     p = sub.add_parser("verify", help="full curve-to-gluing comparison")
     common(p, report_formats)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="ring twists matching a genus")
     p.add_argument("genus", type=int)
     p.add_argument("components", type=int, nargs="?", default=1)
     common(p, report_formats, spec=False)
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("localize", help="module of one localization object")
     common(p, report_formats)
     p.add_argument("selector", help="KIND:COMPONENT:POSITION, e.g. E-:1:0")
-    p.set_defaults(func=cmd_localize)
 
     p = sub.add_parser("ext", help="graded hom dimensions between complexes")
     common(p, report_formats)
     p.add_argument("complexes", help="JSON file listing twisted complexes")
-    p.set_defaults(func=cmd_ext)
 
     p = sub.add_parser("sweep", help="randomized predictor-vs-oracle sweep")
     common(p, ["text"], spec=False)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=25)
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--samples", type=_count, default=25)
 
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (SpecError, QuiverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

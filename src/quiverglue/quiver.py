@@ -42,7 +42,7 @@ ArrowName = tuple
 def label_str(label) -> str:
     if isinstance(label, tuple):
         head, *rest = label
-        return f"{head}({','.join(str(x) for x in rest)})" if rest else str(head)
+        return f"{head}({','.join(map(str, rest))})" if rest else str(head)
     return str(label)
 
 
@@ -318,14 +318,13 @@ class GradedQuiver:
 
     def to_dot(self) -> str:
         lines = ["digraph quiver {"]
-        for labs, sh in zip(self.vertex_labels, self.vertex_shifts):
-            name = label_str(labs[0])
+        names = [label_str(labs[0]) for labs in self.vertex_labels]
+        for name, labs, sh in zip(names, self.vertex_labels, self.vertex_shifts):
             extra = "".join(" = " + label_str(l) for l in labs[1:])
             tag = f"{name}{extra}" + (f" [{sh}]" if sh else "")
             lines.append(f'  "{name}" [label="{tag}"];')
         for a in self.arrows:
-            s = label_str(self.primary_label(a.source))
-            t = label_str(self.primary_label(a.target))
+            s, t = names[a.source], names[a.target]
             deg = f" ({a.degree})" if a.degree else ""
             lines.append(
                 f'  "{s}" -> "{t}" [label="{label_str(a.name)}{deg}"];'

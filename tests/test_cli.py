@@ -1,7 +1,11 @@
 """Drive the command line front end in-process and check exit codes,
 report text, and the machine-readable formats."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,8 +13,10 @@ from types import SimpleNamespace
 import pytest
 
 from quiverglue import cli
+from quiverglue.quiver import GradedQuiver
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 GLUING = str(DATA / "genus2_linear.json")
 RING = str(DATA / "balanced_ring.json")
 CHAIN = str(DATA / "chain_121.json")
@@ -292,6 +298,7 @@ def _complexes(shift=1, coeff=1):
         (_complexes(coeff=[1, 0]), "'coefficient'"),
         (_complexes(coeff=[1, True]), "'coefficient'"),
         (_complexes(coeff=[1, 2, 3]), "'coefficient'"),
+        ('{"complexes": 5}', "'complexes' list"),
     ],
     ids=[
         "empty_ranks",
@@ -314,6 +321,7 @@ def _complexes(shift=1, coeff=1):
         "complex_zero_denominator",
         "complex_bool_denominator",
         "complex_coefficient_triple",
+        "complexes_not_a_list",
     ],
 )
 def test_invalid_spec_is_a_usage_error(capsys, tmp_path, text, named):
@@ -443,3 +451,143 @@ def test_quiver_spec_cannot_feed_topology(capsys):
 def test_missing_subcommand_is_rejected():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_sweep_rejects_negative_samples(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--samples", "-5"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --samples: must not be negative, got -5" in err
+
+
+def test_sweep_accepts_zero_samples(capsys):
+    code, out, _ = run(capsys, "sweep", "--samples", "0")
+    assert code == 0
+    assert out.startswith("seed 1729: 0 topology samples, 1 mirror samples\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "entries, named",
+    [(["M1", "M1"], "two complexes are named M1"),
+     (["M1", "M2", "M1"], "two complexes are named M1"),
+     ([], "the 'complexes' list is empty")],
+    ids=["duplicate", "duplicate_apart", "empty"],
+)
+def test_ext_rejects_duplicate_or_missing_complexes(capsys, tmp_path, entries,
+                                                    named, fmt):
+    by_name = {c["name"]: c for c in json.loads(Path(COMPLEXES).read_text())["complexes"]}
+    path = tmp_path / "complexes.json"
+    path.write_text(json.dumps({"complexes": [by_name[n] for n in entries]}))
+    code, out, err = run(capsys, "ext", "--spec", QUIVER, str(path), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert named in err
+
+
+def _module_run(*argv):
+    """``python -m quiverglue`` from the repository root, uninstalled."""
+    return subprocess.run(
+        [sys.executable, "-m", "quiverglue", *argv], cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    proc = _module_run("topology", "--spec", "tests/data/genus2_linear.json")
+    assert proc.returncode == 0
+    assert proc.stdout == run(capsys, "topology", "--spec", GLUING)[1]
+
+
+def test_python_dash_m_reports_bad_input(tmp_path):
+    spec = tmp_path / "bad.json"
+    spec.write_text('{"shape": "linear", "ranks": [], "perms": []}')
+    proc = _module_run("topology", "--spec", str(spec))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    assert run(capsys, "topology", "--spec", GLUING)[0] == 0
+    assert run(capsys, "search", "2")[0] == 0
+    assert run(capsys, "bside", "--spec", CHAIN, "--format", "dot")[0] == 0
+    assert len(built) == 1
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_dispatch_reads_the_module_at_call_time(capsys, monkeypatch):
+    assert run(capsys, "topology", "--spec", GLUING)[0] == 0
+    monkeypatch.setattr(cli, "cmd_topology", lambda args: 7)
+    assert run(capsys, "topology", "--spec", GLUING)[0] == 7
+    for command, (args, _) in FORMAT_CASES.items():
+        parsed = cli._parser().parse_args([command, *args])
+        assert not any(callable(v) for v in vars(parsed).values())
+
+
+# sha256 of each quiver report, recorded before the reports were changed
+# to render each vertex name once.
+QUIVER_REPORT_DIGESTS = {
+    ("aside", "genus2_linear", "text"):
+        "8634eab5a36c3fa0c6e279d9f383ca63ae36133d52d8147e85d127dfe794b307",
+    ("aside", "genus2_linear", "json"):
+        "d0a6bdfeb18371707d84aa351bec994b9062dc90cb70ecd2753840119db1d224",
+    ("aside", "genus2_linear", "dot"):
+        "9f193f098fb301d5119882215cfb63075388cfbdbaa0fc69ba1103464e05a85d",
+    ("aside", "balanced_ring", "text"):
+        "65f039221dd3fb1d4106be4df4c1b2c4d6f2b4bf6b9df9b84a7de61a392e071d",
+    ("aside", "balanced_ring", "json"):
+        "b5aa3e1cd95ace963f344474f784f4167a5811dfb93c123eed126ed95638e9fa",
+    ("aside", "balanced_ring", "dot"):
+        "d16352e656cada0e34ad1b89ebca3bbc7b0ca2cdb1f423463a717deeafe48f99",
+    ("bside", "balanced_ring", "text"):
+        "227f6a072ba26e12dc7ef2e382c071a8b678d20694775ecd5a30ffea82b5ac19",
+    ("bside", "balanced_ring", "json"):
+        "b67d5f51a2822a28c4b9044e1e81643d9fdb86d9abeea96c4bf50bf4dab1d6d1",
+    ("bside", "balanced_ring", "dot"):
+        "c569690c44f01ad87afdfaa6340ce5671b45d2bf2520a64d3e158a6a53439195",
+    ("bside", "chain_121", "text"):
+        "8c291bf18f3d89aac8ee23e74b5ebf1abbc607f72b1e1872d647475bd01430d2",
+    ("bside", "chain_121", "json"):
+        "bed6f9c31a532978e487f3d56b5ade8ab3418d3d4e0b48ebcd71caf8a73c944c",
+    ("bside", "chain_121", "dot"):
+        "950b0196f71e69f96438224ce2d1b96f95486853e6a71601509f50a21891e974",
+}
+
+
+@pytest.mark.parametrize("command, spec, fmt", list(QUIVER_REPORT_DIGESTS))
+def test_quiver_reports_are_byte_identical(capsys, command, spec, fmt):
+    code, out, _ = run(capsys, command, "--spec", str(DATA / f"{spec}.json"),
+                       "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == QUIVER_REPORT_DIGESTS[command, spec, fmt]
+
+
+def test_raw_quiver_reports_are_byte_identical():
+    # Aliases, nonzero shifts and nonzero arrow degrees.
+    q = GradedQuiver(
+        [((("v", 1), ("w", 1, 0)), 0), ((("v", 2),), -2),
+         ((("u",), ("P", 3, 1, -1), ("alias", "a", 7)), 5)],
+        [(("a",), ("w", 1, 0), ("v", 2), 1), (("b", 2), ("v", 1), ("u",), 0),
+         (("c", 1, 1), ("v", 2), ("alias", "a", 7), -3),
+         (("d",), ("P", 3, 1, -1), ("v", 1), 2)],
+        [(("a",), ("c", 1, 1)), (("c", 1, 1), ("d",))],
+    )
+    assert hashlib.sha256(q.to_dot().encode()).hexdigest() == (
+        "7998a7fd72657e8aaea33c8a095efe87f6f1beedb0515fc215ced31f6846f0d4")
+    assert hashlib.sha256(cli._quiver_text(q).encode()).hexdigest() == (
+        "be09483b413cf958a0ba57c45ab0aee17b0a2088cc119809c822432621090858")
