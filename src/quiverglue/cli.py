@@ -264,7 +264,7 @@ def _coeff(c):
     """A differential coefficient: an integer, or an [integer, nonzero
     integer] pair read as a fraction."""
     if type(c) is int:
-        return Fraction(c)
+        return c
     if (isinstance(c, list) and len(c) == 2
             and all(type(x) is int for x in c) and c[1]):
         return Fraction(*c)

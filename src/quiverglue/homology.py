@@ -10,6 +10,9 @@ Conventions, fixed once and used everywhere:
   degree 1 + shift_a - shift_b, so with degree-0 arrows a path entry
   drops the shift by exactly one.  delta^2 must vanish modulo the
   quiver's relations.
+* Coefficients are rationals, each an int or a ``Fraction``.  A complex
+  with integer coefficients (every localization object) has integer
+  differential matrices, and its cohomology never builds a Fraction.
 * A Hom-complex basis element is (source summand, target summand,
   nonzero path); its degree is the path degree plus shift(source) minus
   shift(target).  The differential is D(f) = delta_Y∘f - (-1)^|f|
@@ -33,7 +36,8 @@ from .quiver import ArrowName, GradedQuiver, Label, label_str
 GradedDims = dict[int, int]
 
 Path = tuple  # of ArrowName
-Entry = list[tuple[Fraction, Path]]
+Scalar = int | Fraction
+Entry = list[tuple[Scalar, Path]]
 
 
 def _path_degree(q: GradedQuiver, p: Path) -> int:
@@ -86,14 +90,14 @@ class TwistedComplex:
         n = len(self.summands)
         for b in range(n):
             for c in range(b + 2, n):
-                acc: dict[Path, Fraction] = {}
+                acc: dict[Path, Scalar] = {}
                 for a in range(b + 1, c):
                     for c1, p1 in self.diff.get((a, b), []):
                         for c2, p2 in self.diff.get((c, a), []):
                             comp = p1 + p2
                             if p1 and p2 and (p1[-1], p2[0]) in q.relations:
                                 continue
-                            acc[comp] = acc.get(comp, Fraction(0)) + c1 * c2
+                            acc[comp] = acc.get(comp, 0) + c1 * c2
                 if any(acc.values()):
                     raise SpecError(
                         f"differential does not square to zero at {c}<-{b}"
@@ -145,7 +149,7 @@ class HomComplex:
             d = _path_degree(q, p) + X.shift_of(si) - Y.shift_of(ti)
             self._degree_of.append(d)
             self.degrees.setdefault(d, []).append(i)
-        self._diff_cache: dict[int, list[list[Fraction]]] = {}
+        self._diff_cache: dict[int, list[list[Scalar]]] = {}
 
     def _compose(self, p: Path, p2: Path) -> Path | None:
         """p then p2, or None when the junction hits a relation."""
@@ -153,11 +157,11 @@ class HomComplex:
             return None
         return p + p2
 
-    def apply(self, index: int) -> dict[int, Fraction]:
+    def apply(self, index: int) -> dict[int, Scalar]:
         """Image of a basis element under D, as sparse coefficients."""
         si, ti, p = self.basis[index]
         d = self._degree_of[index]
-        out: dict[int, Fraction] = {}
+        out: dict[int, Scalar] = {}
         for (ta, tb), entry in self.Y.diff.items():
             if tb != ti:
                 continue
@@ -166,7 +170,7 @@ class HomComplex:
                 if comp is None:
                     continue
                 j = self._index[(si, ta, comp)]
-                out[j] = out.get(j, Fraction(0)) + c
+                out[j] = out.get(j, 0) + c
         sign = 1 if self.convention == "flipped" else -1
         sign *= -1 if d % 2 else 1
         for (sa, sb), entry in self.X.diff.items():
@@ -177,10 +181,10 @@ class HomComplex:
                 if comp is None:
                     continue
                 j = self._index[(sb, ti, comp)]
-                out[j] = out.get(j, Fraction(0)) + sign * c
+                out[j] = out.get(j, 0) + sign * c
         return {j: c for j, c in out.items() if c}
 
-    def matrix(self, d: int) -> list[list[Fraction]]:
+    def matrix(self, d: int) -> list[list[Scalar]]:
         """D on degree d: one row per degree-(d+1) basis element, one
         column per degree-d element."""
         if d in self._diff_cache:
@@ -188,7 +192,7 @@ class HomComplex:
         src = self.degrees.get(d, [])
         tgt = self.degrees.get(d + 1, [])
         pos = {j: r for r, j in enumerate(tgt)}
-        mat = [[Fraction(0)] * len(src) for _ in tgt]
+        mat = [[0] * len(src) for _ in tgt]
         for col, i in enumerate(src):
             for j, c in self.apply(i).items():
                 mat[pos[j]][col] = c
@@ -196,19 +200,24 @@ class HomComplex:
         return mat
 
     def cohomology(self) -> GradedDims:
+        # the rank of D out of each degree, taken once; D is zero out of
+        # a slice with no slice above it
+        out = {
+            d: rank(self.matrix(d)) for d in self.degrees if d + 1 in self.degrees
+        }
         dims: GradedDims = {}
         for d, idxs in self.degrees.items():
-            h = len(idxs) - rank(self.matrix(d)) - rank(self.matrix(d - 1))
+            h = len(idxs) - out.get(d, 0) - out.get(d - 1, 0)
             if h:
                 dims[d] = h
         return dims
 
     def d_squared_vanishes(self) -> bool:
         for i in range(len(self.basis)):
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, Scalar] = {}
             for j, c in self.apply(i).items():
                 for l, c2 in self.apply(j).items():
-                    acc[l] = acc.get(l, Fraction(0)) + c * c2
+                    acc[l] = acc.get(l, 0) + c * c2
             if any(acc.values()):
                 return False
         return True
@@ -216,16 +225,16 @@ class HomComplex:
     # -- cocycles and classes ------------------------------------------
 
     def cocycle(self, vector, degree: int) -> Cocycle:
-        vec = tuple(Fraction(x) for x in vector)
+        vec = tuple(x if type(x) is Fraction else Fraction(x) for x in vector)
         idxs = self.degrees.get(degree, [])
         if len(vec) != len(idxs):
             raise SpecError("vector length does not match the degree slice")
-        image: dict[int, Fraction] = {}
+        image: dict[int, Scalar] = {}
         for col, (i, c) in enumerate(zip(idxs, vec)):
             if not c:
                 continue
             for j, cc in self.apply(i).items():
-                image[j] = image.get(j, Fraction(0)) + c * cc
+                image[j] = image.get(j, 0) + c * cc
         if any(image.values()):
             raise SpecError("not a cocycle")
         return Cocycle(self, degree, vec)
@@ -233,11 +242,11 @@ class HomComplex:
     def identity_cocycle(self) -> Cocycle:
         if self.X != self.Y:
             raise SpecError("identity lives in an endomorphism complex")
-        vec = [Fraction(0)] * len(self.degrees.get(0, []))
+        vec = [0] * len(self.degrees.get(0, []))
         for pos, i in enumerate(self.degrees.get(0, [])):
             si, ti, p = self.basis[i]
             if si == ti and not p:
-                vec[pos] = Fraction(1)
+                vec[pos] = 1
         return self.cocycle(vec, 0)
 
     def cocycle_space(self, degree: int) -> list[list[Fraction]]:
@@ -295,7 +304,7 @@ def ext_product(f: Cocycle, g: Cocycle) -> Cocycle:
     if hg.Y != hf.X:
         raise SpecError("cocycles do not share the middle complex")
     target = HomComplex(hg.X, hf.Y, hg.convention)
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, Scalar] = {}
     g_idxs = hg.degrees.get(g.degree, [])
     f_idxs = hf.degrees.get(f.degree, [])
     for cg, ig in zip(g.vector, g_idxs):
@@ -312,10 +321,10 @@ def ext_product(f: Cocycle, g: Cocycle) -> Cocycle:
             if comp is None:
                 continue
             idx = target._index[(si, tj, comp)]
-            acc[idx] = acc.get(idx, Fraction(0)) + cg * cf
+            acc[idx] = acc.get(idx, 0) + cg * cf
     degree = f.degree + g.degree
     idxs = target.degrees.get(degree, [])
-    vec = [acc.get(i, Fraction(0)) for i in idxs]
+    vec = [acc.get(i, 0) for i in idxs]
     leftovers = set(acc) - set(idxs)
     if any(acc[i] for i in leftovers):
         raise FalsificationError("product left its expected degree")
@@ -356,7 +365,7 @@ def localization_object(
             f"no position {kind}({i},{j}): the quiver has no arrow "
             f"{label_str((step, i, j))}"
         ) from None
-    one = Fraction(1)
+    one = 1
     chain = (((vertex, i, j), 2), ((vertex, i, j + 1), 1))
     for feed in aq.arrows_into(arrow.source):
         if feed.name[0] == feed_kind:
@@ -481,13 +490,13 @@ def module_of(E: TwistedComplex) -> ThinModule:
         if u not in dims or w not in dims:
             continue
         hu, hw = homs[u], homs[w]
-        image: dict[int, Fraction] = {}
+        image: dict[int, Scalar] = {}
         for c, i in zip(gens[w].vector, hw.degrees[degree]):
             _, t, p = hw.basis[i]
             comp = hu._compose((ar.name,), p)
             if c and comp is not None:
                 image[hu._index[(0, t, comp)]] = c
-        vec = [image.get(i, Fraction(0)) for i in hu.degrees[degree]]
+        vec = [image.get(i, 0) for i in hu.degrees[degree]]
         lam = hu.scalar_against(hu.cocycle(vec, degree), gens[u])
         if lam:
             actions[ar.name] = lam
@@ -517,6 +526,7 @@ def predicted_module(aq: GradedQuiver, kind: str, i: int, j: int) -> ThinModule:
             chosen[v] = allowed[0]
 
     actions: dict[ArrowName, Fraction] = {}
+    one = Fraction(1)
     for ar in aq.arrows:
         u, w = aq.primary_label(ar.source), aq.primary_label(ar.target)
         if u not in chosen or w not in chosen:
@@ -526,7 +536,7 @@ def predicted_module(aq: GradedQuiver, kind: str, i: int, j: int) -> ThinModule:
             continue
         if composite != chosen[u]:
             raise FalsificationError("thin action is not consistent")
-        actions[ar.name] = Fraction(1)
+        actions[ar.name] = one
     module = ThinModule({v: 1 for v in chosen}, actions)
     module.validate(aq)
     return module

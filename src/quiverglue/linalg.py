@@ -1,68 +1,91 @@
 """Exact linear algebra over the rationals, sized for the small dense
 matrices that Hom-complex differentials produce.
 
-Rank uses fraction-free (Bareiss) elimination on integer-scaled rows, so
-no rational blow-up occurs; solving and kernel bases use plain Gaussian
-elimination over ``fractions.Fraction``.
+Entries may be ints or ``fractions.Fraction``s; a row holding a
+Fraction is scaled to integers first, and everything after that runs on
+Python ints.  Rank uses fraction-free (Bareiss) elimination.  Solving
+and kernel bases use integer Gauss-Jordan elimination, dividing each
+row by the gcd of its entries; since the reduced row echelon form is
+unique, a Fraction is built only for each entry that is returned.
+
+A matrix is given by its rows, which must all have the same width;
+``ValueError`` says which row or right-hand side does not.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-Matrix = list[list[Fraction]]
-
-
-def _integer_rows(rows: list[list[Fraction | int]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([int(f * scale) for f in fracs])
-    return out
+Matrix = list[list[Fraction | int]]
 
 
-def rank(rows: list[list[Fraction | int]]) -> int:
+def _width(rows: Matrix, ncols: int | None = None) -> int:
+    """The common width of ``rows`` (``ncols`` when given)."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ValueError(
+                f"row {i} of {len(rows)} has {len(row)} entries, expected {ncols}"
+            )
+    return ncols
+
+
+def _integral(row: list[Fraction | int]) -> list[int]:
+    """An integer row spanning the same line as ``row``: ``row`` itself
+    when it holds no Fraction.  No row is changed in place below."""
+    if Fraction not in map(type, row):
+        return row
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def rank(rows: Matrix) -> int:
     """Rank by Bareiss elimination; exact for any rational input."""
-    m = [r[:] for r in _integer_rows(rows) if any(r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
+    ncols = _width(rows)
+    m = [_integral(r) for r in rows if any(r)]
     r = 0
     prev = 1
     for c in range(ncols):
+        if r == len(m):
+            break
         pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
+        top = m[r]
+        p = top[c]
         for i in range(r + 1, len(m)):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+            f = m[i][c]
+            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
+        prev = p
         r += 1
-        if r == len(m):
-            break
     return r
 
 
-def _rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    m = [[Fraction(x) for x in row] for row in m]
+def _rref(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Integer Gauss-Jordan elimination, reordering and replacing the
+    rows of ``m``: each pivot row ends up a multiple of the reduced row
+    echelon form's, with zeros in every other pivot column."""
     pivots = []
     r = 0
     ncols = len(m[0]) if m else 0
     for c in range(ncols):
+        if r == len(m):
+            break
         pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                row = [p * a - f * b for a, b in zip(row, top)]
+                g = gcd(*row)
+                m[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
     return m, pivots
@@ -71,32 +94,40 @@ def _rref(m: Matrix) -> tuple[Matrix, list[int]]:
 def solve(rows: Matrix, rhs: list[Fraction | int]) -> list[Fraction] | None:
     """One solution of A x = b, or None when inconsistent.
 
-    ``rows`` are the rows of A; free variables are set to 0.
+    ``rows`` are the rows of A, one per entry of ``rhs``; free variables
+    are set to 0.
     """
-    if not rows:
-        return None if any(rhs) else []
-    ncols = len(rows[0])
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    red, pivots = _rref(aug)
-    if ncols in pivots:
+    if len(rhs) != len(rows):
+        raise ValueError(
+            f"right-hand side has {len(rhs)} entries, expected {len(rows)} "
+            f"(one per row)"
+        )
+    ncols = _width(rows)
+    red, pivots = _rref([_integral([*row, b]) for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
         return None
     x = [Fraction(0)] * ncols
     for row, c in zip(red, pivots):
-        x[c] = row[-1]
+        if row[-1]:
+            x[c] = Fraction(row[-1], row[c])
     return x
 
 
 def kernel_basis(rows: Matrix, ncols: int) -> list[list[Fraction]]:
-    """Basis of the null space of the matrix with the given rows."""
-    red, pivots = _rref([list(map(Fraction, r)) for r in rows])
+    """Basis of the null space of the matrix with the given rows, each
+    of width ``ncols``."""
+    _width(rows, ncols)
+    red, pivots = _rref([_integral(r) for r in rows])
     basis = []
     pivot_set = set(pivots)
+    zero, one = Fraction(0), Fraction(1)
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        vec = [zero] * ncols
+        vec[free] = one
         for row, c in zip(red, pivots):
-            vec[c] = -row[free]
+            if row[free]:
+                vec[c] = Fraction(-row[free], row[c])
         basis.append(vec)
     return basis

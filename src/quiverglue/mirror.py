@@ -34,8 +34,14 @@ def canonical_correspondence(
     P+(i,m)); the twist class S(i,c) maps to the S(i,j) whose b-arrow
     lands on the same slot on the other side.
     """
-    base = window_origins(c, bases)
-    g = twisted_gluing(c, bases)
+    return _correspondence(c, window_origins(c, bases), twisted_gluing(c, bases))
+
+
+def _correspondence(
+    c: StackyCurveSpec, base: dict[int, tuple[int, int]], g: GluingSpec
+) -> dict:
+    """``canonical_correspondence`` given the window origins and the
+    twisted gluing they produce."""
     vmap = {}
     for i in c.components():
         ji, mi = base[i]
@@ -100,12 +106,13 @@ def verify_theorem_A(
     The optional quiver arguments let negative-control tests inject
     perturbed structures; by default both are built from ``c``.
     """
+    base = window_origins(c, bases)
     g = twisted_gluing(c, bases)
     aq = aside_quiver if aside_quiver is not None else build_aside(g)
     bq = bside_quiver if bside_quiver is not None else build_bside(c, bases)
     checks = []
 
-    report = map_equals(bq, aq, canonical_correspondence(c, bases))
+    report = map_equals(bq, aq, _correspondence(c, base, g))
     checks.append(Check("quiver", report.ok, report.diffs))
 
     predicted = predicted_topology_curve(c)

@@ -13,6 +13,8 @@ from types import SimpleNamespace
 import pytest
 
 from quiverglue import cli
+from quiverglue.aside import build_aside
+from quiverglue.homology import all_localization_objects
 from quiverglue.quiver import GradedQuiver
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -347,6 +349,52 @@ def test_fraction_coefficient_is_accepted(capsys, tmp_path):
 def _write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def localization_complexes(spec):
+    """Every localization object of the gluing in ``spec``, written as a
+    complexes file for ext."""
+    aq = build_aside(cli.load_spec(spec)[1])
+    return {
+        "complexes": [
+            {
+                "name": f"{obj.kind}({obj.component},{obj.position})",
+                "summands": [[list(lab), n] for lab, n in obj.cx.summands],
+                "differential": [
+                    [a, b, [[c, [list(name) for name in path]] for c, path in entry]]
+                    for (a, b), entry in obj.cx.diff.items()
+                ],
+            }
+            for obj in all_localization_objects(aq)
+        ]
+    }
+
+
+# sha256 of ext's reports, recorded with the Fraction arithmetic that
+# integer cohomology replaced: the example complexes over the example
+# quiver, then every localization object of the genus-two example
+# gluing against every other
+EXT_DIGESTS = {
+    "text": [
+        "66cf8302d21df6932140b6c7288367704b58f8ac36782b916d696f7ab748d1ea",
+        "e807c88f65760c3b3ad419893a9c6d1bea385f2f51b57c3d24e6666a2d424c36",
+    ],
+    "json": [
+        "0389c582a50a5def3b4027c783d80cb91175eabffbf1f186ae685e51da535539",
+        "4f9394fb3eb2bd76ca07e12fc5ad3d2887aaac93ca6ad6ea2e673b37b56b5ee3",
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_ext_reports_are_unchanged(capsys, tmp_path, fmt):
+    loc = _write_json(tmp_path / "loc.json", localization_complexes(GLUING))
+    digests = []
+    for spec, complexes in ((QUIVER, COMPLEXES), (GLUING, loc)):
+        code, out, _ = run(capsys, "ext", "--spec", spec, complexes, "--format", fmt)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert digests == EXT_DIGESTS[fmt]
 
 
 def _one_projective(tmp_path, label):

@@ -6,10 +6,12 @@ with crossed zero composites, the two standard two-term complexes over
 it, and every graded dimension and product computed by hand.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from quiverglue import homology
 from quiverglue.aside import build_aside
 from quiverglue.errors import FalsificationError, SpecError
 from quiverglue.gluing import GluingSpec
@@ -622,3 +624,87 @@ def test_localization_grid_hom_complex_counts(monkeypatch):
             objects += 1
     assert objects == 17610
     assert (counts["built"], counts["basis"]) == (104690, 173658)
+
+
+# -- cohomology over the integers: one rank per differential -----------
+
+
+def test_cohomology_ranks_each_differential_once(monkeypatch):
+    # only a slice with a slice above it has a differential to rank, and
+    # none is ranked twice; ranking every slice both ways gives the same
+    ranked = []
+
+    def counted(rows):
+        ranked.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(homology, "rank", counted)
+    complexes = slices = ranks = 0
+    for g in gluing_sweep(1, 3):
+        aq = build_aside(g)
+        objs = [obj.cx for obj in all_localization_objects(aq)]
+        sources = objs + [
+            projective(aq, aq.primary_label(v)) for v in range(aq.num_vertices)
+        ]
+        for X in sources:
+            for Y in objs:
+                h = HomComplex(X, Y)
+                ranked.clear()
+                dims = h.cohomology()
+                steps = [d for d in h.degrees if d + 1 in h.degrees]
+                assert len(ranked) <= len(steps)
+                assert len({id(m) for m in ranked}) == len(ranked)
+                assert all(m and m[0] for m in ranked)
+                expected = {
+                    d: len(idxs) - rank(h.matrix(d)) - rank(h.matrix(d - 1))
+                    for d, idxs in h.degrees.items()
+                }
+                assert dims == {d: n for d, n in expected.items() if n}
+                complexes += 1
+                slices += len(h.degrees)
+                ranks += len(ranked)
+    # ranking each slice's maps in and out took 2 * 1,460 calls
+    assert (complexes, slices, ranks) == (942, 1460, 724)
+
+
+def test_integer_complexes_give_integer_matrices():
+    # a localization object's coefficients are ints, so are its Hom
+    # complexes' differentials; a Fraction coefficient still works
+    aq = build_aside(GluingSpec("linear", (1, 2, 1), (identity(2),)))
+    objs = [obj.cx for obj in all_localization_objects(aq)]
+    for X in objs:
+        for Y in objs:
+            h = HomComplex(X, Y)
+            for d in h.degrees:
+                assert all(type(c) is int for row in h.matrix(d) for c in row)
+    m1, m2 = standard_pair(double_quiver())
+    halved = TwistedComplex(
+        m1.quiver, m1.summands, {(1, 0): [(Fraction(1, 2), (("y",),))]}
+    )
+    assert hom_cohomology(halved, halved) == hom_cohomology(m1, m1) == {0: 1, 1: 1}
+    assert hom_cohomology(m2, halved) == {0: 2, 1: 1}
+
+
+# sha256 of module_of (degree, dims, action scalars as text) over every
+# localization object of gluing_sweep(2, 3), recorded with the Fraction
+# arithmetic that integer cohomology replaced
+MODULE_DIGEST = "e034bf4c25129a7a6a243ba0d9bc1efc23ac0068a11de3e7ac0823b03ab13427"
+
+
+def module_digest(gluings):
+    h = hashlib.sha256()
+    for g in gluings:
+        for obj in all_localization_objects(build_aside(g)):
+            m = module_of(obj.cx)
+            actions = [(a, str(c)) for a, c in m.actions.items()]
+            h.update(
+                repr(
+                    (obj.kind, obj.component, obj.position, m.degree,
+                     list(m.dims.items()), actions)
+                ).encode()
+            )
+    return h.hexdigest()
+
+
+def test_modules_are_unchanged():
+    assert module_digest(gluing_sweep(2, 3)) == MODULE_DIGEST

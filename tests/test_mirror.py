@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from quiverglue import mirror
 from quiverglue.aside import build_aside
 from quiverglue.bside import build_bside
 from quiverglue.errors import FalsificationError, SpecError
@@ -74,6 +75,22 @@ def test_verify_passes_on_smoke_curves():
         names = [check.name for check in report.checks]
         assert names == ["quiver", "topology", "k0"]
         assert "RESULT: PASS" in report.summary()
+
+
+def test_verify_builds_one_gluing(monkeypatch):
+    # the correspondence reuses the gluing verify built for the oracle
+    calls = []
+
+    def counted(c, bases=None):
+        calls.append(c)
+        return twisted_gluing(c, bases)
+
+    monkeypatch.setattr(mirror, "twisted_gluing", counted)
+    for k, c in enumerate(SMOKE_CURVES, 1):
+        assert verify_theorem_A(c).ok
+        assert len(calls) == k
+    assert verify_theorem_A(SMOKE_CURVES[1], bases={1: (0, 0)}).ok
+    assert len(calls) == len(SMOKE_CURVES) + 1
 
 
 def test_verify_report_serializes():
