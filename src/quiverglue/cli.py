@@ -254,10 +254,10 @@ def cmd_localize(args):
     return 0
 
 
-def _shift(sh):
-    if type(sh) is not int:
-        raise ValueError(f"'shift' must be an integer, got {json.dumps(sh)}")
-    return sh
+def _integer(key, value):
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 def _coeff(c):
@@ -286,10 +286,14 @@ def _load_complexes(path, q):
         try:
             name = entry["name"]
             summands = tuple(
-                (tuple(lab), _shift(sh)) for lab, sh in entry["summands"]
+                (tuple(lab), _integer("shift", sh))
+                for lab, sh in entry["summands"]
             )
             diff = {}
             for a, b, terms in entry.get("differential", []):
+                a, b = (_integer("differential index", i) for i in (a, b))
+                if (a, b) in diff:
+                    raise ValueError(f"differential entry {a}<-{b} is given twice")
                 diff[(a, b)] = [
                     (_coeff(c), tuple(tuple(n) for n in path))
                     for c, path in terms

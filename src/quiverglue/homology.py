@@ -26,35 +26,36 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import FalsificationError, QuiverError, SpecError
 from .linalg import kernel_basis, rank, solve
-from .quiver import ArrowName, GradedQuiver, Label, label_str
+from .quiver import ArrowName, GradedQuiver, Label, Path, label_str
 
 GradedDims = dict[int, int]
 
-Path = tuple  # of ArrowName
 Scalar = int | Fraction
-Entry = list[tuple[Scalar, Path]]
+Entry = tuple[tuple[Scalar, Path], ...]
 
 
-def _path_degree(q: GradedQuiver, p: Path) -> int:
-    return sum(q.arrow(name).degree for name in p)
-
-
-@dataclass
+@dataclass(frozen=True, slots=True)
 class TwistedComplex:
     """A formal shifted sum of quiver vertices with a strictly
-    triangular differential; validated on construction."""
+    triangular differential; validated on construction and read-only
+    after it, ``diff`` included, so nothing built from it goes stale."""
 
     quiver: GradedQuiver
     summands: tuple[tuple[Label, int], ...]
-    diff: dict[tuple[int, int], Entry] = field(default_factory=dict)
+    diff: Mapping[tuple[int, int], Entry] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.summands = tuple((lab, int(n)) for lab, n in self.summands)
+        summands = tuple((lab, int(n)) for lab, n in self.summands)
+        diff = {ab: tuple(entry) for ab, entry in self.diff.items()}
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "diff", MappingProxyType(diff))
         q = self.quiver
         for lab, _ in self.summands:
             q.vertex_id(lab)
@@ -64,29 +65,19 @@ class TwistedComplex:
             va, na = self.summands[a]
             vb, nb = self.summands[b]
             for _, p in entry:
-                if self._endpoints(p, vb) != q.vertex_id(va):
+                if q.path_end(q.vertex_id(vb), p) != q.vertex_id(va):
                     raise SpecError(f"entry {a}<-{b}: path does not connect")
                 if q.path_is_zero(p):
                     raise SpecError(f"entry {a}<-{b}: path is zero in the algebra")
-                if _path_degree(q, p) != 1 + na - nb:
+                if q.path_degree(p) != 1 + na - nb:
                     raise SpecError(
-                        f"entry {a}<-{b}: path degree {_path_degree(q, p)} != "
+                        f"entry {a}<-{b}: path degree {q.path_degree(p)} != "
                         f"{1 + na - nb}"
                     )
         self._check_delta_squared()
 
-    def _endpoints(self, p: Path, start_label: Label) -> int:
-        q = self.quiver
-        v = q.vertex_id(start_label)
-        for name in p:
-            ar = q.arrow(name)
-            if ar.source != v:
-                raise SpecError(f"path breaks at {name}")
-            v = ar.target
-        return v
-
     def _check_delta_squared(self) -> None:
-        q = self.quiver
+        compose = self.quiver.compose
         n = len(self.summands)
         for b in range(n):
             for c in range(b + 2, n):
@@ -94,10 +85,9 @@ class TwistedComplex:
                 for a in range(b + 1, c):
                     for c1, p1 in self.diff.get((a, b), []):
                         for c2, p2 in self.diff.get((c, a), []):
-                            comp = p1 + p2
-                            if p1 and p2 and (p1[-1], p2[0]) in q.relations:
-                                continue
-                            acc[comp] = acc.get(comp, 0) + c1 * c2
+                            comp = compose(p1, p2)
+                            if comp is not None:
+                                acc[comp] = acc.get(comp, 0) + c1 * c2
                 if any(acc.values()):
                     raise SpecError(
                         f"differential does not square to zero at {c}<-{b}"
@@ -146,27 +136,22 @@ class HomComplex:
         self.degrees: dict[int, list[int]] = {}
         self._degree_of: list[int] = []
         for i, (si, ti, p) in enumerate(self.basis):
-            d = _path_degree(q, p) + X.shift_of(si) - Y.shift_of(ti)
+            d = q.path_degree(p) + X.shift_of(si) - Y.shift_of(ti)
             self._degree_of.append(d)
             self.degrees.setdefault(d, []).append(i)
         self._diff_cache: dict[int, list[list[Scalar]]] = {}
-
-    def _compose(self, p: Path, p2: Path) -> Path | None:
-        """p then p2, or None when the junction hits a relation."""
-        if p and p2 and (p[-1], p2[0]) in self.quiver.relations:
-            return None
-        return p + p2
 
     def apply(self, index: int) -> dict[int, Scalar]:
         """Image of a basis element under D, as sparse coefficients."""
         si, ti, p = self.basis[index]
         d = self._degree_of[index]
+        compose = self.quiver.compose
         out: dict[int, Scalar] = {}
         for (ta, tb), entry in self.Y.diff.items():
             if tb != ti:
                 continue
             for c, qpath in entry:
-                comp = self._compose(p, qpath)
+                comp = compose(p, qpath)
                 if comp is None:
                     continue
                 j = self._index[(si, ta, comp)]
@@ -177,7 +162,7 @@ class HomComplex:
             if sa != si:
                 continue
             for c, qpath in entry:
-                comp = self._compose(qpath, p)
+                comp = compose(qpath, p)
                 if comp is None:
                     continue
                 j = self._index[(sb, ti, comp)]
@@ -293,7 +278,7 @@ def euler_characteristic(X: TwistedComplex, Y: TwistedComplex) -> int:
     for vs, ns in X.summands:
         for vt, nt in Y.summands:
             for p in q.paths_between(vs, vt):
-                total += -1 if (_path_degree(q, p) + ns - nt) % 2 else 1
+                total += -1 if (q.path_degree(p) + ns - nt) % 2 else 1
     return total
 
 
@@ -317,7 +302,7 @@ def ext_product(f: Cocycle, g: Cocycle) -> Cocycle:
             sj, tj, p2 = hf.basis[jf]
             if sj != ti:
                 continue
-            comp = target._compose(p, p2)
+            comp = target.quiver.compose(p, p2)
             if comp is None:
                 continue
             idx = target._index[(si, tj, comp)]
@@ -493,7 +478,7 @@ def module_of(E: TwistedComplex) -> ThinModule:
         image: dict[int, Scalar] = {}
         for c, i in zip(gens[w].vector, hw.degrees[degree]):
             _, t, p = hw.basis[i]
-            comp = hu._compose((ar.name,), p)
+            comp = q.compose((ar.name,), p)
             if c and comp is not None:
                 image[hu._index[(0, t, comp)]] = c
         vec = [image.get(i, 0) for i in hu.degrees[degree]]
@@ -531,8 +516,8 @@ def predicted_module(aq: GradedQuiver, kind: str, i: int, j: int) -> ThinModule:
         u, w = aq.primary_label(ar.source), aq.primary_label(ar.target)
         if u not in chosen or w not in chosen:
             continue
-        composite = (ar.name,) + chosen[w]
-        if aq.path_is_zero(composite) or composite[-1] == collapsed:
+        composite = aq.compose((ar.name,), chosen[w])
+        if composite is None or composite[-1] == collapsed:
             continue
         if composite != chosen[u]:
             raise FalsificationError("thin action is not consistent")

@@ -10,22 +10,24 @@ arrow names are structured tuples like ``("P-", 1, 0)`` or
 A quiver is built once from its vertices, arrows and relations and is
 immutable afterwards; aside and bside hand it their vertices and
 arrows as generators, and a relations list that the arrows fill.
-Each vertex keeps its out- and in-arrows.  One depth-first enumerator
-walks the nonzero paths out of a vertex along the out-arrows, or into
-it along the in-arrows, and knows exactly when they are infinite.
-path_dims (the Hom spaces of the algebra) is the forward walk from
-every vertex.  paths_into and paths_between read a memo per target
-vertex, filled by one backward walk that finds every source and path
-into the target at once.  The module also checks whether a given
-vertex bijection is an isomorphism of quivers with relations, and
-searches for one.  Neither search recurses: each backtracks in a loop
-over an explicit stack of iterators, and each step costs only the
-arrows and relations it touches.  map_equals maps the arrows of every
-singleton group in one pass, reads each relation between two of them
-once, and backtracks only over groups of parallel arrows, checking each
-other relation at the one step that fixes both its arrows;
-find_isomorphism places one vertex per step and compares a candidate's
-arrows to placed vertices only.
+Each vertex keeps its out- and in-arrows.  A path is a tuple of arrow
+names, and this module alone reads one: it composes paths, grades
+them and traces their endpoints for the rest of the package.  One
+depth-first walk along the in-arrows finds every nonzero path into a
+vertex, and knows exactly when they are infinite; paths_into and
+paths_between read its memo per target vertex, and path_dims (the Hom
+spaces of the algebra) regroups it over every target.
+
+The module also checks whether a given vertex bijection is an
+isomorphism of quivers with relations, and searches for one.  Neither
+search recurses: each backtracks in a loop over an explicit stack of
+iterators, and each step costs only the arrows and relations it
+touches.  map_equals maps the arrows of every singleton group in one
+pass, reads each relation between two of them once, and backtracks
+only over groups of parallel arrows, checking each other relation at
+the one step that fixes both its arrows; find_isomorphism places one
+vertex per step and compares a candidate's arrows to placed vertices
+only.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .errors import QuiverError, SpecError
 
 Label = tuple
 ArrowName = tuple
+Path = tuple  # of ArrowName
 
 
 def label_str(label) -> str:
@@ -175,71 +178,78 @@ class GradedQuiver:
 
     # -- paths ----------------------------------------------------------
 
-    def path_is_zero(self, names: tuple[ArrowName, ...]) -> bool:
+    def path_is_zero(self, names: Path) -> bool:
         """True when a composable arrow sequence dies in the algebra,
         i.e. some adjacent pair is a declared relation."""
         return any(pair in self.relations for pair in zip(names, names[1:]))
 
-    def _paths_from(self, v: int, backward: bool = False):
-        """(end vertex id, arrow names) for every nonzero path out of
-        ``v`` along the out-arrows, in depth-first preorder; with
-        ``backward``, for every nonzero path into ``v`` along the
-        in-arrows, its names listed from ``v`` backwards and its far
-        end as the end vertex.  The names list is reused, so copy what
-        you keep.  A nonzero path with more arrows than the quiver
-        repeats one, and the stretch between the repeats is a cycle no
-        relation kills: the path space is then infinite."""
-        limit = len(self.arrows)
-        adjacent = self._in if backward else self._out
-        names: list[ArrowName] = []
-        yield v, names
-        stack = [iter(adjacent[v])]
-        while stack:
-            for ar in stack[-1]:
-                if names and (
-                    (ar.name, names[-1]) if backward else (names[-1], ar.name)
-                ) in self.relations:
-                    continue
-                if len(names) == limit:
-                    raise QuiverError("path space is infinite")
-                names.append(ar.name)
-                end = ar.source if backward else ar.target
-                yield end, names
-                stack.append(iter(adjacent[end]))
-                break
-            else:
-                stack.pop()
-                if names:
-                    names.pop()
+    def compose(self, p: Path, p2: Path) -> Path | None:
+        """The path p then p2, or None when the two meet at a relation."""
+        if p and p2 and (p[-1], p2[0]) in self.relations:
+            return None
+        return p + p2
+
+    def path_degree(self, p: Path) -> int:
+        """The sum of the degrees of p's arrows."""
+        return sum(self.arrow(name).degree for name in p)
+
+    def path_end(self, start: int, p: Path) -> int:
+        """The vertex id where the arrows of p, read from vertex id
+        ``start``, end; raises SpecError where an arrow does not start
+        at the end of the one before."""
+        v = start
+        for name in p:
+            ar = self.arrow(name)
+            if ar.source != v:
+                raise SpecError(f"path breaks at {name}")
+            v = ar.target
+        return v
 
     def path_dims(self) -> "HomTable":
         """All nonzero paths between all vertex pairs, organized by
-        degree.  Rejects cyclic quivers."""
+        degree, regrouped from paths_into every vertex.  Rejects cyclic
+        quivers."""
         self.topological_order()
-        paths: dict[tuple[Label, Label, int], list[tuple[ArrowName, ...]]] = {}
-        for s in range(self.num_vertices):
-            s_lab = self.primary_label(s)
-            for t, p in self._paths_from(s):
-                deg = sum(self.arrow(n).degree for n in p)
-                key = (s_lab, self.primary_label(t), deg)
-                paths.setdefault(key, []).append(tuple(p))
+        paths: dict[tuple[Label, Label, int], list[Path]] = {}
+        for t in range(self.num_vertices):
+            t_lab = self.primary_label(t)
+            for s, found in self.paths_into(t_lab).items():
+                s_lab = self.primary_label(s)
+                for p in found:
+                    key = (s_lab, t_lab, self.path_degree(p))
+                    paths.setdefault(key, []).append(p)
         return HomTable(paths)
 
-    def paths_into(
-        self, target: Label
-    ) -> dict[int, tuple[tuple[ArrowName, ...], ...]]:
+    def paths_into(self, target: Label) -> dict[int, tuple[Path, ...]]:
         """Nonzero paths into ``target``, keyed by source vertex id in
-        ascending order, from one backward walk that is remembered per
-        target.  Each source's paths come in the forward depth-first
-        preorder that path_dims lists: the lexicographic order of their
-        arrows' insertion indices.  Raises QuiverError when the nonzero
-        paths into target are infinite in number."""
+        ascending order, from one depth-first walk along the in-arrows
+        that is remembered per target.  Each source's paths come in
+        forward depth-first preorder: the lexicographic order of their
+        arrows' insertion indices.  A nonzero path with more arrows than
+        the quiver repeats one, so it runs round a cycle no relation
+        kills: the walk then raises QuiverError, as the paths into
+        target are infinite in number."""
         t = self.vertex_id(target)
         into = self._paths.get(t)
         if into is None:
-            found: dict[int, list] = {}
-            for s, back in self._paths_from(t, backward=True):
-                found.setdefault(s, []).append(tuple(reversed(back)))
+            found: dict[int, list] = {t: [()]}
+            limit = len(self.arrows)
+            back: list[ArrowName] = []  # the path's names from t backwards
+            stack = [iter(self._in[t])]
+            while stack:
+                for ar in stack[-1]:
+                    if back and (ar.name, back[-1]) in self.relations:
+                        continue
+                    if len(back) == limit:
+                        raise QuiverError("path space is infinite")
+                    back.append(ar.name)
+                    found.setdefault(ar.source, []).append(tuple(reversed(back)))
+                    stack.append(iter(self._in[ar.source]))
+                    break
+                else:
+                    stack.pop()
+                    if back:
+                        back.pop()
             index = None
             for paths in found.values():
                 if len(paths) > 1:
@@ -249,9 +259,7 @@ class GradedQuiver:
             self._paths[t] = into
         return into
 
-    def paths_between(
-        self, source: Label, target: Label
-    ) -> tuple[tuple[ArrowName, ...], ...]:
+    def paths_between(self, source: Label, target: Label) -> tuple[Path, ...]:
         """Nonzero paths source -> target in forward depth-first
         preorder: a lookup in the target's memo of paths_into, so it
         raises QuiverError when the nonzero paths into target are
@@ -341,7 +349,7 @@ class GradedQuiver:
 class HomTable:
     """Path bases keyed by (source label, target label, degree)."""
 
-    paths: dict[tuple[Label, Label, int], list[tuple[ArrowName, ...]]]
+    paths: dict[tuple[Label, Label, int], list[Path]]
 
     @property
     def dims(self) -> dict[tuple[Label, Label, int], int]:

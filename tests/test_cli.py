@@ -262,13 +262,14 @@ def test_bad_json_is_a_usage_error(capsys, tmp_path):
     assert "bad JSON at line" in err
 
 
-def _complexes(shift=1, coeff=1):
+def _complexes(shift=1, coeff=1, index=(1, 0), extra=()):
     """A complexes file holding bands_complexes.json's M1, with its first
-    shift and its one coefficient replaced."""
+    shift, its one coefficient and its entry's index pair replaced, and
+    the ``extra`` differential entries after that one."""
     return json.dumps({"complexes": [{
         "name": "M1",
         "summands": [[["v", 2], shift], [["v", 3], 0]],
-        "differential": [[1, 0, [[coeff, [["y"]]]]]],
+        "differential": [[*index, [[coeff, [["y"]]]]], *extra],
     }]})
 
 
@@ -300,6 +301,10 @@ def _complexes(shift=1, coeff=1):
         (_complexes(coeff=[1, 0]), "'coefficient'"),
         (_complexes(coeff=[1, True]), "'coefficient'"),
         (_complexes(coeff=[1, 2, 3]), "'coefficient'"),
+        (_complexes(index=("x", 0)), "'differential index'"),
+        (_complexes(index=(1.5, 0)), "'differential index'"),
+        (_complexes(index=(True, False)), "'differential index'"),
+        (_complexes(extra=[[1, 0, [[0, [["y"]]]]]]), "entry 1<-0 is given twice"),
         ('{"complexes": 5}', "'complexes' list"),
     ],
     ids=[
@@ -323,6 +328,10 @@ def _complexes(shift=1, coeff=1):
         "complex_zero_denominator",
         "complex_bool_denominator",
         "complex_coefficient_triple",
+        "complex_string_index",
+        "complex_float_index",
+        "complex_bool_index",
+        "complex_repeated_entry",
         "complexes_not_a_list",
     ],
 )

@@ -32,6 +32,7 @@ from quiverglue.homology import (
 from quiverglue.perms import Permutation, identity, tau
 from quiverglue.quiver import GradedQuiver
 from test_acceptance import gluing_sweep
+from test_paths import walk_out
 
 ONE = Fraction(1)
 
@@ -331,6 +332,27 @@ def test_quiver_relations_are_frozen():
         q.relations.discard((("x",), ("a",)))
 
 
+def test_twisted_complexes_are_read_only():
+    # a hom complex caches its matrices, so the complexes it reads must
+    # not change under it
+    aq = build_aside(GluingSpec("linear", (1, 2, 1), (identity(2),)))
+    E = localization_object(aq, "E-", 1, 0)
+    assert hom_cohomology(E, E) == {0: 1, 1: 1}
+    with pytest.raises(AttributeError):
+        E.summands = E.summands[:1]
+    # CPython 3.11's frozen slotted dataclasses raise TypeError, not
+    # AttributeError, for a name that is not a field
+    with pytest.raises((AttributeError, TypeError)):
+        E.junk = 1
+    with pytest.raises(AttributeError):
+        object.__setattr__(E, "junk", 1)
+    with pytest.raises(TypeError):
+        E.diff[(1, 0)] = ()
+    assert list(E.diff.items()) == [((1, 0), ((1, (("x", 1, 0),)),))]
+    assert E.diff.get((2, 1)) is None
+    assert hom_cohomology(E, E) == {0: 1, 1: 1}
+
+
 def test_localization_objects_are_valid_complexes():
     for g in SMOKE_GLUINGS:
         aq = build_aside(g)
@@ -465,9 +487,10 @@ def test_localization_hom_conventions_agree():
 
 def reference_module(E):
     """The module of E by the all-vertex route: every vertex v gets
-    Hom(P(v), E), with its basis read off the forward walk out of v and
-    its differential, generating cocycle and action scalars worked out
-    here from linalg alone, with neither paths_between nor HomComplex.
+    Hom(P(v), E), with its basis read off the reference walk out of v
+    (test_paths.walk_out) and its differential, generating cocycle and
+    action scalars worked out here from linalg alone, with neither
+    paths_between nor HomComplex.
     Returns (degree, dims, actions) as module_of orders them."""
     q = E.quiver
     summand_ids = [q.vertex_id(lab) for lab, _ in E.summands]
@@ -475,8 +498,8 @@ def reference_module(E):
     spaces = {}
     for v in range(q.num_vertices):
         ends = {}
-        for end, p in q._paths_from(v):
-            ends.setdefault(end, []).append(tuple(p))
+        for end, p in walk_out(q, v):
+            ends.setdefault(end, []).append(p)
         basis = [(t, p) for t, sid in enumerate(summand_ids) for p in ends.get(sid, [])]
         if not basis:
             continue
