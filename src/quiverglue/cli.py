@@ -18,18 +18,13 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from math import gcd
 
+from . import sweeps
 from .aside import build_aside
 from .bside import build_bside
 from .errors import FalsificationError, QuiverError, SpecError
 from .gluing import (
-    CHAIN,
-    CIRCULAR,
-    LINEAR,
-    RING,
     GluingSpec,
-    Shape,
     StackyCurveSpec,
     from_curve,
     predicted_topology,
@@ -37,12 +32,8 @@ from .gluing import (
 )
 from .homology import HomComplex, TwistedComplex, localization_object, module_of
 from .mirror import MAX_STRIPS, search_ring_mirror, twisted_gluing, verify_theorem_A
-from .perms import Permutation, random_permutation
 from .quiver import GradedQuiver, label_str
 from .surface import surface_topology
-
-# Fixed so that sweep reports are reproducible without any flags.
-DEFAULT_SEED = 1729
 
 
 # -- input plumbing ----------------------------------------------------
@@ -346,43 +337,17 @@ def cmd_ext(args):
     return 0
 
 
-# How many ranks a sampled spec of each shape has (one to three components).
-_SAMPLED_RANK_COUNTS = {
-    LINEAR: (2, 4), CHAIN: (2, 4), CIRCULAR: (1, 3), RING: (1, 3)
-}
-
-
-def _random_shape(rng, shapes):
-    shape = rng.choice(shapes)
-    count = rng.randint(*_SAMPLED_RANK_COUNTS[shape])
-    return Shape(shape, tuple(rng.randint(1, 4) for _ in range(count)))
-
-
-def _random_gluing(rng):
-    s = _random_shape(rng, [LINEAR, CIRCULAR])
-    perms = tuple(random_permutation(r, rng) for r in s.node_ranks())
-    return GluingSpec(s.shape, s.ranks, perms)
-
-
-def _random_curve(rng):
-    s = _random_shape(rng, [CHAIN, RING])
-    twists = tuple(
-        rng.choice([k for k in range(r) if gcd(k, r) == 1]) for r in s.node_ranks()
-    )
-    return StackyCurveSpec(s.shape, s.ranks, twists)
-
-
 def cmd_sweep(args):
     import random
 
     rng = random.Random(args.seed)
     failures = []
     for _ in range(args.samples):
-        g = _random_gluing(rng)
+        g = sweeps.random_gluing(rng)
         if predicted_topology(g) != surface_topology(g):
             failures.append(f"topology mismatch on {g.to_json()}")
     for _ in range(max(1, args.samples // 3)):
-        c = _random_curve(rng)
+        c = sweeps.random_curve(rng)
         report = verify_theorem_A(c)
         if not report.ok:
             failures.append(f"verify failed on {c.to_json()}")
@@ -453,7 +418,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="randomized predictor-vs-oracle sweep")
     common(p, ["text"], spec=False)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=sweeps.DEFAULT_SEED)
     p.add_argument("--samples", type=_count, default=25)
 
     return parser

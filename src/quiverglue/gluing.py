@@ -100,6 +100,12 @@ class Shape:
         if min(ranks) < 1:
             raise SpecError("ranks must be positive")
 
+    @staticmethod
+    def rank_count(shape: str, n_components: int) -> int:
+        """How many ranks a shape with n components has: an open one
+        carries a free end rank on each side."""
+        return n_components if shape in (CIRCULAR, RING) else n_components + 1
+
     @property
     def closed(self) -> bool:
         return self.shape in (CIRCULAR, RING)

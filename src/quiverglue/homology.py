@@ -10,7 +10,9 @@ Conventions, fixed once and used everywhere:
   degree 1 + shift_a - shift_b, so with degree-0 arrows a path entry
   drops the shift by exactly one.  delta^2 must vanish modulo the
   quiver's relations.
-* Coefficients are rationals, each an int or a ``Fraction``.  A complex
+* Coefficients are rationals, each of type exactly ``int`` or
+  ``Fraction``, and shifts are of type exactly ``int``; a float, bool
+  or string is refused rather than rounded or truncated.  A complex
   with integer coefficients (every localization object) has integer
   differential matrices, and its cohomology never builds a Fraction.
 * A Hom-complex basis element is (source summand, target summand,
@@ -52,19 +54,30 @@ class TwistedComplex:
     diff: Mapping[tuple[int, int], Entry] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        summands = tuple((lab, int(n)) for lab, n in self.summands)
+        summands = tuple((lab, n) for lab, n in self.summands)
         diff = {ab: tuple(entry) for ab, entry in self.diff.items()}
         object.__setattr__(self, "summands", summands)
         object.__setattr__(self, "diff", MappingProxyType(diff))
         q = self.quiver
-        for lab, _ in self.summands:
+        for i, (lab, n) in enumerate(self.summands):
             q.vertex_id(lab)
+            if type(n) is not int:
+                raise SpecError(f"summand {i}: shift {n!r} is not an integer")
         for (a, b), entry in self.diff.items():
+            if type(a) is not int or type(b) is not int:
+                raise SpecError(
+                    f"differential entry {a!r}<-{b!r}: indices are not integers"
+                )
             if not 0 <= b < a < len(self.summands):
                 raise SpecError(f"differential entry {a}<-{b} is not forward")
             va, na = self.summands[a]
             vb, nb = self.summands[b]
-            for _, p in entry:
+            for c, p in entry:
+                if type(c) is not int and type(c) is not Fraction:
+                    raise SpecError(
+                        f"entry {a}<-{b}: coefficient {c!r} is not an "
+                        "integer or a Fraction"
+                    )
                 if q.path_end(q.vertex_id(vb), p) != q.vertex_id(va):
                     raise SpecError(f"entry {a}<-{b}: path does not connect")
                 if q.path_is_zero(p):
@@ -458,8 +471,10 @@ def module_of(E: TwistedComplex) -> ThinModule:
             )
         dims[v] = 1
         homs[v] = h
+        # the kernel basis is killed by D already, so its vectors go
+        # straight into cocycles
         for vec in h.cocycle_space(d):
-            cand = h.cocycle(vec, d)
+            cand = Cocycle(h, d, tuple(vec))
             if not h.is_coboundary(cand):
                 gens[v] = cand
                 break

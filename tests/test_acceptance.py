@@ -10,7 +10,7 @@ The failure message carries the analysis, and the computed tables are
 frozen independently in tests/test_homology.py.
 """
 
-import itertools
+import hashlib
 import math
 import random
 import types
@@ -46,68 +46,25 @@ from quiverglue.mirror import (
 )
 from quiverglue.perms import (
     Permutation,
-    all_permutations,
     from_twist,
-    random_permutation,
     swap,
     tau,
 )
 from quiverglue.quiver import GradedQuiver, find_isomorphism, map_equals
 from quiverglue.surface import surface_topology
+from quiverglue.sweeps import (
+    DEFAULT_SEED as SEED,
+    curve_sweep,
+    gluing_sweep,
+    random_curve,
+    random_gluing,
+)
 
-SEED = 1729
 GRIDS = Path(__file__).resolve().parent.parent / "bench" / "grids.py"
 MAX_COMPONENTS = 3
 MAX_RANK = 5
-RANDOM_TUPLES = 50  # per rank combination whenever a junction rank > 3
 
 ONE = Fraction(1)
-
-
-def gluing_sweep(max_components, max_rank):
-    """Every Linear/Circular gluing in the grid, junction permutations
-    exhaustive while all junction ranks stay <= 3, fifty seeded random
-    tuples per rank combination otherwise."""
-    rng = random.Random(SEED)
-    out = []
-    for shape in ("linear", "circular"):
-        for n in range(1, max_components + 1):
-            length = n + 1 if shape == "linear" else n
-            for ranks in itertools.product(
-                range(1, max_rank + 1), repeat=length
-            ):
-                jr = ranks[1:-1] if shape == "linear" else ranks
-                if not jr:
-                    out.append(GluingSpec(shape, ranks, ()))
-                elif max(jr) <= 3:
-                    for ps in itertools.product(
-                        *(all_permutations(r) for r in jr)
-                    ):
-                        out.append(GluingSpec(shape, ranks, ps))
-                else:
-                    for _ in range(RANDOM_TUPLES):
-                        ps = tuple(random_permutation(r, rng) for r in jr)
-                        out.append(GluingSpec(shape, ranks, ps))
-    return out
-
-
-def curve_sweep(max_components, max_rank):
-    """Every Chain/Ring with all valid twists in the grid."""
-    out = []
-    for shape in ("chain", "ring"):
-        for n in range(1, max_components + 1):
-            length = n + 1 if shape == "chain" else n
-            for ranks in itertools.product(
-                range(1, max_rank + 1), repeat=length
-            ):
-                nodes = ranks[1:-1] if shape == "chain" else ranks
-                pools = [
-                    [k for k in range(r) if math.gcd(k, r) == 1]
-                    for r in nodes
-                ]
-                for tw in itertools.product(*pools):
-                    out.append(StackyCurveSpec(shape, ranks, tw))
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -393,3 +350,32 @@ def test_bench_grids_are_the_acceptance_grids(sweep):
     assert grids.gluing_sweep(quiverglue, 3, 5, SEED) == [g for g, _ in sweep]
     assert grids.curve_sweep(quiverglue, 3, 5) == curve_sweep(3, 5)
     assert grids.gluing_sweep(quiverglue, 2, 4, SEED) == gluing_sweep(2, 4)
+
+
+# sha256 of the specs' JSON lines, one spec a line, recorded when the
+# grids lived in this module and the samplers in the CLI: the grids and
+# the seeded draws must not change order or content.
+GLUING_35_DIGEST = "3525ff4e44bc5e72825ff72613854be4e8067c8240b8164c62748019d4f27f3c"
+GLUING_24_DIGEST = "51b0e4e73ae042257c8abdc2671162fb167d7d287ddda578daf58d712fbcf1bf"
+CURVE_35_DIGEST = "b7455a3096847393b466fc912a89bb06bea76689f336d9ae959a07a0e1b96f51"
+SAMPLES_DIGEST = "43ea3c6eebfe9384c3861693653b6800cf2e6883c2f701cf1f8fadc2dc947d65"
+
+
+def spec_digest(specs):
+    return hashlib.sha256("\n".join(s.to_json() for s in specs).encode()).hexdigest()
+
+
+def test_sweep_grids_are_pinned(sweep):
+    assert spec_digest(g for g, _ in sweep) == GLUING_35_DIGEST
+    assert spec_digest(gluing_sweep(2, 4)) == GLUING_24_DIGEST
+    assert spec_digest(curve_sweep(3, 5)) == CURVE_35_DIGEST
+
+
+def test_sweep_samples_are_pinned():
+    """500 draws of a gluing then a curve, interleaved, from one seeded
+    generator: the order ``quiverglue sweep`` draws in."""
+    rng = random.Random(SEED)
+    specs = []
+    for _ in range(500):
+        specs += [random_gluing(rng), random_curve(rng)]
+    assert spec_digest(specs) == SAMPLES_DIGEST

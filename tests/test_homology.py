@@ -31,7 +31,7 @@ from quiverglue.homology import (
 )
 from quiverglue.perms import Permutation, identity, tau
 from quiverglue.quiver import GradedQuiver
-from test_acceptance import gluing_sweep
+from quiverglue.sweeps import gluing_sweep
 from test_paths import walk_out
 
 ONE = Fraction(1)
@@ -139,6 +139,62 @@ def test_delta_squared_is_enforced():
             (2, 1): [(ONE, (("g",),))],
         },
     )
+
+
+@pytest.mark.parametrize("shift", [1.5, True, "2"], ids=["float", "bool", "str"])
+def test_shifts_must_be_ints(shift):
+    q = double_quiver()
+    with pytest.raises(SpecError, match=r"summand 0: shift .* is not an integer"):
+        TwistedComplex(
+            q, ((("v", 2), shift), (("v", 3), 0)), {(1, 0): [(ONE, (("y",),))]}
+        )
+
+
+@pytest.mark.parametrize("coeff", [0.5, True, "1"], ids=["float", "bool", "str"])
+def test_coefficients_must_be_ints_or_fractions(coeff):
+    q = double_quiver()
+    with pytest.raises(SpecError, match=r"entry 1<-0: coefficient .* is not an"):
+        TwistedComplex(
+            q, ((("v", 2), 1), (("v", 3), 0)), {(1, 0): [(coeff, (("y",),))]}
+        )
+
+
+@pytest.mark.parametrize(
+    "key", [(1.0, 0), (True, 0), ("1", 0)], ids=["float", "bool", "str"]
+)
+def test_differential_indices_must_be_ints(key):
+    q = double_quiver()
+    with pytest.raises(SpecError, match=r"indices are not integers"):
+        TwistedComplex(q, ((("v", 2), 1), (("v", 3), 0)), {key: [(ONE, (("y",),))]})
+
+
+def test_float_coefficients_cannot_reach_the_exact_arithmetic():
+    # v1 ⇉ v2 ⇉ v3 without relations; float halves in these cones would
+    # give hom_cohomology {0: -1}, a negative dimension
+    arrows = [
+        (("a",), ("v1",), ("v2",), 0),
+        (("b",), ("v1",), ("v2",), 0),
+        (("c",), ("v2",), ("v3",), 0),
+        (("d",), ("v2",), ("v3",), 0),
+    ]
+    q = GradedQuiver(plain(("v1",), ("v2",), ("v3",)), arrows, [])
+
+    def cones(half):
+        X = TwistedComplex(
+            q,
+            ((("v1",), 1), (("v2",), 0)),
+            {(1, 0): [(half, (("a",),)), (half, (("b",),))]},
+        )
+        Y = TwistedComplex(
+            q,
+            ((("v2",), 1), (("v3",), 0)),
+            {(1, 0): [(half, (("c",),)), (3, (("d",),))]},
+        )
+        return X, Y
+
+    assert hom_cohomology(*cones(Fraction(1, 2))) == {1: 1}
+    with pytest.raises(SpecError, match="coefficient 0.5"):
+        cones(0.5)
 
 
 # -- the worked example ------------------------------------------------

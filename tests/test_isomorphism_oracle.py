@@ -12,14 +12,12 @@ import pytest
 
 from quiverglue.aside import build_aside
 from quiverglue.bside import build_bside
-from quiverglue.cli import _random_curve
 from quiverglue.mirror import twisted_gluing
 from quiverglue.quiver import GradedQuiver, find_isomorphism, map_equals
+from quiverglue.sweeps import DEFAULT_SEED as SEED, random_curve
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import DiGraphMatcher  # noqa: E402
-
-SEED = 1729
 
 
 def as_digraph(q: GradedQuiver):
@@ -92,7 +90,7 @@ def retargeted_arrow(q: GradedQuiver, rng) -> GradedQuiver | None:
 
 def seeded_pairs(count):
     rng = random.Random(SEED)
-    curves = [_random_curve(rng) for _ in range(count)]
+    curves = [random_curve(rng) for _ in range(count)]
     pairs = []
     for k, c in enumerate(curves):
         bq, aq = build_bside(c), build_aside(twisted_gluing(c))

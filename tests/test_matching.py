@@ -25,8 +25,7 @@ from quiverglue.quiver import (
     label_str,
     map_equals,
 )
-
-from test_acceptance import curve_sweep
+from quiverglue.sweeps import curve_sweep
 
 
 def rescan_map_equals(q1, q2, vmap):

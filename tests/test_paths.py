@@ -11,12 +11,10 @@ import pytest
 
 from quiverglue.aside import build_aside
 from quiverglue.bside import build_bside
-from quiverglue.cli import _random_curve, _random_gluing
 from quiverglue.errors import QuiverError
 from quiverglue.homology import hom_cohomology, projective
 from quiverglue.quiver import GradedQuiver
-
-SEED = 1729
+from quiverglue.sweeps import DEFAULT_SEED as SEED, random_curve, random_gluing
 
 
 def cycle_quiver(n, killed=()):
@@ -144,7 +142,7 @@ def test_backward_walk_keeps_the_forward_preorder():
     rng = random.Random(SEED)
     several = 0
     for _ in range(40):
-        for q in (build_aside(_random_gluing(rng)), build_bside(_random_curve(rng))):
+        for q in (build_aside(random_gluing(rng)), build_bside(random_curve(rng))):
             for q in (q, shuffled(q, rng)):
                 assert {a.degree for a in q.arrows} == {0}
                 table = q.path_dims().paths
@@ -197,7 +195,7 @@ def test_path_dims_are_unchanged():
     rng = random.Random(SEED)
     digest = hashlib.sha256()
     for _ in range(75):
-        for q in (build_aside(_random_gluing(rng)), build_bside(_random_curve(rng))):
+        for q in (build_aside(random_gluing(rng)), build_bside(random_curve(rng))):
             for q in (q, shuffled(q, rng)):
                 table = q.path_dims().paths
                 digest.update(repr(sorted(table.items())).encode())

@@ -9,7 +9,7 @@ import networkx as nx
 from quiverglue.gluing import GluingSpec, predicted_topology
 from quiverglue.perms import all_permutations, random_permutation, swap
 from quiverglue.surface import CombinatorialMap, build_map, surface_topology
-from test_acceptance import gluing_sweep
+from quiverglue.sweeps import gluing_sweep
 
 
 def test_bare_annulus():
