@@ -88,13 +88,14 @@ class Shape:
     ranks: tuple[int, ...]
 
     _SHAPES = (LINEAR, CIRCULAR, CHAIN, RING)
+    _CLOSED = (CIRCULAR, RING)
 
     def __post_init__(self) -> None:
         if self.shape not in self._SHAPES:
             raise SpecError(f"unknown shape {self.shape!r}")
         ranks = _int_tuple(self.ranks, "ranks")
         object.__setattr__(self, "ranks", ranks)
-        least = 1 if self.closed else 2
+        least = self.rank_count(self.shape, 1)
         if len(ranks) < least:
             raise SpecError(f"a {self.shape} shape needs {least} or more ranks")
         if min(ranks) < 1:
@@ -104,11 +105,11 @@ class Shape:
     def rank_count(shape: str, n_components: int) -> int:
         """How many ranks a shape with n components has: an open one
         carries a free end rank on each side."""
-        return n_components if shape in (CIRCULAR, RING) else n_components + 1
+        return n_components if shape in Shape._CLOSED else n_components + 1
 
     @property
     def closed(self) -> bool:
-        return self.shape in (CIRCULAR, RING)
+        return self.shape in self._CLOSED
 
     @property
     def n_components(self) -> int:

@@ -40,12 +40,12 @@ def _grid(shapes, max_components: int, max_rank: int):
                 yield Shape(shape, ranks)
 
 
-def gluing_sweep(max_components: int, max_rank: int, seed: int = DEFAULT_SEED) -> list:
+def gluing_sweep(max_components: int, max_rank: int) -> list:
     """Every linear and circular gluing in the grid: junction
     permutations exhaustive while every junction rank is at most three,
     ``RANDOM_TUPLES`` seeded random tuples per rank combination
-    otherwise."""
-    rng = random.Random(seed)
+    otherwise, drawn at ``DEFAULT_SEED``."""
+    rng = random.Random(DEFAULT_SEED)
     out = []
     for s in _grid((LINEAR, CIRCULAR), max_components, max_rank):
         jr = s.node_ranks()

@@ -366,6 +366,9 @@ def spec_digest(specs):
 
 
 def test_sweep_grids_are_pinned(sweep):
+    """test_bench_grids_are_the_acceptance_grids compares these grids
+    with bench/grids.py; the digests also catch both copies drifting
+    together in one change."""
     assert spec_digest(g for g, _ in sweep) == GLUING_35_DIGEST
     assert spec_digest(gluing_sweep(2, 4)) == GLUING_24_DIGEST
     assert spec_digest(curve_sweep(3, 5)) == CURVE_35_DIGEST
