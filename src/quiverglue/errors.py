@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the refusal every read-only class uses."""
+
+from dataclasses import FrozenInstanceError
 
 
 class SpecError(ValueError):
@@ -16,3 +18,10 @@ class FalsificationError(AssertionError):
     comes out false; it signals a bug or a genuine counterexample, never a
     user error.
     """
+
+
+def read_only(obj, name, value=None):
+    """The ``__setattr__`` and ``__delattr__`` of the package's immutable
+    classes: every assignment or deletion raises FrozenInstanceError,
+    an AttributeError."""
+    raise FrozenInstanceError(f"{type(obj).__name__} is read-only: cannot change {name!r}")

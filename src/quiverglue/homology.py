@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import FalsificationError, QuiverError, SpecError
+from .errors import FalsificationError, QuiverError, SpecError, read_only
 from .linalg import kernel_basis, rank, solve
 from .quiver import ArrowName, GradedQuiver, Label, Path, label_str
 
@@ -108,6 +108,11 @@ class TwistedComplex:
 
     def shift_of(self, index: int) -> int:
         return self.summands[index][1]
+
+
+# slots=True replaces the class that frozen=True wrote __setattr__ for,
+# so on CPython 3.11 a name that is not a field raised TypeError.
+TwistedComplex.__setattr__ = TwistedComplex.__delattr__ = read_only
 
 
 def projective(q: GradedQuiver, v: Label) -> TwistedComplex:

@@ -7,16 +7,26 @@ carrying integer degrees, and relations that are always of the form
 arrow names are structured tuples like ``("P-", 1, 0)`` or
 ``("x", 1, 2)``; :func:`label_str` renders them for reports.
 
-A quiver is built once from its vertices, arrows and relations and is
-immutable afterwards; aside and bside hand it their vertices and
-arrows as generators, and a relations list that the arrows fill.
-Each vertex keeps its out- and in-arrows.  A path is a tuple of arrow
-names, and this module alone reads one: it composes paths, grades
-them and traces their endpoints for the rest of the package.  One
-depth-first walk along the in-arrows finds every nonzero path into a
-vertex, and knows exactly when they are infinite; paths_into and
-paths_between read its memo per target vertex, and path_dims (the Hom
-spaces of the algebra) regroups it over every target.
+A quiver is built once, in one pass, from its vertices, arrows and
+relations, and refuses every attribute assignment afterwards; aside
+and bside hand it their vertices and arrows as generators, and a
+relations list that the arrows fill.  Arrows are stored as parallel
+int tuples indexed by insertion order: source and target vertex ids
+and degrees, with the names kept for display and lookup.  Each vertex
+keeps the indices of its out- and in-arrows, and the relations are a
+set of arrow-index pairs.  Every walk and search in this module reads
+those arrays; the ``Arrow`` objects of ``arrows``, ``arrows_from``,
+``arrows_into`` and ``arrow``, and the arrow-name pairs of
+``relations``, are views built on first use, for the rest of the
+package and for reports.
+
+A path is a tuple of arrow names, and this module alone reads one: it
+composes paths, grades them and traces their endpoints for the rest of
+the package.  One depth-first walk along the in-arrows finds every
+nonzero path into a vertex, and knows exactly when they are infinite;
+paths_into and paths_between read its memo per target vertex, and
+path_dims (the Hom spaces of the algebra) regroups it over every
+target.
 
 The module also checks whether a given vertex bijection is an
 isomorphism of quivers with relations, and searches for one.  Neither
@@ -35,7 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import QuiverError, SpecError
+from .errors import QuiverError, SpecError, read_only
 
 Label = tuple
 ArrowName = tuple
@@ -57,6 +67,11 @@ class Arrow:
     degree: int = 0
 
 
+# slots=True replaces the class that frozen=True wrote __setattr__ for,
+# so on CPython 3.11 a name that is not a field raised TypeError.
+Arrow.__setattr__ = Arrow.__delattr__ = read_only
+
+
 class GradedQuiver:
     """A graded quiver with quadratic monomial relations, built once from
     its parts.
@@ -66,62 +81,93 @@ class GradedQuiver:
     yields ``(name, source, target, degree)`` with endpoints named by
     any alias; ``relations`` yields composable pairs ``(f, g)``, meaning
     g∘f = 0.  Each is read once, in that order, so generators will do.
-    The parts are kept as tuples and a frozenset in slots, so nothing
-    can be added later and the path memo cannot go stale.
+
+    Arrow i is entry i of the int tuples ``_src``, ``_tgt`` and
+    ``_deg`` and of the names tuple ``_names``; ``_out`` and ``_in``
+    hold each vertex's arrow indices, and ``_rel`` the relations as
+    index pairs.  The ``Arrow`` objects and the name pairs of
+    ``relations`` are built on first use.  Every attribute is
+    read-only after construction, so neither those views nor the path
+    memo can go stale.
     """
 
-    __slots__ = ("_label_to_id", "vertex_labels", "vertex_shifts", "arrows",
-                 "_arrow_by_name", "relations", "_out", "_in", "_paths")
+    __slots__ = ("_label_to_id", "vertex_labels", "vertex_shifts", "_names",
+                 "_index", "_src", "_tgt", "_deg", "_out", "_in", "_rel",
+                 "_relations", "_arrows", "_paths")
+
+    __setattr__ = __delattr__ = read_only
 
     def __init__(self, vertices, arrows, relations) -> None:
-        self._label_to_id: dict[Label, int] = {}
+        init = object.__setattr__
+        ids: dict[Label, int] = {}
+        init(self, "_label_to_id", ids)
         all_labels, shifts = [], []
         for labels, shift in vertices:
             labels = tuple(labels)
             if not labels:
                 raise QuiverError("vertex needs at least one label")
             for lab in labels:
-                if lab in self._label_to_id:
+                if lab in ids:
                     raise QuiverError(f"duplicate vertex label {label_str(lab)}")
-                self._label_to_id[lab] = len(all_labels)
+                ids[lab] = len(all_labels)
             all_labels.append(labels)
             shifts.append(shift)
-        self.vertex_labels = tuple(all_labels)
-        self.vertex_shifts = tuple(shifts)
+        init(self, "vertex_labels", tuple(all_labels))
+        init(self, "vertex_shifts", tuple(shifts))
 
-        # Out- and in-arrows per vertex id, in the order they came.
+        # Out- and in-arrow indices per vertex id, in the order they came.
+        index: dict[ArrowName, int] = {}
+        init(self, "_index", index)
+        src, tgt, deg = [], [], []
         out = [[] for _ in all_labels]
         into = [[] for _ in all_labels]
-        self._arrow_by_name: dict[ArrowName, Arrow] = {}
         for name, source, target, degree in arrows:
-            if name in self._arrow_by_name:
+            if name in index:
                 raise QuiverError(f"duplicate arrow {label_str(name)}")
-            ar = Arrow(name, self.vertex_id(source), self.vertex_id(target), degree)
-            self._arrow_by_name[name] = ar
-            out[ar.source].append(ar)
-            into[ar.target].append(ar)
-        self.arrows = tuple(self._arrow_by_name.values())
+            try:
+                s, t = ids[source], ids[target]
+            except KeyError:  # vertex_id names the unknown endpoint
+                s, t = self.vertex_id(source), self.vertex_id(target)
+            i = index[name] = len(src)
+            src.append(s)
+            tgt.append(t)
+            deg.append(degree)
+            out[s].append(i)
+            into[t].append(i)
+        init(self, "_names", tuple(index))
+        init(self, "_src", tuple(src))
+        init(self, "_tgt", tuple(tgt))
+        init(self, "_deg", tuple(deg))
         # From lists, so each tuple is made at its final size: CPython
         # resizes a tuple drawn from an iterator of unknown length, and
         # frees it onto the spare list of the new size, where such tuples
-        # pile up between full garbage collections.
-        self._out = tuple([tuple(a) for a in out])
-        self._in = tuple([tuple(a) for a in into])
+        # pile up between full garbage collections.  Each list gives way
+        # to its tuple in place, so the build never holds all of both.
+        for lists in out, into:
+            for v, a in enumerate(lists):
+                lists[v] = tuple(a)
+        init(self, "_out", tuple(out))
+        init(self, "_in", tuple(into))
 
-        pairs = set()
+        pairs = []
         for f, g in relations:
-            fa, ga = self.arrow(f), self.arrow(g)
-            if fa.target != ga.source:
+            try:
+                fi, gi = index[f], index[g]
+            except KeyError:  # _arrow_index names the unknown arrow
+                fi, gi = self._arrow_index(f), self._arrow_index(g)
+            if tgt[fi] != src[gi]:
                 raise QuiverError(
                     f"relation pair not composable: {label_str(f)} ends at "
-                    f"{label_str(self.primary_label(fa.target))}, {label_str(g)} "
-                    f"starts at {label_str(self.primary_label(ga.source))}"
+                    f"{label_str(self.primary_label(tgt[fi]))}, {label_str(g)} "
+                    f"starts at {label_str(self.primary_label(src[gi]))}"
                 )
-            pairs.add((f, g))
-        self.relations = frozenset(pairs)
+            pairs.append((fi, gi))
+        init(self, "_rel", frozenset(pairs))
+        init(self, "_relations", None)
+        init(self, "_arrows", None)
         # Nonzero paths into each target id, per source id, filled by
         # paths_into.
-        self._paths: dict[int, dict[int, tuple]] = {}
+        init(self, "_paths", {})
 
     def vertex_id(self, label: Label) -> int:
         try:
@@ -135,11 +181,14 @@ class GradedQuiver:
     def shift_of(self, label: Label) -> int:
         return self.vertex_shifts[self.vertex_id(label)]
 
-    def arrow(self, name: ArrowName) -> Arrow:
+    def _arrow_index(self, name: ArrowName) -> int:
         try:
-            return self._arrow_by_name[name]
+            return self._index[name]
         except KeyError:
             raise QuiverError(f"unknown arrow {label_str(name)}") from None
+
+    def arrow(self, name: ArrowName) -> Arrow:
+        return self.arrows[self._arrow_index(name)]
 
     # -- structure ------------------------------------------------------
 
@@ -147,24 +196,46 @@ class GradedQuiver:
     def num_vertices(self) -> int:
         return len(self.vertex_labels)
 
+    @property
+    def relations(self) -> frozenset:
+        """The relations as arrow-name pairs (f, g), meaning g∘f = 0,
+        built on first use."""
+        if self._relations is None:
+            names = self._names
+            object.__setattr__(self, "_relations", frozenset(
+                [(names[f], names[g]) for f, g in self._rel]))
+        return self._relations
+
+    @property
+    def arrows(self) -> tuple[Arrow, ...]:
+        """The arrows in the order they came, built on first use."""
+        if self._arrows is None:
+            object.__setattr__(self, "_arrows", tuple(
+                map(Arrow, self._names, self._src, self._tgt, self._deg)))
+        return self._arrows
+
     def arrows_from(self, vid: int) -> tuple[Arrow, ...]:
-        return self._out[vid]
+        arrows = self.arrows
+        return tuple([arrows[i] for i in self._out[vid]])
 
     def arrows_into(self, vid: int) -> tuple[Arrow, ...]:
-        return self._in[vid]
+        arrows = self.arrows
+        return tuple([arrows[i] for i in self._in[vid]])
 
     def topological_order(self) -> list[int]:
         """Vertex ids in topological order; raises on a directed cycle."""
+        tgt = self._tgt
         indeg = [len(arrows) for arrows in self._in]
-        queue = [v for v in range(self.num_vertices) if indeg[v] == 0]
+        queue = [v for v, d in enumerate(indeg) if d == 0]
         order = []
         while queue:
             v = queue.pop()
             order.append(v)
-            for a in self._out[v]:
-                indeg[a.target] -= 1
-                if indeg[a.target] == 0:
-                    queue.append(a.target)
+            for i in self._out[v]:
+                w = tgt[i]
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    queue.append(w)
         if len(order) != self.num_vertices:
             raise QuiverError("quiver has a directed cycle")
         return order
@@ -181,17 +252,20 @@ class GradedQuiver:
     def path_is_zero(self, names: Path) -> bool:
         """True when a composable arrow sequence dies in the algebra,
         i.e. some adjacent pair is a declared relation."""
-        return any(pair in self.relations for pair in zip(names, names[1:]))
+        index, rel = self._index.get, self._rel
+        return any((index(f), index(g)) in rel for f, g in zip(names, names[1:]))
 
     def compose(self, p: Path, p2: Path) -> Path | None:
         """The path p then p2, or None when the two meet at a relation."""
-        if p and p2 and (p[-1], p2[0]) in self.relations:
+        index = self._index.get
+        if p and p2 and (index(p[-1]), index(p2[0])) in self._rel:
             return None
         return p + p2
 
     def path_degree(self, p: Path) -> int:
         """The sum of the degrees of p's arrows."""
-        return sum(self.arrow(name).degree for name in p)
+        deg = self._deg
+        return sum(deg[self._arrow_index(name)] for name in p)
 
     def path_end(self, start: int, p: Path) -> int:
         """The vertex id where the arrows of p, read from vertex id
@@ -199,10 +273,10 @@ class GradedQuiver:
         at the end of the one before."""
         v = start
         for name in p:
-            ar = self.arrow(name)
-            if ar.source != v:
+            i = self._arrow_index(name)
+            if self._src[i] != v:
                 raise SpecError(f"path breaks at {name}")
-            v = ar.target
+            v = self._tgt[i]
         return v
 
     def path_dims(self) -> "HomTable":
@@ -232,30 +306,31 @@ class GradedQuiver:
         t = self.vertex_id(target)
         into = self._paths.get(t)
         if into is None:
+            src, ins, rel = self._src, self._in, self._rel
             found: dict[int, list] = {t: [()]}
-            limit = len(self.arrows)
-            back: list[ArrowName] = []  # the path's names from t backwards
-            stack = [iter(self._in[t])]
+            limit = len(src)
+            back: list[int] = []  # the path's arrow indices from t backwards
+            stack = [iter(ins[t])]
             while stack:
-                for ar in stack[-1]:
-                    if back and (ar.name, back[-1]) in self.relations:
+                for i in stack[-1]:
+                    if back and (i, back[-1]) in rel:
                         continue
                     if len(back) == limit:
                         raise QuiverError("path space is infinite")
-                    back.append(ar.name)
-                    found.setdefault(ar.source, []).append(tuple(reversed(back)))
-                    stack.append(iter(self._in[ar.source]))
+                    back.append(i)
+                    found.setdefault(src[i], []).append(tuple(reversed(back)))
+                    stack.append(iter(ins[src[i]]))
                     break
                 else:
                     stack.pop()
                     if back:
                         back.pop()
-            index = None
-            for paths in found.values():
-                if len(paths) > 1:
-                    index = index or {n: i for i, n in enumerate(self._arrow_by_name)}
-                    paths.sort(key=lambda p: [index[n] for n in p])
-            into = {s: tuple(found[s]) for s in sorted(found)}
+            name = self._names.__getitem__
+            into = {}
+            for s in sorted(found):
+                paths = found[s]
+                paths.sort()
+                into[s] = tuple([tuple(map(name, p)) for p in paths])
             self._paths[t] = into
         return into
 
@@ -276,12 +351,12 @@ class GradedQuiver:
             ],
             "arrows": [
                 {
-                    "name": list(a.name),
-                    "source": list(self.primary_label(a.source)),
-                    "target": list(self.primary_label(a.target)),
-                    "degree": a.degree,
+                    "name": list(name),
+                    "source": list(self.primary_label(s)),
+                    "target": list(self.primary_label(t)),
+                    "degree": d,
                 }
-                for a in self.arrows
+                for name, s, t, d in zip(self._names, self._src, self._tgt, self._deg)
             ],
             "relations": sorted(
                 [list(f), list(g)] for f, g in self.relations
@@ -331,11 +406,10 @@ class GradedQuiver:
             extra = "".join(" = " + label_str(l) for l in labs[1:])
             tag = f"{name}{extra}" + (f" [{sh}]" if sh else "")
             lines.append(f'  "{name}" [label="{tag}"];')
-        for a in self.arrows:
-            s, t = names[a.source], names[a.target]
-            deg = f" ({a.degree})" if a.degree else ""
+        for name, s, t, d in zip(self._names, self._src, self._tgt, self._deg):
+            deg = f" ({d})" if d else ""
             lines.append(
-                f'  "{s}" -> "{t}" [label="{label_str(a.name)}{deg}"];'
+                f'  "{names[s]}" -> "{names[t]}" [label="{label_str(name)}{deg}"];'
             )
         for f, g in sorted(self.relations):
             lines.append(
@@ -404,15 +478,16 @@ def _transports_relations(
     q1: GradedQuiver, q2: GradedQuiver, groups1: dict, groups2: dict
 ) -> bool:
     """Whether some bijection of the arrows within each group (the keys
-    and sizes of ``groups1`` and ``groups2`` agree) carries the relations
-    of q1 exactly onto those of q2."""
-    arrow_map: dict[ArrowName, ArrowName] = {}
-    inv: dict[ArrowName, ArrowName] = {}
+    and sizes of ``groups1`` and ``groups2`` agree; a group lists arrow
+    indices) carries the relations of q1 exactly onto those of q2."""
+    arrow_map = [0] * len(q1._src)
+    inv = [0] * len(q2._src)
     parallel = []
     for key, g1 in groups1.items():
         if len(g1) == 1:
-            arrow_map[g1[0].name] = groups2[key][0].name
-            inv[groups2[key][0].name] = g1[0].name
+            a2 = groups2[key][0]
+            arrow_map[g1[0]] = a2
+            inv[a2] = g1[0]
         else:
             parallel.append(key)
 
@@ -422,13 +497,17 @@ def _transports_relations(
     # of later groups left by an abandoned branch are never read before
     # their own step overwrites them.
     def due(q, other, image, groups):
-        step = {a.name: k for k, key in enumerate(parallel) for a in groups[key]}
+        step = [-1] * len(q._src)
+        for k, key in enumerate(parallel):
+            for a in groups[key]:
+                step[a] = k
         filed = [[] for _ in parallel]
-        for f, g in q.relations:
-            k = max(step.get(f, -1), step.get(g, -1))
+        rel = other._rel
+        for f, g in q._rel:
+            k = max(step[f], step[g])
             if k >= 0:
                 filed[k].append((f, g))
-            elif (image[f], image[g]) not in other.relations:
+            elif (image[f], image[g]) not in rel:
                 return None
         return filed
 
@@ -439,16 +518,17 @@ def _transports_relations(
     if not parallel:
         return True
 
+    rel1, rel2 = q1._rel, q2._rel
     stack = [itertools.permutations(groups2[parallel[0]])]
     while stack:
         k = len(stack) - 1
         for perm in stack[k]:
             for a1, a2 in zip(groups1[parallel[k]], perm):
-                arrow_map[a1.name] = a2.name
-                inv[a2.name] = a1.name
+                arrow_map[a1] = a2
+                inv[a2] = a1
             if all(
-                (arrow_map[f], arrow_map[g]) in q2.relations for f, g in due1[k]
-            ) and all((inv[f], inv[g]) in q1.relations for f, g in due2[k]):
+                (arrow_map[f], arrow_map[g]) in rel2 for f, g in due1[k]
+            ) and all((inv[f], inv[g]) in rel1 for f, g in due2[k]):
                 break
         else:
             stack.pop()
@@ -476,19 +556,23 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
     later parallel group of its two arrows and read only at that
     group's step, so a step costs its group's size plus the relations
     filed there; with no parallel arrows the whole check reads each
-    relation exactly once.
+    relation exactly once.  Arrows and relations are compared as the
+    quivers' arrow indices and index pairs.
     """
     id_map, diffs = _resolve_vmap(q1, q2, vmap)
     if id_map is None:
         return MatchReport(False, diffs)
 
-    groups1: dict[tuple[int, int, int], list[Arrow]] = {}
-    for a in q1.arrows:
-        key = (id_map[a.source], id_map[a.target], a.degree)
-        groups1.setdefault(key, []).append(a)
-    groups2: dict[tuple[int, int, int], list[Arrow]] = {}
-    for a in q2.arrows:
-        groups2.setdefault((a.source, a.target, a.degree), []).append(a)
+    image = id_map.__getitem__
+    groups1: dict[tuple[int, int, int], list[int]] = {}
+    for i, key in enumerate(zip(map(image, q1._src), map(image, q1._tgt), q1._deg)):
+        groups1.setdefault(key, []).append(i)
+    groups2: dict[tuple[int, int, int], list[int]] = {}
+    for i, key in enumerate(zip(q2._src, q2._tgt, q2._deg)):
+        groups2.setdefault(key, []).append(i)
+
+    def names(q, group):
+        return ", ".join(label_str(q._names[i]) for i in group)
 
     for key, g1 in groups1.items():
         g2 = groups2.get(key, [])
@@ -498,21 +582,16 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
                 f"{len(g1)} vs {len(g2)} arrows "
                 f"{label_str(q2.primary_label(src))} -> "
                 f"{label_str(q2.primary_label(tgt))} at degree {deg} "
-                f"(left: {', '.join(label_str(a.name) for a in g1)})"
+                f"(left: {names(q1, g1)})"
             )
     for key, g2 in groups2.items():
         if key not in groups1:
-            src, tgt, deg = key
-            diffs.append(
-                f"extra arrows {', '.join(label_str(a.name) for a in g2)} "
-                f"on right at degree {deg}"
-            )
+            diffs.append(f"extra arrows {names(q2, g2)} on right at degree {key[2]}")
     if diffs:
         return MatchReport(False, diffs)
-    if len(q1.relations) != len(q2.relations):
+    if len(q1._rel) != len(q2._rel):
         diffs.append(
-            f"relation counts differ: {len(q1.relations)} vs "
-            f"{len(q2.relations)}"
+            f"relation counts differ: {len(q1._rel)} vs {len(q2._rel)}"
         )
 
     if not diffs and _transports_relations(q1, q2, groups1, groups2):
@@ -520,20 +599,21 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
 
     # No arrow matching carries the relations across.  Report against
     # the order-preserving matching so the diff names concrete pairs.
-    canonical = {
-        a1.name: a2.name
-        for key in groups1
-        for a1, a2 in zip(groups1[key], groups2[key])
-    }
-    inv = {v: k for k, v in canonical.items()}
+    canonical = [0] * len(q1._src)
+    inv = [0] * len(q2._src)
+    for key, g1 in groups1.items():
+        for a1, a2 in zip(g1, groups2[key]):
+            canonical[a1] = a2
+            inv[a2] = a1
+    index1, index2 = q1._index, q2._index
     for f, g in sorted(q1.relations):
-        if (canonical[f], canonical[g]) not in q2.relations:
+        if (canonical[index1[f]], canonical[index1[g]]) not in q2._rel:
             diffs.append(
                 f"relation {label_str(g)} o {label_str(f)} = 0 has no "
                 f"image on the right"
             )
     for f, g in sorted(q2.relations):
-        if (inv[f], inv[g]) not in q1.relations:
+        if (inv[index2[f]], inv[index2[g]]) not in q1._rel:
             diffs.append(
                 f"right relation {label_str(g)} o {label_str(f)} = 0 has "
                 f"no preimage"
@@ -545,8 +625,9 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
 
 def _refine_colors(q: GradedQuiver) -> list[int]:
     colors = [0] * q.num_vertices
-    outs = [[(a.degree, a.target) for a in arrows] for arrows in q._out]
-    ins = [[(a.degree, a.source) for a in arrows] for arrows in q._in]
+    src, tgt, deg = q._src, q._tgt, q._deg
+    outs = [[(deg[i], tgt[i]) for i in arrows] for arrows in q._out]
+    ins = [[(deg[i], src[i]) for i in arrows] for arrows in q._in]
     while True:
         sigs = []
         for v in range(q.num_vertices):
@@ -579,8 +660,8 @@ def find_isomorphism(q1: GradedQuiver, q2: GradedQuiver) -> dict | None:
     """
     if (
         q1.num_vertices != q2.num_vertices
-        or len(q1.arrows) != len(q2.arrows)
-        or len(q1.relations) != len(q2.relations)
+        or len(q1._src) != len(q2._src)
+        or len(q1._rel) != len(q2._rel)
     ):
         return None
     c1, c2 = _refine_colors(q1), _refine_colors(q2)
@@ -600,9 +681,10 @@ def find_isomorphism(q1: GradedQuiver, q2: GradedQuiver) -> dict | None:
     def links(q: GradedQuiver, v: int, image: dict) -> list:
         # v's arrows to the vertices image maps, as (direction, image of
         # the neighbour, degree).
+        src, tgt, deg = q._src, q._tgt, q._deg
         return sorted(
-            [(0, image[a.target], a.degree) for a in q._out[v] if a.target in image]
-            + [(1, image[a.source], a.degree) for a in q._in[v] if a.source in image]
+            [(0, image[tgt[i]], deg[i]) for i in q._out[v] if tgt[i] in image]
+            + [(1, image[src[i]], deg[i]) for i in q._in[v] if src[i] in image]
         )
 
     # One frame per open step: the vertex it places, its links to the

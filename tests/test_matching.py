@@ -17,6 +17,7 @@ from quiverglue.bside import build_bside
 from quiverglue.gluing import StackyCurveSpec
 from quiverglue.mirror import canonical_correspondence, twisted_gluing, verify_theorem_A
 from quiverglue.quiver import (
+    Arrow,
     GradedQuiver,
     MatchReport,
     _refine_colors,
@@ -256,17 +257,38 @@ class CountingRelations(frozenset):
 def test_map_equals_reads_each_relation_once(monkeypatch):
     # The 6,000-strip ring, through the library's verify: every arrow
     # group is a singleton, so each relation of each side is read once.
+    # The quiver refuses assignment, so the counting set goes into the
+    # slot of index-pair relations past its __setattr__.
     c = StackyCurveSpec("ring", (6000,), (1,))
     bq, aq = build_bside(c), build_aside(twisted_gluing(c))
     monkeypatch.setattr(CountingRelations, "lookups", 0)
-    bq.relations = CountingRelations(bq.relations)
-    aq.relations = CountingRelations(aq.relations)
+    for q in bq, aq:
+        object.__setattr__(q, "_rel", CountingRelations(q._rel))
     assert verify_theorem_A(c, aside_quiver=aq, bside_quiver=bq).ok
     groups = len({(a.source, a.target, a.degree) for a in aq.arrows})
     # two relations and four singleton arrow groups per strip
     assert groups == len(aq.arrows) == 4 * 6000
     assert len(aq.relations) == len(bq.relations) == 2 * 6000
     assert CountingRelations.lookups == len(bq.relations) + len(aq.relations)
+
+
+def test_matching_builds_no_arrow_objects(monkeypatch):
+    # The Arrow objects are a view for callers outside quiver.py: verify
+    # and the blind search read the int arrays alone.
+    made = []
+
+    def counting_arrow(*fields):
+        made.append(fields)
+        return Arrow(*fields)
+
+    monkeypatch.setattr(quiver, "Arrow", counting_arrow)
+    c = StackyCurveSpec("ring", (3, 2), (1, 1))
+    assert verify_theorem_A(c).ok
+    bq, aq = build_bside(c), build_aside(twisted_gluing(c))
+    witness = find_isomorphism(bq, aq)
+    assert witness is not None and map_equals(bq, aq, witness).ok
+    assert made == []
+    assert len(aq.arrows) == len(made) > 0  # the stand-in does count
 
 
 def stack_depth():
@@ -324,13 +346,15 @@ def test_map_equals_undoes_a_choice_refuted_at_a_later_group(monkeypatch):
     permutations = itertools.permutations
 
     def counted(group):
-        opened.append(group[0].name[0])
+        # a group lists q2's arrow indices
+        opened.append(q2._names[group[0]][0])
         return permutations(group)
 
     monkeypatch.setattr(quiver.itertools, "permutations", counted)
     report = map_equals(q1, q2, IDENTITY)
     assert report.ok and report.diffs == []
     assert opened == ["x", "y", "y"]
+    monkeypatch.undo()  # the reference permutes Arrow groups
     old = rescan_map_equals(q1, q2, IDENTITY)
     assert (report.ok, report.diffs) == (old.ok, old.diffs)
 

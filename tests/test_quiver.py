@@ -1,14 +1,26 @@
 """Path-space dimensions, the isomorphism checker, and the searcher."""
 
+import gc
+import hashlib
+import json
+import tracemalloc
+
 import pytest
 
+from quiverglue import cli
+from quiverglue.aside import build_aside
+from quiverglue.bside import build_bside
 from quiverglue.errors import QuiverError
+from quiverglue.gluing import StackyCurveSpec
+from quiverglue.mirror import twisted_gluing
 from quiverglue.quiver import (
+    Arrow,
     GradedQuiver,
     find_isomorphism,
     label_str,
     map_equals,
 )
+from quiverglue.sweeps import curve_sweep, gluing_sweep
 
 
 def plain(*labels):
@@ -75,6 +87,123 @@ def test_construction_reads_each_part_once():
     assert q.paths_between(("v", 1), ("v", 3)) == (
         (("a",), ("x",)), (("b",), ("x",)), (("b",), ("y",))
     )
+
+
+# Aliases, nonzero shifts and degrees, a vertex with no arrows, and two
+# parallel arrows.
+VIEW_ARROWS = [
+    (("c", 1), ("v", 2), ("u",), -3),
+    (("a",), ("w", 1, 0), ("v", 2), 1),
+    (("b", 2), ("v", 1), ("u",), 0),
+    (("d",), ("u",), ("v", 1), 2),
+    (("e",), ("v", 1), ("u",), 0),
+]
+
+
+def view_quiver():
+    return GradedQuiver(
+        [((("v", 1), ("w", 1, 0)), 0), ((("v", 2),), -2), ((("u",),), 5),
+         ((("lone",),), 0)],
+        VIEW_ARROWS,
+        [(("a",), ("c", 1)), (("c", 1), ("d",)), (("d",), ("e",)),
+         (("d",), ("b", 2))],
+    )
+
+
+def test_arrow_views_keep_insertion_order():
+    q = view_quiver()
+    expected = tuple(
+        Arrow(name, q.vertex_id(s), q.vertex_id(t), d) for name, s, t, d in VIEW_ARROWS
+    )
+    assert q.arrows == expected and q.arrows is q.arrows
+    for v in range(q.num_vertices):
+        assert q.arrows_from(v) == tuple(a for a in expected if a.source == v)
+        assert q.arrows_into(v) == tuple(a for a in expected if a.target == v)
+    for a in expected:
+        assert q.arrow(a.name) == a
+    assert q.relations == {
+        (("a",), ("c", 1)), (("c", 1), ("d",)), (("d",), ("e",)), (("d",), ("b", 2))
+    }
+    with pytest.raises(QuiverError, match="unknown arrow"):
+        q.arrow(("zz",))
+
+
+def test_quivers_and_arrows_are_read_only():
+    q = view_quiver()
+    paths = q.paths_into(("u",))
+    relations, arrows = q.relations, q.arrows
+    for name in ("relations", "arrows", "vertex_labels", "_rel", "_paths", "junk"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, frozenset())
+        with pytest.raises(AttributeError):
+            delattr(q, name)
+    assert q.relations is relations and q.arrows is arrows
+    assert q.paths_into(("u",)) is paths
+    a = q.arrows[0]
+    with pytest.raises(AttributeError):
+        a.target = 0
+    with pytest.raises(AttributeError):
+        a.junk = 1
+    with pytest.raises(AttributeError):
+        del a.name
+    assert a == Arrow(("c", 1), 1, 2, -3)
+
+
+def test_aside_quiver_memory_on_a_long_ring():
+    # The 6,000-strip ring's generator quiver: 18,000 vertices, 24,000
+    # arrows and 12,000 relations.  The bounds are what the quiver with
+    # one Arrow object per arrow read, in MiB, so the int-array storage
+    # may not retain more, nor peak higher while it is built.
+    g = twisted_gluing(StackyCurveSpec("ring", (6000,), (1,)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        q = build_aside(g)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(q._src) == 4 * 6000
+    assert (retained - base) / 2**20 <= 12.6
+    assert (peak - base) / 2**20 <= 17.2
+
+
+# sha256 of the text, json and dot reports of both quivers (aside only
+# for the gluings), and of every blind witness, over gluing_sweep(2, 3)
+# and every eighth curve of curve_sweep(3, 5); recorded while each arrow
+# was stored as an Arrow object.
+QUIVER_DIGESTS = {
+    "text": "44c56217988f9b3056fc3e1c427655bba7d18a915b650d3fd12fd3ea6df2a1d8",
+    "json": "9b1f36b4351168cea476110fbaeda16d3ca32bd4658290c48c501fe70f2583ed",
+    "dot": "8e69db75e8f46c710bdfd275f6eee0d0b048c30baae680e0b5056f06513b0352",
+    "witness": "48f8b3df6e0cd0ecd7ceb70f483ed8ba55344e3d1284e49343f21961cbcf5c15",
+}
+
+
+def test_quiver_reports_and_witnesses_are_pinned():
+    pairs = [(build_bside(c), build_aside(twisted_gluing(c)))
+             for c in curve_sweep(3, 5)[::8]]
+    quivers = [build_aside(g) for g in gluing_sweep(2, 3)]
+    quivers += [q for pair in pairs for q in pair]
+    reports = {
+        "text": cli._quiver_text,
+        "json": lambda q: json.dumps(q.to_json_obj()),
+        "dot": GradedQuiver.to_dot,
+    }
+    digests = {}
+    for key, report in reports.items():
+        h = hashlib.sha256()
+        for q in quivers:
+            h.update(report(q).encode() + b"\n")
+        digests[key] = h.hexdigest()
+    h = hashlib.sha256()
+    for bq, aq in pairs:
+        witness = find_isomorphism(bq, aq)
+        h.update(repr(None if witness is None else list(witness.items())).encode() + b"\n")
+    digests["witness"] = h.hexdigest()
+    assert len(quivers) == 180 + 2 * 486
+    assert digests == QUIVER_DIGESTS
 
 
 def test_path_dims_chain():
