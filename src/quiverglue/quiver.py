@@ -252,13 +252,12 @@ class GradedQuiver:
     def path_is_zero(self, names: Path) -> bool:
         """True when a composable arrow sequence dies in the algebra,
         i.e. some adjacent pair is a declared relation."""
-        index, rel = self._index.get, self._rel
-        return any((index(f), index(g)) in rel for f, g in zip(names, names[1:]))
+        return any(pair in self.relations for pair in zip(names, names[1:]))
 
     def compose(self, p: Path, p2: Path) -> Path | None:
         """The path p then p2, or None when the two meet at a relation."""
-        index = self._index.get
-        if p and p2 and (index(p[-1]), index(p2[0])) in self._rel:
+        # the slot, not the property, on this hot path once it is built
+        if p and p2 and (p[-1], p2[0]) in (self._relations or self.relations):
             return None
         return p + p2
 
@@ -306,31 +305,33 @@ class GradedQuiver:
         t = self.vertex_id(target)
         into = self._paths.get(t)
         if into is None:
-            src, ins, rel = self._src, self._in, self._rel
+            names, src, ins, rel = self._names, self._src, self._in, self._rel
             found: dict[int, list] = {t: [()]}
             limit = len(src)
-            back: list[int] = []  # the path's arrow indices from t backwards
-            stack = [iter(ins[t])]
+            back: list[ArrowName] = []  # the path's names from t backwards
+            # One frame per arrow on the path: the iterator over the
+            # in-arrows before it, and its index (None at t).
+            stack = [(iter(ins[t]), None)]
             while stack:
-                for i in stack[-1]:
-                    if back and (i, back[-1]) in rel:
+                before, after = stack[-1]
+                for i in before:
+                    if (i, after) in rel:
                         continue
                     if len(back) == limit:
                         raise QuiverError("path space is infinite")
-                    back.append(i)
+                    back.append(names[i])
                     found.setdefault(src[i], []).append(tuple(reversed(back)))
-                    stack.append(iter(ins[src[i]]))
+                    stack.append((iter(ins[src[i]]), i))
                     break
                 else:
                     stack.pop()
                     if back:
                         back.pop()
-            name = self._names.__getitem__
-            into = {}
-            for s in sorted(found):
-                paths = found[s]
-                paths.sort()
-                into[s] = tuple([tuple(map(name, p)) for p in paths])
+            index = self._index.__getitem__
+            for paths in found.values():
+                if len(paths) > 1:
+                    paths.sort(key=lambda p: list(map(index, p)))
+            into = {s: tuple(found[s]) for s in sorted(found)}
             self._paths[t] = into
         return into
 
