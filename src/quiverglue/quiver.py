@@ -169,6 +169,11 @@ class GradedQuiver:
         # paths_into.
         init(self, "_paths", {})
 
+    def __setstate__(self, state) -> None:
+        # copy and pickle restore the slots past the read-only __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
     def vertex_id(self, label: Label) -> int:
         try:
             return self._label_to_id[label]
@@ -309,11 +314,11 @@ class GradedQuiver:
             found: dict[int, list] = {t: [()]}
             limit = len(src)
             back: list[ArrowName] = []  # the path's names from t backwards
-            # One frame per arrow on the path: the iterator over the
-            # in-arrows before it, and its index (None at t).
-            stack = [(iter(ins[t]), None)]
+            # One frame per arrow on the path: its index (None at t) and
+            # an iterator over the arrows that may come before it.
+            stack = [(None, iter(ins[t]))]
             while stack:
-                before, after = stack[-1]
+                after, before = stack[-1]
                 for i in before:
                     if (i, after) in rel:
                         continue
@@ -321,7 +326,7 @@ class GradedQuiver:
                         raise QuiverError("path space is infinite")
                     back.append(names[i])
                     found.setdefault(src[i], []).append(tuple(reversed(back)))
-                    stack.append((iter(ins[src[i]]), i))
+                    stack.append((i, iter(ins[src[i]])))
                     break
                 else:
                     stack.pop()

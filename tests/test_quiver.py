@@ -1,8 +1,10 @@
 """Path-space dimensions, the isomorphism checker, and the searcher."""
 
+import copy
 import gc
 import hashlib
 import json
+import pickle
 import tracemalloc
 
 import pytest
@@ -147,6 +149,18 @@ def test_quivers_and_arrows_are_read_only():
     with pytest.raises(AttributeError):
         del a.name
     assert a == Arrow(("c", 1), 1, 2, -3)
+
+
+def test_quivers_copy_and_pickle():
+    q = view_quiver()
+    q.paths_into(("u",))
+    for twin in copy.deepcopy(q), pickle.loads(pickle.dumps(q)):
+        assert twin.to_json_obj() == q.to_json_obj()
+        assert twin.arrows == q.arrows and twin.relations == q.relations
+        assert twin.paths_into(("u",)) == q.paths_into(("u",))
+        with pytest.raises(AttributeError):
+            twin.relations = frozenset()
+    assert pickle.loads(pickle.dumps(q.arrows[0])) == q.arrows[0]
 
 
 def test_aside_quiver_memory_on_a_long_ring():
