@@ -23,7 +23,13 @@ Conventions, fixed once and used everywhere:
   dimensions; tests exercise both.
 * Hom(P(v), E) for a projective P(v) is the module value at v; arrows
   act by precomposition, so the action of an arrow u -> w carries the
-  value at w to the value at u.
+  value at w to the value at u.  All values of E come from one complex
+  Hom(F, E), with F the sum of the projectives P(v) of the vertices
+  that reach E, at shift 0 and with no differential: its differential
+  is block diagonal, one block Hom(P(v), E) per summand, and each value
+  is read from its own block.
+* Homology reads the quiver's arrows by index; arrow names appear
+  only inside paths, in messages and as the keys of a module's actions.
 """
 
 from __future__ import annotations
@@ -90,24 +96,27 @@ class TwistedComplex:
         self._check_delta_squared()
 
     def _check_delta_squared(self) -> None:
+        # delta^2 from b to c sums the composites of the entry pairs
+        # a<-b, c<-a, so only pairs of entries are walked; the first
+        # failure reported is at the smallest b, then the smallest c.
         compose = self.quiver.compose
-        n = len(self.summands)
-        for b in range(n):
-            for c in range(b + 2, n):
-                acc: dict[Path, Scalar] = {}
-                for a in range(b + 1, c):
-                    for c1, p1 in self.diff.get((a, b), []):
-                        for c2, p2 in self.diff.get((c, a), []):
-                            comp = compose(p1, p2)
-                            if comp is not None:
-                                acc[comp] = acc.get(comp, 0) + c1 * c2
-                if any(acc.values()):
-                    raise SpecError(
-                        f"differential does not square to zero at {c}<-{b}"
-                    )
-
-    def shift_of(self, index: int) -> int:
-        return self.summands[index][1]
+        leaving: dict[int, list[tuple[int, Entry]]] = {}
+        for (c, a), entry in self.diff.items():
+            leaving.setdefault(a, []).append((c, entry))
+        squares: dict[tuple[int, int], dict[Path, Scalar]] = {}
+        for (a, b), first in self.diff.items():
+            for c, second in leaving.get(a, ()):
+                acc = squares.setdefault((b, c), {})
+                for c1, p1 in first:
+                    for c2, p2 in second:
+                        comp = compose(p1, p2)
+                        if comp is not None:
+                            acc[comp] = acc.get(comp, 0) + c1 * c2
+        for b, c in sorted(squares):
+            if any(squares[b, c].values()):
+                raise SpecError(
+                    f"differential does not square to zero at {c}<-{b}"
+                )
 
 
 # slots=True replaces the class that frozen=True wrote __setattr__ for,
@@ -146,17 +155,16 @@ class HomComplex:
         q = self.quiver
 
         self.basis: list[tuple[int, int, Path]] = []
+        self.degrees: dict[int, list[int]] = {}
+        self._degree_of: list[int] = []
         for si, (vs, ns) in enumerate(X.summands):
             for ti, (vt, nt) in enumerate(Y.summands):
                 for p in q.paths_between(vs, vt):
+                    d = q.path_degree(p) + ns - nt
+                    self.degrees.setdefault(d, []).append(len(self.basis))
+                    self._degree_of.append(d)
                     self.basis.append((si, ti, p))
         self._index = {elt: i for i, elt in enumerate(self.basis)}
-        self.degrees: dict[int, list[int]] = {}
-        self._degree_of: list[int] = []
-        for i, (si, ti, p) in enumerate(self.basis):
-            d = q.path_degree(p) + X.shift_of(si) - Y.shift_of(ti)
-            self._degree_of.append(d)
-            self.degrees.setdefault(d, []).append(i)
         self._diff_cache: dict[int, list[list[Scalar]]] = {}
 
     def apply(self, index: int) -> dict[int, Scalar]:
@@ -190,30 +198,24 @@ class HomComplex:
     def matrix(self, d: int) -> list[list[Scalar]]:
         """D on degree d: one row per degree-(d+1) basis element, one
         column per degree-d element."""
-        if d in self._diff_cache:
-            return self._diff_cache[d]
-        src = self.degrees.get(d, [])
-        tgt = self.degrees.get(d + 1, [])
-        pos = {j: r for r, j in enumerate(tgt)}
-        mat = [[0] * len(src) for _ in tgt]
-        for col, i in enumerate(src):
+        if d not in self._diff_cache:
+            self._diff_cache[d] = self._matrix(
+                self.degrees.get(d, []), self.degrees.get(d + 1, [])
+            )
+        return self._diff_cache[d]
+
+    def _matrix(self, cols: list[int], rows: list[int]) -> list[list[Scalar]]:
+        """D from the basis elements ``cols`` to those of ``rows``, which
+        must hold every element their images reach."""
+        pos = {j: r for r, j in enumerate(rows)}
+        mat = [[0] * len(cols) for _ in rows]
+        for col, i in enumerate(cols):
             for j, c in self.apply(i).items():
                 mat[pos[j]][col] = c
-        self._diff_cache[d] = mat
         return mat
 
     def cohomology(self) -> GradedDims:
-        # the rank of D out of each degree, taken once; D is zero out of
-        # a slice with no slice above it
-        out = {
-            d: rank(self.matrix(d)) for d in self.degrees if d + 1 in self.degrees
-        }
-        dims: GradedDims = {}
-        for d, idxs in self.degrees.items():
-            h = len(idxs) - out.get(d, 0) - out.get(d - 1, 0)
-            if h:
-                dims[d] = h
-        return dims
+        return _cohomology(self.degrees, self.matrix)
 
     def d_squared_vanishes(self) -> bool:
         for i in range(len(self.basis)):
@@ -252,10 +254,6 @@ class HomComplex:
                 vec[pos] = 1
         return self.cocycle(vec, 0)
 
-    def cocycle_space(self, degree: int) -> list[list[Fraction]]:
-        src = self.degrees.get(degree, [])
-        return kernel_basis(self.matrix(degree), len(src))
-
     def is_coboundary(self, cocycle: Cocycle) -> bool:
         below = self.degrees.get(cocycle.degree - 1, [])
         if not any(cocycle.vector):
@@ -280,6 +278,19 @@ class HomComplex:
         if x is None:
             raise FalsificationError("class off the generator line")
         return x[-1]
+
+
+def _cohomology(slices: dict[int, list[int]], matrix) -> GradedDims:
+    """The cohomology dimensions of degree slices closed under D, with
+    matrix(d) giving D out of slice d: the rank of D out of each degree
+    is taken once, and D is zero out of a slice with no slice above it."""
+    out = {d: rank(matrix(d)) for d in slices if d + 1 in slices}
+    dims: GradedDims = {}
+    for d, idxs in slices.items():
+        h = len(idxs) - out.get(d, 0) - out.get(d - 1, 0)
+        if h:
+            dims[d] = h
+    return dims
 
 
 def hom_cohomology(
@@ -362,22 +373,24 @@ def localization_object(
     except KeyError:
         raise SpecError(f"unknown localization kind {kind!r}") from None
     try:
-        arrow = aq.arrow((step, i, j))
+        arrow = aq.arrow_index((step, i, j))
     except QuiverError:
         raise SpecError(
             f"no position {kind}({i},{j}): the quiver has no arrow "
             f"{label_str((step, i, j))}"
         ) from None
     one = 1
+    name = aq.arrow_name(arrow)
     chain = (((vertex, i, j), 2), ((vertex, i, j + 1), 1))
-    for feed in aq.arrows_into(arrow.source):
-        if feed.name[0] == feed_kind:
+    for feed in aq.in_arrows(aq.arrow_ends(arrow)[0]):
+        feed_name = aq.arrow_name(feed)
+        if feed_name[0] == feed_kind:
             return TwistedComplex(
                 aq,
-                ((aq.primary_label(feed.source), 3), *chain),
-                {(1, 0): [(one, (feed.name,))], (2, 1): [(one, (arrow.name,))]},
+                ((aq.primary_label(aq.arrow_ends(feed)[0]), 3), *chain),
+                {(1, 0): [(one, (feed_name,))], (2, 1): [(one, (name,))]},
             )
-    return TwistedComplex(aq, chain, {(1, 0): [(one, (arrow.name,))]})
+    return TwistedComplex(aq, chain, {(1, 0): [(one, (name,))]})
 
 
 def all_localization_objects(aq: GradedQuiver) -> list[LocObject]:
@@ -385,12 +398,21 @@ def all_localization_objects(aq: GradedQuiver) -> list[LocObject]:
     quiver's arrow order: per component, E- along x, then E+ along y."""
     kinds = {step: kind for kind, (_, step, _) in _CHAINS.items()}
     out = []
-    for ar in aq.arrows:
-        kind = kinds.get(ar.name[0])
+    for arrow in range(aq.num_arrows):
+        name = aq.arrow_name(arrow)
+        kind = kinds.get(name[0])
         if kind is not None:
-            _, i, j = ar.name
+            _, i, j = name
             out.append(LocObject(kind, i, j, localization_object(aq, kind, i, j)))
     return out
+
+
+def _arrows_among(q: GradedQuiver, vids) -> list[int]:
+    """The indices of the arrows between vertex ids in ``vids``, in
+    arrow order."""
+    return sorted(
+        a for w in vids for a in q.in_arrows(w) if q.arrow_ends(a)[0] in vids
+    )
 
 
 # -- thin modules ------------------------------------------------------
@@ -428,43 +450,75 @@ class ThinModule:
             if d not in (0, 1):
                 raise SpecError(f"dimension {d} at {v} is not thin")
         sup = self.support
+        acting: dict[int, int] = {}  # source vertex id per acting arrow
         for name, c in self.actions.items():
-            ar = q.arrow(name)
-            if c and not (
-                q.primary_label(ar.source) in sup
-                and q.primary_label(ar.target) in sup
-            ):
-                raise SpecError(f"action of {name} off the support")
-        for f, g in q.relations:
-            if self.actions.get(f) and self.actions.get(g):
-                raise SpecError(f"relation pair {f}, {g} both act nonzero")
+            a = q.arrow_index(name)
+            source, target = q.arrow_ends(a)
+            if c:
+                if not (
+                    q.primary_label(source) in sup and q.primary_label(target) in sup
+                ):
+                    raise SpecError(f"action of {name} off the support")
+                acting[a] = source
+        # a relation f, g with g acting has f among the arrows into g's
+        # source
+        for g, source in acting.items():
+            for f in q.in_arrows(source):
+                if f in acting and q.is_relation(f, g):
+                    raise SpecError(
+                        f"relation pair {q.arrow_name(f)}, {q.arrow_name(g)} "
+                        "both act nonzero"
+                    )
 
 
 def module_of(E: TwistedComplex) -> ThinModule:
-    """Hom(P(v), E) at every vertex v, assembled into a thin module.
+    """Hom(P(v), E) at every vertex v, assembled into a thin module, with
+    every value read from one complex Hom(F, E), block by block.
 
     Only the vertices with a nonzero path into a summand of E have a
-    nonzero Hom complex, so one backward walk into each summand finds
-    them, and they alone get a HomComplex, in vertex-id order.
+    nonzero Hom(P(v), E), so one backward walk into each summand finds
+    them.  F is the sum of their projectives P(v), in vertex-id order,
+    each at shift 0, with no differential.  D on Hom(F, E) then only
+    composes with E's differential, so it keeps the basis elements out
+    of each summand P(v) among themselves: Hom(F, E) is the direct sum
+    of the Hom(P(v), E), and v's block is one run of every degree slice.
+    The value at v and its generating cocycle come from v's block alone,
+    and each arrow's scalar from the blocks at its two ends, so no
+    matrix is wider than one block.
 
     Raises a falsification alarm unless every value space has dimension
     at most one and all of them sit in one cohomological degree; both
     facts are theorems for localization objects.
     """
     q = E.quiver
-    dims: dict[Label, int] = {}
-    degree: int | None = None
-    homs: dict[Label, HomComplex] = {}
-    gens: dict[Label, Cocycle] = {}
     reached = set()
     for lab, _ in E.summands:
         reached.update(q.paths_into(lab))
-    for vid in sorted(reached):
-        v = q.primary_label(vid)
-        h = HomComplex(projective(q, v), E)
-        coh = h.cohomology()
+    vids = sorted(reached)
+    h = HomComplex(TwistedComplex(q, tuple((q.primary_label(v), 0) for v in vids)), E)
+    # The blocks by summand of F, each as its degree slices; the basis
+    # runs summand by summand, so each slice lists its degree's run.
+    blocks: list[dict[int, list[int]]] = [{} for _ in vids]
+    for i, ((k, _, _), d) in enumerate(zip(h.basis, h._degree_of)):
+        blocks[k].setdefault(d, []).append(i)
+
+    dims: dict[Label, int] = {}
+    degree: int | None = None
+    # per supported vertex id: its summand of F, its slice in the
+    # module's degree, D on its block, and its generating cocycle
+    values = {}
+    for k, (vid, slices) in enumerate(zip(vids, blocks)):
+        mats: dict[int, list[list[Scalar]]] = {}
+
+        def matrix(d, slices=slices, mats=mats):
+            if d not in mats:
+                mats[d] = h._matrix(slices.get(d, []), slices.get(d + 1, []))
+            return mats[d]
+
+        coh = _cohomology(slices, matrix)
         if not coh:
             continue
+        v = q.primary_label(vid)
         if sum(coh.values()) > 1:
             raise FalsificationError(f"value at {v} is not thin: {coh}")
         (d,) = coh
@@ -475,36 +529,39 @@ def module_of(E: TwistedComplex) -> ThinModule:
                 f"values spread over degrees {degree} and {d}"
             )
         dims[v] = 1
-        homs[v] = h
-        # the kernel basis is killed by D already, so its vectors go
-        # straight into cocycles
-        for vec in h.cocycle_space(d):
-            cand = Cocycle(h, d, tuple(vec))
-            if not h.is_coboundary(cand):
-                gens[v] = cand
+        # the first kernel vector off the image of D: the kernel basis is
+        # killed by D already, and none of its vectors is zero
+        for gen in kernel_basis(matrix(d), len(slices[d])):
+            if d - 1 not in slices or solve(matrix(d - 1), gen) is None:
                 break
         else:
             raise FalsificationError(f"no generating cocycle at {v}")
+        values[vid] = (k, slices[d], matrix, gen)
 
     # An arrow a: u -> w acts by precomposition: the basis element
-    # (0, t, p) of Hom(P(w), E) goes to (0, t, a p) of Hom(P(u), E), or
-    # to zero when (a, p[0]) is a relation.
+    # (k_w, t, p) of w's block goes to (k_u, t, a p) of u's, or to zero
+    # when (a, p[0]) is a relation.  Its scalar solves the image against
+    # u's generator modulo the image of D.
     actions: dict[ArrowName, Fraction] = {}
-    for ar in q.arrows:
-        u, w = q.primary_label(ar.source), q.primary_label(ar.target)
-        if u not in dims or w not in dims:
-            continue
-        hu, hw = homs[u], homs[w]
+    for a in _arrows_among(q, values):
+        u, w = q.arrow_ends(a)
+        name = q.arrow_name(a)
+        k, run, matrix, gen = values[u]
+        _, run_w, _, gen_w = values[w]
         image: dict[int, Scalar] = {}
-        for c, i in zip(gens[w].vector, hw.degrees[degree]):
-            _, t, p = hw.basis[i]
-            comp = q.compose((ar.name,), p)
+        for c, i in zip(gen_w, run_w):
+            _, t, p = h.basis[i]
+            comp = q.compose((name,), p)
             if c and comp is not None:
-                image[hu._index[(0, t, comp)]] = c
-        vec = [image.get(i, 0) for i in hu.degrees[degree]]
-        lam = hu.scalar_against(hu.cocycle(vec, degree), gens[u])
-        if lam:
-            actions[ar.name] = lam
+                image[h._index[(k, t, comp)]] = c
+        vec = [image.get(i, 0) for i in run]
+        if any(sum(m * x for m, x in zip(row, vec)) for row in matrix(degree)):
+            raise SpecError("not a cocycle")
+        x = solve([[*row, g] for row, g in zip(matrix(degree - 1), gen)], vec)
+        if x is None:
+            raise FalsificationError("class off the generator line")
+        if x[-1]:
+            actions[name] = x[-1]
     module = ThinModule(dims, actions, degree)
     module.validate(q)
     return module
@@ -521,28 +578,28 @@ def predicted_module(aq: GradedQuiver, kind: str, i: int, j: int) -> ThinModule:
     vertex, step, _ = _CHAINS[kind]
     collapsed = (step, i, j)
 
-    chosen: dict[Label, Path] = {}
+    chosen: dict[int, Path] = {}
     for vid, paths in aq.paths_into((vertex, i, j + 1)).items():
-        v = aq.primary_label(vid)
         allowed = [p for p in paths if not (p and p[-1] == collapsed)]
         if len(allowed) > 1:
-            raise FalsificationError(f"{len(allowed)} admissible paths at {v}")
+            raise FalsificationError(
+                f"{len(allowed)} admissible paths at {aq.primary_label(vid)}"
+            )
         if allowed:
-            chosen[v] = allowed[0]
+            chosen[vid] = allowed[0]
 
     actions: dict[ArrowName, Fraction] = {}
     one = Fraction(1)
-    for ar in aq.arrows:
-        u, w = aq.primary_label(ar.source), aq.primary_label(ar.target)
-        if u not in chosen or w not in chosen:
-            continue
-        composite = aq.compose((ar.name,), chosen[w])
+    for a in _arrows_among(aq, chosen):
+        u, w = aq.arrow_ends(a)
+        name = aq.arrow_name(a)
+        composite = aq.compose((name,), chosen[w])
         if composite is None or composite[-1] == collapsed:
             continue
         if composite != chosen[u]:
             raise FalsificationError("thin action is not consistent")
-        actions[ar.name] = one
-    module = ThinModule({v: 1 for v in chosen}, actions)
+        actions[name] = one
+    module = ThinModule({aq.primary_label(v): 1 for v in chosen}, actions)
     module.validate(aq)
     return module
 

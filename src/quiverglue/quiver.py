@@ -15,10 +15,11 @@ int tuples indexed by insertion order: source and target vertex ids
 and degrees, with the names kept for display and lookup.  Each vertex
 keeps the indices of its out- and in-arrows, and the relations are a
 set of arrow-index pairs.  Every walk and search in this module reads
-those arrays; the ``Arrow`` objects of ``arrows``, ``arrows_from``,
-``arrows_into`` and ``arrow``, and the arrow-name pairs of
-``relations``, are views built on first use, for the rest of the
-package and for reports.
+those arrays, and homology reads them by arrow index through
+``arrow_index``, ``arrow_name``, ``arrow_ends``, ``in_arrows`` and
+``is_relation``.  The ``Arrow`` objects of ``arrows``,
+``arrows_from``, ``arrows_into`` and ``arrow``, and the arrow-name
+pairs of ``relations``, are views built on first use.
 
 A path is a tuple of arrow names, and this module alone reads one: it
 composes paths, grades them and traces their endpoints for the rest of
@@ -153,8 +154,8 @@ class GradedQuiver:
         for f, g in relations:
             try:
                 fi, gi = index[f], index[g]
-            except KeyError:  # _arrow_index names the unknown arrow
-                fi, gi = self._arrow_index(f), self._arrow_index(g)
+            except KeyError:  # arrow_index names the unknown arrow
+                fi, gi = self.arrow_index(f), self.arrow_index(g)
             if tgt[fi] != src[gi]:
                 raise QuiverError(
                     f"relation pair not composable: {label_str(f)} ends at "
@@ -186,20 +187,41 @@ class GradedQuiver:
     def shift_of(self, label: Label) -> int:
         return self.vertex_shifts[self.vertex_id(label)]
 
-    def _arrow_index(self, name: ArrowName) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise QuiverError(f"unknown arrow {label_str(name)}") from None
-
     def arrow(self, name: ArrowName) -> Arrow:
-        return self.arrows[self._arrow_index(name)]
+        return self.arrows[self.arrow_index(name)]
 
     # -- structure ------------------------------------------------------
 
     @property
     def num_vertices(self) -> int:
         return len(self.vertex_labels)
+
+    @property
+    def num_arrows(self) -> int:
+        return len(self._src)
+
+    def arrow_index(self, name: ArrowName) -> int:
+        """The index of the arrow named ``name``, its place in the order
+        the arrows came."""
+        try:
+            return self._index[name]
+        except KeyError:
+            raise QuiverError(f"unknown arrow {label_str(name)}") from None
+
+    def arrow_name(self, i: int) -> ArrowName:
+        return self._names[i]
+
+    def arrow_ends(self, i: int) -> tuple[int, int]:
+        """The source and target vertex ids of arrow i."""
+        return self._src[i], self._tgt[i]
+
+    def in_arrows(self, vid: int) -> tuple[int, ...]:
+        """The indices of the arrows into vertex id ``vid``."""
+        return self._in[vid]
+
+    def is_relation(self, f: int, g: int) -> bool:
+        """Whether arrow g after arrow f is zero, by arrow index."""
+        return (f, g) in self._rel
 
     @property
     def relations(self) -> frozenset:
@@ -269,7 +291,7 @@ class GradedQuiver:
     def path_degree(self, p: Path) -> int:
         """The sum of the degrees of p's arrows."""
         deg = self._deg
-        return sum(deg[self._arrow_index(name)] for name in p)
+        return sum(deg[self.arrow_index(name)] for name in p)
 
     def path_end(self, start: int, p: Path) -> int:
         """The vertex id where the arrows of p, read from vertex id
@@ -277,7 +299,7 @@ class GradedQuiver:
         at the end of the one before."""
         v = start
         for name in p:
-            i = self._arrow_index(name)
+            i = self.arrow_index(name)
             if self._src[i] != v:
                 raise SpecError(f"path breaks at {name}")
             v = self._tgt[i]

@@ -7,11 +7,13 @@ it, and every graded dimension and product computed by hand.
 """
 
 import hashlib
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from quiverglue import homology
+from quiverglue import cli, homology, quiver
 from quiverglue.aside import build_aside
 from quiverglue.errors import FalsificationError, SpecError
 from quiverglue.gluing import GluingSpec
@@ -30,7 +32,7 @@ from quiverglue.homology import (
     projective,
 )
 from quiverglue.perms import Permutation, identity, tau
-from quiverglue.quiver import GradedQuiver
+from quiverglue.quiver import Arrow, GradedQuiver
 from quiverglue.sweeps import gluing_sweep
 from test_paths import walk_out
 
@@ -121,7 +123,7 @@ def test_delta_squared_is_enforced():
     vertices = plain(("v", 1), ("v", 2), ("v", 3))
     arrows = [(("f",), ("v", 1), ("v", 2), 0), (("g",), ("v", 2), ("v", 3), 0)]
     q = GradedQuiver(vertices, arrows, [])
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match="square to zero at 2<-0"):
         TwistedComplex(
             q,
             ((("v", 1), 2), (("v", 2), 1), (("v", 3), 0)),
@@ -139,6 +141,29 @@ def test_delta_squared_is_enforced():
             (2, 1): [(ONE, (("g",),))],
         },
     )
+    # with g f and h g both nonzero, the smallest source index is named
+    names = [("v", k) for k in range(4)]
+    q = GradedQuiver(
+        plain(*names),
+        [((a,), s, t, 0) for a, s, t in zip("fgh", names, names[1:])],
+        [],
+    )
+    with pytest.raises(SpecError, match="square to zero at 2<-0$"):
+        TwistedComplex(
+            q,
+            tuple((lab, 3 - k) for k, lab in enumerate(names)),
+            {(k + 1, k): [(ONE, ((a,),))] for k, a in enumerate("fgh")},
+        )
+
+
+def test_delta_squared_check_walks_entry_pairs():
+    # with no differential there is nothing to compose; summing over
+    # every summand triple took about 1.3e9 steps at 2,000 summands
+    q = GradedQuiver(plain(("v", 1)), [], [])
+    start = time.process_time()
+    F = TwistedComplex(q, ((("v", 1), 0),) * 2000)
+    assert time.process_time() - start < 0.5
+    assert len(F.summands) == 2000
 
 
 @pytest.mark.parametrize("shift", [1.5, True, "2"], ids=["float", "bool", "str"])
@@ -639,18 +664,20 @@ def test_module_of_agrees_with_the_all_vertex_route():
     assert objects > 1000
 
 
-# -- work counts: hom complexes only where a path reaches E ------------
+# -- work counts: one hom complex per object ---------------------------
 
 
 def count_hom_complexes(monkeypatch):
-    """Patch HomComplex to count its builds and their basis sizes."""
-    counts = {"built": 0, "basis": 0}
+    """Patch HomComplex to count its builds and their basis sizes; the
+    last one built is kept under "last"."""
+    counts = {"built": 0, "basis": 0, "last": None}
     init = HomComplex.__init__
 
     def counted(self, *args, **kwargs):
         init(self, *args, **kwargs)
         counts["built"] += 1
         counts["basis"] += len(self.basis)
+        counts["last"] = self
 
     monkeypatch.setattr(HomComplex, "__init__", counted)
     return counts
@@ -676,24 +703,105 @@ def reaching(q, targets):
     return found
 
 
+def block_cohomology(h, k):
+    """The cohomology of the basis elements of h out of source summand
+    k, with D's matrices built here from h.apply and ranked by linalg."""
+    slices = {}
+    for i, (si, _, _) in enumerate(h.basis):
+        if si == k:
+            slices.setdefault(h._degree_of[i], []).append(i)
+
+    def ranked(d):
+        cols, rows = slices.get(d, []), slices.get(d + 1, [])
+        pos = {j: r for r, j in enumerate(rows)}
+        mat = [[0] * len(cols) for _ in rows]
+        for col, i in enumerate(cols):
+            for j, c in h.apply(i).items():
+                mat[pos[j]][col] = c
+        return rank(mat)
+
+    dims = {d: len(idxs) - ranked(d) - ranked(d - 1) for d, idxs in slices.items()}
+    return {d: n for d, n in dims.items() if n}
+
+
+def test_module_of_reads_one_block_diagonal_complex(monkeypatch):
+    # module_of's one Hom(F, E), F the sum of the projectives P(v) of
+    # the vertices reaching E: D keeps each summand's block, and each
+    # block's cohomology is Hom(P(v), E), the per-vertex route
+    counts = count_hom_complexes(monkeypatch)
+    objects = blocks = 0
+    for g in gluing_sweep(2, 3):
+        aq = build_aside(g)
+        for obj in all_localization_objects(aq):
+            E = obj.cx
+            built = counts["built"]
+            module_of(E)
+            assert counts["built"] == built + 1
+            h = counts["last"]
+            assert h.Y is E and not h.X.diff
+            summands = [aq.vertex_id(lab) for lab, _ in E.summands]
+            vids = [aq.vertex_id(lab) for lab, _ in h.X.summands]
+            assert vids == sorted(reaching(aq, summands))
+            assert {n for _, n in h.X.summands} == {0}
+            for i, (k, _, _) in enumerate(h.basis):
+                assert all(h.basis[j][0] == k for j in h.apply(i))
+            for k, (lab, _) in enumerate(h.X.summands):
+                oracle = hom_cohomology(projective(aq, lab), E)
+                assert block_cohomology(h, k) == oracle, (g.to_json(), lab)
+                blocks += 1
+            objects += 1
+    assert (objects, blocks) == (1648, 9304)
+
+
 def test_long_chain_localization_builds_few_hom_complexes(monkeypatch):
-    # one HomComplex per vertex that a nonzero path leads from into a
-    # summand of E, however long the chain: at 6,000 strips a build per
-    # vertex made localize quadratic in the chain length
+    # one HomComplex however long the chain, its source summing the
+    # projectives of the few vertices a nonzero path leads from into a
+    # summand of E; at 6,000 strips a build per vertex made localize
+    # quadratic in the chain length
     aq = build_aside(GluingSpec("linear", (6000, 1), ()))
     E = localization_object(aq, "E-", 1, 0)
     counts = count_hom_complexes(monkeypatch)
     mod = module_of(E)
     assert (mod.degree, mod.dims, mod.actions) == (-1, {("P-", 1, 1): 1}, {})
     summands = [aq.vertex_id(lab) for lab, _ in E.summands]
-    assert counts["built"] == len(reaching(aq, summands)) < 10
+    F = counts["last"].X
+    assert counts["built"] == 1
+    assert [aq.vertex_id(lab) for lab, _ in F.summands] == sorted(
+        reaching(aq, summands)
+    )
+    assert len(F.summands) < 10
     assert aq.num_vertices > 6000
 
 
+def test_far_end_of_a_long_chain_ranks_one_block_at_a_time(monkeypatch):
+    # E-(1,749) is reached from every vertex of the 750-strip chain's
+    # minus side, so one degree slice of its Hom(F, E) spans hundreds
+    # of blocks; each ranked matrix stays within one
+    aq = build_aside(GluingSpec("linear", (750, 1), ()))
+    E = localization_object(aq, "E-", 1, 749)
+    counts = count_hom_complexes(monkeypatch)
+    widths = []
+
+    def counted(rows):
+        widths.append(len(rows[0]))
+        return rank(rows)
+
+    monkeypatch.setattr(homology, "rank", counted)
+    mod = module_of(E)
+    assert mod.degree == -1
+    assert mod.dims == {("P-", 1, 0): 1, ("P-", 1, 750): 1}
+    assert mod.actions == {("y", 1, 0): 1}
+    h = counts["last"]
+    block_sizes = Counter(k for k, _, _ in h.basis)
+    assert counts["built"] == 1 and len(block_sizes) > 700
+    assert max(len(idxs) for idxs in h.degrees.values()) > 700
+    assert widths and max(widths) <= max(block_sizes.values()) == 3
+
+
 def test_localization_grid_hom_complex_counts(monkeypatch):
-    # over the 17,610 objects of the restricted grid: 104,690 complexes,
-    # one per vertex reaching E, where building one per vertex made
-    # 301,978 of which only these had a nonempty basis
+    # over the 17,610 objects of the restricted grid: one complex each,
+    # spanning the 173,658 basis elements of the 104,690 per-vertex
+    # complexes that module_of built before, one per vertex reaching E
     counts = count_hom_complexes(monkeypatch)
     objects = 0
     for g in gluing_sweep(2, 4):
@@ -702,7 +810,35 @@ def test_localization_grid_hom_complex_counts(monkeypatch):
             module_of(obj.cx)
             objects += 1
     assert objects == 17610
-    assert (counts["built"], counts["basis"]) == (104690, 173658)
+    assert (counts["built"], counts["basis"]) == (17610, 173658)
+
+
+def test_localization_builds_no_arrow_objects(monkeypatch, tmp_path, capsys):
+    # homology reads arrows by index: neither localize on the 6,000-strip
+    # chain nor both routes over the objects of a grid gluing build the
+    # quiver's Arrow view
+    made = []
+
+    def counting_arrow(*fields):
+        made.append(fields)
+        return Arrow(*fields)
+
+    monkeypatch.setattr(quiver, "Arrow", counting_arrow)
+    spec = tmp_path / "chain.json"
+    spec.write_text(GluingSpec("linear", (6000, 1), ()).to_json())
+    assert cli.main(["localize", "--spec", str(spec), "E-:1:0"]) == 0
+    assert "M(P-(1,1)) = k" in capsys.readouterr().out
+    g = GluingSpec("circular", (2, 2), (Permutation((1, 0)), identity(2)))
+    assert g in list(gluing_sweep(2, 4))
+    aq = build_aside(g)
+    objects = all_localization_objects(aq)
+    for obj in objects:
+        module = module_of(obj.cx)
+        assert module.same_pattern(
+            predicted_module(aq, obj.kind, obj.component, obj.position)
+        )
+    assert len(objects) == 8 and made == []
+    assert len(aq.arrows) == len(made) > 0  # the stand-in does count
 
 
 # -- cohomology over the integers: one rank per differential -----------
