@@ -28,8 +28,8 @@ Conventions, fixed once and used everywhere:
   that reach E, at shift 0 and with no differential: its differential
   is block diagonal, one block Hom(P(v), E) per summand, and each value
   is read from its own block.
-* Homology reads the quiver's arrows by index; arrow names appear
-  only inside paths, in messages and as the keys of a module's actions.
+* A path is a tuple of arrow indices.  Arrow names are read from a
+  complex's ``diff`` and made for messages and a module's actions.
 """
 
 from __future__ import annotations
@@ -53,11 +53,13 @@ Entry = tuple[tuple[Scalar, Path], ...]
 class TwistedComplex:
     """A formal shifted sum of quiver vertices with a strictly
     triangular differential; validated on construction and read-only
-    after it, ``diff`` included, so nothing built from it goes stale."""
+    after it, ``diff`` included, so nothing built from it goes stale;
+    ``_diff`` is ``diff`` with each path read into arrow indices."""
 
     quiver: GradedQuiver
     summands: tuple[tuple[Label, int], ...]
     diff: Mapping[tuple[int, int], Entry] = field(default_factory=dict)
+    _diff: dict[tuple[int, int], Entry] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         summands = tuple((lab, n) for lab, n in self.summands)
@@ -65,6 +67,7 @@ class TwistedComplex:
         object.__setattr__(self, "summands", summands)
         object.__setattr__(self, "diff", MappingProxyType(diff))
         q = self.quiver
+        object.__setattr__(self, "_diff", {})
         for i, (lab, n) in enumerate(self.summands):
             q.vertex_id(lab)
             if type(n) is not int:
@@ -78,21 +81,24 @@ class TwistedComplex:
                 raise SpecError(f"differential entry {a}<-{b} is not forward")
             va, na = self.summands[a]
             vb, nb = self.summands[b]
-            for c, p in entry:
+            terms = self._diff[a, b] = []
+            for c, names in entry:
                 if type(c) is not int and type(c) is not Fraction:
                     raise SpecError(
                         f"entry {a}<-{b}: coefficient {c!r} is not an "
                         "integer or a Fraction"
                     )
+                p = tuple(map(q.arrow_index, names))
                 if q.path_end(q.vertex_id(vb), p) != q.vertex_id(va):
                     raise SpecError(f"entry {a}<-{b}: path does not connect")
-                if q.path_is_zero(p):
+                if any(map(q.is_relation, p, p[1:])):
                     raise SpecError(f"entry {a}<-{b}: path is zero in the algebra")
                 if q.path_degree(p) != 1 + na - nb:
                     raise SpecError(
                         f"entry {a}<-{b}: path degree {q.path_degree(p)} != "
                         f"{1 + na - nb}"
                     )
+                terms.append((c, p))
         self._check_delta_squared()
 
     def _check_delta_squared(self) -> None:
@@ -101,10 +107,10 @@ class TwistedComplex:
         # failure reported is at the smallest b, then the smallest c.
         compose = self.quiver.compose
         leaving: dict[int, list[tuple[int, Entry]]] = {}
-        for (c, a), entry in self.diff.items():
+        for (c, a), entry in self._diff.items():
             leaving.setdefault(a, []).append((c, entry))
         squares: dict[tuple[int, int], dict[Path, Scalar]] = {}
-        for (a, b), first in self.diff.items():
+        for (a, b), first in self._diff.items():
             for c, second in leaving.get(a, ()):
                 acc = squares.setdefault((b, c), {})
                 for c1, p1 in first:
@@ -173,7 +179,7 @@ class HomComplex:
         d = self._degree_of[index]
         compose = self.quiver.compose
         out: dict[int, Scalar] = {}
-        for (ta, tb), entry in self.Y.diff.items():
+        for (ta, tb), entry in self.Y._diff.items():
             if tb != ti:
                 continue
             for c, qpath in entry:
@@ -184,7 +190,7 @@ class HomComplex:
                 out[j] = out.get(j, 0) + c
         sign = 1 if self.convention == "flipped" else -1
         sign *= -1 if d % 2 else 1
-        for (sa, sb), entry in self.X.diff.items():
+        for (sa, sb), entry in self.X._diff.items():
             if sa != si:
                 continue
             for c, qpath in entry:
@@ -545,13 +551,12 @@ def module_of(E: TwistedComplex) -> ThinModule:
     actions: dict[ArrowName, Fraction] = {}
     for a in _arrows_among(q, values):
         u, w = q.arrow_ends(a)
-        name = q.arrow_name(a)
         k, run, matrix, gen = values[u]
         _, run_w, _, gen_w = values[w]
         image: dict[int, Scalar] = {}
         for c, i in zip(gen_w, run_w):
             _, t, p = h.basis[i]
-            comp = q.compose((name,), p)
+            comp = q.compose((a,), p)
             if c and comp is not None:
                 image[h._index[(k, t, comp)]] = c
         vec = [image.get(i, 0) for i in run]
@@ -561,7 +566,7 @@ def module_of(E: TwistedComplex) -> ThinModule:
         if x is None:
             raise FalsificationError("class off the generator line")
         if x[-1]:
-            actions[name] = x[-1]
+            actions[q.arrow_name(a)] = x[-1]
     module = ThinModule(dims, actions, degree)
     module.validate(q)
     return module
@@ -576,7 +581,7 @@ def predicted_module(aq: GradedQuiver, kind: str, i: int, j: int) -> ThinModule:
     if kind not in _CHAINS:
         raise SpecError(f"unknown localization kind {kind!r}")
     vertex, step, _ = _CHAINS[kind]
-    collapsed = (step, i, j)
+    collapsed = aq.arrow_index((step, i, j))
 
     chosen: dict[int, Path] = {}
     for vid, paths in aq.paths_into((vertex, i, j + 1)).items():
@@ -592,13 +597,12 @@ def predicted_module(aq: GradedQuiver, kind: str, i: int, j: int) -> ThinModule:
     one = Fraction(1)
     for a in _arrows_among(aq, chosen):
         u, w = aq.arrow_ends(a)
-        name = aq.arrow_name(a)
-        composite = aq.compose((name,), chosen[w])
+        composite = aq.compose((a,), chosen[w])
         if composite is None or composite[-1] == collapsed:
             continue
         if composite != chosen[u]:
             raise FalsificationError("thin action is not consistent")
-        actions[name] = one
+        actions[aq.arrow_name(a)] = one
     module = ThinModule({aq.primary_label(v): 1 for v in chosen}, actions)
     module.validate(aq)
     return module

@@ -21,13 +21,13 @@ those arrays, and homology reads them by arrow index through
 ``arrows_from``, ``arrows_into`` and ``arrow``, and the arrow-name
 pairs of ``relations``, are views built on first use.
 
-A path is a tuple of arrow names, and this module alone reads one: it
+A path is a tuple of arrow indices, and this module alone reads one: it
 composes paths, grades them and traces their endpoints for the rest of
-the package.  One depth-first walk along the in-arrows finds every
-nonzero path into a vertex, and knows exactly when they are infinite;
-paths_into and paths_between read its memo per target vertex, and
-path_dims (the Hom spaces of the algebra) regroups it over every
-target.
+the package, and path_names renders one in arrow names for reports.
+One depth-first walk along the in-arrows finds every nonzero path into
+a vertex, and knows exactly when they are infinite; paths_into and
+paths_between read its memo per target vertex, and path_dims (the Hom
+spaces of the algebra) regroups it over every target.
 
 The module also checks whether a given vertex bijection is an
 isomorphism of quivers with relations, and searches for one.  Neither
@@ -50,7 +50,7 @@ from .errors import QuiverError, SpecError, read_only
 
 Label = tuple
 ArrowName = tuple
-Path = tuple  # of ArrowName
+Path = tuple  # of arrow indices
 
 
 def label_str(label) -> str:
@@ -178,7 +178,7 @@ class GradedQuiver:
     def vertex_id(self, label: Label) -> int:
         try:
             return self._label_to_id[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise QuiverError(f"unknown vertex {label_str(label)}") from None
 
     def primary_label(self, vid: int) -> Label:
@@ -205,7 +205,7 @@ class GradedQuiver:
         the arrows came."""
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise QuiverError(f"unknown arrow {label_str(name)}") from None
 
     def arrow_name(self, i: int) -> ArrowName:
@@ -276,66 +276,62 @@ class GradedQuiver:
 
     # -- paths ----------------------------------------------------------
 
-    def path_is_zero(self, names: Path) -> bool:
-        """True when a composable arrow sequence dies in the algebra,
-        i.e. some adjacent pair is a declared relation."""
-        return any(pair in self.relations for pair in zip(names, names[1:]))
-
     def compose(self, p: Path, p2: Path) -> Path | None:
         """The path p then p2, or None when the two meet at a relation."""
-        # the slot, not the property, on this hot path once it is built
-        if p and p2 and (p[-1], p2[0]) in (self._relations or self.relations):
+        if p and p2 and (p[-1], p2[0]) in self._rel:
             return None
         return p + p2
 
     def path_degree(self, p: Path) -> int:
         """The sum of the degrees of p's arrows."""
-        deg = self._deg
-        return sum(deg[self.arrow_index(name)] for name in p)
+        return sum(map(self._deg.__getitem__, p))
 
     def path_end(self, start: int, p: Path) -> int:
         """The vertex id where the arrows of p, read from vertex id
         ``start``, end; raises SpecError where an arrow does not start
         at the end of the one before."""
         v = start
-        for name in p:
-            i = self.arrow_index(name)
+        for i in p:
             if self._src[i] != v:
-                raise SpecError(f"path breaks at {name}")
+                raise SpecError(f"path breaks at {self._names[i]}")
             v = self._tgt[i]
         return v
 
+    def path_names(self, p: Path) -> tuple[ArrowName, ...]:
+        """The names of p's arrows, for reports."""
+        return tuple(map(self._names.__getitem__, p))
+
     def path_dims(self) -> "HomTable":
-        """All nonzero paths between all vertex pairs, organized by
-        degree, regrouped from paths_into every vertex.  Rejects cyclic
-        quivers."""
+        """All nonzero paths between all vertex pairs in arrow names,
+        organized by degree, regrouped from paths_into every vertex.
+        Rejects cyclic quivers."""
         self.topological_order()
-        paths: dict[tuple[Label, Label, int], list[Path]] = {}
+        paths: dict[tuple[Label, Label, int], list] = {}
         for t in range(self.num_vertices):
             t_lab = self.primary_label(t)
             for s, found in self.paths_into(t_lab).items():
                 s_lab = self.primary_label(s)
                 for p in found:
                     key = (s_lab, t_lab, self.path_degree(p))
-                    paths.setdefault(key, []).append(p)
+                    paths.setdefault(key, []).append(self.path_names(p))
         return HomTable(paths)
 
     def paths_into(self, target: Label) -> dict[int, tuple[Path, ...]]:
-        """Nonzero paths into ``target``, keyed by source vertex id in
-        ascending order, from one depth-first walk along the in-arrows
-        that is remembered per target.  Each source's paths come in
-        forward depth-first preorder: the lexicographic order of their
-        arrows' insertion indices.  A nonzero path with more arrows than
-        the quiver repeats one, so it runs round a cycle no relation
-        kills: the walk then raises QuiverError, as the paths into
-        target are infinite in number."""
+        """Nonzero paths into ``target`` as arrow-index tuples, keyed by
+        source vertex id in ascending order, from one depth-first walk
+        along the in-arrows that is remembered per target.  Each
+        source's paths come sorted, which is forward depth-first
+        preorder.  A nonzero path with more arrows than the quiver
+        repeats one, so it runs round a cycle no relation kills: the
+        walk then raises QuiverError, as the paths into target are
+        infinite in number."""
         t = self.vertex_id(target)
         into = self._paths.get(t)
         if into is None:
-            names, src, ins, rel = self._names, self._src, self._in, self._rel
+            src, ins, rel = self._src, self._in, self._rel
             found: dict[int, list] = {t: [()]}
             limit = len(src)
-            back: list[ArrowName] = []  # the path's names from t backwards
+            back: list[int] = []  # the path's arrows from t backwards
             # One frame per arrow on the path: its index (None at t) and
             # an iterator over the arrows that may come before it.
             stack = [(None, iter(ins[t]))]
@@ -346,7 +342,7 @@ class GradedQuiver:
                         continue
                     if len(back) == limit:
                         raise QuiverError("path space is infinite")
-                    back.append(names[i])
+                    back.append(i)
                     found.setdefault(src[i], []).append(tuple(reversed(back)))
                     stack.append((i, iter(ins[src[i]])))
                     break
@@ -354,19 +350,17 @@ class GradedQuiver:
                     stack.pop()
                     if back:
                         back.pop()
-            index = self._index.__getitem__
             for paths in found.values():
-                if len(paths) > 1:
-                    paths.sort(key=lambda p: list(map(index, p)))
+                paths.sort()
             into = {s: tuple(found[s]) for s in sorted(found)}
             self._paths[t] = into
         return into
 
     def paths_between(self, source: Label, target: Label) -> tuple[Path, ...]:
-        """Nonzero paths source -> target in forward depth-first
-        preorder: a lookup in the target's memo of paths_into, so it
-        raises QuiverError when the nonzero paths into target are
-        infinite in number."""
+        """Nonzero paths source -> target as arrow-index tuples, in
+        forward depth-first preorder: a lookup in the target's memo of
+        paths_into, so it raises QuiverError when the nonzero paths into
+        target are infinite in number."""
         return self.paths_into(target).get(self.vertex_id(source), ())
 
     # -- export ---------------------------------------------------------
@@ -449,9 +443,9 @@ class GradedQuiver:
 
 @dataclass
 class HomTable:
-    """Path bases keyed by (source label, target label, degree)."""
+    """Paths in arrow names, keyed by (source label, target label, degree)."""
 
-    paths: dict[tuple[Label, Label, int], list[Path]]
+    paths: dict[tuple[Label, Label, int], list[tuple[ArrowName, ...]]]
 
     @property
     def dims(self) -> dict[tuple[Label, Label, int], int]:

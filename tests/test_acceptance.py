@@ -35,7 +35,6 @@ from quiverglue.homology import (
     euler_characteristic,
     ext_product,
     hom_cohomology,
-    module_of,
     predicted_module,
 )
 from quiverglue.mirror import (
@@ -100,9 +99,13 @@ def standard_pair(q):
 
 
 def unit_cocycle(h, degree, element):
+    """The cocycle of one basis element (source summand, target summand,
+    path), its path given in arrow names."""
+    si, ti, names = element
+    path = tuple(map(h.quiver.arrow_index, names))
     idxs = h.degrees[degree]
     vec = [Fraction(0)] * len(idxs)
-    vec[idxs.index(h._index[element])] = ONE
+    vec[idxs.index(h._index[si, ti, path])] = ONE
     return h.cocycle(vec, degree)
 
 
@@ -217,23 +220,21 @@ def test_criterion_07_ring_search():
     assert search_ring_mirror(2, 1) == [1]
 
 
-def test_criterion_08_localization_modules():
+def test_criterion_08_localization_modules(localization_grid):
     """Every localization object over the restricted sweep (n <= 2,
     ranks <= 4) has a module concentrated in one degree, thin, and
     equal to the combinatorial presentation transported through the
     canonical identification."""
-    specs = gluing_sweep(2, 4)
+    specs, modules, _ = localization_grid
     assert len(specs) == 1450
-    for g in specs:
-        aq = build_aside(g)
-        for obj in all_localization_objects(aq):
-            mod = module_of(obj.cx)  # raises unless thin, one degree
-            assert mod.degree is not None
-            assert set(mod.dims.values()) <= {0, 1}
-            predicted = predicted_module(
-                aq, obj.kind, obj.component, obj.position
-            )
-            assert mod.same_pattern(predicted), (g.to_json(), obj.kind)
+    # module_of raised in the fixture unless thin, one degree
+    for g, aq, obj, mod in modules:
+        assert mod.degree is not None
+        assert set(mod.dims.values()) <= {0, 1}
+        predicted = predicted_module(
+            aq, obj.kind, obj.component, obj.position
+        )
+        assert mod.same_pattern(predicted), (g.to_json(), obj.kind)
 
 
 def test_criterion_09_crossed_doubles_example():

@@ -262,14 +262,16 @@ def test_bad_json_is_a_usage_error(capsys, tmp_path):
     assert "bad JSON at line" in err
 
 
-def _complexes(shift=1, coeff=1, index=(1, 0), extra=()):
+def _complexes(shift=1, coeff=1, index=(1, 0), extra=(), label=("v", 2),
+               path=(["y"],)):
     """A complexes file holding bands_complexes.json's M1, with its first
-    shift, its one coefficient and its entry's index pair replaced, and
-    the ``extra`` differential entries after that one."""
+    summand's label and shift, its one coefficient, its entry's index
+    pair and its entry's path replaced, and the ``extra`` differential
+    entries after that one."""
     return json.dumps({"complexes": [{
         "name": "M1",
-        "summands": [[["v", 2], shift], [["v", 3], 0]],
-        "differential": [[*index, [[coeff, [["y"]]]]], *extra],
+        "summands": [[list(label), shift], [["v", 3], 0]],
+        "differential": [[*index, [[coeff, list(path)]]], *extra],
     }]})
 
 
@@ -305,6 +307,8 @@ def _complexes(shift=1, coeff=1, index=(1, 0), extra=()):
         (_complexes(index=(1.5, 0)), "'differential index'"),
         (_complexes(index=(True, False)), "'differential index'"),
         (_complexes(extra=[[1, 0, [[0, [["y"]]]]]]), "entry 1<-0 is given twice"),
+        (_complexes(label=[["v"], 2]), "unknown vertex ['v'](2)"),
+        (_complexes(path=[[["y"]]]), "unknown arrow ['y']"),
         ('{"complexes": 5}', "'complexes' list"),
     ],
     ids=[
@@ -332,6 +336,8 @@ def _complexes(shift=1, coeff=1, index=(1, 0), extra=()):
         "complex_float_index",
         "complex_bool_index",
         "complex_repeated_entry",
+        "complex_list_in_label",
+        "complex_list_in_arrow_name",
         "complexes_not_a_list",
     ],
 )

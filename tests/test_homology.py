@@ -15,7 +15,7 @@ import pytest
 
 from quiverglue import cli, homology, quiver
 from quiverglue.aside import build_aside
-from quiverglue.errors import FalsificationError, SpecError
+from quiverglue.errors import FalsificationError, QuiverError, SpecError
 from quiverglue.gluing import GluingSpec
 from quiverglue.linalg import kernel_basis, rank, solve
 from quiverglue.homology import (
@@ -34,6 +34,7 @@ from quiverglue.homology import (
 from quiverglue.perms import Permutation, identity, tau
 from quiverglue.quiver import Arrow, GradedQuiver
 from quiverglue.sweeps import gluing_sweep
+from conftest import count_hom_complexes
 from test_paths import walk_out
 
 ONE = Fraction(1)
@@ -68,9 +69,13 @@ def standard_pair(q):
 
 
 def unit_cocycle(h, degree, element):
+    """The cocycle of one basis element (source summand, target summand,
+    path), its path given in arrow names."""
+    si, ti, names = element
+    path = tuple(map(h.quiver.arrow_index, names))
     idxs = h.degrees[degree]
     vec = [Fraction(0)] * len(idxs)
-    vec[idxs.index(h._index[element])] = ONE
+    vec[idxs.index(h._index[si, ti, path])] = ONE
     return h.cocycle(vec, degree)
 
 
@@ -117,6 +122,29 @@ def test_zero_paths_are_rejected():
             ((("v", 1), 1), (("v", 3), 0)),
             {(1, 0): [(ONE, (("a",), ("y",)))]},
         )
+
+
+@pytest.mark.parametrize(
+    "summands, path, error, message",
+    [
+        ((("v", 2), 1), (("zz",),), QuiverError, "unknown arrow zz"),
+        ((("v", 2), 1), (("a",),), SpecError, "path breaks at ('a',)"),
+        ((("v", 1), 1), (("a",),), SpecError,
+         "entry 1<-0: path does not connect"),
+        ((("v", 1), 1), (("a",), ("y",)), SpecError,
+         "entry 1<-0: path is zero in the algebra"),
+        ((("v", 1), 0), (("a",), ("x",)), SpecError,
+         "entry 1<-0: path degree 0 != 1"),
+    ],
+    ids=["unknown_arrow", "breaks", "does_not_connect", "zero", "degree"],
+)
+def test_path_entries_are_checked(summands, path, error, message):
+    # each entry path from the first summand into (v3, 0), in arrow names
+    with pytest.raises(error) as info:
+        TwistedComplex(
+            double_quiver(), (summands, (("v", 3), 0)), {(1, 0): [(ONE, path)]}
+        )
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_delta_squared_is_enforced():
@@ -667,22 +695,6 @@ def test_module_of_agrees_with_the_all_vertex_route():
 # -- work counts: one hom complex per object ---------------------------
 
 
-def count_hom_complexes(monkeypatch):
-    """Patch HomComplex to count its builds and their basis sizes; the
-    last one built is kept under "last"."""
-    counts = {"built": 0, "basis": 0, "last": None}
-    init = HomComplex.__init__
-
-    def counted(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        counts["built"] += 1
-        counts["basis"] += len(self.basis)
-        counts["last"] = self
-
-    monkeypatch.setattr(HomComplex, "__init__", counted)
-    return counts
-
-
 def reaching(q, targets):
     """Vertex ids with a nonzero path into one of ``targets``, by a
     search backwards over (vertex, first arrow of the path so far)
@@ -798,18 +810,30 @@ def test_far_end_of_a_long_chain_ranks_one_block_at_a_time(monkeypatch):
     assert widths and max(widths) <= max(block_sizes.values()) == 3
 
 
-def test_localization_grid_hom_complex_counts(monkeypatch):
+def test_module_of_looks_up_no_names_per_path_arrow(monkeypatch):
+    # E-(1,749) spans about 1,500 paths of up to 750 arrows each, read
+    # as arrow indices; module_of looks names up only to check the
+    # actions it found, so the count stays the same for any chain length
+    aq = build_aside(GluingSpec("linear", (750, 1), ()))
+    E = localization_object(aq, "E-", 1, 749)
+    calls = []
+    lookup = GradedQuiver.arrow_index
+
+    def counted(self, name):
+        calls.append(name)
+        return lookup(self, name)
+
+    monkeypatch.setattr(GradedQuiver, "arrow_index", counted)
+    assert module_of(E).actions == {("y", 1, 0): 1}
+    assert len(calls) <= 2
+
+
+def test_localization_grid_hom_complex_counts(localization_grid):
     # over the 17,610 objects of the restricted grid: one complex each,
     # spanning the 173,658 basis elements of the 104,690 per-vertex
     # complexes that module_of built before, one per vertex reaching E
-    counts = count_hom_complexes(monkeypatch)
-    objects = 0
-    for g in gluing_sweep(2, 4):
-        aq = build_aside(g)
-        for obj in all_localization_objects(aq):
-            module_of(obj.cx)
-            objects += 1
-    assert objects == 17610
+    _, modules, counts = localization_grid
+    assert len(modules) == 17610
     assert (counts["built"], counts["basis"]) == (17610, 173658)
 
 

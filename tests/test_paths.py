@@ -35,7 +35,7 @@ def test_long_chain_has_one_path_end_to_end():
         [],
     )
     (path,) = q.paths_between(("v", 1), ("v", n))
-    assert path == tuple(("f", v) for v in range(1, n))
+    assert q.path_names(path) == tuple(("f", v) for v in range(1, n))
 
 
 def test_cycle_without_relations_is_infinite():
@@ -51,7 +51,7 @@ def test_longest_finite_path_may_use_every_arrow(n):
     # exactly len(arrows) arrows, and must be accepted
     q = cycle_quiver(n, killed=(n - 1,))
     loops = q.paths_between(("v", 0), ("v", 0))
-    assert loops == ((), tuple(("f", i) for i in range(n)))
+    assert loops == ((), tuple(range(n)))
     assert max(len(p) for p in loops) == len(q.arrows)
     assert hom_cohomology(projective(q, ("v", 0)), projective(q, ("v", 0))) == {0: 2}
 
@@ -91,7 +91,7 @@ def test_paths_come_in_depth_first_preorder():
         (("a",), ("y",)),
         (("z",),),
     ]
-    assert list(q.paths_between(("v", 1), ("v", 3))) == expected
+    assert list(map(q.path_names, q.paths_between(("v", 1), ("v", 3)))) == expected
     assert q.path_dims().paths[(("v", 1), ("v", 3), 0)] == expected
 
 
@@ -148,7 +148,7 @@ def test_backward_walk_keeps_the_forward_preorder():
                 table = q.path_dims().paths
                 for s, t in itertools.product(range(q.num_vertices), repeat=2):
                     s_lab, t_lab = q.primary_label(s), q.primary_label(t)
-                    got = list(q.paths_between(s_lab, t_lab))
+                    got = list(map(q.path_names, q.paths_between(s_lab, t_lab)))
                     assert got == table.get((s_lab, t_lab, 0), [])
                     assert got == forward_paths(q, s, t)
                     several += len(got) > 1
@@ -162,7 +162,7 @@ def test_backward_walk_keeps_the_forward_preorder_on_cycles(n, killed):
     q = cycle_quiver(n, killed)
     for s, t in itertools.product(range(n), repeat=2):
         got = q.paths_between(q.primary_label(s), q.primary_label(t))
-        assert list(got) == forward_paths(q, s, t)
+        assert list(map(q.path_names, got)) == forward_paths(q, s, t)
 
 
 def test_infinite_paths_into_a_vertex_are_refused():

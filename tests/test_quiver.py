@@ -86,7 +86,7 @@ def test_construction_reads_each_part_once():
     )
     assert q.relations == frozenset({(("a",), ("y",))})
     assert q.num_vertices == 3 and len(q.arrows) == 4
-    assert q.paths_between(("v", 1), ("v", 3)) == (
+    assert tuple(map(q.path_names, q.paths_between(("v", 1), ("v", 3)))) == (
         (("a",), ("x",)), (("b",), ("x",)), (("b",), ("y",))
     )
 
@@ -288,13 +288,14 @@ def test_path_dims_rejects_cycles():
 
 def test_paths_between_respects_relations():
     q = three_vertex_double()
-    assert sorted(q.paths_between(("v", 1), ("v", 3))) == [
+    assert sorted(map(q.path_names, q.paths_between(("v", 1), ("v", 3)))) == [
         (("a",), ("x",)),
         (("b",), ("y",)),
     ]
     assert q.paths_between(("v", 3), ("v", 1)) == ()
-    assert q.path_is_zero((("a",), ("y",)))
-    assert not q.path_is_zero((("a",), ("x",)))
+    a, x, y = map(q.arrow_index, [("a",), ("x",), ("y",)])
+    assert q.is_relation(a, y)
+    assert not q.is_relation(a, x)
 
 
 def test_arrow_degrees_show_up_in_path_degrees():
