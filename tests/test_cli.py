@@ -654,3 +654,88 @@ def test_raw_quiver_reports_are_byte_identical():
         "7998a7fd72657e8aaea33c8a095efe87f6f1beedb0515fc215ced31f6846f0d4")
     assert hashlib.sha256(cli._quiver_text(q).encode()).hexdigest() == (
         "be09483b413cf958a0ba57c45ab0aee17b0a2088cc119809c822432621090858")
+
+
+# sha256 of "<exit code>\n<stdout>\n<stderr>" of every other report on
+# the example inputs, in each format the subcommand accepts, plus the
+# spec-kind refusals; recorded before the subcommands were folded onto
+# one spec gate and one report writer.
+REPORT_CASES = {
+    "topology_gluing": ("topology", "--spec", GLUING),
+    "topology_curve": ("topology", "--spec", RING),
+    "verify_ring": ("verify", "--spec", RING),
+    "verify_chain": ("verify", "--spec", CHAIN),
+    "search_2": ("search", "2"),
+    "search_3_2": ("search", "3", "2"),
+    "localize_gluing_minus": ("localize", "--spec", GLUING, "E-:1:0"),
+    "localize_gluing_plus": ("localize", "--spec", GLUING, "E+:3:0"),
+    "localize_chain_minus": ("localize", "--spec", CHAIN, "E-:2:1"),
+    "localize_chain_plus": ("localize", "--spec", CHAIN, "E+:1:0"),
+    "sweep_6": ("sweep", "--samples", "6"),
+    "topology_refuses_quiver": ("topology", "--spec", QUIVER),
+    "aside_refuses_quiver": ("aside", "--spec", QUIVER),
+    "bside_refuses_gluing": ("bside", "--spec", GLUING),
+    "verify_refuses_gluing": ("verify", "--spec", GLUING),
+    "localize_refuses_quiver": ("localize", "--spec", QUIVER, "E-:1:0"),
+}
+REPORT_DIGESTS = {
+    ("topology_gluing", "text"):
+        "5477f4077d77f30857aa9eace0f07ef8c4fa6bc1a701cbec385bf0dfb9522cf4",
+    ("topology_gluing", "json"):
+        "3366bde4ced7fe391c7a6c67d8a4bfbacd7807611dd3828c4f28ced5a47d503f",
+    ("topology_curve", "text"):
+        "5d22fe5490679142d4047a8b8b98903ef0eec80bcd425247fd4dedd80e78bfba",
+    ("topology_curve", "json"):
+        "7d54ae1ea1de98e71abaebfb0970c51e3444c239e5023129b9dacdfdcdd483d2",
+    ("verify_ring", "text"):
+        "dba28076a6f54872c5942e60563da9e5bac77b6f6e8d9fd3f8eaacd0aa79d984",
+    ("verify_ring", "json"):
+        "5fcd1baf0d5a99c1d9187c1c36afa4ad546ccbdd2ee22789fedbf3daa3617223",
+    ("verify_chain", "text"):
+        "dba28076a6f54872c5942e60563da9e5bac77b6f6e8d9fd3f8eaacd0aa79d984",
+    ("verify_chain", "json"):
+        "5fcd1baf0d5a99c1d9187c1c36afa4ad546ccbdd2ee22789fedbf3daa3617223",
+    ("search_2", "text"):
+        "aabceae6e4c0faff6e1fbba64c688142c7139652d9429af53207d0e6f7e85c48",
+    ("search_2", "json"):
+        "6c8f6834dd44b9f5da63c103c0e6f64f9df2bc6107d2d8c51bdedbb627597742",
+    ("search_3_2", "text"):
+        "4aa6d6d4ffc1ba598a7575849495183c2640506e9d58bf835abc9ec229ab5164",
+    ("search_3_2", "json"):
+        "dc6a21c6593745e87b6de4dbb2a3cd0d84af0d228daf5711ee1faf9f423610c3",
+    ("localize_gluing_minus", "text"):
+        "417647126a2d16f8ae17404937585fa49f3c63cc5dcd435d82fcec5c184aaba9",
+    ("localize_gluing_minus", "json"):
+        "d2cd1d747da924f9a6b08bda65064d08667d55f3dad12dcab22c2f91817da022",
+    ("localize_gluing_plus", "text"):
+        "2c680bc3e41c9302f3ea4c7e808ed015ca772fb3e43b089d49903989c8bb0ee7",
+    ("localize_gluing_plus", "json"):
+        "eeb72a1dc0cce74c08d339c7f88bbb63b1a2144cf80612e2bef195f02c46ba8e",
+    ("localize_chain_minus", "text"):
+        "384f154d918782e658bc9fd0efe81f2cf210d27ebd4c2fe9b4e5a47b81f97b54",
+    ("localize_chain_minus", "json"):
+        "ab861a4bfcaa1aef2cd3f302270e30474b770da5ffb802a0ffa2507265735350",
+    ("localize_chain_plus", "text"):
+        "2750b5721de8627c1df7893a641e90b662c215fe4111829a82ff27b01f669e07",
+    ("localize_chain_plus", "json"):
+        "016de9238f7d5f38ea4a6f288c068c6c975c1b6a44b8aa9de4a32128e5a24aa2",
+    ("sweep_6", "text"):
+        "210cc09f0ed81bcb01f55e1b6c83696a83743e99b45985ab109a08f22947a10f",
+    ("topology_refuses_quiver", "text"):
+        "c27886f87857b96d50e64f7f43744093a3070c83c84653e17d1a9b92c8d7d0f2",
+    ("aside_refuses_quiver", "text"):
+        "7865ecf5663a33330a404d3c65fb3e6bf8a115588a9ce326aa2018ddad1e739a",
+    ("bside_refuses_gluing", "text"):
+        "07610aa73f35a5155c03515e3538b7edd4bf5e0258e423055a5e9f18c6891e9f",
+    ("verify_refuses_gluing", "text"):
+        "524f29ca9bdb44a79a60c176b67c456b73f8743ee1d7707f638d80f547cfc897",
+    ("localize_refuses_quiver", "text"):
+        "48c474d28708fc4b2f32067a4e6c789176c8003991b279126ec25702c75a83bd",
+}
+
+
+@pytest.mark.parametrize("case, fmt", list(REPORT_DIGESTS))
+def test_reports_are_byte_identical(capsys, case, fmt):
+    code, out, err = run(capsys, *REPORT_CASES[case], "--format", fmt)
+    digest = hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[case, fmt]
