@@ -9,6 +9,10 @@ their keys: a gluing ({"shape", "ranks", "perms"}), a curve ({"shape",
 command name: subcommand ``x`` runs the module's ``cmd_x``, looked up at
 call time, so the cached parser holds no functions.
 
+Each ``cmd_x`` reads its spec through one gate, ``_spec``, which refuses
+the kinds it cannot use, and writes through one writer, ``_emit``;
+reports printed as text or indented JSON go through ``_report``.
+
 Exit codes: 0 when every check agrees, 1 on a mathematical mismatch,
 2 on a usage or input error, 3 on an internal error (a bug).
 """
@@ -31,7 +35,7 @@ from .gluing import (
     predicted_topology_curve,
 )
 from .homology import HomComplex, TwistedComplex, localization_object, module_of
-from .mirror import MAX_STRIPS, search_ring_mirror, twisted_gluing, verify_theorem_A
+from .mirror import MAX_STRIPS, search_ring_mirror, verify_theorem_A
 from .quiver import GradedQuiver, label_str
 from .surface import surface_topology
 
@@ -41,9 +45,9 @@ from .surface import surface_topology
 
 def _read_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -51,6 +55,8 @@ def _read_json(path):
         raise SpecError(
             f"{path}: bad JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise SpecError(f"{path}: JSON nested too deeply") from None
 
 
 def load_spec(path):
@@ -69,20 +75,38 @@ def load_spec(path):
     )
 
 
+def _spec(args, *kinds):
+    """The ``--spec`` object, refused unless it is one of ``kinds``."""
+    kind, spec = load_spec(args.spec)
+    if kind not in kinds:
+        raise SpecError(f"{args.command} needs a {' or '.join(kinds)} spec")
+    return spec
+
+
+def _gluing(spec):
+    """A gluing spec itself, or the gluing mirror to a curve spec."""
+    return from_curve(spec) if isinstance(spec, StackyCurveSpec) else spec
+
+
+# -- output plumbing ---------------------------------------------------
+
+
 def _emit(text, out):
-    if out:
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise SpecError(f"cannot write {out}: {exc}") from exc
 
 
-def _topology_json(t):
-    return {
-        "genus": t.genus,
-        "euler_characteristic": t.euler_characteristic,
-        "boundary_marks": list(t.boundary_marks),
-    }
+def _report(args, obj, text, code=0):
+    """Write ``obj`` as indented JSON under ``--format json``, else
+    ``text``, and return the exit code."""
+    _emit(json.dumps(obj, indent=2) if args.format == "json" else text, args.out)
+    return code
 
 
 def _quiver_text(q):
@@ -113,86 +137,54 @@ def _format_quiver(q, fmt):
 
 
 def cmd_topology(args):
-    kind, spec = load_spec(args.spec)
-    if kind == "gluing":
-        predicted = predicted_topology(spec)
-        oracle = surface_topology(spec)
-    elif kind == "curve":
+    spec = _spec(args, "gluing", "curve")
+    if isinstance(spec, StackyCurveSpec):
         predicted = predicted_topology_curve(spec)
-        oracle = surface_topology(from_curve(spec))
     else:
-        raise SpecError("topology needs a gluing or curve spec")
-    agree = predicted == oracle
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "predicted": _topology_json(predicted),
-                    "oracle": _topology_json(oracle),
-                    "agree": agree,
-                },
-                indent=2,
-            ),
-            args.out,
-        )
-    else:
-        lines = [
-            f"predicted: genus {predicted.genus}, chi "
-            f"{predicted.euler_characteristic}, "
-            f"boundaries {list(predicted.boundary_marks)}",
-            f"oracle:    genus {oracle.genus}, chi "
-            f"{oracle.euler_characteristic}, "
-            f"boundaries {list(oracle.boundary_marks)}",
-            "AGREE" if agree else "DISAGREE",
-        ]
-        _emit("\n".join(lines), args.out)
-    return 0 if agree else 1
+        predicted = predicted_topology(spec)
+    oracle = surface_topology(_gluing(spec))
+    report = {
+        name: {
+            "genus": t.genus,
+            "euler_characteristic": t.euler_characteristic,
+            "boundary_marks": list(t.boundary_marks),
+        }
+        for name, t in (("predicted", predicted), ("oracle", oracle))
+    }
+    lines = [f"{name + ':':11}genus {t['genus']}, chi {t['euler_characteristic']}, "
+             f"boundaries {t['boundary_marks']}" for name, t in report.items()]
+    report["agree"] = agree = report["predicted"] == report["oracle"]
+    lines.append("AGREE" if agree else "DISAGREE")
+    return _report(args, report, "\n".join(lines), 0 if agree else 1)
 
 
 def cmd_aside(args):
-    kind, spec = load_spec(args.spec)
-    if kind == "curve":
-        spec = from_curve(spec)
-    elif kind != "gluing":
-        raise SpecError("aside needs a gluing or curve spec")
+    spec = _gluing(_spec(args, "gluing", "curve"))
     _emit(_format_quiver(build_aside(spec), args.format), args.out)
     return 0
 
 
 def cmd_bside(args):
-    kind, spec = load_spec(args.spec)
-    if kind != "curve":
-        raise SpecError("bside needs a curve spec")
-    _emit(_format_quiver(build_bside(spec), args.format), args.out)
+    _emit(_format_quiver(build_bside(_spec(args, "curve")), args.format), args.out)
     return 0
 
 
 def cmd_verify(args):
-    kind, spec = load_spec(args.spec)
-    if kind != "curve":
-        raise SpecError("verify needs a curve spec")
+    spec = _spec(args, "curve")
     strips = sum(spec.ranks)
     if strips > MAX_STRIPS:
         raise SpecError(f"curve of {strips} strips exceeds the verify limit "
                         f"{MAX_STRIPS}")
     report = verify_theorem_A(spec)
-    if args.format == "json":
-        _emit(json.dumps(report.to_json_obj(), indent=2), args.out)
-    else:
-        _emit(report.summary(), args.out)
-    return 0 if report.ok else 1
+    return _report(args, report.to_json_obj(), report.summary(),
+                   0 if report.ok else 1)
 
 
 def cmd_search(args):
     twists = search_ring_mirror(args.genus, args.components)
-    if args.format == "json":
-        _emit(json.dumps(twists), args.out)
-    else:
-        _emit(
-            f"genus {args.genus}, {args.components} component(s): "
-            f"twists {twists}",
-            args.out,
-        )
+    _emit(json.dumps(twists) if args.format == "json" else
+          f"genus {args.genus}, {args.components} component(s): twists {twists}",
+          args.out)
     return 0
 
 
@@ -208,41 +200,20 @@ def _parse_selector(sel):
 
 
 def cmd_localize(args):
-    kind, spec = load_spec(args.spec)
-    if kind == "curve":
-        spec = twisted_gluing(spec)
-    elif kind != "gluing":
-        raise SpecError("localize needs a gluing or curve spec")
+    spec = _spec(args, "gluing", "curve")
     which, i, j = _parse_selector(args.selector)
-    aq = build_aside(spec)
-    mod = module_of(localization_object(aq, which, i, j))
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "object": {"kind": which, "component": i, "position": j},
-                    "degree": mod.degree,
-                    "dims": {
-                        label_str(v): d for v, d in sorted(mod.dims.items())
-                        if d
-                    },
-                    "actions": {
-                        label_str(a): str(c)
-                        for a, c in sorted(mod.actions.items()) if c
-                    },
-                },
-                indent=2,
-            ),
-            args.out,
-        )
-    else:
-        lines = [f"module of {which}({i},{j}), degree {mod.degree}"]
-        for v in sorted(mod.support):
-            lines.append(f"  M({label_str(v)}) = k")
-        for a in sorted(mod.nonzero_actions):
-            lines.append(f"  {label_str(a)} acts by {mod.actions[a]}")
-        _emit("\n".join(lines), args.out)
-    return 0
+    mod = module_of(localization_object(build_aside(_gluing(spec)), which, i, j))
+    dims = {label_str(v): d for v, d in sorted(mod.dims.items()) if d}
+    actions = {label_str(a): str(c) for a, c in sorted(mod.actions.items()) if c}
+    lines = [f"module of {which}({i},{j}), degree {mod.degree}"]
+    lines.extend(f"  M({v}) = k" for v in dims)
+    lines.extend(f"  {a} acts by {c}" for a, c in actions.items())
+    return _report(
+        args,
+        {"object": {"kind": which, "component": i, "position": j},
+         "degree": mod.degree, "dims": dims, "actions": actions},
+        "\n".join(lines),
+    )
 
 
 def _integer(key, value):
@@ -300,41 +271,21 @@ def _load_complexes(path, q):
 
 def cmd_ext(args):
     kind, spec = load_spec(args.spec)
-    if kind == "gluing":
-        q = build_aside(spec)
-    elif kind == "curve":
-        q = build_bside(spec)
-    else:
-        q = spec
-    complexes = _load_complexes(args.complexes, q)
-    report = {}
-    for sname, X in complexes:
-        for tname, Y in complexes:
-            dims = HomComplex(X, Y).cohomology()
-            report[f"{sname} -> {tname}"] = dims
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    pair: {str(d): n for d, n in sorted(dims.items())}
-                    for pair, dims in report.items()
-                },
-                indent=2,
-            ),
-            args.out,
-        )
-    else:
-        lines = [
-            f"hom({pair}): " + (
-                "{" + ", ".join(
-                    f"{d}: {n}" for d, n in sorted(dims.items())
-                ) + "}"
-                if dims else "0"
-            )
-            for pair, dims in report.items()
-        ]
-        _emit("\n".join(lines), args.out)
-    return 0
+    build = {"gluing": build_aside, "curve": build_bside}.get(kind)
+    complexes = _load_complexes(args.complexes, build(spec) if build else spec)
+    report = {
+        f"{sname} -> {tname}": {
+            str(d): n for d, n in sorted(HomComplex(X, Y).cohomology().items())
+        }
+        for sname, X in complexes
+        for tname, Y in complexes
+    }
+    text = "\n".join(
+        f"hom({pair}): " + ("{" + ", ".join(
+            f"{d}: {n}" for d, n in dims.items()) + "}" if dims else "0")
+        for pair, dims in report.items()
+    )
+    return _report(args, report, text)
 
 
 def cmd_sweep(args):

@@ -101,6 +101,11 @@ class TwistedComplex:
                 terms.append((c, p))
         self._check_delta_squared()
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which checks
+        # the complex again and makes diff read-only again
+        return TwistedComplex, (self.quiver, self.summands, dict(self.diff))
+
     def _check_delta_squared(self) -> None:
         # delta^2 from b to c sums the composites of the entry pairs
         # a<-b, c<-a, so only pairs of entries are walked; the first
@@ -143,8 +148,9 @@ class Cocycle:
 
 class HomComplex:
     """The graded Hom space between two twisted complexes over one
-    quiver, with its differential realized as sparse integer matrices
-    between degree slices."""
+    quiver, with its differential realized as dense matrices (lists of
+    rows) between degree slices, whose entries are ints unless a
+    coefficient is a ``Fraction``."""
 
     def __init__(
         self,

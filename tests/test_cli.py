@@ -1,6 +1,7 @@
 """Drive the command line front end in-process and check exit codes,
 report text, and the machine-readable formats."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -260,6 +261,35 @@ def test_bad_json_is_a_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "topology", "--spec", str(bad))
     assert code == 2
     assert "bad JSON at line" in err
+
+
+@pytest.mark.parametrize(
+    "content, named",
+    [(b'\xff\xfe{"shape": "linear"}', "cannot read {path}: 'utf-8' codec"),
+     (b"[" * 100_000 + b"]" * 100_000, "{path}: JSON nested too deeply")],
+    ids=["not_utf8", "nested_deep"],
+)
+@pytest.mark.parametrize("where", ["spec", "complexes"])
+def test_unreadable_json_is_a_usage_error(capsys, tmp_path, content, named, where):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = (["topology", "--spec", str(bad)] if where == "spec"
+            else ["ext", "--spec", QUIVER, str(bad)])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + named.format(path=bad))
+
+
+@pytest.mark.parametrize("argv", [
+    ("topology", "--spec", GLUING),
+    ("aside", "--spec", GLUING, "--format", "dot"),
+    ("search", "2", "--format", "json"),
+])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    for target in tmp_path / "missing" / "report.txt", tmp_path:
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
 
 
 def _complexes(shift=1, coeff=1, index=(1, 0), extra=(), label=("v", 2),
@@ -599,6 +629,15 @@ def test_dispatch_reads_the_module_at_call_time(capsys, monkeypatch):
     for command, (args, _) in FORMAT_CASES.items():
         parsed = cli._parser().parse_args([command, *args])
         assert not any(callable(v) for v in vars(parsed).values())
+
+
+def test_every_subcommand_has_its_function():
+    # main finds cmd_<name> by name, so a renamed command or function
+    # would only show as a KeyError at run time
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    functions = {name[4:] for name in vars(cli) if name.startswith("cmd_")}
+    assert set(sub.choices) == functions
 
 
 # sha256 of each quiver report, recorded before the reports were changed

@@ -6,7 +6,9 @@ with crossed zero composites, the two standard two-term complexes over
 it, and every graded dimension and product computed by hand.
 """
 
+import copy
 import hashlib
+import pickle
 import time
 from collections import Counter
 from fractions import Fraction
@@ -460,6 +462,24 @@ def test_twisted_complexes_are_read_only():
     assert list(E.diff.items()) == [((1, 0), ((1, (("x", 1, 0),)),))]
     assert E.diff.get((2, 1)) is None
     assert hom_cohomology(E, E) == {0: 1, 1: 1}
+
+
+def test_twisted_complexes_copy_and_pickle(monkeypatch):
+    aq = build_aside(GluingSpec("linear", (3, 1), ()))
+    E = localization_object(aq, "E-", 1, 1)
+    assert copy.copy(E) == E
+    for twin in copy.deepcopy(E), pickle.loads(pickle.dumps(E)):
+        assert twin.quiver is not aq
+        assert twin == TwistedComplex(twin.quiver, E.summands, E.diff)
+        assert module_of(twin) == module_of(E)
+        with pytest.raises(TypeError):
+            twin.diff[(1, 0)] = ()
+    # a copy is rebuilt through the constructor, so it is checked again
+    checked = []
+    monkeypatch.setattr(TwistedComplex, "_check_delta_squared",
+                        lambda self: checked.append(self))
+    pickle.loads(pickle.dumps(E))
+    assert len(checked) == 1
 
 
 def test_localization_objects_are_valid_complexes():
