@@ -12,7 +12,7 @@ relations kill the composites y∘a and x∘b.  All arrows sit in degree 0.
 from __future__ import annotations
 
 from .errors import FalsificationError
-from .gluing import LINEAR, GluingSpec
+from .gluing import GluingSpec
 from .quiver import GradedQuiver
 
 
@@ -58,8 +58,8 @@ def _arrows(g: GluingSpec, relations: list):
 
 
 def object_count(g: GluingSpec) -> int:
-    """Closed-form generator count: r_0 + 3*sum(interior) + r_n for a
-    linear gluing, 3*sum(ranks) for a circular one."""
-    if g.shape == LINEAR:
-        return g.ranks[0] + 3 * sum(g.ranks[1:-1]) + g.ranks[-1]
-    return 3 * sum(g.ranks)
+    """Closed-form generator count: three per strip of each junction,
+    plus the end ranks r_0 + r_n of an open gluing."""
+    if g.closed:
+        return 3 * sum(g.node_ranks())
+    return g.ranks[0] + 3 * sum(g.node_ranks()) + g.ranks[-1]

@@ -11,7 +11,10 @@ call time, so the cached parser holds no functions.
 
 Each ``cmd_x`` reads its spec through one gate, ``_spec``, which refuses
 the kinds it cannot use, and writes through one writer, ``_emit``;
-reports printed as text or indented JSON go through ``_report``.
+reports printed as text or indented JSON go through ``_report``.  A
+quiver's text, JSON and dot formats are its own methods in quiver.py,
+and ``_format_quiver`` only picks one.  A write that fails, to
+``--out`` or to stdout (a closed pipe, a full disk), is a usage error.
 
 Exit codes: 0 when every check agrees, 1 on a mathematical mismatch,
 2 on a usage or input error, 3 on an internal error (a bug).
@@ -92,14 +95,14 @@ def _gluing(spec):
 
 
 def _emit(text, out):
-    if not out:
-        print(text)
-        return
     try:
+        if not out:
+            print(text, flush=True)
+            return
         with open(out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     except OSError as exc:
-        raise SpecError(f"cannot write {out}: {exc}") from exc
+        raise SpecError(f"cannot write {out or 'stdout'}: {exc}") from exc
 
 
 def _report(args, obj, text, code=0):
@@ -109,28 +112,12 @@ def _report(args, obj, text, code=0):
     return code
 
 
-def _quiver_text(q):
-    lines = [f"{q.num_vertices} vertices, {len(q.arrows)} arrows, "
-             f"{len(q.relations)} relations"]
-    names = [label_str(labs[0]) for labs in q.vertex_labels]
-    for name, labs, sh in zip(names, q.vertex_labels, q.vertex_shifts):
-        extra = "".join(", " + label_str(l) for l in labs[1:])
-        lines.append(f"  vertex {name}{extra}" + (f"  [shift {sh}]" if sh else ""))
-    for a in q.arrows:
-        deg = f" (degree {a.degree})" if a.degree else ""
-        lines.append(f"  {label_str(a.name)}: {names[a.source]}"
-                     f" -> {names[a.target]}{deg}")
-    for f, g in sorted(q.relations):
-        lines.append(f"  relation: {label_str(g)} o {label_str(f)} = 0")
-    return "\n".join(lines)
-
-
 def _format_quiver(q, fmt):
     if fmt == "dot":
         return q.to_dot()
     if fmt == "json":
         return json.dumps(q.to_json_obj(), indent=2)
-    return _quiver_text(q)
+    return q.to_text()
 
 
 # -- subcommands -------------------------------------------------------
@@ -176,8 +163,9 @@ def cmd_verify(args):
         raise SpecError(f"curve of {strips} strips exceeds the verify limit "
                         f"{MAX_STRIPS}")
     report = verify_theorem_A(spec)
-    return _report(args, report.to_json_obj(), report.summary(),
-                   0 if report.ok else 1)
+    curve = spec.to_json()
+    return _report(args, {"curve": json.loads(curve), **report.to_json_obj()},
+                   f"curve: {curve}\n{report.summary()}", 0 if report.ok else 1)
 
 
 def cmd_search(args):

@@ -56,6 +56,19 @@ class SurfaceTopology:
                 f"chi = {expected}, got {self.euler_characteristic}"
             )
 
+    @classmethod
+    def measured(cls, boundary_marks, euler_characteristic: int) -> "SurfaceTopology":
+        """The surface with these boundary marks and Euler
+        characteristic, its genus taken from 2g = 2 - b - chi; an odd 2g
+        raises FalsificationError, as no oriented surface has it."""
+        genus2 = 2 - len(boundary_marks) - euler_characteristic
+        if genus2 % 2:
+            raise FalsificationError(
+                f"odd 2g = {genus2} from {len(boundary_marks)} boundary "
+                f"components and chi = {euler_characteristic}"
+            )
+        return cls(genus2 // 2, boundary_marks, euler_characteristic)
+
     @property
     def num_boundary(self) -> int:
         return len(self.boundary_marks)
@@ -320,15 +333,8 @@ def predicted_topology(g: GluingSpec) -> SurfaceTopology:
     if not g.closed:
         boundary.append(g.ranks[0])
         boundary.append(g.ranks[-1])
-    genus2 = 2 - len(boundary) - chi
-    if genus2 % 2:
-        # Commutators are even permutations, so this cannot happen.
-        raise FalsificationError(f"odd 2g = {genus2} for {g}")
-    return SurfaceTopology(
-        genus=genus2 // 2,
-        boundary_marks=tuple(boundary),
-        euler_characteristic=chi,
-    )
+    # Commutators are even permutations, so 2g is never odd here.
+    return SurfaceTopology.measured(boundary, chi)
 
 
 def predicted_topology_curve(curve: StackyCurveSpec) -> SurfaceTopology:
@@ -336,7 +342,8 @@ def predicted_topology_curve(curve: StackyCurveSpec) -> SurfaceTopology:
 
     Node i of rank r with twist k splits into p = gcd(k+1, r) boundary
     circles of 2r/p marks each; the genus is half the total rank defect
-    sum(r_i - p_i), plus one for a ring.
+    sum(r_i - p_i), plus one for a ring.  A genus that differs from the
+    one the boundary and chi give raises FalsificationError.
     """
     boundary: list[int] = []
     defect = 0
@@ -350,8 +357,10 @@ def predicted_topology_curve(curve: StackyCurveSpec) -> SurfaceTopology:
         genus = defect // 2
     else:
         genus = 1 + defect // 2
-    return SurfaceTopology(
-        genus=genus,
-        boundary_marks=tuple(boundary),
-        euler_characteristic=-sum(curve.node_ranks()),
-    )
+    topology = SurfaceTopology.measured(boundary, -sum(curve.node_ranks()))
+    if topology.genus != genus:
+        raise FalsificationError(
+            f"closed-form genus {genus} of {curve.to_json()} differs from "
+            f"the genus {topology.genus} of its boundary and chi"
+        )
+    return topology

@@ -312,15 +312,12 @@ def hom_cohomology(
 
 
 def euler_characteristic(X: TwistedComplex, Y: TwistedComplex) -> int:
-    """Alternating sum over the raw path basis; no linear algebra, so
-    it cross-checks the cohomology computation."""
-    q = X.quiver
-    total = 0
-    for vs, ns in X.summands:
-        for vt, nt in Y.summands:
-            for p in q.paths_between(vs, vt):
-                total += -1 if (q.path_degree(p) + ns - nt) % 2 else 1
-    return total
+    """Alternating sum of the sizes of the hom complex's degree slices;
+    no linear algebra, so it cross-checks the cohomology computation."""
+    return sum(
+        -len(idxs) if d % 2 else len(idxs)
+        for d, idxs in HomComplex(X, Y).degrees.items()
+    )
 
 
 def ext_product(f: Cocycle, g: Cocycle) -> Cocycle:
@@ -384,15 +381,15 @@ def localization_object(
         vertex, step, feed_kind = _CHAINS[kind]
     except KeyError:
         raise SpecError(f"unknown localization kind {kind!r}") from None
+    name = (step, i, j)
     try:
-        arrow = aq.arrow_index((step, i, j))
+        arrow = aq.arrow_index(name)
     except QuiverError:
         raise SpecError(
             f"no position {kind}({i},{j}): the quiver has no arrow "
-            f"{label_str((step, i, j))}"
+            f"{label_str(name)}"
         ) from None
     one = 1
-    name = aq.arrow_name(arrow)
     chain = (((vertex, i, j), 2), ((vertex, i, j + 1), 1))
     for feed in aq.in_arrows(aq.arrow_ends(arrow)[0]):
         feed_name = aq.arrow_name(feed)

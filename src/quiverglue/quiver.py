@@ -14,12 +14,15 @@ relations list that the arrows fill.  Arrows are stored as parallel
 int tuples indexed by insertion order: source and target vertex ids
 and degrees, with the names kept for display and lookup.  Each vertex
 keeps the indices of its out- and in-arrows, and the relations are a
-set of arrow-index pairs.  Every walk and search in this module reads
-those arrays, and homology reads them by arrow index through
-``arrow_index``, ``arrow_name``, ``arrow_ends``, ``in_arrows`` and
-``is_relation``.  The ``Arrow`` objects of ``arrows``,
-``arrows_from``, ``arrows_into`` and ``arrow``, and the arrow-name
-pairs of ``relations``, are views built on first use.
+set of arrow-index pairs.  Every walk, search and report in this
+module reads those arrays: to_text, to_json_obj and to_dot render a
+quiver's three formats, each listing its relations sorted by arrow
+names.  Homology reads them by arrow index through ``arrow_index``,
+``arrow_name``, ``arrow_ends``, ``in_arrows`` and ``is_relation``.
+The ``Arrow`` objects of ``arrows``, ``arrows_from``, ``arrows_into``
+and ``arrow``, and the arrow-name pairs of ``relations``, are views
+built on first use for callers outside the package; no code in the
+package reads them.
 
 A path is a tuple of arrow indices, and this module alone reads one: it
 composes paths, grades them and traces their endpoints for the rest of
@@ -380,9 +383,10 @@ class GradedQuiver:
                 }
                 for name, s, t, d in zip(self._names, self._src, self._tgt, self._deg)
             ],
-            "relations": sorted(
-                [list(f), list(g)] for f, g in self.relations
-            ),
+            "relations": [
+                [list(self._names[f]), list(self._names[g])]
+                for f, g in self._sorted_relations()
+            ],
         }
 
     @classmethod
@@ -433,12 +437,33 @@ class GradedQuiver:
             lines.append(
                 f'  "{names[s]}" -> "{names[t]}" [label="{label_str(name)}{deg}"];'
             )
-        for f, g in sorted(self.relations):
-            lines.append(
-                f"  // relation: {label_str(g)} o {label_str(f)} = 0"
-            )
+        for f, g in self._sorted_relations():
+            lines.append(f"  // relation: {self._relation_str(f, g)}")
         lines.append("}")
         return "\n".join(lines)
+
+    def to_text(self) -> str:
+        names = [label_str(labs[0]) for labs in self.vertex_labels]
+        lines = [f"{self.num_vertices} vertices, {self.num_arrows} arrows, "
+                 f"{len(self._rel)} relations"]
+        for name, labs, sh in zip(names, self.vertex_labels, self.vertex_shifts):
+            extra = "".join(", " + label_str(l) for l in labs[1:])
+            lines.append(f"  vertex {name}{extra}" + (f"  [shift {sh}]" if sh else ""))
+        for name, s, t, d in zip(self._names, self._src, self._tgt, self._deg):
+            deg = f" (degree {d})" if d else ""
+            lines.append(f"  {label_str(name)}: {names[s]} -> {names[t]}{deg}")
+        for f, g in self._sorted_relations():
+            lines.append(f"  relation: {self._relation_str(f, g)}")
+        return "\n".join(lines)
+
+    def _sorted_relations(self) -> list[tuple[int, int]]:
+        """The relations as arrow-index pairs, sorted by their arrows'
+        names: the order every report lists them in."""
+        names = self._names
+        return sorted(self._rel, key=lambda fg: (names[fg[0]], names[fg[1]]))
+
+    def _relation_str(self, f: int, g: int) -> str:
+        return f"{label_str(self._names[g])} o {label_str(self._names[f])} = 0"
 
 
 @dataclass
@@ -627,19 +652,14 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
         for a1, a2 in zip(g1, groups2[key]):
             canonical[a1] = a2
             inv[a2] = a1
-    index1, index2 = q1._index, q2._index
-    for f, g in sorted(q1.relations):
-        if (canonical[index1[f]], canonical[index1[g]]) not in q2._rel:
+    for f, g in q1._sorted_relations():
+        if (canonical[f], canonical[g]) not in q2._rel:
             diffs.append(
-                f"relation {label_str(g)} o {label_str(f)} = 0 has no "
-                f"image on the right"
+                f"relation {q1._relation_str(f, g)} has no image on the right"
             )
-    for f, g in sorted(q2.relations):
-        if (inv[index2[f]], inv[index2[g]]) not in q1._rel:
-            diffs.append(
-                f"right relation {label_str(g)} o {label_str(f)} = 0 has "
-                f"no preimage"
-            )
+    for f, g in q2._sorted_relations():
+        if (inv[f], inv[g]) not in q1._rel:
+            diffs.append(f"right relation {q2._relation_str(f, g)} has no preimage")
     if not diffs:
         diffs.append("no arrow matching transports the relation set")
     return MatchReport(False, diffs)

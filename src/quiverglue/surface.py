@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FalsificationError
 from .gluing import GluingSpec, SurfaceTopology
 
 
@@ -94,19 +93,11 @@ class CombinatorialMap:
         return walks
 
     def topology(self) -> SurfaceTopology:
-        chi = self.euler_characteristic()
         marks = tuple(
             sum(1 for d in walk if self.marked[d])
             for walk in self.boundary_components()
         )
-        genus2 = 2 - len(marks) - chi
-        if genus2 % 2:
-            raise FalsificationError("non-orientable or broken complex")
-        return SurfaceTopology(
-            genus=genus2 // 2,
-            boundary_marks=marks,
-            euler_characteristic=chi,
-        )
+        return SurfaceTopology.measured(marks, self.euler_characteristic())
 
 
 def build_map(g: GluingSpec) -> CombinatorialMap:

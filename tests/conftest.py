@@ -2,6 +2,7 @@
 
 import pytest
 
+from quiverglue import quiver
 from quiverglue.aside import build_aside
 from quiverglue.homology import HomComplex, all_localization_objects, module_of
 from quiverglue.sweeps import gluing_sweep
@@ -21,6 +22,29 @@ def count_hom_complexes(monkeypatch):
 
     monkeypatch.setattr(HomComplex, "__init__", counted)
     return counts
+
+
+@pytest.fixture
+def view_uses(monkeypatch):
+    """A list that records each ``Arrow`` built (a counting stand-in for
+    ``quiver.Arrow``, through which ``arrows``, ``arrows_from``,
+    ``arrows_into`` and ``arrow`` build theirs) and each read of a
+    quiver's ``relations``: the views kept for callers outside the
+    package."""
+    uses = []
+    arrow, relations = quiver.Arrow, quiver.GradedQuiver.relations
+
+    def counted_arrow(*args):
+        uses.append("Arrow")
+        return arrow(*args)
+
+    def counted_relations(q):
+        uses.append("relations")
+        return relations.fget(q)
+
+    monkeypatch.setattr(quiver, "Arrow", counted_arrow)
+    monkeypatch.setattr(quiver.GradedQuiver, "relations", property(counted_relations))
+    return uses
 
 
 @pytest.fixture(scope="session")

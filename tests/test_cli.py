@@ -2,6 +2,7 @@
 report text, and the machine-readable formats."""
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -290,6 +291,29 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, "--out", str(target))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {target}: ")
+
+
+def _errno_text(code):
+    return f"[Errno {code}] {os.strerror(code)}"
+
+
+def test_failed_stdout_write_keeps_the_descriptor(capsys, monkeypatch):
+    # In-process callers keep their stdout: a failed write is reported
+    # and nothing is redirected.
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        def flush(self):
+            pass
+
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", Closed())
+    code, _, err = run(capsys, "topology", "--spec", GLUING)
+    assert code == 2
+    assert err == f"error: cannot write stdout: {_errno_text(errno.EPIPE)}\n"
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
 
 
 def _complexes(shift=1, coeff=1, index=(1, 0), extra=(), label=("v", 2),
@@ -596,6 +620,58 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.stdout == run(capsys, "topology", "--spec", GLUING)[1]
 
 
+def test_closed_stdout_pipe_is_a_usage_error(tmp_path):
+    # The aside report of a 3,000-component chain is far larger than a
+    # pipe's buffer, so writing it fails once the reader has gone.
+    spec = tmp_path / "chain.json"
+    spec.write_text(json.dumps(
+        {"shape": "chain", "ranks": [1] * 3001, "twists": [1] * 2999}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quiverglue", "aside", "--spec", str(spec)],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert head.startswith(b"8999 vertices, ")
+    # nothing follows at interpreter exit either
+    assert err == f"error: cannot write stdout: {_errno_text(errno.EPIPE)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_a_usage_error():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiverglue", "topology", "--spec",
+             "tests/data/genus2_linear.json"],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write stdout: {_errno_text(errno.ENOSPC)}\n"
+
+
+def test_reports_read_no_quiver_views(capsys, tmp_path, view_uses):
+    # Every quiver format renders from the arrays; the Arrow objects and
+    # the name pairs of relations serve only callers outside the package.
+    for command, (args, formats) in FORMAT_CASES.items():
+        for fmt in formats:
+            assert run(capsys, command, *args, "--format", fmt)[0] == 0
+    for command, specs in (("aside", (GLUING, RING, CHAIN)), ("bside", (RING, CHAIN))):
+        for spec in specs:
+            for fmt in ("text", "json", "dot"):
+                assert run(capsys, command, "--spec", spec, "--format", fmt)[0] == 0
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"shape": "ring", "ranks": [3] * 250, "twists": [1] * 250}))
+    out = tmp_path / "ring.txt"
+    assert run(capsys, "aside", "--spec", str(ring), "--out", str(out))[0] == 0
+    assert out.read_text().startswith("2250 vertices, 3000 arrows, 1500 relations\n")
+    assert view_uses == []
+
+
 def test_python_dash_m_reports_bad_input(tmp_path):
     spec = tmp_path / "bad.json"
     spec.write_text('{"shape": "linear", "ranks": [], "perms": []}')
@@ -691,14 +767,15 @@ def test_raw_quiver_reports_are_byte_identical():
     )
     assert hashlib.sha256(q.to_dot().encode()).hexdigest() == (
         "7998a7fd72657e8aaea33c8a095efe87f6f1beedb0515fc215ced31f6846f0d4")
-    assert hashlib.sha256(cli._quiver_text(q).encode()).hexdigest() == (
+    assert hashlib.sha256(q.to_text().encode()).hexdigest() == (
         "be09483b413cf958a0ba57c45ab0aee17b0a2088cc119809c822432621090858")
 
 
 # sha256 of "<exit code>\n<stdout>\n<stderr>" of every other report on
 # the example inputs, in each format the subcommand accepts, plus the
 # spec-kind refusals; recorded before the subcommands were folded onto
-# one spec gate and one report writer.
+# one spec gate and one report writer.  The verify entries were recorded
+# again when its reports began to name their curve.
 REPORT_CASES = {
     "topology_gluing": ("topology", "--spec", GLUING),
     "topology_curve": ("topology", "--spec", RING),
@@ -727,13 +804,13 @@ REPORT_DIGESTS = {
     ("topology_curve", "json"):
         "7d54ae1ea1de98e71abaebfb0970c51e3444c239e5023129b9dacdfdcdd483d2",
     ("verify_ring", "text"):
-        "dba28076a6f54872c5942e60563da9e5bac77b6f6e8d9fd3f8eaacd0aa79d984",
+        "19615bc5cc9f17af3848d95018ab07ec6bc6bd2885328be134a3ac49a5014def",
     ("verify_ring", "json"):
-        "5fcd1baf0d5a99c1d9187c1c36afa4ad546ccbdd2ee22789fedbf3daa3617223",
+        "298f609ad8288372675529e854321af45e3fc260d505f67b4bc3a7a0a88390d1",
     ("verify_chain", "text"):
-        "dba28076a6f54872c5942e60563da9e5bac77b6f6e8d9fd3f8eaacd0aa79d984",
+        "b619885ca134bb92fa2623945d2420264bb8e8e63b741854a90711baa0a14435",
     ("verify_chain", "json"):
-        "5fcd1baf0d5a99c1d9187c1c36afa4ad546ccbdd2ee22789fedbf3daa3617223",
+        "3e769ec43cf121557547066af4f0badc29fde81fab049c484156a268684e691d",
     ("search_2", "text"):
         "aabceae6e4c0faff6e1fbba64c688142c7139652d9429af53207d0e6f7e85c48",
     ("search_2", "json"):

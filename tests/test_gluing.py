@@ -3,7 +3,8 @@ predictors on both sides."""
 
 import pytest
 
-from quiverglue.errors import SpecError
+from quiverglue import gluing
+from quiverglue.errors import FalsificationError, SpecError
 from quiverglue.gluing import (
     GluingSpec,
     StackyCurveSpec,
@@ -99,6 +100,16 @@ def test_surface_topology_consistency_guard():
         SurfaceTopology(2, (1, 1, 6, 6), -5)
 
 
+def test_measured_topology_takes_the_genus_from_chi():
+    for t in (SurfaceTopology(2, (1, 1, 6, 6), -6), SurfaceTopology(0, (1, 1), 0),
+              SurfaceTopology(1, (2,), -1), SurfaceTopology(3, (4, 2), -6)):
+        assert SurfaceTopology.measured(t.boundary_marks, t.euler_characteristic) == t
+    assert SurfaceTopology.measured([6, 1, 6, 1], -6) == SurfaceTopology(2, (1, 1, 6, 6), -6)
+    for marks, chi in (((1, 1, 6), -6), ((2,), 0), ((), -1)):
+        with pytest.raises(FalsificationError, match="odd 2g"):
+            SurfaceTopology.measured(marks, chi)
+
+
 def test_surface_topology_derived_quantities():
     t = SurfaceTopology(2, (1, 1, 6, 6), -6)
     assert t.num_boundary == 4
@@ -151,6 +162,22 @@ def test_curve_predictor_ring_genus():
         t = predicted_topology_curve(c)
         assert t.genus == genus
         assert t.boundary_marks == (2 * m,)
+
+
+@pytest.mark.parametrize("curve, wrong_gcd", [
+    # p = 1 at the rank-2 node: an odd rank defect, so an odd 2g
+    (StackyCurveSpec("chain", (1, 2, 1), (1,)), lambda a, b: 1),
+    # p = -1 at both nodes: no circles, so the closed-form genus 3
+    # differs from the genus 2 of the boundary and chi
+    (StackyCurveSpec("chain", (1, 2, 2, 1), (1, 1)), lambda a, b: -1),
+])
+def test_curve_predictor_falsifies_a_wrong_closed_form(curve, wrong_gcd):
+    # A closed form that disagrees with itself is a mathematical
+    # mismatch, not bad input.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gluing.math, "gcd", wrong_gcd)
+        with pytest.raises(FalsificationError):
+            predicted_topology_curve(curve)
 
 
 def test_commutator_cycle_count_via_gcd():

@@ -370,6 +370,18 @@ def test_map_equals_with_no_matching_over_parallel_groups():
         assert (new.ok, new.diffs) == (old.ok, old.diffs)
 
 
+def test_map_equals_diffs_read_no_views(view_uses):
+    # The diffs name relations by reading the arrays, not the Arrow
+    # objects or the name pairs of ``relations``.
+    q1 = two_parallel_pairs([(X1, Y1), (X2, Y1)])
+    q2 = two_parallel_pairs([(X1, Y1), (X1, Y2)])
+    for a, b in ((q1, q2), (q2, q1)):
+        report = map_equals(a, b, IDENTITY)
+        assert any("has no image on the right" in d for d in report.diffs)
+        assert any("has no preimage" in d for d in report.diffs)
+    assert view_uses == []
+
+
 def test_blind_search_confirms_its_witness_once(monkeypatch):
     # bench/tracing.py counts witness_checks as calls of quiver.map_equals
     # made from find_isomorphism, so the witness must go through that name.

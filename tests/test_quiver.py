@@ -9,7 +9,6 @@ import tracemalloc
 
 import pytest
 
-from quiverglue import cli
 from quiverglue.aside import build_aside
 from quiverglue.bside import build_bside
 from quiverglue.errors import QuiverError
@@ -201,7 +200,7 @@ def test_quiver_reports_and_witnesses_are_pinned():
     quivers = [build_aside(g) for g in gluing_sweep(2, 3)]
     quivers += [q for pair in pairs for q in pair]
     reports = {
-        "text": cli._quiver_text,
+        "text": GradedQuiver.to_text,
         "json": lambda q: json.dumps(q.to_json_obj()),
         "dot": GradedQuiver.to_dot,
     }
