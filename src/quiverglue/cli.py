@@ -14,7 +14,9 @@ the kinds it cannot use, and writes through one writer, ``_emit``;
 reports printed as text or indented JSON go through ``_report``.  A
 quiver's text, JSON and dot formats are its own methods in quiver.py,
 and ``_format_quiver`` only picks one.  A write that fails, to
-``--out`` or to stdout (a closed pipe, a full disk), is a usage error.
+``--out`` or to stdout (a closed pipe, a full disk), is a usage error;
+``run``, the program's entry point, then sends stdout to the null device
+so that interpreter exit does not write what the stream still holds.
 
 Exit codes: 0 when every check agrees, 1 on a mathematical mismatch,
 2 on a usage or input error, 3 on an internal error (a bug).
@@ -23,6 +25,7 @@ Exit codes: 0 when every check agrees, 1 on a mathematical mismatch,
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -383,5 +386,17 @@ def main(argv=None):
         return 3
 
 
+def run():
+    """``main`` as a program.  Once stdout has failed, a stream that
+    keeps the bytes it could not write would fail again at interpreter
+    exit, so stdout goes to the null device instead."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -57,14 +57,14 @@ class SurfaceTopology:
             )
 
     @classmethod
-    def measured(cls, boundary_marks, euler_characteristic: int) -> "SurfaceTopology":
-        """The surface with these boundary marks and Euler
-        characteristic, its genus taken from 2g = 2 - b - chi; an odd 2g
-        raises FalsificationError, as no oriented surface has it."""
+    def measured(cls, boundary_marks, euler_characteristic: int, of) -> "SurfaceTopology":
+        """The surface of ``of`` with these boundary marks and Euler
+        characteristic, its genus taken from 2g = 2 - b - chi; an odd 2g,
+        which no oriented surface has, raises FalsificationError."""
         genus2 = 2 - len(boundary_marks) - euler_characteristic
         if genus2 % 2:
             raise FalsificationError(
-                f"odd 2g = {genus2} from {len(boundary_marks)} boundary "
+                f"odd 2g = {genus2} for {of}: {len(boundary_marks)} boundary "
                 f"components and chi = {euler_characteristic}"
             )
         return cls(genus2 // 2, boundary_marks, euler_characteristic)
@@ -334,7 +334,7 @@ def predicted_topology(g: GluingSpec) -> SurfaceTopology:
         boundary.append(g.ranks[0])
         boundary.append(g.ranks[-1])
     # Commutators are even permutations, so 2g is never odd here.
-    return SurfaceTopology.measured(boundary, chi)
+    return SurfaceTopology.measured(boundary, chi, g)
 
 
 def predicted_topology_curve(curve: StackyCurveSpec) -> SurfaceTopology:
@@ -357,7 +357,7 @@ def predicted_topology_curve(curve: StackyCurveSpec) -> SurfaceTopology:
         genus = defect // 2
     else:
         genus = 1 + defect // 2
-    topology = SurfaceTopology.measured(boundary, -sum(curve.node_ranks()))
+    topology = SurfaceTopology.measured(boundary, -sum(curve.node_ranks()), curve.to_json())
     if topology.genus != genus:
         raise FalsificationError(
             f"closed-form genus {genus} of {curve.to_json()} differs from "

@@ -97,7 +97,7 @@ class CombinatorialMap:
             sum(1 for d in walk if self.marked[d])
             for walk in self.boundary_components()
         )
-        return SurfaceTopology.measured(marks, self.euler_characteristic())
+        return SurfaceTopology.measured(marks, self.euler_characteristic(), "the oracle")
 
 
 def build_map(g: GluingSpec) -> CombinatorialMap:

@@ -641,6 +641,62 @@ def test_closed_stdout_pipe_is_a_usage_error(tmp_path):
     assert err == f"error: cannot write stdout: {_errno_text(errno.EPIPE)}\n"
 
 
+def test_short_report_to_a_closed_pipe_is_a_usage_error():
+    # A short report fits in stdout's buffer, so it fails only on flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiverglue", "topology", "--spec",
+             "tests/data/genus2_linear.json"],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write stdout: {_errno_text(errno.EPIPE)}\n"
+
+
+# A stdout that keeps the bytes it failed to write, as a buffered stream
+# may, and writes them to descriptor 1 on every flush.
+KEEPING_STDOUT = """
+import os, sys
+from quiverglue import cli
+
+class Keeping:
+    pending = b""
+    def write(self, text):
+        self.pending += text.encode()
+    def flush(self):
+        os.write(1, self.pending)
+        self.pending = b""
+    def fileno(self):
+        return 1
+
+sys.stdout = Keeping()
+sys.exit(cli.run())
+"""
+
+
+def test_run_drops_what_a_failed_stdout_keeps():
+    # Without run's redirect, the exit-time flush fails again, prints
+    # "Exception ignored" and exits 120.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", KEEPING_STDOUT, "topology", "--spec",
+             "tests/data/genus2_linear.json"],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write stdout: {_errno_text(errno.EPIPE)}\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_stdout_is_a_usage_error():
     with open("/dev/full", "w") as full:

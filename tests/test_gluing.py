@@ -103,11 +103,11 @@ def test_surface_topology_consistency_guard():
 def test_measured_topology_takes_the_genus_from_chi():
     for t in (SurfaceTopology(2, (1, 1, 6, 6), -6), SurfaceTopology(0, (1, 1), 0),
               SurfaceTopology(1, (2,), -1), SurfaceTopology(3, (4, 2), -6)):
-        assert SurfaceTopology.measured(t.boundary_marks, t.euler_characteristic) == t
-    assert SurfaceTopology.measured([6, 1, 6, 1], -6) == SurfaceTopology(2, (1, 1, 6, 6), -6)
+        assert SurfaceTopology.measured(t.boundary_marks, t.euler_characteristic, "t") == t
+    assert SurfaceTopology.measured([6, 1, 6, 1], -6, "t") == SurfaceTopology(2, (1, 1, 6, 6), -6)
     for marks, chi in (((1, 1, 6), -6), ((2,), 0), ((), -1)):
-        with pytest.raises(FalsificationError, match="odd 2g"):
-            SurfaceTopology.measured(marks, chi)
+        with pytest.raises(FalsificationError, match="^odd 2g = -?[0-9]+ for t: "):
+            SurfaceTopology.measured(marks, chi, "t")
 
 
 def test_surface_topology_derived_quantities():
@@ -176,8 +176,10 @@ def test_curve_predictor_falsifies_a_wrong_closed_form(curve, wrong_gcd):
     # mismatch, not bad input.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gluing.math, "gcd", wrong_gcd)
-        with pytest.raises(FalsificationError):
+        with pytest.raises(FalsificationError) as info:
             predicted_topology_curve(curve)
+    # the CLI's "falsified:" line names the curve
+    assert curve.to_json() in str(info.value)
 
 
 def test_commutator_cycle_count_via_gcd():
