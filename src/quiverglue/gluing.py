@@ -204,6 +204,11 @@ class Shape:
             default=lambda perm: perm.image,
         )
 
+    def __str__(self) -> str:
+        """A spec's JSON, so a message that names a spec renders it only
+        when the message is built; a bare shape keeps its repr."""
+        return self.to_json() if hasattr(self, "_ITEMS") else repr(self)
+
 
 def _int_tuple(values, what: str) -> tuple[int, ...]:
     values = tuple(values)
@@ -357,10 +362,10 @@ def predicted_topology_curve(curve: StackyCurveSpec) -> SurfaceTopology:
         genus = defect // 2
     else:
         genus = 1 + defect // 2
-    topology = SurfaceTopology.measured(boundary, -sum(curve.node_ranks()), curve.to_json())
+    topology = SurfaceTopology.measured(boundary, -sum(curve.node_ranks()), curve)
     if topology.genus != genus:
         raise FalsificationError(
-            f"closed-form genus {genus} of {curve.to_json()} differs from "
+            f"closed-form genus {genus} of {curve} differs from "
             f"the genus {topology.genus} of its boundary and chi"
         )
     return topology

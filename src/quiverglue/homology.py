@@ -177,7 +177,6 @@ class HomComplex:
                     self._degree_of.append(d)
                     self.basis.append((si, ti, p))
         self._index = {elt: i for i, elt in enumerate(self.basis)}
-        self._diff_cache: dict[int, list[list[Scalar]]] = {}
 
     def apply(self, index: int) -> dict[int, Scalar]:
         """Image of a basis element under D, as sparse coefficients."""
@@ -210,11 +209,7 @@ class HomComplex:
     def matrix(self, d: int) -> list[list[Scalar]]:
         """D on degree d: one row per degree-(d+1) basis element, one
         column per degree-d element."""
-        if d not in self._diff_cache:
-            self._diff_cache[d] = self._matrix(
-                self.degrees.get(d, []), self.degrees.get(d + 1, [])
-            )
-        return self._diff_cache[d]
+        return self._matrix(self.degrees.get(d, []), self.degrees.get(d + 1, []))
 
     def _matrix(self, cols: list[int], rows: list[int]) -> list[list[Scalar]]:
         """D from the basis elements ``cols`` to those of ``rows``, which
@@ -267,26 +262,18 @@ class HomComplex:
         return self.cocycle(vec, 0)
 
     def is_coboundary(self, cocycle: Cocycle) -> bool:
-        below = self.degrees.get(cocycle.degree - 1, [])
-        if not any(cocycle.vector):
-            return True
-        if not below:
-            return False
-        mat = self.matrix(cocycle.degree - 1)
-        return solve(mat, list(cocycle.vector)) is not None
+        # With nothing below, D into the slice has one empty row per
+        # element, and only the zero vector solves it.
+        return solve(self.matrix(cocycle.degree - 1), list(cocycle.vector)) is not None
 
     def scalar_against(self, cocycle: Cocycle, generator: Cocycle) -> Fraction:
         """The lambda with cocycle = lambda * generator in cohomology;
         requires the class to lie on the line the generator spans."""
         if cocycle.degree != generator.degree:
             raise SpecError("degree mismatch")
-        mat = [row[:] for row in self.matrix(cocycle.degree - 1)]
-        n = len(self.degrees.get(cocycle.degree, []))
-        if not mat:
-            mat = [[] for _ in range(n)]
-        for row, g in zip(mat, generator.vector):
-            row.append(g)
-        x = solve(mat, list(cocycle.vector))
+        mat = self.matrix(cocycle.degree - 1)
+        x = solve([[*row, g] for row, g in zip(mat, generator.vector)],
+                  list(cocycle.vector))
         if x is None:
             raise FalsificationError("class off the generator line")
         return x[-1]

@@ -36,12 +36,12 @@ The module also checks whether a given vertex bijection is an
 isomorphism of quivers with relations, and searches for one.  Neither
 search recurses: each backtracks in a loop over an explicit stack of
 iterators, and each step costs only the arrows and relations it
-touches.  map_equals maps the arrows of every singleton group in one
-pass, reads each relation between two of them once, and backtracks
-only over groups of parallel arrows, checking each other relation at
-the one step that fixes both its arrows; find_isomorphism places one
-vertex per step and compares a candidate's arrows to placed vertices
-only.
+touches.  map_equals reads each relation of the left quiver once: it
+maps the arrows of every singleton group in one pass, reads each
+relation between two of them there, and backtracks only over groups of
+parallel arrows, reading each other relation at the one step that fixes
+both its arrows; find_isomorphism places one vertex per step and
+compares a candidate's arrows to placed vertices only.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ Path = tuple  # of arrow indices
 
 
 def label_str(label) -> str:
-    if isinstance(label, tuple):
+    if isinstance(label, tuple) and label:
         head, *rest = label
         return f"{head}({','.join(map(str, rest))})" if rest else str(head)
     return str(label)
@@ -526,56 +526,47 @@ def _transports_relations(
 ) -> bool:
     """Whether some bijection of the arrows within each group (the keys
     and sizes of ``groups1`` and ``groups2`` agree; a group lists arrow
-    indices) carries the relations of q1 exactly onto those of q2."""
+    indices) carries the relations of q1 exactly onto those of q2.
+
+    Only the relations of q1 are read.  The caller has checked that both
+    quivers have equally many, and an arrow bijection maps relation
+    pairs injectively, so a matching that carries each relation of q1
+    into those of q2 carries them onto them."""
     arrow_map = [0] * len(q1._src)
-    inv = [0] * len(q2._src)
     parallel = []
     for key, g1 in groups1.items():
         if len(g1) == 1:
-            a2 = groups2[key][0]
-            arrow_map[g1[0]] = a2
-            inv[a2] = g1[0]
+            arrow_map[g1[0]] = groups2[key][0]
         else:
             parallel.append(key)
 
     # A relation is read at the step that fixes the later parallel group
     # of its two arrows, or once here when both arrows are forced.
-    # Step k overwrites its group's entries in both arrow maps; entries
-    # of later groups left by an abandoned branch are never read before
+    # Step k overwrites its group's entries in the arrow map; entries of
+    # later groups left by an abandoned branch are never read before
     # their own step overwrites them.
-    def due(q, other, image, groups):
-        step = [-1] * len(q._src)
-        for k, key in enumerate(parallel):
-            for a in groups[key]:
-                step[a] = k
-        filed = [[] for _ in parallel]
-        rel = other._rel
-        for f, g in q._rel:
-            k = max(step[f], step[g])
-            if k >= 0:
-                filed[k].append((f, g))
-            elif (image[f], image[g]) not in rel:
-                return None
-        return filed
-
-    due1 = due(q1, q2, arrow_map, groups1)
-    due2 = None if due1 is None else due(q2, q1, inv, groups2)
-    if due2 is None:
-        return False
+    step = [-1] * len(q1._src)
+    for k, key in enumerate(parallel):
+        for a in groups1[key]:
+            step[a] = k
+    due = [[] for _ in parallel]
+    rel2 = q2._rel
+    for f, g in q1._rel:
+        k = max(step[f], step[g])
+        if k >= 0:
+            due[k].append((f, g))
+        elif (arrow_map[f], arrow_map[g]) not in rel2:
+            return False
     if not parallel:
         return True
 
-    rel1, rel2 = q1._rel, q2._rel
     stack = [itertools.permutations(groups2[parallel[0]])]
     while stack:
         k = len(stack) - 1
         for perm in stack[k]:
             for a1, a2 in zip(groups1[parallel[k]], perm):
                 arrow_map[a1] = a2
-                inv[a2] = a1
-            if all(
-                (arrow_map[f], arrow_map[g]) in rel2 for f, g in due1[k]
-            ) and all((inv[f], inv[g]) in rel1 for f, g in due2[k]):
+            if all((arrow_map[f], arrow_map[g]) in rel2 for f, g in due[k]):
                 break
         else:
             stack.pop()
@@ -595,16 +586,17 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
     ``vmap`` maps q1 vertex labels (any alias) to q2 vertex labels.  The
     report lists the first structural mismatches found.
 
-    A group with one arrow on each side forces its image, so those
+    Each relation of q1, the left quiver, is read once, and those of q2
+    are only looked up (_transports_relations says why).  A group with one arrow on each side forces its image, so those
     arrows are mapped in one pass and every relation between two of
-    them is read once.  The rest is a backtracking over the groups of
+    them is read there.  The rest is a backtracking over the groups of
     parallel arrows, in a loop over an explicit stack of permutation
     iterators, not a recursion.  Each other relation is filed under the
     later parallel group of its two arrows and read only at that
     group's step, so a step costs its group's size plus the relations
     filed there; with no parallel arrows the whole check reads each
-    relation exactly once.  Arrows and relations are compared as the
-    quivers' arrow indices and index pairs.
+    relation of q1 exactly once.  Arrows and relations are compared as
+    the quivers' arrow indices and index pairs.
     """
     id_map, diffs = _resolve_vmap(q1, q2, vmap)
     if id_map is None:
@@ -646,6 +638,8 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
 
     # No arrow matching carries the relations across.  Report against
     # the order-preserving matching so the diff names concrete pairs.
+    # The backtracking tries that matching first, so unless the counts
+    # differ it leaves some left relation without an image.
     canonical = [0] * len(q1._src)
     inv = [0] * len(q2._src)
     for key, g1 in groups1.items():
@@ -660,8 +654,6 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
     for f, g in q2._sorted_relations():
         if (inv[f], inv[g]) not in q1._rel:
             diffs.append(f"right relation {q2._relation_str(f, g)} has no preimage")
-    if not diffs:
-        diffs.append("no arrow matching transports the relation set")
     return MatchReport(False, diffs)
 
 

@@ -2,10 +2,12 @@
 report text, and the machine-readable formats."""
 
 import argparse
+import copy
 import errno
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,6 +18,7 @@ import pytest
 
 from quiverglue import cli
 from quiverglue.aside import build_aside
+from quiverglue.errors import FalsificationError
 from quiverglue.homology import all_localization_objects
 from quiverglue.quiver import GradedQuiver
 
@@ -363,6 +366,12 @@ def _complexes(shift=1, coeff=1, index=(1, 0), extra=(), label=("v", 2),
         (_complexes(extra=[[1, 0, [[0, [["y"]]]]]]), "entry 1<-0 is given twice"),
         (_complexes(label=[["v"], 2]), "unknown vertex ['v'](2)"),
         (_complexes(path=[[["y"]]]), "unknown arrow ['y']"),
+        (_complexes(label=[]), "unknown vertex ()"),
+        (_complexes(path=[[]]), "unknown arrow ()"),
+        ('{"vertices": [{"labels": [["a"]]}], "arrows": [{"name": ["f"], '
+         '"source": [], "target": ["a"]}], "relations": []}', "unknown vertex ()"),
+        ('{"vertices": [{"labels": [[], []]}], "arrows": [], "relations": []}',
+         "duplicate vertex label ()"),
         ('{"complexes": 5}', "'complexes' list"),
     ],
     ids=[
@@ -392,6 +401,10 @@ def _complexes(shift=1, coeff=1, index=(1, 0), extra=(), label=("v", 2),
         "complex_repeated_entry",
         "complex_list_in_label",
         "complex_list_in_arrow_name",
+        "complex_empty_label",
+        "complex_empty_arrow_name",
+        "quiver_empty_arrow_source",
+        "quiver_empty_vertex_labels",
         "complexes_not_a_list",
     ],
 )
@@ -547,6 +560,15 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+def test_falsification_exits_one(capsys, monkeypatch):
+    def falsified(spec):
+        raise FalsificationError("boom")
+
+    monkeypatch.setattr(cli, "predicted_topology", falsified)
+    code, out, err = run(capsys, "topology", "--spec", GLUING)
+    assert (code, out, err) == (1, "", "falsified: boom\n")
+
+
 def test_base_exceptions_propagate(monkeypatch):
     class Interrupt(BaseException):
         pass
@@ -603,6 +625,60 @@ def test_ext_rejects_duplicate_or_missing_complexes(capsys, tmp_path, entries,
     assert out == ""
     assert err.startswith("error:")
     assert named in err
+
+
+# Values a mutation puts in a spec: wrong shapes and types, and ints
+# small enough that no mutated spec builds a large quiver.
+FUZZ_VALUES = ([], [[]], 1.5, True, None, "x", *range(-2, 6))
+FUZZ_COMMANDS = {"topology": (), "aside": (), "bside": (), "verify": (),
+                 "localize": ("E-:1:0",), "ext": (COMPLEXES,)}
+
+
+def _mutate(rng, data):
+    """Delete, or replace by one of FUZZ_VALUES, a dict value or list
+    item drawn from every one in the JSON tree ``data``, if it has any."""
+    slots = []
+
+    def walk(node):
+        items = (node.items() if isinstance(node, dict) else
+                 enumerate(node) if isinstance(node, list) else ())
+        for key, child in list(items):
+            slots.append((node, key))
+            walk(child)
+
+    walk(data)
+    if not slots:
+        return
+    node, key = rng.choice(slots)
+    if rng.random() < 0.25:
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+
+
+def test_parsers_survive_a_seeded_mutation_sweep(capsys, tmp_path):
+    # Every mutated spec is either accepted or refused as bad input:
+    # never a mismatch (exit 1) and never an internal error (exit 3).
+    # A mutated spec goes through every subcommand that reads a spec; a
+    # mutated complexes file goes through ext over the quiver it names.
+    rng = random.Random(2017)
+    sources = sorted(DATA.glob("*.json"))
+    spec = tmp_path / "spec.json"
+    for sample in range(1000):
+        source = rng.choice(sources)
+        data = json.loads(source.read_text())
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, data)
+        spec.write_text(json.dumps(data))
+        if source.name == Path(COMPLEXES).name:
+            runs = [("ext", "--spec", QUIVER, str(spec))]
+        else:
+            runs = [(command, "--spec", str(spec), *extra)
+                    for command, extra in FUZZ_COMMANDS.items()]
+        for argv in runs:
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 2) and "internal error" not in err, (
+                sample, argv[0], json.dumps(data), err)
 
 
 def _module_run(*argv):

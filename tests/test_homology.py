@@ -591,6 +591,38 @@ def test_module_support_patterns():
     }
 
 
+# -- negative controls: the alarms of module_of and ThinModule fire ----
+
+
+def test_module_of_refuses_a_value_that_is_not_thin():
+    # Hom(P(v1), P(v2) + P(v2)) holds the paths a and b twice over
+    q = double_quiver()
+    E = TwistedComplex(q, ((("v", 2), 0), (("v", 2), 0)))
+    with pytest.raises(FalsificationError,
+                       match=r"^value at \('v', 1\) is not thin: \{0: 4\}$"):
+        module_of(E)
+
+
+def test_module_of_refuses_values_in_two_degrees():
+    # P(u) + P(w)[1] on two vertices with no arrow between them
+    q = GradedQuiver(plain(("u",), ("w",)), [], [])
+    E = TwistedComplex(q, ((("u",), 0), (("w",), 1)))
+    with pytest.raises(FalsificationError,
+                       match="^values spread over degrees 0 and -1$"):
+        module_of(E)
+
+
+@pytest.mark.parametrize("dims, actions, message", [
+    ({("v", 1): 2}, {}, r"^dimension 2 at \('v', 1\) is not thin$"),
+    ({("v", 1): 1}, {("a",): ONE}, r"^action of \('a',\) off the support$"),
+    ({("v", 1): 1, ("v", 2): 1, ("v", 3): 1}, {("a",): ONE, ("y",): ONE},
+     r"^relation pair \('a',\), \('y',\) both act nonzero$"),
+], ids=["not_thin", "off_support", "relation_acts"])
+def test_thin_module_validation_alarms(dims, actions, message):
+    with pytest.raises(SpecError, match=message):
+        homology.ThinModule(dims, actions).validate(double_quiver())
+
+
 def test_stop_orthogonality():
     g = GluingSpec("linear", (1, 2, 1), (identity(2),))
     aq = build_aside(g)

@@ -256,7 +256,8 @@ class CountingRelations(frozenset):
 
 def test_map_equals_reads_each_relation_once(monkeypatch):
     # The 6,000-strip ring, through the library's verify: every arrow
-    # group is a singleton, so each relation of each side is read once.
+    # group is a singleton, so each relation of the left side is looked
+    # up once on the right, and the right side's are never read.
     # The quiver refuses assignment, so the counting set goes into the
     # slot of index-pair relations past its __setattr__.
     c = StackyCurveSpec("ring", (6000,), (1,))
@@ -269,7 +270,7 @@ def test_map_equals_reads_each_relation_once(monkeypatch):
     # two relations and four singleton arrow groups per strip
     assert groups == len(aq.arrows) == 4 * 6000
     assert len(aq.relations) == len(bq.relations) == 2 * 6000
-    assert CountingRelations.lookups == len(bq.relations) + len(aq.relations)
+    assert CountingRelations.lookups == len(bq.relations)
 
 
 def test_matching_builds_no_arrow_objects(monkeypatch):
@@ -398,3 +399,22 @@ def test_blind_search_confirms_its_witness_once(monkeypatch):
         witness = find_isomorphism(build_bside(c), build_aside(twisted_gluing(c)))
         assert witness is not None
         assert calls == [witness]
+
+
+# -- negative controls: the vertex-map alarms fire ---------------------
+
+
+def test_map_equals_reports_aliases_sent_apart():
+    # u and u2 name one vertex of the left quiver
+    q1 = GradedQuiver([((("u",), ("u2",)), 0), ((("w",),), 0)], [], [])
+    q2 = GradedQuiver([((("u",),), 0), ((("w",),), 0)], [], [])
+    report = map_equals(q1, q2, {("u",): ("u",), ("u2",): ("w",), ("w",): ("w",)})
+    assert not report
+    assert "vertex u2 mapped to two distinct targets" in report.diffs
+
+
+def test_map_equals_reports_differing_vertex_counts():
+    q1 = GradedQuiver([((("u",),), 0), ((("w",),), 0)], [], [])
+    q2 = GradedQuiver([((("u",),), 0), ((("w",),), 0), ((("z",),), 0)], [], [])
+    report = map_equals(q1, q2, {("u",): ("u",), ("w",): ("w",)})
+    assert (report.ok, report.diffs) == (False, ["vertex counts differ: 2 vs 3"])
