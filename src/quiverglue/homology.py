@@ -268,9 +268,13 @@ class HomComplex:
 
     def scalar_against(self, cocycle: Cocycle, generator: Cocycle) -> Fraction:
         """The lambda with cocycle = lambda * generator in cohomology;
-        requires the class to lie on the line the generator spans."""
+        requires the class to lie on the line the generator spans.  A
+        zero class on a zero generator gives 0, the free variable's
+        value, also in a degree with no basis elements."""
         if cocycle.degree != generator.degree:
             raise SpecError("degree mismatch")
+        if not generator.vector:  # no rows, so solve would see no columns
+            return Fraction(0)
         mat = self.matrix(cocycle.degree - 1)
         x = solve([[*row, g] for row, g in zip(mat, generator.vector)],
                   list(cocycle.vector))

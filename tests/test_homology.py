@@ -355,6 +355,20 @@ def test_scalar_against_recognizes_multiples():
         h.scalar_against(cls_x, cls_a)
 
 
+def test_scalar_against_a_zero_generator_is_zero():
+    # A zero class on the zero line: solve sets the generator's free
+    # column to 0 where the degree has basis elements, and a degree with
+    # none gives the same answer.
+    q = double_quiver()
+    m1, m2 = standard_pair(q)
+    h = HomComplex(m2, m1)
+    assert h.degrees[0] and 5 not in h.degrees
+    for degree in 0, 5:
+        zero = h.cocycle([0] * len(h.degrees.get(degree, [])), degree)
+        scalar = h.scalar_against(zero, zero)
+        assert scalar == 0 and type(scalar) is Fraction
+
+
 def test_cocycle_validation():
     q = double_quiver()
     m1, m2 = standard_pair(q)

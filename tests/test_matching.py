@@ -1,13 +1,16 @@
 """The two quiver-matching searches against the full-rescan searches they
 replaced, kept here as references: map_equals once rescanned every
 relation of both sides at each arrow group, and find_isomorphism
-compared each candidate against every placed vertex.  Reports and
-witnesses must not change; map_equals must read each relation exactly
-once when no arrows are parallel; neither search may recurse per arrow
-or per vertex; and find_isomorphism must confirm its witness through the
+refined each quiver's colours round by round and compared each
+candidate against every placed vertex.  Reports, witnesses and colour
+classes must not change; map_equals must read each relation exactly
+once when no arrows are parallel; the colour refinement must read
+O((V + A) log V) arrows; neither search may recurse per arrow or per
+vertex; and find_isomorphism must confirm its witness through the
 module-level map_equals, which the benchmark's tracer counts."""
 
 import itertools
+import math
 import sys
 from contextlib import contextmanager
 
@@ -116,17 +119,43 @@ def rescan_map_equals(q1, q2, vmap):
     return MatchReport(False, diffs)
 
 
+def refine_by_rounds(q):
+    """Colour refinement of one quiver as it was: every round recomputes
+    and sorts every vertex's signature (its colour and its arrows'
+    degrees and far-end colours), and colours are named by their
+    signatures' rank, so equal names on two quivers mean equal classes."""
+    colors = [0] * q.num_vertices
+    src, tgt, deg = q._src, q._tgt, q._deg
+    outs = [[(deg[i], tgt[i]) for i in arrows] for arrows in q._out]
+    ins = [[(deg[i], src[i]) for i in arrows] for arrows in q._in]
+    while True:
+        sigs = []
+        for v in range(q.num_vertices):
+            sigs.append(
+                (
+                    colors[v],
+                    tuple(sorted((d, colors[t]) for d, t in outs[v])),
+                    tuple(sorted((d, colors[s]) for d, s in ins[v])),
+                )
+            )
+        canon = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [canon[sig] for sig in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
 def profile_find_isomorphism(q1, q2):
-    """find_isomorphism as it was: each vertex scans all of q2 for its
-    color, and each candidate is compared pairwise against every placed
-    vertex."""
+    """find_isomorphism as it was: each quiver refined on its own, round
+    by round, each vertex scans all of q2 for its color, and each
+    candidate is compared pairwise against every placed vertex."""
     if (
         q1.num_vertices != q2.num_vertices
         or len(q1.arrows) != len(q2.arrows)
         or len(q1.relations) != len(q2.relations)
     ):
         return None
-    c1, c2 = _refine_colors(q1), _refine_colors(q2)
+    c1, c2 = refine_by_rounds(q1), refine_by_rounds(q2)
     if sorted(c1) != sorted(c2):
         return None
     candidates = {
@@ -244,6 +273,61 @@ def test_find_isomorphism_agrees_with_the_profile_reference():
     assert found >= 154 and missed > 0
 
 
+def same_classes(a, b):
+    """Whether two colourings of the same vertices have the same classes."""
+    return len(set(a)) == len(set(zip(a, b))) == len(set(b))
+
+
+def test_union_refinement_has_the_reference_classes():
+    # On an isomorphic pair, the classes of the refinement of both
+    # quivers at once are the reference's classes of each quiver, the
+    # class of a name on the left joined to the class of that name on
+    # the right.
+    pairs = [(bq, q) for _, bq, q in sweep_cases()]
+    pairs += [(build_bside(c), build_aside(twisted_gluing(c)))
+              for c in curve_sweep(3, 5)[::8]]
+    compared = 0
+    for q1, q2 in pairs:
+        if find_isomorphism(q1, q2) is None:
+            continue
+        reference = refine_by_rounds(q1) + refine_by_rounds(q2)
+        assert same_classes(_refine_colors(q1, q2), reference), q1.vertex_labels
+        compared += 1
+    assert compared >= 154 + 486
+
+
+class CountingArrowLists(tuple):
+    """Per-vertex arrow lists that count the arrows they hand out."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        arrows = tuple.__getitem__(self, v)
+        type(self).reads += len(arrows)
+        return arrows
+
+
+def test_refinement_reads_arrows_near_linearly(monkeypatch):
+    # Each splitter scan reads the in- and out-arrows of the splitter's
+    # vertices, and a vertex is in about log2 V scanned splitters, so the
+    # reads stay within a small multiple of (V + A) log2 V; the
+    # round-by-round refinement read every arrow in each of the about
+    # n / 2 rounds a ring of n strips needs.  The counting lists go into
+    # the quivers' slots past their read-only __setattr__.
+    c = StackyCurveSpec("ring", (6000,), (1,))
+    bq, aq = build_bside(c), build_aside(twisted_gluing(c))
+    monkeypatch.setattr(CountingArrowLists, "reads", 0)
+    for q in bq, aq:
+        for slot in "_in", "_out":
+            object.__setattr__(q, slot, CountingArrowLists(getattr(q, slot)))
+    colors = _refine_colors(bq, aq)
+    v = bq.num_vertices + aq.num_vertices
+    a = bq.num_arrows + aq.num_arrows
+    assert len(colors) == v
+    # the first splitter is every vertex: each arrow is read at both ends
+    assert 2 * a <= CountingArrowLists.reads <= 2 * (v + a) * math.log2(v)
+
+
 class CountingRelations(frozenset):
     """A relation set that counts its membership lookups."""
 
@@ -315,7 +399,6 @@ def test_matching_does_not_recurse():
     c = StackyCurveSpec("ring", (6000,), (1,))
     with recursion_headroom():
         assert verify_theorem_A(c).ok
-    c = StackyCurveSpec("ring", (400,), (1,))
     bq, aq = build_bside(c), build_aside(twisted_gluing(c))
     with recursion_headroom():
         witness = find_isomorphism(bq, aq)
@@ -399,6 +482,21 @@ def test_blind_search_confirms_its_witness_once(monkeypatch):
         witness = find_isomorphism(build_bside(c), build_aside(twisted_gluing(c)))
         assert witness is not None
         assert calls == [witness]
+
+
+def test_blind_search_answers_no_before_any_witness(monkeypatch):
+    # The degree of the one arrow tells the two quivers' vertices apart,
+    # so the refinement of both at once leaves no class with vertices of
+    # both, and the search ends before it places a vertex.
+    calls = []
+    monkeypatch.setattr(quiver, "map_equals", lambda *args: calls.append(args))
+    vertices = [((("v", 1),), 0), ((("v", 2),), 0)]
+    q1 = GradedQuiver(vertices, [(("f",), ("v", 1), ("v", 2), 1)], [])
+    q2 = GradedQuiver(vertices, [(("f",), ("v", 1), ("v", 2), 0)], [])
+    colors = _refine_colors(q1, q2)
+    assert not set(colors[:2]) & set(colors[2:])
+    assert find_isomorphism(q1, q2) is None
+    assert calls == []
 
 
 # -- negative controls: the vertex-map alarms fire ---------------------
