@@ -7,15 +7,20 @@ carrying integer degrees, and relations that are always of the form
 arrow names are structured tuples like ``("P-", 1, 0)`` or
 ``("x", 1, 2)``; :func:`label_str` renders them for reports.
 
-A quiver is built once, in one pass, from its vertices, arrows and
-relations, and refuses every attribute assignment afterwards; aside
-and bside hand it their vertices and arrows as generators, and a
-relations list that the arrows fill.  Arrows are stored as parallel
-int tuples indexed by insertion order: source and target vertex ids
-and degrees, with the names kept for display and lookup.  Each vertex
+A quiver is built once and refuses every attribute assignment
+afterwards.  Arrows are stored as parallel int tuples indexed by
+insertion order: source and target vertex ids and degrees.  Each vertex
 keeps the indices of its out- and in-arrows, and the relations are a
-set of arrow-index pairs.  Every walk, search and report in this
-module reads those arrays: to_text, to_json_obj and to_dot render a
+set of arrow-index pairs.  The public constructor reads vertices,
+arrows and relations by name, in one pass, and numbers them with a
+label and a name dict, for JSON input and for tests.  The aside and
+bside builders fill the arrays from their spec by index arithmetic
+instead, and hand the quiver a numbering that makes the vertex labels,
+shifts and arrow names from the same spec: the quiver asks for each
+only when something first reads it, and builds its label and name
+lookups from them on the first lookup, so a quiver that is only walked
+or matched never makes a name.  Every walk, search and report in this
+module reads the arrays: to_text, to_json_obj and to_dot render a
 quiver's three formats, each listing its relations sorted by arrow
 names.  Homology reads them by arrow index through ``arrow_index``,
 ``arrow_name``, ``arrow_ends``, ``in_arrows`` and ``is_relation``.
@@ -30,7 +35,10 @@ the package, and path_names renders one in arrow names for reports.
 One depth-first walk along the in-arrows finds every nonzero path into
 a vertex, and knows exactly when they are infinite; paths_into and
 paths_between read its memo per target vertex, and path_dims (the Hom
-spaces of the algebra) regroups it over every target.
+spaces of the algebra) regroups it over every target.  When the paths
+into a target are infinite, paths_between walks into it again through
+only the arrows on nonzero paths from its source, so it refuses a pair
+only when that pair's own paths are infinite.
 
 The module also checks whether a given vertex bijection is an
 isomorphism of quivers with relations, and searches for one.  Neither
@@ -91,16 +99,21 @@ class GradedQuiver:
     g∘f = 0.  Each is read once, in that order, so generators will do.
 
     Arrow i is entry i of the int tuples ``_src``, ``_tgt`` and
-    ``_deg`` and of the names tuple ``_names``; ``_out`` and ``_in``
-    hold each vertex's arrow indices, and ``_rel`` the relations as
-    index pairs.  The ``Arrow`` objects and the name pairs of
-    ``relations`` are built on first use.  Every attribute is
-    read-only after construction, so neither those views nor the path
-    memo can go stale.
+    ``_deg``; ``_out`` and ``_in`` hold each vertex's arrow indices, and
+    ``_rel`` the relations as index pairs.  The aside and bside builders
+    hand ``_numbered`` a numbering instead, a picklable object that
+    holds their spec: its ``arrays()`` fills those arrays by index
+    arithmetic, and its ``vertex_labels()``, ``vertex_shifts()`` and
+    ``arrow_names()`` make the labels, shifts and arrow names in the
+    same order.  The quiver asks for each of those on first use, and
+    builds its label and name lookups from them on first lookup.  The
+    ``Arrow`` objects and the name pairs of ``relations`` are built on
+    first use too.  Every attribute is read-only after construction, so
+    neither those caches nor the path memo can go stale.
     """
 
-    __slots__ = ("_label_to_id", "vertex_labels", "vertex_shifts", "_names",
-                 "_index", "_src", "_tgt", "_deg", "_out", "_in", "_rel",
+    __slots__ = ("_src", "_tgt", "_deg", "_out", "_in", "_rel", "_numbering",
+                 "_labels", "_shifts", "_arrow_names", "_label_to_id", "_index",
                  "_relations", "_arrows", "_paths")
 
     __setattr__ = __delattr__ = read_only
@@ -120,15 +133,12 @@ class GradedQuiver:
                 ids[lab] = len(all_labels)
             all_labels.append(labels)
             shifts.append(shift)
-        init(self, "vertex_labels", tuple(all_labels))
-        init(self, "vertex_shifts", tuple(shifts))
+        init(self, "_labels", tuple(all_labels))
+        init(self, "_shifts", tuple(shifts))
 
-        # Out- and in-arrow indices per vertex id, in the order they came.
         index: dict[ArrowName, int] = {}
         init(self, "_index", index)
         src, tgt, deg = [], [], []
-        out = [[] for _ in all_labels]
-        into = [[] for _ in all_labels]
         for name, source, target, degree in arrows:
             if name in index:
                 raise QuiverError(f"duplicate arrow {label_str(name)}")
@@ -136,16 +146,50 @@ class GradedQuiver:
                 s, t = ids[source], ids[target]
             except KeyError:  # vertex_id names the unknown endpoint
                 s, t = self.vertex_id(source), self.vertex_id(target)
-            i = index[name] = len(src)
+            index[name] = len(src)
             src.append(s)
             tgt.append(t)
             deg.append(degree)
-            out[s].append(i)
-            into[t].append(i)
-        init(self, "_names", tuple(index))
+        init(self, "_arrow_names", tuple(index))
+
+        # Resolved as _set_arrays checks them, so of an unknown arrow and
+        # a pair that is not composable, the one that comes first is named.
+        def pairs():
+            for f, g in relations:
+                try:
+                    yield index[f], index[g]
+                except KeyError:  # arrow_index names the unknown arrow
+                    yield self.arrow_index(f), self.arrow_index(g)
+
+        init(self, "_numbering", None)
+        self._set_arrays(len(all_labels), src, tgt, deg, pairs())
+
+    @classmethod
+    def _numbered(cls, numbering) -> "GradedQuiver":
+        """A builder's quiver: its arrays from ``numbering.arrays()``, the
+        vertex count, each arrow's source, target and degree, and the
+        relations as arrow-index pairs; its labels and names left to
+        ``numbering`` until read."""
+        q = object.__new__(cls)
+        for name in ("_labels", "_shifts", "_arrow_names", "_label_to_id", "_index"):
+            object.__setattr__(q, name, None)
+        object.__setattr__(q, "_numbering", numbering)
+        q._set_arrays(*numbering.arrays())
+        return q
+
+    def _set_arrays(self, num_vertices: int, src, tgt, deg, relations) -> None:
+        """Store the arrow arrays, each vertex's out- and in-arrow indices
+        in arrow order, and the relations, each checked composable."""
+        init = object.__setattr__
         init(self, "_src", tuple(src))
         init(self, "_tgt", tuple(tgt))
         init(self, "_deg", tuple(deg))
+        src, tgt = self._src, self._tgt
+        out = [[] for _ in range(num_vertices)]
+        into = [[] for _ in range(num_vertices)]
+        for i, s, t in zip(range(len(src)), src, tgt):
+            out[s].append(i)
+            into[t].append(i)
         # From lists, so each tuple is made at its final size: CPython
         # resizes a tuple drawn from an iterator of unknown length, and
         # frees it onto the spare list of the new size, where such tuples
@@ -156,20 +200,17 @@ class GradedQuiver:
                 lists[v] = tuple(a)
         init(self, "_out", tuple(out))
         init(self, "_in", tuple(into))
-
         pairs = []
-        for f, g in relations:
-            try:
-                fi, gi = index[f], index[g]
-            except KeyError:  # arrow_index names the unknown arrow
-                fi, gi = self.arrow_index(f), self.arrow_index(g)
-            if tgt[fi] != src[gi]:
+        for pair in relations:
+            f, g = pair
+            if tgt[f] != src[g]:
                 raise QuiverError(
-                    f"relation pair not composable: {label_str(f)} ends at "
-                    f"{label_str(self.primary_label(tgt[fi]))}, {label_str(g)} "
-                    f"starts at {label_str(self.primary_label(src[gi]))}"
+                    f"relation pair not composable: {label_str(self.arrow_name(f))} "
+                    f"ends at {label_str(self.primary_label(tgt[f]))}, "
+                    f"{label_str(self.arrow_name(g))} starts at "
+                    f"{label_str(self.primary_label(src[g]))}"
                 )
-            pairs.append((fi, gi))
+            pairs.append(pair)
         init(self, "_rel", frozenset(pairs))
         init(self, "_relations", None)
         init(self, "_arrows", None)
@@ -182,14 +223,42 @@ class GradedQuiver:
         for name, value in state[1].items():
             object.__setattr__(self, name, value)
 
+    # -- labels and names -----------------------------------------------
+
+    @property
+    def vertex_labels(self) -> tuple[tuple[Label, ...], ...]:
+        """Each vertex's labels, primary first, by vertex id."""
+        if self._labels is None:
+            object.__setattr__(self, "_labels", self._numbering.vertex_labels())
+        return self._labels
+
+    @property
+    def vertex_shifts(self) -> tuple[int, ...]:
+        """Each vertex's shift, by vertex id."""
+        if self._shifts is None:
+            object.__setattr__(self, "_shifts", self._numbering.vertex_shifts())
+        return self._shifts
+
+    @property
+    def _names(self) -> tuple[ArrowName, ...]:
+        """Each arrow's name, by arrow index."""
+        if self._arrow_names is None:
+            object.__setattr__(self, "_arrow_names", self._numbering.arrow_names())
+        return self._arrow_names
+
     def vertex_id(self, label: Label) -> int:
+        ids = self._label_to_id
+        if ids is None:
+            ids = {lab: v for v, labels in enumerate(self.vertex_labels)
+                   for lab in labels}
+            object.__setattr__(self, "_label_to_id", ids)
         try:
-            return self._label_to_id[label]
+            return ids[label]
         except (KeyError, TypeError):  # TypeError: an unhashable label
             raise QuiverError(f"unknown vertex {label_str(label)}") from None
 
     def primary_label(self, vid: int) -> Label:
-        return self.vertex_labels[vid][0]
+        return (self._labels or self.vertex_labels)[vid][0]
 
     def shift_of(self, label: Label) -> int:
         return self.vertex_shifts[self.vertex_id(label)]
@@ -201,7 +270,7 @@ class GradedQuiver:
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertex_labels)
+        return len(self._out)
 
     @property
     def num_arrows(self) -> int:
@@ -210,13 +279,17 @@ class GradedQuiver:
     def arrow_index(self, name: ArrowName) -> int:
         """The index of the arrow named ``name``, its place in the order
         the arrows came."""
+        index = self._index
+        if index is None:
+            index = {name: i for i, name in enumerate(self._names)}
+            object.__setattr__(self, "_index", index)
         try:
-            return self._index[name]
+            return index[name]
         except (KeyError, TypeError):  # TypeError: an unhashable name
             raise QuiverError(f"unknown arrow {label_str(name)}") from None
 
     def arrow_name(self, i: int) -> ArrowName:
-        return self._names[i]
+        return (self._arrow_names or self._names)[i]
 
     def arrow_ends(self, i: int) -> tuple[int, int]:
         """The source and target vertex ids of arrow i."""
@@ -335,40 +408,73 @@ class GradedQuiver:
         t = self.vertex_id(target)
         into = self._paths.get(t)
         if into is None:
-            src, ins, rel = self._src, self._in, self._rel
-            found: dict[int, list] = {t: [()]}
-            limit = len(src)
-            back: list[int] = []  # the path's arrows from t backwards
-            # One frame per arrow on the path: its index (None at t) and
-            # an iterator over the arrows that may come before it.
-            stack = [(None, iter(ins[t]))]
-            while stack:
-                after, before = stack[-1]
-                for i in before:
-                    if (i, after) in rel:
-                        continue
-                    if len(back) == limit:
-                        raise QuiverError("path space is infinite")
-                    back.append(i)
-                    found.setdefault(src[i], []).append(tuple(reversed(back)))
-                    stack.append((i, iter(ins[src[i]])))
-                    break
-                else:
-                    stack.pop()
-                    if back:
-                        back.pop()
-            for paths in found.values():
-                paths.sort()
-            into = {s: tuple(found[s]) for s in sorted(found)}
-            self._paths[t] = into
+            into = self._paths[t] = self._walk_into(t, self._in)
         return into
+
+    def _walk_into(self, t: int, ins) -> dict[int, tuple[Path, ...]]:
+        """paths_into vertex id t, walking from each vertex only along
+        the arrow indices ``ins`` lists for it."""
+        src, rel = self._src, self._rel
+        found: dict[int, list] = {t: [()]}
+        limit = len(src)
+        back: list[int] = []  # the path's arrows from t backwards
+        # One frame per arrow on the path: its index (None at t) and an
+        # iterator over the arrows that may come before it.
+        stack = [(None, iter(ins[t]))]
+        while stack:
+            after, before = stack[-1]
+            for i in before:
+                if (i, after) in rel:
+                    continue
+                if len(back) == limit:
+                    raise QuiverError("path space is infinite")
+                back.append(i)
+                found.setdefault(src[i], []).append(tuple(reversed(back)))
+                stack.append((i, iter(ins[src[i]])))
+                break
+            else:
+                stack.pop()
+                if back:
+                    back.pop()
+        for paths in found.values():
+            paths.sort()
+        return {s: tuple(found[s]) for s in sorted(found)}
 
     def paths_between(self, source: Label, target: Label) -> tuple[Path, ...]:
         """Nonzero paths source -> target as arrow-index tuples, in
         forward depth-first preorder: a lookup in the target's memo of
-        paths_into, so it raises QuiverError when the nonzero paths into
-        target are infinite in number."""
-        return self.paths_into(target).get(self.vertex_id(source), ())
+        paths_into.
+
+        When the paths into target are infinite, those from source may
+        not be.  Then the walk into target runs again through only the
+        arrows that end some nonzero path from source, which every path
+        source -> target is made of, and QuiverError is raised only if
+        that walk is infinite too: a cycle no relation kills, on a
+        nonzero path from source, ahead of a nonzero path into target.
+        """
+        s, t = self.vertex_id(source), self.vertex_id(target)
+        into = self._paths.get(t)
+        if into is None:
+            try:
+                into = self._paths[t] = self._walk_into(t, self._in)
+            except QuiverError:  # infinitely many paths into target
+                return self._walk_from(s, t)
+        return into.get(s, ())
+
+    def _walk_from(self, s: int, t: int) -> tuple[Path, ...]:
+        """paths_between vertex ids s and t, walking into t only along
+        the arrows that end some nonzero path from s."""
+        tgt, outs, rel = self._tgt, self._out, self._rel
+        reach = set(outs[s])
+        todo = list(reach)
+        while todo:
+            f = todo.pop()
+            for g in outs[tgt[f]]:
+                if g not in reach and (f, g) not in rel:
+                    reach.add(g)
+                    todo.append(g)
+        ins = [[i for i in arrows if i in reach] for arrows in self._in]
+        return self._walk_into(t, ins).get(s, ())
 
     # -- export ---------------------------------------------------------
 

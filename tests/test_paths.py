@@ -166,22 +166,78 @@ def test_backward_walk_keeps_the_forward_preorder_on_cycles(n, killed):
 
 
 def test_infinite_paths_into_a_vertex_are_refused():
-    # v0 <-> v1 with no relation, and g: v1 -> w; no path leaves w, but
-    # infinitely many nonzero paths arrive there
+    # v0 <-> v1 with no relation, g: v1 -> w and h: u -> w; no path
+    # leaves w, and only one leaves u, but infinitely many nonzero paths
+    # arrive at w: paths_into refuses them all, and paths_between refuses
+    # only the pairs whose own paths run round the cycle
     q = GradedQuiver(
-        [((("v", 0),), 0), ((("v", 1),), 0), ((("w",),), 0)],
+        [((("v", 0),), 0), ((("v", 1),), 0), ((("w",),), 0), ((("u",),), 0)],
         [
             (("f", 0), ("v", 0), ("v", 1), 0),
             (("f", 1), ("v", 1), ("v", 0), 0),
             (("g",), ("v", 1), ("w",), 0),
+            (("h",), ("u",), ("w",), 0),
         ],
         [],
     )
     assert forward_paths(q, 2, 2) == [()]
-    with pytest.raises(QuiverError, match="path space is infinite"):
-        q.paths_between(("w",), ("w",))
+    assert q.paths_between(("w",), ("w",)) == ((),)
+    assert q.paths_between(("u",), ("w",)) == ((3,),)
+    assert q.paths_between(("w",), ("u",)) == ()
+    for s in ("v", 0), ("v", 1):
+        with pytest.raises(QuiverError, match="path space is infinite"):
+            q.paths_between(s, ("w",))
     with pytest.raises(QuiverError, match="path space is infinite"):
         q.paths_into(("w",))
+    w = projective(q, ("w",))
+    assert hom_cohomology(w, w) == {0: 1}
+
+
+def bounded_paths(q, s):
+    """Every nonzero path out of vertex id s with at most 3 * len(arrows)
+    arrows, as (end vertex id, path): long enough to hold a repeated
+    arrow whenever some path s -> t, for any t, is one of infinitely
+    many."""
+    limit = 3 * len(q.arrows)
+    stack = [(s, ())]
+    while stack:
+        v, path = stack.pop()
+        yield v, path
+        if len(path) < limit:
+            for ar in q.arrows_from(v):
+                i = q.arrow_index(ar.name)
+                if not path or (q.arrow_name(path[-1]), ar.name) not in q.relations:
+                    stack.append((ar.target, path + (i,)))
+
+
+def test_paths_between_is_exact_about_infinity():
+    # small random quivers with cycles: paths_between answers exactly the
+    # finite path sets, sorted, and refuses exactly the infinite ones
+    rng = random.Random(SEED)
+    answered = refused = 0
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        arrows = [(("f", i), ("v", rng.randrange(n)), ("v", rng.randrange(n)), 0)
+                  for i in range(rng.randint(1, 3))]
+        relations = [(f[0], g[0]) for f in arrows for g in arrows
+                     if f[2] == g[1] and rng.random() < 0.4]
+        q = GradedQuiver([((("v", v),), 0) for v in range(n)], arrows, relations)
+        for s in range(n):
+            ends = {}
+            for v, path in bounded_paths(q, s):
+                ends.setdefault(v, []).append(path)
+            for t in range(n):
+                paths = ends.get(t, [])
+                infinite = any(len(set(p)) < len(p) for p in paths)
+                try:
+                    got = q.paths_between(("v", s), ("v", t))
+                except QuiverError:
+                    assert infinite, (arrows, relations, s, t)
+                    refused += 1
+                    continue
+                assert not infinite and got == tuple(sorted(paths))
+                answered += 1
+    assert answered > 200 and refused > 50
 
 
 # sha256 of path_dims().paths, compared as a mapping (items sorted by

@@ -12,8 +12,9 @@ import pytest
 from quiverglue.aside import build_aside
 from quiverglue.bside import build_bside
 from quiverglue.errors import QuiverError
-from quiverglue.gluing import StackyCurveSpec
+from quiverglue.gluing import GluingSpec, StackyCurveSpec
 from quiverglue.mirror import twisted_gluing
+from quiverglue.perms import Permutation
 from quiverglue.quiver import (
     Arrow,
     GradedQuiver,
@@ -150,23 +151,45 @@ def test_quivers_and_arrows_are_read_only():
     assert a == Arrow(("c", 1), 1, 2, -3)
 
 
+def copy_cases():
+    """(quiver, a vertex label, the identity vertex map) for a quiver from
+    the public constructor and for builders' quivers, each built fresh:
+    a builder's quiver has read none of its names yet."""
+    g = GluingSpec("circular", (3, 2), (Permutation((2, 0, 1)), Permutation((1, 0))))
+    c = StackyCurveSpec("ring", (3, 2), (1, 1))
+    for build, label in ((view_quiver, ("u",)), (lambda: build_aside(g), ("P-", 1, 2)),
+                         (lambda: build_bside(c, {2: (1, -2)}), ("P", 2, 1, -1))):
+        q = build()
+        yield q, label, {labs[0]: labs[0] for labs in build().vertex_labels}
+
+
 def test_quivers_copy_and_pickle():
-    q = view_quiver()
-    q.paths_into(("u",))
-    for twin in copy.deepcopy(q), pickle.loads(pickle.dumps(q)):
-        assert twin.to_json_obj() == q.to_json_obj()
-        assert twin.arrows == q.arrows and twin.relations == q.relations
-        assert twin.paths_into(("u",)) == q.paths_into(("u",))
-        with pytest.raises(AttributeError):
-            twin.relations = frozenset()
+    # before the names are first read, and after the reports, a path
+    # memo and a lookup have read them
+    for fresh in True, False:
+        for q, label, identity in copy_cases():
+            if not fresh:
+                q.to_text()
+                q.paths_into(label)
+            twins = copy.deepcopy(q), pickle.loads(pickle.dumps(q))
+            unread = fresh and q._numbering is not None
+            assert [t._labels is None for t in (q, *twins)] == [unread] * 3
+            for twin in twins:
+                assert twin.to_text() == q.to_text() and twin.to_dot() == q.to_dot()
+                assert twin.to_json_obj() == q.to_json_obj()
+                assert twin.arrows == q.arrows and twin.relations == q.relations
+                assert twin.paths_into(label) == q.paths_into(label)
+                assert map_equals(twin, q, identity) and map_equals(q, twin, identity)
+                with pytest.raises(AttributeError):
+                    twin.relations = frozenset()
     assert pickle.loads(pickle.dumps(q.arrows[0])) == q.arrows[0]
 
 
 def test_aside_quiver_memory_on_a_long_ring():
     # The 6,000-strip ring's generator quiver: 18,000 vertices, 24,000
-    # arrows and 12,000 relations.  The bounds are what the quiver with
-    # one Arrow object per arrow read, in MiB, so the int-array storage
-    # may not retain more, nor peak higher while it is built.
+    # arrows and 12,000 relations.  The builder fills only the int
+    # arrays and makes no label, name or lookup dict, so it may retain
+    # at most 7 MiB and peak at 9 MiB while it builds.
     g = twisted_gluing(StackyCurveSpec("ring", (6000,), (1,)))
     gc.collect()
     tracemalloc.start()
@@ -178,8 +201,8 @@ def test_aside_quiver_memory_on_a_long_ring():
     finally:
         tracemalloc.stop()
     assert len(q._src) == 4 * 6000
-    assert (retained - base) / 2**20 <= 12.6
-    assert (peak - base) / 2**20 <= 17.2
+    assert (retained - base) / 2**20 <= 7
+    assert (peak - base) / 2**20 <= 9
 
 
 # sha256 of the text, json and dot reports of both quivers (aside only
