@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import sweeps
 from .aside import build_aside
 from .bside import build_bside
-from .errors import FalsificationError, QuiverError, SpecError
+from .errors import FalsificationError, QuiverError, SpecError, exact_ints
 from .gluing import (
     GluingSpec,
     StackyCurveSpec,
@@ -208,23 +208,22 @@ def cmd_localize(args):
 
 
 def _integer(key, value):
-    if type(value) is not int:
-        raise ValueError(f"{key!r} must be an integer, got {json.dumps(value)}")
-    return value
+    return exact_ints((value,), "{key!r} must be an integer, got {value!r}", key=key)[0]
+
+
+_COEFF = ("'coefficient' must be an integer or an [integer, nonzero integer] "
+          "pair, got {c!r}")
 
 
 def _coeff(c):
     """A differential coefficient: an integer, or an [integer, nonzero
     integer] pair read as a fraction."""
-    if type(c) is int:
-        return c
-    if (isinstance(c, list) and len(c) == 2
-            and all(type(x) is int for x in c) and c[1]):
-        return Fraction(*c)
-    raise ValueError(
-        "'coefficient' must be an integer or an [integer, nonzero integer] "
-        f"pair, got {json.dumps(c)}"
-    )
+    pair = isinstance(c, list) and len(c) == 2
+    # anything but a pair is checked as the fraction c/1
+    num, den = exact_ints(c if pair else (c, 1), _COEFF, c=c)
+    if not den:
+        raise SpecError(_COEFF.format(c=c))
+    return Fraction(num, den) if pair else num
 
 
 def _load_complexes(path, q):

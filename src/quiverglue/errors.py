@@ -1,6 +1,7 @@
-"""Shared exception types, and the refusal every read-only class uses."""
+"""Shared exception types, the read-only refusal, and the exact-number test."""
 
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 
 class SpecError(ValueError):
@@ -25,3 +26,24 @@ def read_only(obj, name, value=None):
     classes: every assignment or deletion raises FrozenInstanceError,
     an AttributeError."""
     raise FrozenInstanceError(f"{type(obj).__name__} is read-only: cannot change {name!r}")
+
+
+def exact_ints(values, message: str, types=(int,), **where) -> tuple[int, ...]:
+    """``values`` as a tuple, each of type exactly ``int`` (or one of
+    ``types``).  Anything else, even a bool or a whole float, or a
+    ``values`` that is not iterable, raises SpecError: ``message``
+    formatted with the refused ``value``, its ``index`` and ``where``."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise SpecError(message.format(value=values, index=None, **where)) from None
+    for value in values:
+        if type(value) not in types:
+            index = [v is value for v in values].index(True)
+            raise SpecError(message.format(value=value, index=index, **where))
+    return values
+
+
+def exact_scalars(values, message: str, **where) -> tuple[int | Fraction, ...]:
+    """``exact_ints`` for rationals: each exactly an int or a Fraction."""
+    return exact_ints(values, message, (int, Fraction), **where)

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import FalsificationError, SpecError
+from .errors import FalsificationError, SpecError, exact_ints
 from .perms import Permutation, tau
 
 LINEAR = "linear"
@@ -45,9 +45,10 @@ class SurfaceTopology:
     euler_characteristic: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "boundary_marks", tuple(sorted(self.boundary_marks))
-        )
+        message = "topology counts must be integers, got {value!r}"
+        marks = exact_ints(self.boundary_marks, message)
+        object.__setattr__(self, "boundary_marks", tuple(sorted(marks)))
+        exact_ints((self.genus, self.euler_characteristic), message)
         expected = 2 - 2 * self.genus - len(self.boundary_marks)
         if expected != self.euler_characteristic:
             raise SpecError(
@@ -106,7 +107,7 @@ class Shape:
     def __post_init__(self) -> None:
         if self.shape not in self._SHAPES:
             raise SpecError(f"unknown shape {self.shape!r}")
-        ranks = _int_tuple(self.ranks, "ranks")
+        ranks = exact_ints(self.ranks, "ranks must be integers, got {value!r}")
         object.__setattr__(self, "ranks", ranks)
         least = self.rank_count(self.shape, 1)
         if len(ranks) < least:
@@ -210,14 +211,6 @@ class Shape:
         return self.to_json() if hasattr(self, "_ITEMS") else repr(self)
 
 
-def _int_tuple(values, what: str) -> tuple[int, ...]:
-    values = tuple(values)
-    for x in values:
-        if type(x) is not int:
-            raise SpecError(f"{what} must be integers, got {x!r}")
-    return values
-
-
 @dataclass(frozen=True)
 class GluingSpec(Shape):
     """Combinatorial gluing data for a surface assembled from annuli.
@@ -244,9 +237,7 @@ class GluingSpec(Shape):
 
     @staticmethod
     def _items_from_obj(images) -> tuple[Permutation, ...]:
-        return tuple(
-            Permutation(_int_tuple(image, "permutation images")) for image in images
-        )
+        return tuple(map(Permutation, images))
 
     def perm(self, i: int) -> Permutation:
         return self.perms[i - 1]
@@ -269,7 +260,7 @@ class StackyCurveSpec(Shape):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        twists = _int_tuple(self.twists, "twists")
+        twists = exact_ints(self.twists, "twists must be integers, got {value!r}")
         object.__setattr__(self, "twists", twists)
         for i, r, k in self._per_junction(twists, "twists"):
             if math.gcd(k, r) != 1:
@@ -281,13 +272,18 @@ def window_origins(
 ) -> dict[int, tuple[int, int]]:
     """The window origin (j_i, m_i) of every component of ``curve``:
     ``DEFAULT_BASE`` unless ``bases`` moves it.  Rejects components the
-    curve does not have."""
+    curve does not have, and an origin that is not a pair of integers."""
     base = dict.fromkeys(curve.components(), DEFAULT_BASE)
     if bases:
-        unknown = set(bases) - set(base)
+        unknown = set(exact_ints(bases, "component {value!r} is not an integer"))
+        unknown -= set(base)
         if unknown:
             raise SpecError(f"no components {sorted(unknown)}")
-        base.update(bases)
+        for i, origin in bases.items():
+            base[i] = exact_ints(origin, "window origin {i}: {value!r} is not an "
+                                 "integer", i=i)
+            if len(base[i]) != 2:
+                raise SpecError(f"window origin {i}: {origin!r} is not a pair")
     return base
 
 

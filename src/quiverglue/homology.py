@@ -10,9 +10,10 @@ Conventions, fixed once and used everywhere:
   degree 1 + shift_a - shift_b, so with degree-0 arrows a path entry
   drops the shift by exactly one.  delta^2 must vanish modulo the
   quiver's relations.
-* Coefficients are rationals, each of type exactly ``int`` or
-  ``Fraction``, and shifts are of type exactly ``int``; a float, bool
-  or string is refused rather than rounded or truncated.  A complex
+* Coefficients and cocycle entries are rationals, each of type exactly
+  ``int`` or ``Fraction``, and shifts, differential indices and cocycle
+  degrees are of type exactly ``int``; a float, bool or string is
+  refused rather than rounded or truncated.  A complex
   with integer coefficients (every localization object) has integer
   differential matrices, and its cohomology never builds a Fraction.
 * A Hom-complex basis element is (source summand, target summand,
@@ -39,7 +40,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import FalsificationError, QuiverError, SpecError, read_only
+from .errors import (FalsificationError, QuiverError, SpecError, exact_ints,
+                     exact_scalars, read_only)
 from .linalg import kernel_basis, rank, solve
 from .quiver import ArrowName, GradedQuiver, Label, Path, label_str
 
@@ -68,36 +70,27 @@ class TwistedComplex:
         object.__setattr__(self, "diff", MappingProxyType(diff))
         q = self.quiver
         object.__setattr__(self, "_diff", {})
-        for i, (lab, n) in enumerate(self.summands):
-            q.vertex_id(lab)
-            if type(n) is not int:
-                raise SpecError(f"summand {i}: shift {n!r} is not an integer")
+        vids = [q.vertex_id(lab) for lab, _ in summands]
+        shifts = exact_ints([n for _, n in summands],
+                            "summand {index}: shift {value!r} is not an integer")
         for (a, b), entry in self.diff.items():
-            if type(a) is not int or type(b) is not int:
-                raise SpecError(
-                    f"differential entry {a!r}<-{b!r}: indices are not integers"
-                )
-            if not 0 <= b < a < len(self.summands):
+            exact_ints((a, b), "differential entry {a!r}<-{b!r}: indices are not "
+                       "integers", a=a, b=b)
+            if not 0 <= b < a < len(summands):
                 raise SpecError(f"differential entry {a}<-{b} is not forward")
-            va, na = self.summands[a]
-            vb, nb = self.summands[b]
+            degree = 1 + shifts[a] - shifts[b]
             terms = self._diff[a, b] = []
             for c, names in entry:
-                if type(c) is not int and type(c) is not Fraction:
-                    raise SpecError(
-                        f"entry {a}<-{b}: coefficient {c!r} is not an "
-                        "integer or a Fraction"
-                    )
+                exact_scalars((c,), "entry {a}<-{b}: coefficient {value!r} is not "
+                              "an integer or a Fraction", a=a, b=b)
                 p = tuple(map(q.arrow_index, names))
-                if q.path_end(q.vertex_id(vb), p) != q.vertex_id(va):
+                if q.path_end(vids[b], p) != vids[a]:
                     raise SpecError(f"entry {a}<-{b}: path does not connect")
                 if any(map(q.is_relation, p, p[1:])):
                     raise SpecError(f"entry {a}<-{b}: path is zero in the algebra")
-                if q.path_degree(p) != 1 + na - nb:
-                    raise SpecError(
-                        f"entry {a}<-{b}: path degree {q.path_degree(p)} != "
-                        f"{1 + na - nb}"
-                    )
+                if q.path_degree(p) != degree:
+                    raise SpecError(f"entry {a}<-{b}: path degree "
+                                    f"{q.path_degree(p)} != {degree}")
                 terms.append((c, p))
         self._check_delta_squared()
 
@@ -237,7 +230,9 @@ class HomComplex:
     # -- cocycles and classes ------------------------------------------
 
     def cocycle(self, vector, degree: int) -> Cocycle:
-        vec = tuple(x if type(x) is Fraction else Fraction(x) for x in vector)
+        exact_ints((degree,), "cocycle degree {value!r} is not an integer")
+        vec = tuple(map(Fraction, exact_scalars(
+            vector, "cocycle entry {value!r} is not an integer or a Fraction")))
         idxs = self.degrees.get(degree, [])
         if len(vec) != len(idxs):
             raise SpecError("vector length does not match the degree slice")
@@ -275,12 +270,18 @@ class HomComplex:
             raise SpecError("degree mismatch")
         if not generator.vector:  # no rows, so solve would see no columns
             return Fraction(0)
-        mat = self.matrix(cocycle.degree - 1)
-        x = solve([[*row, g] for row, g in zip(mat, generator.vector)],
-                  list(cocycle.vector))
-        if x is None:
-            raise FalsificationError("class off the generator line")
-        return x[-1]
+        return _on_line(self.matrix(cocycle.degree - 1), generator.vector,
+                        cocycle.vector)
+
+
+def _on_line(below: list[list[Scalar]], generator, vector) -> Scalar:
+    """The lambda with vector = lambda * generator modulo the image of
+    ``below``, D into their degree slice; a class off the generator's
+    line raises FalsificationError."""
+    x = solve([[*row, g] for row, g in zip(below, generator)], list(vector))
+    if x is None:
+        raise FalsificationError("class off the generator line")
+    return x[-1]
 
 
 def _cohomology(slices: dict[int, list[int]], matrix) -> GradedDims:
@@ -554,13 +555,13 @@ def module_of(E: TwistedComplex) -> ThinModule:
             if c and comp is not None:
                 image[h._index[(k, t, comp)]] = c
         vec = [image.get(i, 0) for i in run]
+        # precomposition is a chain map, so the image is a cocycle
         if any(sum(m * x for m, x in zip(row, vec)) for row in matrix(degree)):
-            raise SpecError("not a cocycle")
-        x = solve([[*row, g] for row, g in zip(matrix(degree - 1), gen)], vec)
-        if x is None:
-            raise FalsificationError("class off the generator line")
-        if x[-1]:
-            actions[q.arrow_name(a)] = x[-1]
+            raise FalsificationError(
+                f"image under {label_str(q.arrow_name(a))} is not a cocycle")
+        x = _on_line(matrix(degree - 1), gen, vec)
+        if x:
+            actions[q.arrow_name(a)] = x
     module = ThinModule(dims, actions, degree)
     module.validate(q)
     return module

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .aside import build_aside, object_count
 from .bside import build_bside
-from .errors import FalsificationError, SpecError
+from .errors import FalsificationError, SpecError, exact_ints
 from .gluing import (
     RING,
     GluingSpec,
@@ -162,6 +162,7 @@ def search_ring_mirror(genus: int, n: int = 1) -> list[int]:
     is odd); an empty result would falsify the existence theorem.
     Rings of more than MAX_STRIPS strips are rejected.
     """
+    exact_ints((genus, n), "search needs integers, got {value!r}")
     if genus < 2:
         raise SpecError("search needs genus >= 2")
     if n < 1:

@@ -14,6 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 
+from .errors import exact_ints
+
 
 @dataclass(frozen=True)
 class CycleDecomposition:
@@ -36,9 +38,13 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.image)
-        if sorted(self.image) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.image}")
+        image = exact_ints(self.image, "permutation images must be integers, "
+                           "got {value!r}")
+        if image is not self.image:  # a tuple is kept as it came
+            object.__setattr__(self, "image", image)
+        n = len(image)
+        if sorted(image) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {image}")
 
     @property
     def degree(self) -> int:
@@ -60,8 +66,15 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def commutator(self, other: "Permutation") -> "Permutation":
-        """[self, other] = self * other * self^-1 * other^-1."""
-        return self * other * self.inverse() * other.inverse()
+        """[self, other] = self * other * self^-1 * other^-1, composed in
+        one pass: x goes to self(other(self^-1(other^-1(x))))."""
+        p, q = self.image, other.image
+        if len(q) != len(p):
+            raise ValueError("degree mismatch")
+        p_inv, q_inv = [0] * len(p), [0] * len(q)
+        for x in range(len(p)):
+            p_inv[p[x]] = q_inv[q[x]] = x
+        return Permutation(tuple([p[q[p_inv[y]]] for y in q_inv]))
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:

@@ -12,14 +12,18 @@ afterwards.  Arrows are stored as parallel int tuples indexed by
 insertion order: source and target vertex ids and degrees.  Each vertex
 keeps the indices of its out- and in-arrows, and the relations are a
 set of arrow-index pairs.  The public constructor reads vertices,
-arrows and relations by name, in one pass, and numbers them with a
-label and a name dict, for JSON input and for tests.  The aside and
+arrows and relations by name, in one pass, for JSON input and for
+tests: it numbers them with a label and a name dict, resolves every
+endpoint and relation arrow through vertex_id and arrow_index, and
+refuses a shift or a degree that is not exactly an int.  The aside and
 bside builders fill the arrays from their spec by index arithmetic
 instead, and hand the quiver a numbering that makes the vertex labels,
 shifts and arrow names from the same spec: the quiver asks for each
 only when something first reads it, and builds its label and name
 lookups from them on the first lookup, so a quiver that is only walked
-or matched never makes a name.  Every walk, search and report in this
+never makes a name.  map_equals takes its vertex map by label, and
+find_isomorphism answers with one, so matching makes both quivers'
+labels and label lookups.  Every walk, search and report in this
 module reads the arrays: to_text, to_json_obj and to_dot render a
 quiver's three formats, each listing its relations sorted by arrow
 names.  Homology reads them by arrow index through ``arrow_index``,
@@ -29,9 +33,10 @@ and ``arrow``, and the arrow-name pairs of ``relations``, are views
 built on first use for callers outside the package; no code in the
 package reads them.
 
-A path is a tuple of arrow indices, and this module alone reads one: it
-composes paths, grades them and traces their endpoints for the rest of
-the package, and path_names renders one in arrow names for reports.
+A path is a tuple of arrow indices.  This module composes paths,
+grades them and traces their endpoints for the rest of the package, and
+path_names renders one in arrow names for reports; homology also reads
+a path's first and last arrows and builds the one-arrow path (a,).
 One depth-first walk along the in-arrows finds every nonzero path into
 a vertex, and knows exactly when they are infinite; paths_into and
 paths_between read its memo per target vertex, and path_dims (the Hom
@@ -45,14 +50,14 @@ isomorphism of quivers with relations, and searches for one.  Neither
 search recurses: each backtracks in a loop over an explicit stack of
 iterators, and each step costs only the arrows and relations it
 touches.  map_equals reads each relation of the left quiver once: it
-maps the arrows of every singleton group in one pass, reads each
-relation between two of them there, and backtracks only over groups of
-parallel arrows, reading each other relation at the one step that fixes
-both its arrows; find_isomorphism places one vertex per step and
-compares a candidate's arrows to placed vertices only.  Its candidates
-come from one colour refinement of both quivers at once, driven by a
-worklist of splitter classes, in O((V + A) log V) for V vertices and A
-arrows.
+builds the order-preserving arrow matching once, reads each relation
+between two arrows of singleton groups against it, and backtracks from
+it only over groups of parallel arrows, reading each other relation at
+the one step that fixes both its arrows; find_isomorphism places one
+vertex per step and compares a candidate's arrows to placed vertices
+only.  Its candidates come from one colour refinement of both quivers
+at once, driven by a worklist of splitter classes, in O((V + A) log V)
+for V vertices and A arrows.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import QuiverError, SpecError, read_only
+from .errors import QuiverError, SpecError, exact_ints, read_only
 
 Label = tuple
 ArrowName = tuple
@@ -128,41 +133,30 @@ class GradedQuiver:
             if not labels:
                 raise QuiverError("vertex needs at least one label")
             for lab in labels:
-                if lab in ids:
-                    raise QuiverError(f"duplicate vertex label {label_str(lab)}")
-                ids[lab] = len(all_labels)
+                ids[_new_key(lab, ids, "vertex label")] = len(all_labels)
             all_labels.append(labels)
             shifts.append(shift)
         init(self, "_labels", tuple(all_labels))
-        init(self, "_shifts", tuple(shifts))
+        init(self, "_shifts", exact_ints(
+            shifts, "vertex 'shift' must be an integer, got {value!r}"))
 
         index: dict[ArrowName, int] = {}
         init(self, "_index", index)
         src, tgt, deg = [], [], []
         for name, source, target, degree in arrows:
-            if name in index:
-                raise QuiverError(f"duplicate arrow {label_str(name)}")
-            try:
-                s, t = ids[source], ids[target]
-            except KeyError:  # vertex_id names the unknown endpoint
-                s, t = self.vertex_id(source), self.vertex_id(target)
-            index[name] = len(src)
-            src.append(s)
-            tgt.append(t)
+            _new_key(name, index, "arrow")
+            src.append(self.vertex_id(source))
+            tgt.append(self.vertex_id(target))
             deg.append(degree)
+            index[name] = len(index)
         init(self, "_arrow_names", tuple(index))
-
-        # Resolved as _set_arrays checks them, so of an unknown arrow and
-        # a pair that is not composable, the one that comes first is named.
-        def pairs():
-            for f, g in relations:
-                try:
-                    yield index[f], index[g]
-                except KeyError:  # arrow_index names the unknown arrow
-                    yield self.arrow_index(f), self.arrow_index(g)
+        deg = exact_ints(deg, "arrow 'degree' must be an integer, got {value!r}")
 
         init(self, "_numbering", None)
-        self._set_arrays(len(all_labels), src, tgt, deg, pairs())
+        # Resolved as _set_arrays checks them, so of an unknown arrow and
+        # a pair that is not composable, the one that comes first is named.
+        self._set_arrays(len(all_labels), src, tgt, deg, (
+            (self.arrow_index(f), self.arrow_index(g)) for f, g in relations))
 
     @classmethod
     def _numbered(cls, numbering) -> "GradedQuiver":
@@ -509,14 +503,6 @@ class GradedQuiver:
                 raise SpecError(f"bad quiver data: {key!r} must be a list")
             return data[key]
 
-        def integer(obj, key):
-            value = obj.get(key, 0)
-            if type(value) is not int:
-                raise SpecError(
-                    f"bad quiver data: {key!r} must be an integer, got {value!r}"
-                )
-            return value
-
         def relation(rel):
             if not isinstance(rel, list) or len(rel) != 2:
                 raise SpecError(f"bad quiver data: relation {rel!r} is not a pair")
@@ -524,10 +510,10 @@ class GradedQuiver:
 
         try:
             return cls(
-                ((tuple(map(tuple, v["labels"])), integer(v, "shift"))
+                ((tuple(map(tuple, v["labels"])), v.get("shift", 0))
                  for v in listed("vertices")),
                 ((tuple(a["name"]), tuple(a["source"]), tuple(a["target"]),
-                  integer(a, "degree")) for a in listed("arrows")),
+                  a.get("degree", 0)) for a in listed("arrows")),
                 map(relation, listed("relations")),
             )
         except KeyError as exc:
@@ -574,6 +560,17 @@ class GradedQuiver:
 
     def _relation_str(self, f: int, g: int) -> str:
         return f"{label_str(self._names[g])} o {label_str(self._names[f])} = 0"
+
+
+def _new_key(key, keys: dict, what: str):
+    """``key``; QuiverError when ``keys`` holds it or it cannot be hashed."""
+    try:
+        known = key in keys
+    except TypeError:
+        raise QuiverError(f"{what} {label_str(key)} is not hashable") from None
+    if known:
+        raise QuiverError(f"duplicate {what} {label_str(key)}")
+    return key
 
 
 @dataclass
@@ -632,32 +629,27 @@ def _resolve_vmap(
 
 
 def _transports_relations(
-    q1: GradedQuiver, q2: GradedQuiver, groups1: dict, groups2: dict
+    q1: GradedQuiver, q2: GradedQuiver, canonical: list[int], parallel: list
 ) -> bool:
-    """Whether some bijection of the arrows within each group (the keys
-    and sizes of ``groups1`` and ``groups2`` agree; a group lists arrow
-    indices) carries the relations of q1 exactly onto those of q2.
+    """Whether some arrow matching that changes ``canonical`` only
+    within the groups of ``parallel`` carries the relations of q1
+    exactly onto those of q2.  ``canonical`` maps each arrow index of q1
+    to one of q2 and is left as it came; ``parallel`` lists each group
+    of parallel arrows as a pair of equally long lists of arrow indices,
+    the group's arrows in q1 and in q2.
 
     Only the relations of q1 are read.  The caller has checked that both
     quivers have equally many, and an arrow bijection maps relation
     pairs injectively, so a matching that carries each relation of q1
     into those of q2 carries them onto them."""
-    arrow_map = [0] * len(q1._src)
-    parallel = []
-    for key, g1 in groups1.items():
-        if len(g1) == 1:
-            arrow_map[g1[0]] = groups2[key][0]
-        else:
-            parallel.append(key)
-
     # A relation is read at the step that fixes the later parallel group
     # of its two arrows, or once here when both arrows are forced.
     # Step k overwrites its group's entries in the arrow map; entries of
     # later groups left by an abandoned branch are never read before
     # their own step overwrites them.
     step = [-1] * len(q1._src)
-    for k, key in enumerate(parallel):
-        for a in groups1[key]:
+    for k, (g1, _) in enumerate(parallel):
+        for a in g1:
             step[a] = k
     due = [[] for _ in parallel]
     rel2 = q2._rel
@@ -665,16 +657,17 @@ def _transports_relations(
         k = max(step[f], step[g])
         if k >= 0:
             due[k].append((f, g))
-        elif (arrow_map[f], arrow_map[g]) not in rel2:
+        elif (canonical[f], canonical[g]) not in rel2:
             return False
     if not parallel:
         return True
 
-    stack = [itertools.permutations(groups2[parallel[0]])]
+    arrow_map = canonical[:]
+    stack = [itertools.permutations(parallel[0][1])]
     while stack:
         k = len(stack) - 1
         for perm in stack[k]:
-            for a1, a2 in zip(groups1[parallel[k]], perm):
+            for a1, a2 in zip(parallel[k][0], perm):
                 arrow_map[a1] = a2
             if all((arrow_map[f], arrow_map[g]) in rel2 for f, g in due[k]):
                 break
@@ -683,7 +676,7 @@ def _transports_relations(
             continue
         if len(stack) == len(parallel):
             return True
-        stack.append(itertools.permutations(groups2[parallel[len(stack)]]))
+        stack.append(itertools.permutations(parallel[len(stack)][1]))
     return False
 
 
@@ -697,16 +690,19 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
     report lists the first structural mismatches found.
 
     Each relation of q1, the left quiver, is read once, and those of q2
-    are only looked up (_transports_relations says why).  A group with one arrow on each side forces its image, so those
-    arrows are mapped in one pass and every relation between two of
-    them is read there.  The rest is a backtracking over the groups of
-    parallel arrows, in a loop over an explicit stack of permutation
-    iterators, not a recursion.  Each other relation is filed under the
-    later parallel group of its two arrows and read only at that
-    group's step, so a step costs its group's size plus the relations
-    filed there; with no parallel arrows the whole check reads each
-    relation of q1 exactly once.  Arrows and relations are compared as
-    the quivers' arrow indices and index pairs.
+    are only looked up (_transports_relations says why).  The
+    order-preserving arrow matching is built once.  It forces the image
+    of every group with one arrow on each side, so every relation
+    between two such arrows is read against it in one pass; the
+    backtracking starts from it, and a failure is reported against it.
+    The rest is a backtracking over the groups of parallel arrows, in a
+    loop over an explicit stack of permutation iterators, not a
+    recursion.  Each other relation is filed under the later parallel
+    group of its two arrows and read only at that group's step, so a
+    step costs its group's size plus the relations filed there; with no
+    parallel arrows the whole check reads each relation of q1 exactly
+    once.  Arrows and relations are compared as the quivers' arrow
+    indices and index pairs.
     """
     id_map, diffs = _resolve_vmap(q1, q2, vmap)
     if id_map is None:
@@ -743,19 +739,28 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
             f"relation counts differ: {len(q1._rel)} vs {len(q2._rel)}"
         )
 
-    if not diffs and _transports_relations(q1, q2, groups1, groups2):
+    # The order-preserving arrow matching: the backtracking starts from
+    # it, and a failure is reported against it.  Most groups hold one
+    # arrow, which is mapped without a zip.
+    canonical = [0] * len(q1._src)
+    parallel = []
+    for key, g1 in groups1.items():
+        g2 = groups2[key]
+        if len(g1) == 1:
+            canonical[g1[0]] = g2[0]
+        else:
+            parallel.append((g1, g2))
+            for a1, a2 in zip(g1, g2):
+                canonical[a1] = a2
+    if not diffs and _transports_relations(q1, q2, canonical, parallel):
         return MatchReport(True)
 
-    # No arrow matching carries the relations across.  Report against
-    # the order-preserving matching so the diff names concrete pairs.
-    # The backtracking tries that matching first, so unless the counts
-    # differ it leaves some left relation without an image.
-    canonical = [0] * len(q1._src)
-    inv = [0] * len(q2._src)
-    for key, g1 in groups1.items():
-        for a1, a2 in zip(g1, groups2[key]):
-            canonical[a1] = a2
-            inv[a2] = a1
+    # No arrow matching carries the relations across.  The backtracking
+    # tries the canonical matching first, so unless the counts differ it
+    # leaves some left relation without an image, a named pair.
+    inv = [0] * len(canonical)
+    for a1, a2 in enumerate(canonical):
+        inv[a2] = a1
     for f, g in q1._sorted_relations():
         if (canonical[f], canonical[g]) not in q2._rel:
             diffs.append(

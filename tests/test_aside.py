@@ -3,8 +3,10 @@
 import pytest
 
 from quiverglue.aside import build_aside, object_count
+from quiverglue.errors import FalsificationError
 from quiverglue.gluing import GluingSpec
 from quiverglue.perms import Permutation, identity, swap
+from quiverglue.quiver import GradedQuiver
 
 
 def test_bare_annulus_quiver():
@@ -102,3 +104,10 @@ def test_perm_changes_quiver_but_not_counts():
     assert len(q1.arrows) == len(q2.arrows)
     assert {a.name for a in q1.arrows} == {a.name for a in q2.arrows}
     assert q1.relations != q2.relations
+
+
+def test_a_cyclic_generator_quiver_is_an_alarm(monkeypatch):
+    # generator quivers are acyclic: a cycle means the numbering is wrong
+    monkeypatch.setattr(GradedQuiver, "is_acyclic", lambda q: False)
+    with pytest.raises(FalsificationError, match="^generator quiver came out cyclic$"):
+        build_aside(GluingSpec("linear", (1, 1), ()))

@@ -4,10 +4,11 @@ and the literal slot alignment of arrows with relations."""
 import pytest
 
 from quiverglue.bside import build_bside
-from quiverglue.errors import SpecError
+from quiverglue.errors import FalsificationError, SpecError
 from quiverglue.gluing import StackyCurveSpec, from_curve
 from quiverglue.aside import object_count
 from quiverglue.mirror import canonical_correspondence, twisted_gluing
+from quiverglue.quiver import GradedQuiver
 
 
 def test_minimal_chain():
@@ -104,3 +105,11 @@ def test_ring_single_component_wraps_to_itself():
     b = q.arrow(("b", 1, 0))
     assert q.primary_label(b.target)[1] == 1
     assert q.num_vertices == 9
+
+
+def test_a_cyclic_collection_quiver_is_an_alarm(monkeypatch):
+    # collection quivers are acyclic: a cycle means the numbering is wrong
+    monkeypatch.setattr(GradedQuiver, "is_acyclic", lambda q: False)
+    with pytest.raises(FalsificationError,
+                       match="^exceptional-collection quiver came out cyclic$"):
+        build_bside(StackyCurveSpec("ring", (3,), (1,)))

@@ -601,6 +601,45 @@ def test_sweep_rejects_negative_samples(capsys):
     assert "argument --samples: must not be negative, got -5" in err
 
 
+def test_sweep_rejects_a_count_that_is_not_an_int(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--samples", "many"])
+    assert exc.value.code == 2
+    assert "argument --samples: invalid int value: 'many'" in capsys.readouterr().err
+
+
+def test_sweep_reports_a_topology_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "surface_topology", lambda g: None)
+    code, out, _ = run(capsys, "sweep", "--samples", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1].startswith("topology mismatch on {")
+    assert lines[-1] == "RESULT: FAIL"
+
+
+def test_sweep_reports_a_failed_verification(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_theorem_A", lambda c: SimpleNamespace(ok=False))
+    code, out, _ = run(capsys, "sweep", "--samples", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 3 and lines[1].startswith("verify failed on {")
+    assert lines[-1] == "RESULT: FAIL"
+
+
+def test_spec_top_level_must_be_an_object(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text("[1, 2]")
+    code, out, err = run(capsys, "topology", "--spec", str(spec))
+    assert (code, out) == (2, "")
+    assert err == f"error: {spec}: top level must be a JSON object\n"
+
+
+def test_selector_numbers_must_be_ints(capsys):
+    code, out, err = run(capsys, "localize", "--spec", GLUING, "E-:one:0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: selector 'E-:one:0': invalid literal for int()")
+
+
 def test_sweep_accepts_zero_samples(capsys):
     code, out, _ = run(capsys, "sweep", "--samples", "0")
     assert code == 0

@@ -387,6 +387,48 @@ def test_cocycle_validation():
             break
 
 
+def test_hom_complex_refusals():
+    q = double_quiver()
+    m1, m2 = standard_pair(q)
+    with pytest.raises(SpecError, match="^complexes live over different quivers$"):
+        HomComplex(m1, standard_pair(double_quiver())[0])
+    with pytest.raises(SpecError, match="^unknown sign convention 'sideways'$"):
+        HomComplex(m1, m1, "sideways")
+    with pytest.raises(SpecError, match="^identity lives in an endomorphism complex$"):
+        HomComplex(m1, m2).identity_cocycle()
+    h = HomComplex(m2, m1)
+    cls_a = unit_cocycle(h, 0, (0, 0, (("a",),)))
+    with pytest.raises(SpecError, match="^degree mismatch$"):
+        h.scalar_against(h.cocycle([0] * len(h.degrees[1]), 1), cls_a)
+
+
+def test_d_squared_check_sees_a_broken_complex(monkeypatch):
+    # v1 -a-> v2 -b-> v3 with no relation: the chain a, b squares to the
+    # nonzero path ab, which the complex check would refuse
+    q = GradedQuiver(plain(("v1",), ("v2",), ("v3",)),
+                     [(("a",), ("v1",), ("v2",), 0), (("b",), ("v2",), ("v3",), 0)], [])
+    with monkeypatch.context() as m:
+        m.setattr(TwistedComplex, "_check_delta_squared", lambda self: None)
+        X = TwistedComplex(q, ((("v1",), 2), (("v2",), 1), (("v3",), 0)),
+                           {(1, 0): [(1, (("a",),))], (2, 1): [(1, (("b",),))]})
+    assert not HomComplex(X, X).d_squared_vanishes()
+    m1, _ = standard_pair(double_quiver())
+    assert HomComplex(m1, m1).d_squared_vanishes()
+
+
+def test_ext_product_refuses_a_product_off_its_degree(monkeypatch):
+    # a path grading that drifts by one per arrow moves the product of
+    # b and a out of the degree the two factors add up to
+    q = double_quiver()
+    m1, m2 = standard_pair(q)
+    cls_a = unit_cocycle(HomComplex(m2, m1), 0, (0, 0, (("a",),)))
+    cls_b = unit_cocycle(HomComplex(m1, m2), 1, (0, 1, ()))
+    degree = GradedQuiver.path_degree
+    monkeypatch.setattr(GradedQuiver, "path_degree", lambda q, p: degree(q, p) + len(p))
+    with pytest.raises(FalsificationError, match="^product left its expected degree$"):
+        ext_product(cls_b, cls_a)
+
+
 def test_ext_product_needs_matching_middle():
     q = double_quiver()
     m1, m2 = standard_pair(q)
@@ -624,6 +666,74 @@ def test_module_of_refuses_values_in_two_degrees():
     with pytest.raises(FalsificationError,
                        match="^values spread over degrees 0 and -1$"):
         module_of(E)
+
+
+def test_module_of_refuses_an_image_that_is_not_a_cocycle(monkeypatch):
+    # u0 -a-> u, u -q-> w of degree 1, u -p-> z and w -c-> z; E is the
+    # cone P(w)[1] -> P(z) along c.  u's value, p, sits in degree 0 with
+    # q (D(q) = qc) beside it.  A kernel basis that offered q as u's
+    # generator would break precomposition by a as a chain map.
+    q = GradedQuiver(
+        plain(("u0",), ("u",), ("w",), ("z",)),
+        [(("a",), ("u0",), ("u",), 0), (("q",), ("u",), ("w",), 1),
+         (("p",), ("u",), ("z",), 0), (("c",), ("w",), ("z",), 0)],
+        [],
+    )
+    E = TwistedComplex(q, ((("w",), 1), (("z",), 0)), {(1, 0): [(1, (("c",),))]})
+    assert module_of(E).actions == {("a",): ONE, ("p",): ONE}
+    monkeypatch.setattr(homology, "kernel_basis", lambda m, n: [[1] + [0] * (n - 1)])
+    with pytest.raises(FalsificationError, match="^image under a is not a cocycle$"):
+        module_of(E)
+
+
+def _small_objects():
+    aq = build_aside(GluingSpec("linear", (1, 2, 2, 1),
+                                (Permutation((1, 0)), Permutation((1, 0)))))
+    return aq, all_localization_objects(aq)
+
+
+def test_module_of_needs_a_generating_cocycle(monkeypatch):
+    # a solve that calls every vector a coboundary leaves no generator
+    _, objects = _small_objects()
+    monkeypatch.setattr(homology, "solve", lambda matrix, vector: [0] * len(vector))
+    with pytest.raises(FalsificationError,
+                       match=r"^no generating cocycle at \('P-', 1, 0\)$"):
+        module_of(objects[0].cx)
+
+
+def test_module_of_refuses_a_class_off_the_generator_line(monkeypatch):
+    # a solve that finds no solution puts every arrow's image off the
+    # line of the generator at its source
+    _, objects = _small_objects()
+    monkeypatch.setattr(homology, "solve", lambda matrix, vector: None)
+    with pytest.raises(FalsificationError, match="^class off the generator line$"):
+        module_of(objects[0].cx)
+
+
+def test_predicted_module_refuses_an_unknown_kind():
+    aq, _ = _small_objects()
+    with pytest.raises(SpecError, match="^unknown localization kind 'E0'$"):
+        predicted_module(aq, "E0", 1, 0)
+
+
+def test_predicted_module_needs_one_admissible_path():
+    # u reaches the tip P-(1,1) by two parallel arrows
+    q = GradedQuiver(
+        plain(("P-", 1, 0), ("P-", 1, 1), ("u",)),
+        [(("x", 1, 0), ("P-", 1, 0), ("P-", 1, 1), 0),
+         (("f",), ("u",), ("P-", 1, 1), 0), (("g",), ("u",), ("P-", 1, 1), 0)],
+        [],
+    )
+    with pytest.raises(FalsificationError, match=r"^2 admissible paths at \('u',\)$"):
+        predicted_module(q, "E-", 1, 0)
+
+
+def test_predicted_module_refuses_an_inconsistent_action(monkeypatch):
+    # a composition that appends a stray arrow breaks a·p = chosen path
+    aq, objects = _small_objects()
+    monkeypatch.setattr(GradedQuiver, "compose", lambda q, p, p2: p + p2 + p2[-1:])
+    with pytest.raises(FalsificationError, match="^thin action is not consistent$"):
+        predicted_module(aq, objects[0].kind, objects[0].component, objects[0].position)
 
 
 @pytest.mark.parametrize("dims, actions, message", [

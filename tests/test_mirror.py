@@ -9,8 +9,10 @@ from quiverglue import mirror
 from quiverglue.aside import build_aside
 from quiverglue.bside import build_bside
 from quiverglue.errors import FalsificationError, SpecError
-from quiverglue.gluing import GluingSpec, StackyCurveSpec, from_curve
+from quiverglue.gluing import GluingSpec, StackyCurveSpec, SurfaceTopology, from_curve
 from quiverglue.mirror import (
+    Check,
+    VerifyReport,
     canonical_correspondence,
     k0_rank,
     search_ring_mirror,
@@ -201,3 +203,48 @@ def test_search_rejects_degenerate_requests():
         search_ring_mirror(1)
     with pytest.raises(SpecError):
         search_ring_mirror(2, 0)
+
+
+# -- negative controls: the alarms of verify, k0_rank and the search fire
+
+
+def test_negative_control_topology_mismatch(monkeypatch):
+    # an oracle that disagrees with the closed form is reported by name
+    wrong = SurfaceTopology(0, (2, 2, 2), -1)
+    monkeypatch.setattr(mirror, "surface_topology", lambda g: wrong)
+    c = StackyCurveSpec("ring", (3,), (1,))
+    report = verify_theorem_A(c)
+    topology = report.checks[1]
+    assert topology.name == "topology" and not topology.ok
+    assert topology.details == [
+        f"closed form {mirror.predicted_topology_curve(c)} vs oracle {wrong}"]
+
+
+def test_k0_rank_needs_a_marked_point(monkeypatch):
+    # every gluing has marks; an unmarked annulus from the oracle must
+    # not pass as rank 0
+    unmarked = SurfaceTopology(0, (0, 0), 0)
+    monkeypatch.setattr(mirror, "surface_topology", lambda g: unmarked)
+    with pytest.raises(SpecError, match="^rank formula needs at least one marked point$"):
+        k0_rank(from_curve(SMOKE_CURVES[1]))
+
+
+def test_search_refuses_a_hit_that_fails_verification(monkeypatch):
+    failing = VerifyReport([Check("quiver", False, ["tampered"])])
+    monkeypatch.setattr(mirror, "verify_theorem_A", lambda c: failing)
+    with pytest.raises(FalsificationError,
+                       match="^k=1 passed the arithmetic filter but failed"):
+        search_ring_mirror(2)
+
+
+def test_search_refuses_an_empty_answer(monkeypatch):
+    # no twist passes a filter that finds every twist a non-unit
+    class NoUnits:
+        @staticmethod
+        def gcd(a, b):
+            return 2
+
+    monkeypatch.setattr(mirror, "math", NoUnits)
+    with pytest.raises(FalsificationError,
+                       match="^no valid twist mod 3: existence of a genus-2 ring"):
+        search_ring_mirror(2)

@@ -136,3 +136,20 @@ def test_all_permutations_counts():
     assert {p.image for p in all_permutations(3)} == set(
         itertools.permutations(range(3))
     )
+
+
+def test_commutator_is_the_product_of_four():
+    # composed in one pass, it equals p q p^-1 q^-1 built as products
+    for r in range(1, 5):
+        perms = list(all_permutations(r))
+        for p, q in itertools.product(perms, perms):
+            assert p.commutator(q) == p * q * p.inverse() * q.inverse()
+    with pytest.raises(ValueError, match="degree mismatch"):
+        identity(2).commutator(identity(3))
+
+
+@pytest.mark.parametrize("make", [lambda: tau(0), lambda: from_twist(1, 0)],
+                         ids=["tau", "from_twist"])
+def test_degree_zero_is_refused(make):
+    with pytest.raises(ValueError, match="^degree must be positive$"):
+        make()
