@@ -226,7 +226,8 @@ class GluingSpec(Shape):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        perms = tuple(self.perms)
+        perms = exact_ints(self.perms, "permutations must be Permutations, got "
+                           "{value!r}", (Permutation,))
         object.__setattr__(self, "perms", perms)
         for i, r, p in self._per_junction(perms, "permutations"):
             if p.degree != r:

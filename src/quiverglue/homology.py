@@ -64,8 +64,18 @@ class TwistedComplex:
     _diff: dict[tuple[int, int], Entry] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        summands = tuple((lab, n) for lab, n in self.summands)
-        diff = {ab: tuple(entry) for ab, entry in self.diff.items()}
+        # Each try below holds only the unpacking of a container, so what
+        # it catches is a container of the wrong shape.
+        try:
+            summands = tuple((lab, n) for lab, n in self.summands)
+        except (TypeError, ValueError):
+            raise SpecError(f"summands must be (label, shift) pairs, got "
+                            f"{self.summands!r}") from None
+        try:
+            diff = {ab: tuple(entry) for ab, entry in self.diff.items()}
+        except (AttributeError, TypeError):
+            raise SpecError(f"differential must map (a, b) to a sequence of "
+                            f"terms, got {self.diff!r}") from None
         object.__setattr__(self, "summands", summands)
         object.__setattr__(self, "diff", MappingProxyType(diff))
         q = self.quiver
@@ -73,17 +83,30 @@ class TwistedComplex:
         vids = [q.vertex_id(lab) for lab, _ in summands]
         shifts = exact_ints([n for _, n in summands],
                             "summand {index}: shift {value!r} is not an integer")
-        for (a, b), entry in self.diff.items():
+        for ab, entry in diff.items():
+            try:
+                a, b = ab
+            except (TypeError, ValueError):
+                raise SpecError(f"differential key {ab!r} is not a pair (a, b)") from None
             exact_ints((a, b), "differential entry {a!r}<-{b!r}: indices are not "
                        "integers", a=a, b=b)
             if not 0 <= b < a < len(summands):
                 raise SpecError(f"differential entry {a}<-{b} is not forward")
             degree = 1 + shifts[a] - shifts[b]
             terms = self._diff[a, b] = []
-            for c, names in entry:
+            for term in entry:
+                try:
+                    c, names = term
+                except (TypeError, ValueError):
+                    raise SpecError(f"entry {a}<-{b}: term {term!r} is not "
+                                    f"(coefficient, path)") from None
                 exact_scalars((c,), "entry {a}<-{b}: coefficient {value!r} is not "
                               "an integer or a Fraction", a=a, b=b)
-                p = tuple(map(q.arrow_index, names))
+                try:  # arrow_index raises QuiverError, never TypeError
+                    p = tuple(map(q.arrow_index, names))
+                except TypeError:
+                    raise SpecError(f"entry {a}<-{b}: path {names!r} is not a "
+                                    f"sequence of arrows") from None
                 if q.path_end(vids[b], p) != vids[a]:
                     raise SpecError(f"entry {a}<-{b}: path does not connect")
                 if any(map(q.is_relation, p, p[1:])):

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import exact_ints
+from .errors import SpecError, exact_ints
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class Permutation:
             object.__setattr__(self, "image", image)
         n = len(image)
         if sorted(image) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {image}")
+            raise SpecError(f"not a permutation of 0..{n - 1}: {image}")
 
     @property
     def degree(self) -> int:

@@ -128,8 +128,9 @@ class GradedQuiver:
         ids: dict[Label, int] = {}
         init(self, "_label_to_id", ids)
         all_labels, shifts = [], []
-        for labels, shift in vertices:
-            labels = tuple(labels)
+        for vertex in _shaped(vertices, "vertices"):
+            labels, shift = _shaped(vertex, "a vertex", 2, "(labels, shift)")
+            labels = _shaped(labels, "vertex labels")
             if not labels:
                 raise QuiverError("vertex needs at least one label")
             for lab in labels:
@@ -143,7 +144,9 @@ class GradedQuiver:
         index: dict[ArrowName, int] = {}
         init(self, "_index", index)
         src, tgt, deg = [], [], []
-        for name, source, target, degree in arrows:
+        for arrow in _shaped(arrows, "arrows"):
+            name, source, target, degree = _shaped(
+                arrow, "an arrow", 4, "(name, source, target, degree)")
             _new_key(name, index, "arrow")
             src.append(self.vertex_id(source))
             tgt.append(self.vertex_id(target))
@@ -155,8 +158,10 @@ class GradedQuiver:
         init(self, "_numbering", None)
         # Resolved as _set_arrays checks them, so of an unknown arrow and
         # a pair that is not composable, the one that comes first is named.
+        pairs = (_shaped(pair, "a relation", 2, "a pair of arrows")
+                 for pair in _shaped(relations, "relations"))
         self._set_arrays(len(all_labels), src, tgt, deg, (
-            (self.arrow_index(f), self.arrow_index(g)) for f, g in relations))
+            (self.arrow_index(f), self.arrow_index(g)) for f, g in pairs))
 
     @classmethod
     def _numbered(cls, numbering) -> "GradedQuiver":
@@ -560,6 +565,19 @@ class GradedQuiver:
 
     def _relation_str(self, f: int, g: int) -> str:
         return f"{label_str(self._names[g])} o {label_str(self._names[f])} = 0"
+
+
+def _shaped(value, what: str, size: int | None = None, form: str = "a sequence") -> tuple:
+    """``value`` as a tuple, of ``size`` items if a size is given; a
+    ``value`` that is not iterable, or has another number of items,
+    raises QuiverError "``what`` must be ``form``"."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = None
+    if items is None or size is not None and len(items) != size:
+        raise QuiverError(f"{what} must be {form}, got {value!r}")
+    return items
 
 
 def _new_key(key, keys: dict, what: str):

@@ -2,7 +2,9 @@
 int (or, for a coefficient or a cocycle entry, a Fraction), and an
 unknown or unhashable name, with SpecError or QuiverError: a float, a
 bool, a string or None never slips into the exact arithmetic, and no
-bare TypeError or IndexError leaks out."""
+bare TypeError or IndexError leaks out.  A container of the wrong shape
+(not iterable, or with too few or too many items) is refused the same
+way."""
 
 import copy
 import random
@@ -35,6 +37,24 @@ def test_exact_ints_takes_the_callers_words():
     for refused in (0.5, False, "1/3"):
         with pytest.raises(SpecError):
             exact_scalars((refused,), "{value!r}")
+
+
+def test_containers_of_the_wrong_shape_are_refused():
+    with pytest.raises(SpecError, match=r"permutations must be Permutations, got \(1, 0\)"):
+        GluingSpec("circular", (2,), ((1, 0),))
+    with pytest.raises(SpecError, match=r"not a permutation of 0\.\.1"):
+        Permutation((1, 1))
+    with pytest.raises(QuiverError, match=r"vertex labels must be a sequence, got 5"):
+        GradedQuiver([(5, 0)], [], [])
+    with pytest.raises(QuiverError, match=r"an arrow must be \(name, source, target, "
+                       r"degree\), got \('f', \('u',\), \('v',\)\)"):
+        GradedQuiver([(("u",), 0), (("v",), 0)], [("f", ("u",), ("v",))], [])
+    with pytest.raises(QuiverError, match=r"a relation must be a pair of arrows"):
+        GradedQuiver([(("u",), 0)], [], [("f", "g", "h")])
+    with pytest.raises(SpecError, match=r"entry 1<-0: path 5 is not a sequence of arrows"):
+        TwistedComplex(QUIVER, ((("v", 2), 1), (("v", 3), 0)), {(1, 0): [(1, 5)]})
+    with pytest.raises(SpecError, match=r"differential key 5 is not a pair"):
+        TwistedComplex(QUIVER, ((("v", 2), 1), (("v", 3), 0)), {5: []})
 
 
 def test_permutation_images_must_be_ints():
@@ -137,7 +157,10 @@ RING = StackyCurveSpec("ring", (3,), (1,))
 
 
 def _gluing(shape, ranks, images):
-    return GluingSpec(shape, ranks, tuple(map(Permutation, images)))
+    # images that are not a list reach GluingSpec as they are
+    if isinstance(images, list):
+        images = tuple(map(Permutation, images))
+    return GluingSpec(shape, ranks, images)
 
 
 # Each case: a name, a call, and its arguments as lists (so that a leaf
@@ -148,6 +171,7 @@ CASES = [
     ("Permutation", Permutation, [[2, 0, 1]]),
     ("GluingSpec", _gluing, ["circular", [2, 3], [[1, 0], [2, 0, 1]]]),
     ("GluingSpec", _gluing, ["linear", [1, 2, 1], [[0, 1]]]),
+    ("GluingSpec", GluingSpec, ["circular", [2], [Permutation((1, 0))]]),
     ("StackyCurveSpec", StackyCurveSpec, ["ring", [3, 2], [2, 1]]),
     ("StackyCurveSpec", StackyCurveSpec, ["chain", [1, 5, 1], [2]]),
     ("SurfaceTopology", SurfaceTopology, [1, [2, 4], -2]),
@@ -181,11 +205,33 @@ def _leaves(obj, path=()):
         yield path, "name" if isinstance(obj, (tuple, str)) else "number"
 
 
+def _reshapes(obj, path=()):
+    """(path, kind, new) for every container below obj, reshaped: each
+    list and dict replaced by 5, and each Permutation by 5 and by its
+    image tuple (kind "shape", to be refused), and each list cut by its
+    last item or given it twice (kind "length", which may be taken)."""
+    if isinstance(obj, Permutation):
+        yield path, "shape", 5
+        yield path, "shape", obj.image
+    elif isinstance(obj, (list, dict)):
+        if path:
+            yield path, "shape", 5
+        if isinstance(obj, list):
+            if path:
+                yield path, "length", obj[:-1]
+                yield path, "length", obj + obj[-1:]
+            items = enumerate(obj)
+        else:
+            items = obj.items()
+        for i, x in items:
+            yield from _reshapes(x, path + (i,))
+
+
 def _replace(obj, path, new):
     *head, last = path
     for step in head:
         obj = obj[step]
-    if isinstance(last, tuple):  # ("key", k, j)
+    if isinstance(last, tuple) and last[:1] == ("key",):  # ("key", k, j)
         _, k, j = last
         key = k[:j] + (new,) + k[j + 1:] if isinstance(k, tuple) else new
         items = [(key if old == k else old, v) for old, v in obj.items()]
@@ -220,6 +266,20 @@ def test_library_survives_a_seeded_mutation_sweep():
             picked = rng.sample(leaves, min(len(leaves), rng.randint(2, 3)))
             yield name, call, args, [(path, kind, rng.choice(bad_values(kind)))
                                      for path, kind in picked]
+        for name, call, args in CASES:
+            for change in _reshapes(args):
+                yield name, call, args, [change]
+        # A reshaped container with one or two bad leaves outside it; the
+        # reshape is listed first, so it is made before a key above it.
+        reshaped = [case for case in CASES if any(_reshapes(case[2]))]
+        for _ in range(300):
+            name, call, args = rng.choice(reshaped)
+            change = rng.choice(list(_reshapes(args)))
+            leaves = [(path, kind) for path, kind in _leaves(args)
+                      if path[:len(change[0])] != change[0]]
+            picked = rng.sample(leaves, min(len(leaves), rng.randint(1, 2)))
+            yield name, call, args, [change] + [
+                (path, kind, rng.choice(bad_values(kind))) for path, kind in picked]
 
     for name, call, args, changes in trials():
         args = copy.deepcopy(args)
@@ -232,4 +292,4 @@ def test_library_survives_a_seeded_mutation_sweep():
             continue
         except Exception as exc:
             pytest.fail(f"{name} {changes}: {type(exc).__name__}: {exc}")
-        assert all(kind == "name" for _, kind, _ in changes), (name, changes)
+        assert all(kind in ("name", "length") for _, kind, _ in changes), (name, changes)

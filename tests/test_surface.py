@@ -141,3 +141,51 @@ def test_vertex_count_matches_slot_components():
     for g in gluing_sweep(2, 4):
         m = build_map(g)
         assert m.num_vertices() == slot_components(m), g
+
+
+def test_face_runs_pairing_and_dart_count():
+    # The layout build_map documents: each face one run of ids in face
+    # order, the annuli by component, then four ids per strip by junction.
+    for g in gluing_sweep(2, 4):
+        m = build_map(g)
+        ids = [d for face in m.faces for d in face]
+        assert ids == list(range(m.num_darts)), g
+        for face in m.faces:
+            walk, d = [], face[0]
+            while d not in walk:
+                walk.append(d)
+                d = m.next_in_face[d]
+            assert walk == list(face) and d == face[0], g
+        for d, e in enumerate(m.pair):
+            assert e != d and (e < 0 or m.pair[e] == d), g
+
+        # the closed count: both sides and two seams per annulus, then strips
+        sides = [
+            ((1 + (g.junction_after(i) is not None)) * g.plus_rank(i),
+             (1 + (g.junction_before(i) is not None)) * g.minus_rank(i))
+            for i in g.components()
+        ]
+        annuli = sum(bottom + top + 2 for bottom, top in sides)
+        assert m.num_darts == annuli + 4 * sum(g.node_ranks()), g
+
+        # each glue slot, read off the annulus runs, meets one strip dart
+        slots = []
+        for i, face, (bottom, top) in zip(g.components(), m.faces, sides):
+            if g.junction_after(i) is not None:
+                slots += face[0:bottom:2]
+            if g.junction_before(i) is not None:
+                slots += face[bottom + 2 : bottom + 1 + top : 2]
+            seam_r, seam_l = face[bottom], face[-1]
+            assert m.pair[seam_r] == seam_l, g
+        strips = m.faces[len(sides):]
+        glued = sorted(m.pair[q] for face in strips for q in face[0::2])
+        assert glued == sorted(slots), g
+        assert all(m.pair[q] < 0 for face in strips for q in face[1::2]), g
+
+
+def test_oracle_on_a_6000_strip_circular_gluing():
+    rng = random.Random(2024)
+    g = GluingSpec("circular", (6000,), (random_permutation(6000, rng),))
+    m = build_map(g)
+    assert m.num_darts == 2 * 6000 + 2 * 6000 + 2 + 4 * 6000
+    assert m.topology() == predicted_topology(g)
