@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import sweeps
 from .aside import build_aside
 from .bside import build_bside
-from .errors import FalsificationError, QuiverError, SpecError, exact_ints
+from .errors import FalsificationError, QuiverError, SpecError, exact_ints, exact_items
 from .gluing import (
     GluingSpec,
     StackyCurveSpec,
@@ -228,28 +228,25 @@ def _coeff(c):
 
 def _load_complexes(path, q):
     data = _read_json(path)
-    entries = data.get("complexes") if isinstance(data, dict) else None
-    if not isinstance(entries, list):
-        raise SpecError(f"{path}: expected a top-level 'complexes' list")
+    entries = exact_items(data.get("complexes") if isinstance(data, dict) else None,
+                          "{path}: expected a top-level 'complexes' list", path=path)
     if not entries:
         raise SpecError(f"{path}: the 'complexes' list is empty")
     out = []
     for entry in entries:
         try:
             name = entry["name"]
-            summands = tuple(
-                (tuple(lab), _integer("shift", sh))
-                for lab, sh in entry["summands"]
-            )
+            summands = [(exact_items(lab, "a label must be a list, got {value!r}"),
+                         _integer("shift", sh)) for lab, sh in entry["summands"]]
             diff = {}
             for a, b, terms in entry.get("differential", []):
                 a, b = (_integer("differential index", i) for i in (a, b))
                 if (a, b) in diff:
                     raise ValueError(f"differential entry {a}<-{b} is given twice")
-                diff[(a, b)] = [
-                    (_coeff(c), tuple(tuple(n) for n in path))
-                    for c, path in terms
-                ]
+                diff[(a, b)] = [(_coeff(c), [
+                    exact_items(n, "an arrow name must be a list, got {value!r}")
+                    for n in exact_items(p, "a path must be a list, got {value!r}")])
+                    for c, p in terms]
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"{path}: bad complex entry: {exc}") from exc
         # Report rows are keyed by the rendered names.

@@ -1,4 +1,4 @@
-"""Shared exception types, the read-only refusal, and the exact-number test."""
+"""Shared exception types, the read-only refusal, and the exact readers."""
 
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -42,6 +42,20 @@ def exact_ints(values, message: str, types=(int,), **where) -> tuple[int, ...]:
             index = [v is value for v in values].index(True)
             raise SpecError(message.format(value=value, index=index, **where))
     return values
+
+
+def exact_items(value, message: str, size=None, error=SpecError, **where) -> tuple:
+    """``value``'s items as a tuple, ``size`` of them if given.  A str,
+    bytes or dict (never its characters or keys), a non-iterable or
+    another count raises ``error(message.format(value=value, **where))``."""
+    try:
+        items = (value if type(value) is tuple else
+                 None if isinstance(value, (str, bytes, dict)) else tuple(value))
+    except TypeError:
+        items = None
+    if items is None or size is not None and len(items) != size:
+        raise error(message.format(value=value, **where))
+    return items
 
 
 def exact_scalars(values, message: str, **where) -> tuple[int | Fraction, ...]:

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import FalsificationError, SpecError, exact_ints
+from .errors import FalsificationError, SpecError, exact_ints, exact_items
 from .perms import Permutation, tau
 
 LINEAR = "linear"
@@ -281,10 +281,9 @@ def window_origins(
         if unknown:
             raise SpecError(f"no components {sorted(unknown)}")
         for i, origin in bases.items():
-            base[i] = exact_ints(origin, "window origin {i}: {value!r} is not an "
-                                 "integer", i=i)
-            if len(base[i]) != 2:
-                raise SpecError(f"window origin {i}: {origin!r} is not a pair")
+            base[i] = exact_items(exact_ints(origin, "window origin {i}: {value!r} is "
+                                             "not an integer", i=i),
+                                  "window origin {i}: {value!r} is not a pair", 2, i=i)
     return base
 
 

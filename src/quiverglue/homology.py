@@ -13,9 +13,11 @@ Conventions, fixed once and used everywhere:
 * Coefficients and cocycle entries are rationals, each of type exactly
   ``int`` or ``Fraction``, and shifts, differential indices and cocycle
   degrees are of type exactly ``int``; a float, bool or string is
-  refused rather than rounded or truncated.  A complex
-  with integer coefficients (every localization object) has integer
-  differential matrices, and its cohomology never builds a Fraction.
+  refused rather than rounded or truncated.  The summands, each entry,
+  term and path are read by ``exact_items``, so a string is never a
+  path of its characters.  A complex with integer coefficients (every
+  localization object) has integer differential matrices, and its
+  cohomology never builds a Fraction.
 * A Hom-complex basis element is (source summand, target summand,
   nonzero path); its degree is the path degree plus shift(source) minus
   shift(target).  The differential is D(f) = delta_Y∘f - (-1)^|f|
@@ -41,7 +43,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import (FalsificationError, QuiverError, SpecError, exact_ints,
-                     exact_scalars, read_only)
+                     exact_items, exact_scalars, read_only)
 from .linalg import kernel_basis, rank, solve
 from .quiver import ArrowName, GradedQuiver, Label, Path, label_str
 
@@ -64,30 +66,22 @@ class TwistedComplex:
     _diff: dict[tuple[int, int], Entry] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Each try below holds only the unpacking of a container, so what
-        # it catches is a container of the wrong shape.
-        try:
-            summands = tuple((lab, n) for lab, n in self.summands)
-        except (TypeError, ValueError):
-            raise SpecError(f"summands must be (label, shift) pairs, got "
-                            f"{self.summands!r}") from None
-        try:
-            diff = {ab: tuple(entry) for ab, entry in self.diff.items()}
-        except (AttributeError, TypeError):
-            raise SpecError(f"differential must map (a, b) to a sequence of "
-                            f"terms, got {self.diff!r}") from None
+        summands = tuple([
+            exact_items(s, "summand {value!r} is not a (label, shift) pair", 2)
+            for s in exact_items(self.summands, "summands must be a sequence of "
+                                 "(label, shift) pairs, got {value!r}")])
+        if not isinstance(self.diff, Mapping):
+            raise SpecError(f"differential must be a mapping, got {self.diff!r}")
+        q, diff = self.quiver, {}
         object.__setattr__(self, "summands", summands)
-        object.__setattr__(self, "diff", MappingProxyType(diff))
-        q = self.quiver
         object.__setattr__(self, "_diff", {})
         vids = [q.vertex_id(lab) for lab, _ in summands]
         shifts = exact_ints([n for _, n in summands],
                             "summand {index}: shift {value!r} is not an integer")
-        for ab, entry in diff.items():
-            try:
-                a, b = ab
-            except (TypeError, ValueError):
-                raise SpecError(f"differential key {ab!r} is not a pair (a, b)") from None
+        for ab, entry in self.diff.items():
+            entry = diff[ab] = exact_items(entry, "differential entry {ab!r} must be a "
+                                           "sequence of terms, got {value!r}", ab=ab)
+            a, b = exact_items(ab, "differential key {value!r} is not a pair (a, b)", 2)
             exact_ints((a, b), "differential entry {a!r}<-{b!r}: indices are not "
                        "integers", a=a, b=b)
             if not 0 <= b < a < len(summands):
@@ -95,18 +89,13 @@ class TwistedComplex:
             degree = 1 + shifts[a] - shifts[b]
             terms = self._diff[a, b] = []
             for term in entry:
-                try:
-                    c, names = term
-                except (TypeError, ValueError):
-                    raise SpecError(f"entry {a}<-{b}: term {term!r} is not "
-                                    f"(coefficient, path)") from None
+                c, names = exact_items(term, "entry {a}<-{b}: term {value!r} is not "
+                                       "(coefficient, path)", 2, a=a, b=b)
                 exact_scalars((c,), "entry {a}<-{b}: coefficient {value!r} is not "
                               "an integer or a Fraction", a=a, b=b)
-                try:  # arrow_index raises QuiverError, never TypeError
-                    p = tuple(map(q.arrow_index, names))
-                except TypeError:
-                    raise SpecError(f"entry {a}<-{b}: path {names!r} is not a "
-                                    f"sequence of arrows") from None
+                p = tuple(map(q.arrow_index, exact_items(
+                    names, "entry {a}<-{b}: path {value!r} is not a sequence of "
+                    "arrows", a=a, b=b)))
                 if q.path_end(vids[b], p) != vids[a]:
                     raise SpecError(f"entry {a}<-{b}: path does not connect")
                 if any(map(q.is_relation, p, p[1:])):
@@ -115,6 +104,7 @@ class TwistedComplex:
                     raise SpecError(f"entry {a}<-{b}: path degree "
                                     f"{q.path_degree(p)} != {degree}")
                 terms.append((c, p))
+        object.__setattr__(self, "diff", MappingProxyType(diff))
         self._check_delta_squared()
 
     def __reduce__(self):

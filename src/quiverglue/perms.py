@@ -56,7 +56,7 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Function composition: (self * other)(x) = self(other(x))."""
         if other.degree != self.degree:
-            raise ValueError("degree mismatch")
+            raise SpecError("degree mismatch")
         return Permutation(tuple(self.image[y] for y in other.image))
 
     def inverse(self) -> "Permutation":
@@ -70,13 +70,14 @@ class Permutation:
         one pass: x goes to self(other(self^-1(other^-1(x))))."""
         p, q = self.image, other.image
         if len(q) != len(p):
-            raise ValueError("degree mismatch")
+            raise SpecError("degree mismatch")
         p_inv, q_inv = [0] * len(p), [0] * len(q)
         for x in range(len(p)):
             p_inv[p[x]] = q_inv[q[x]] = x
         return Permutation(tuple([p[q[p_inv[y]]] for y in q_inv]))
 
     def __pow__(self, n: int) -> "Permutation":
+        (n,) = exact_ints((n,), "power must be an integer, got {value!r}")
         if n < 0:
             return self.inverse() ** (-n)
         result = identity(self.degree)
@@ -110,19 +111,28 @@ class Permutation:
         return f"Permutation({list(self.image)})"
 
 
+def _degree(r) -> int:
+    (r,) = exact_ints((r,), "degree must be an integer, got {value!r}")
+    if r < 1:
+        raise SpecError("degree must be positive")
+    return r
+
+
 def identity(r: int) -> Permutation:
-    return Permutation(tuple(range(r)))
+    return Permutation(tuple(range(_degree(r))))
 
 
 def tau(r: int) -> Permutation:
     """The rotation x |-> x - 1 mod r."""
-    if r < 1:
-        raise ValueError("degree must be positive")
+    r = _degree(r)
     return Permutation(tuple((x - 1) % r for x in range(r)))
 
 
 def swap(i: int, j: int, r: int) -> Permutation:
-    image = list(range(r))
+    image = list(range(_degree(r)))
+    i, j = exact_ints((i, j), "swap indices must be integers, got {value!r}")
+    if not (0 <= i < r and 0 <= j < r):
+        raise SpecError(f"swap indices {i}, {j} are not in 0..{r - 1}")
     image[i], image[j] = image[j], image[i]
     return Permutation(tuple(image))
 
@@ -133,20 +143,19 @@ def from_twist(k: int, r: int) -> Permutation:
     Bijectivity needs gcd(k, r) = 1, which is exactly the condition the
     curve-side data imposes on its twists.
     """
-    if r < 1:
-        raise ValueError("degree must be positive")
+    (k,), r = exact_ints((k,), "twist must be an integer, got {value!r}"), _degree(r)
     if math.gcd(k, r) != 1:
-        raise ValueError(f"twist {k} is not a unit mod {r}")
+        raise SpecError(f"twist {k} is not a unit mod {r}")
     return Permutation(tuple((-k * x) % r for x in range(r)))
 
 
 def random_permutation(r: int, rng: random.Random) -> Permutation:
-    image = list(range(r))
+    image = list(range(_degree(r)))
     rng.shuffle(image)
     return Permutation(tuple(image))
 
 
 def all_permutations(r: int):
     """All r! permutations of degree r.  Keep r small."""
-    for image in itertools.permutations(range(r)):
+    for image in itertools.permutations(range(_degree(r))):
         yield Permutation(image)

@@ -13,7 +13,8 @@ insertion order: source and target vertex ids and degrees.  Each vertex
 keeps the indices of its out- and in-arrows, and the relations are a
 set of arrow-index pairs.  The public constructor reads vertices,
 arrows and relations by name, in one pass, for JSON input and for
-tests: it numbers them with a label and a name dict, resolves every
+tests: it reads each container through exact_items (never a string as
+a sequence), numbers them with a label and a name dict, resolves every
 endpoint and relation arrow through vertex_id and arrow_index, and
 refuses a shift or a degree that is not exactly an int.  The aside and
 bside builders fill the arrays from their spec by index arithmetic
@@ -66,7 +67,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import QuiverError, SpecError, exact_ints, read_only
+from .errors import QuiverError, SpecError, exact_ints, exact_items, read_only
 
 Label = tuple
 ArrowName = tuple
@@ -128,9 +129,12 @@ class GradedQuiver:
         ids: dict[Label, int] = {}
         init(self, "_label_to_id", ids)
         all_labels, shifts = [], []
-        for vertex in _shaped(vertices, "vertices"):
-            labels, shift = _shaped(vertex, "a vertex", 2, "(labels, shift)")
-            labels = _shaped(labels, "vertex labels")
+        for vertex in exact_items(vertices, "vertices must be a sequence, got "
+                                  "{value!r}", None, QuiverError):
+            labels, shift = exact_items(vertex, "a vertex must be (labels, shift), "
+                                        "got {value!r}", 2, QuiverError)
+            labels = exact_items(labels, "vertex labels must be a sequence, got "
+                                 "{value!r}", None, QuiverError)
             if not labels:
                 raise QuiverError("vertex needs at least one label")
             for lab in labels:
@@ -144,9 +148,11 @@ class GradedQuiver:
         index: dict[ArrowName, int] = {}
         init(self, "_index", index)
         src, tgt, deg = [], [], []
-        for arrow in _shaped(arrows, "arrows"):
-            name, source, target, degree = _shaped(
-                arrow, "an arrow", 4, "(name, source, target, degree)")
+        for arrow in exact_items(arrows, "arrows must be a sequence, got {value!r}",
+                                 None, QuiverError):
+            name, source, target, degree = exact_items(
+                arrow, "an arrow must be (name, source, target, degree), got "
+                "{value!r}", 4, QuiverError)
             _new_key(name, index, "arrow")
             src.append(self.vertex_id(source))
             tgt.append(self.vertex_id(target))
@@ -158,8 +164,10 @@ class GradedQuiver:
         init(self, "_numbering", None)
         # Resolved as _set_arrays checks them, so of an unknown arrow and
         # a pair that is not composable, the one that comes first is named.
-        pairs = (_shaped(pair, "a relation", 2, "a pair of arrows")
-                 for pair in _shaped(relations, "relations"))
+        pairs = (exact_items(pair, "a relation must be a pair of arrows, got "
+                             "{value!r}", 2, QuiverError)
+                 for pair in exact_items(relations, "relations must be a sequence, "
+                                         "got {value!r}", None, QuiverError))
         self._set_arrays(len(all_labels), src, tgt, deg, (
             (self.arrow_index(f), self.arrow_index(g)) for f, g in pairs))
 
@@ -381,10 +389,8 @@ class GradedQuiver:
         return tuple(map(self._names.__getitem__, p))
 
     def path_dims(self) -> "HomTable":
-        """All nonzero paths between all vertex pairs in arrow names,
-        organized by degree, regrouped from paths_into every vertex.
-        Rejects cyclic quivers."""
-        self.topological_order()
+        """All nonzero paths between all vertex pairs in arrow names, by
+        degree: paths_into every vertex, regrouped (QuiverError if infinite)."""
         paths: dict[tuple[Label, Label, int], list] = {}
         for t in range(self.num_vertices):
             t_lab = self.primary_label(t)
@@ -500,26 +506,23 @@ class GradedQuiver:
 
     @classmethod
     def from_json_obj(cls, data: dict) -> "GradedQuiver":
-        """Inverse of to_json_obj; ``shift`` and ``degree`` default to
-        0.  Malformed data raises SpecError naming the field."""
+        """Inverse of to_json_obj: every container is a list, each label
+        and arrow name too, and ``shift`` and ``degree`` default to 0.
+        Malformed data raises SpecError naming the field, or QuiverError."""
 
-        def listed(key):
-            if not isinstance(data.get(key), list):
-                raise SpecError(f"bad quiver data: {key!r} must be a list")
-            return data[key]
-
-        def relation(rel):
-            if not isinstance(rel, list) or len(rel) != 2:
-                raise SpecError(f"bad quiver data: relation {rel!r} is not a pair")
-            return tuple(rel[0]), tuple(rel[1])
+        def items(value, what="a name"):
+            return exact_items(value, "bad quiver data: {what} must be a list, got "
+                               "{value!r}", what=what)
 
         try:
             return cls(
-                ((tuple(map(tuple, v["labels"])), v.get("shift", 0))
-                 for v in listed("vertices")),
-                ((tuple(a["name"]), tuple(a["source"]), tuple(a["target"]),
-                  a.get("degree", 0)) for a in listed("arrows")),
-                map(relation, listed("relations")),
+                ((tuple(map(items, items(v["labels"], "'labels'"))), v.get("shift", 0))
+                 for v in items(data.get("vertices"), "'vertices'")),
+                ((items(a["name"], "'name'"), items(a["source"], "'source'"),
+                  items(a["target"], "'target'"), a.get("degree", 0))
+                 for a in items(data.get("arrows"), "'arrows'")),
+                (tuple(map(items, items(r, "a relation")))
+                 for r in items(data.get("relations"), "'relations'")),
             )
         except KeyError as exc:
             raise SpecError(f"bad quiver data: missing field {exc}") from exc
@@ -565,19 +568,6 @@ class GradedQuiver:
 
     def _relation_str(self, f: int, g: int) -> str:
         return f"{label_str(self._names[g])} o {label_str(self._names[f])} = 0"
-
-
-def _shaped(value, what: str, size: int | None = None, form: str = "a sequence") -> tuple:
-    """``value`` as a tuple, of ``size`` items if a size is given; a
-    ``value`` that is not iterable, or has another number of items,
-    raises QuiverError "``what`` must be ``form``"."""
-    try:
-        items = tuple(value)
-    except TypeError:
-        items = None
-    if items is None or size is not None and len(items) != size:
-        raise QuiverError(f"{what} must be {form}, got {value!r}")
-    return items
 
 
 def _new_key(key, keys: dict, what: str):

@@ -328,7 +328,7 @@ def _complexes(shift=1, coeff=1, index=(1, 0), extra=(), label=("v", 2),
     return json.dumps({"complexes": [{
         "name": "M1",
         "summands": [[list(label), shift], [["v", 3], 0]],
-        "differential": [[*index, [[coeff, list(path)]]], *extra],
+        "differential": [[*index, [[coeff, path]]], *extra],
     }]})
 
 
@@ -373,6 +373,12 @@ def _complexes(shift=1, coeff=1, index=(1, 0), extra=(), label=("v", 2),
         ('{"vertices": [{"labels": [[], []]}], "arrows": [], "relations": []}',
          "duplicate vertex label ()"),
         ('{"complexes": 5}', "'complexes' list"),
+        ('{"vertices": [{"labels": ["a"]}], "arrows": [], "relations": []}',
+         "must be a list, got 'a'"),
+        ('{"vertices": [{"labels": [["a"]]}], "arrows": [{"name": "f", '
+         '"source": ["a"], "target": ["a"]}], "relations": []}',
+         "'name' must be a list, got 'f'"),
+        (_complexes(path="y"), "a path must be a list, got 'y'"),
     ],
     ids=[
         "empty_ranks",
@@ -406,6 +412,9 @@ def _complexes(shift=1, coeff=1, index=(1, 0), extra=(), label=("v", 2),
         "quiver_empty_arrow_source",
         "quiver_empty_vertex_labels",
         "complexes_not_a_list",
+        "quiver_string_label",
+        "quiver_string_arrow_name",
+        "complex_string_path",
     ],
 )
 def test_invalid_spec_is_a_usage_error(capsys, tmp_path, text, named):

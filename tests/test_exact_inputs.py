@@ -3,21 +3,24 @@ int (or, for a coefficient or a cocycle entry, a Fraction), and an
 unknown or unhashable name, with SpecError or QuiverError: a float, a
 bool, a string or None never slips into the exact arithmetic, and no
 bare TypeError or IndexError leaks out.  A container of the wrong shape
-(not iterable, or with too few or too many items) is refused the same
-way."""
+(not iterable, a string or a dict, or with too few or too many items)
+is refused the same way: a string is never read as a sequence of its
+characters."""
 
 import copy
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from quiverglue.bside import build_bside
-from quiverglue.errors import QuiverError, SpecError, exact_ints, exact_scalars
+from quiverglue.errors import (QuiverError, SpecError, exact_ints, exact_items,
+                               exact_scalars)
 from quiverglue.gluing import GluingSpec, StackyCurveSpec, SurfaceTopology
 from quiverglue.homology import HomComplex, TwistedComplex, hom_cohomology
 from quiverglue.mirror import search_ring_mirror
-from quiverglue.perms import Permutation
+from quiverglue.perms import Permutation, from_twist, swap, tau
 from quiverglue.quiver import GradedQuiver
 
 BAD = [1.0, 1.5, True, "1", None, [1]]
@@ -39,6 +42,18 @@ def test_exact_ints_takes_the_callers_words():
             exact_scalars((refused,), "{value!r}")
 
 
+def test_exact_items_takes_the_callers_words():
+    assert exact_items([3, "a"], "{value!r}") == (3, "a")
+    assert exact_items((x for x in "ab"), "{value!r}", 2) == ("a", "b")
+    with pytest.raises(SpecError, match=r"^'ab' in x$"):
+        exact_items("ab", "{value!r} in {where}", where="x")
+    with pytest.raises(QuiverError, match=r"^\[1\] is short$"):
+        exact_items([1], "{value!r} is short", 2, QuiverError)
+    for refused in ("ab", b"ab", {"a": 1, "b": 2}, 5, None, (1, 2, 3)):
+        with pytest.raises(SpecError):
+            exact_items(refused, "{value!r}", 2)
+
+
 def test_containers_of_the_wrong_shape_are_refused():
     with pytest.raises(SpecError, match=r"permutations must be Permutations, got \(1, 0\)"):
         GluingSpec("circular", (2,), ((1, 0),))
@@ -55,6 +70,39 @@ def test_containers_of_the_wrong_shape_are_refused():
         TwistedComplex(QUIVER, ((("v", 2), 1), (("v", 3), 0)), {(1, 0): [(1, 5)]})
     with pytest.raises(SpecError, match=r"differential key 5 is not a pair"):
         TwistedComplex(QUIVER, ((("v", 2), 1), (("v", 3), 0)), {5: []})
+
+
+STRINGS = GradedQuiver([(("p",), 0), (("q",), 0), (("r",), 0)],
+                       [("a", "p", "q", 0), ("b", "q", "r", 0)], [])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GradedQuiver([("uv", 0), (("w",), 0)], [("fg", "u", "w", 0)], []),
+     QuiverError, "vertex labels must be a sequence, got 'uv'"),
+    (lambda: GradedQuiver(zip(STRINGS.vertex_labels, STRINGS.vertex_shifts),
+                          [("a", "p", "q", 0), ("b", "q", "r", 0)], ["ab"]),
+     QuiverError, "a relation must be a pair of arrows, got 'ab'"),
+    (lambda: TwistedComplex(STRINGS, (("p", 1), ("q", 0)), {(1, 0): [(1, "a")]}),
+     SpecError, "entry 1<-0: path 'a' is not a sequence of arrows"),
+    (lambda: TwistedComplex(STRINGS, (("p", 1), ("q", 0)), {(1, 0): "a"}),
+     SpecError, "differential entry (1, 0) must be a sequence of terms, got 'a'"),
+    (lambda: TwistedComplex(STRINGS, ("p1",)),
+     SpecError, "summand 'p1' is not a (label, shift) pair"),
+    (lambda: TwistedComplex(STRINGS, {("p",): 0}),
+     SpecError, "summands must be a sequence of (label, shift) pairs, got {('p',): 0}"),
+    (lambda: GradedQuiver.from_json_obj(
+        {"vertices": [{"labels": "uv"}], "arrows": [], "relations": []}),
+     SpecError, "bad quiver data: 'labels' must be a list, got 'uv'"),
+    (lambda: GradedQuiver.from_json_obj(
+        {"vertices": [{"labels": [["a"], ["b"]]}],
+         "arrows": [{"name": "ab", "source": ["a"], "target": ["b"]}],
+         "relations": []}),
+     SpecError, "bad quiver data: 'name' must be a list, got 'ab'"),
+], ids=["vertex_labels", "relation", "path", "entry", "summand", "summands_dict",
+        "json_labels", "json_name"])
+def test_a_string_or_a_dict_is_never_a_sequence(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_permutation_images_must_be_ints():
@@ -180,13 +228,27 @@ CASES = [
         [[("f",), ("u",), ("v",), 0], [("g",), ("v",), ("w",), 2]],
         [[("f",), ("g",)]],
     ]),
+    # one-letter names, so that a list of them spelled as a string would
+    # read as the same names if a string were taken as a sequence
+    ("GradedQuiver", GradedQuiver, [
+        [[["u", "t"], 0], [["v"], -1], [["w"], 1]],
+        [["f", "u", "v", 0], ["g", "v", "w", 2]],
+        [["f", "g"]],
+    ]),
     ("TwistedComplex", lambda summands, diff: TwistedComplex(QUIVER, summands, diff), [
         [[("v", 1), 2], [("v", 2), 1], [("v", 3), 0]],
         {(1, 0): [[1, [("a",)]]], (2, 1): [[Fraction(1, 2), [("y",)]]]},
     ]),
+    ("TwistedComplex", lambda summands, diff: TwistedComplex(STRINGS, summands, diff), [
+        [["p", 1], ["q", 0]],
+        {(1, 0): [[1, ["a"]]]},
+    ]),
     ("HomComplex.cocycle", ENDS.cocycle, [list(ENDS.identity_cocycle().vector), 0]),
     ("build_bside", lambda bases: build_bside(RING, bases), [{1: [0, -1]}]),
     ("search_ring_mirror", search_ring_mirror, [2, 1]),
+    ("swap", swap, [0, 2, 3]),
+    ("tau", tau, [3]),
+    ("from_twist", from_twist, [2, 5]),
 ]
 
 
@@ -205,11 +267,19 @@ def _leaves(obj, path=()):
         yield path, "name" if isinstance(obj, (tuple, str)) else "number"
 
 
+def _spelled(items) -> str:
+    """A string as long as ``items``: each one-letter string item as
+    itself, so that read as a sequence the string would give those items
+    back, and every other item as "?"."""
+    return "".join(x if isinstance(x, str) and len(x) == 1 else "?" for x in items)
+
+
 def _reshapes(obj, path=()):
     """(path, kind, new) for every container below obj, reshaped: each
-    list and dict replaced by 5, and each Permutation by 5 and by its
-    image tuple (kind "shape", to be refused), and each list cut by its
-    last item or given it twice (kind "length", which may be taken)."""
+    list and dict replaced by 5, each list by its items spelled as a
+    string, and each Permutation by 5 and by its image tuple (kind
+    "shape", to be refused), and each list cut by its last item or given
+    it twice (kind "length", which may be taken)."""
     if isinstance(obj, Permutation):
         yield path, "shape", 5
         yield path, "shape", obj.image
@@ -218,6 +288,7 @@ def _reshapes(obj, path=()):
             yield path, "shape", 5
         if isinstance(obj, list):
             if path:
+                yield path, "shape", _spelled(obj)
                 yield path, "length", obj[:-1]
                 yield path, "length", obj + obj[-1:]
             items = enumerate(obj)

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
+from quiverglue.errors import SpecError
 from quiverglue.perms import (
     Permutation,
     all_permutations,
@@ -152,4 +154,26 @@ def test_commutator_is_the_product_of_four():
                          ids=["tau", "from_twist"])
 def test_degree_zero_is_refused(make):
     with pytest.raises(ValueError, match="^degree must be positive$"):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: swap(-1, 0, 3), "swap indices -1, 0 are not in 0..2"),
+    (lambda: swap(0, 3, 3), "swap indices 0, 3 are not in 0..2"),
+    (lambda: swap(0.0, 1, 3), "swap indices must be integers, got 0.0"),
+    (lambda: swap(True, 0, 2), "swap indices must be integers, got True"),
+    (lambda: swap(0, 1, 2.0), "degree must be an integer, got 2.0"),
+    (lambda: from_twist(1.0, 3), "twist must be an integer, got 1.0"),
+    (lambda: identity(2.0), "degree must be an integer, got 2.0"),
+    (lambda: identity(0), "degree must be positive"),
+    (lambda: tau("3"), "degree must be an integer, got '3'"),
+    (lambda: tau(3) ** 1.5, "power must be an integer, got 1.5"),
+    (lambda: tau(3) ** True, "power must be an integer, got True"),
+], ids=["negative", "too_large", "float_index", "bool_index", "float_degree",
+        "float_twist", "float_identity", "zero_identity", "str_degree", "float_power",
+        "bool_power"])
+def test_helpers_refuse_what_is_not_an_index(make, message):
+    # swap(-1, 0, 3) was Permutation([2, 1, 0]); the others leaked
+    # IndexError or TypeError, or took True for 1
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
         make()

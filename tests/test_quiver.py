@@ -308,6 +308,27 @@ def test_path_dims_rejects_cycles():
         q.path_dims()
 
 
+def test_path_dims_takes_a_cycle_that_relations_cut():
+    # u <-> v with both composites zero has a cycle but five paths: the
+    # two empty ones and the two arrows; path_dims answers like
+    # paths_between, and only infinitely many paths are refused
+    f, g = ("f",), ("g",)
+    u, v = ("v", 1), ("v", 2)
+    arrows = [(f, u, v, 0), (g, v, u, 1)]
+    q = GradedQuiver(plain(u, v), arrows, [(f, g), (g, f)])
+    assert not q.is_acyclic()
+    table = q.path_dims()
+    assert table.paths == {(u, u, 0): [()], (v, u, 1): [(g,)],
+                           (u, v, 0): [(f,)], (v, v, 0): [()]}
+    for s in u, v:
+        for t in u, v:
+            paths = [p for (s2, t2, _), ps in table.paths.items()
+                     if (s2, t2) == (s, t) for p in ps]
+            assert paths == list(map(q.path_names, q.paths_between(s, t)))
+    with pytest.raises(QuiverError, match="^path space is infinite$"):
+        GradedQuiver(plain(u, v), arrows, []).path_dims()
+
+
 def test_paths_between_respects_relations():
     q = three_vertex_double()
     assert sorted(map(q.path_names, q.paths_between(("v", 1), ("v", 3)))) == [
