@@ -236,17 +236,31 @@ def _load_complexes(path, q):
     for entry in entries:
         try:
             name = entry["name"]
-            summands = [(exact_items(lab, "a label must be a list, got {value!r}"),
-                         _integer("shift", sh)) for lab, sh in entry["summands"]]
+            summands = []
+            for s in exact_items(entry["summands"], "'summands' must be a list of "
+                                 "[label, shift] pairs, got {value!r}"):
+                lab, sh = exact_items(s, "a summand must be a [label, shift] pair, "
+                                      "got {value!r}", 2)
+                summands.append((exact_items(lab, "a label must be a list, got {value!r}"),
+                                 _integer("shift", sh)))
             diff = {}
-            for a, b, terms in entry.get("differential", []):
+            for e in exact_items(entry.get("differential", []), "'differential' must be "
+                                 "a list of [a, b, terms] entries, got {value!r}"):
+                a, b, terms = exact_items(e, "a differential entry must be [a, b, terms], "
+                                          "got {value!r}", 3)
                 a, b = (_integer("differential index", i) for i in (a, b))
                 if (a, b) in diff:
                     raise ValueError(f"differential entry {a}<-{b} is given twice")
-                diff[(a, b)] = [(_coeff(c), [
-                    exact_items(n, "an arrow name must be a list, got {value!r}")
-                    for n in exact_items(p, "a path must be a list, got {value!r}")])
-                    for c, p in terms]
+                diff[(a, b)] = read = []
+                for t in exact_items(terms, "differential entry {a}<-{b}: 'terms' must "
+                                     "be a list of [coefficient, path] pairs, got "
+                                     "{value!r}", a=a, b=b):
+                    c, p = exact_items(t, "differential entry {a}<-{b}: a term must be "
+                                       "a [coefficient, path] pair, got {value!r}", 2,
+                                       a=a, b=b)
+                    read.append((_coeff(c), [
+                        exact_items(n, "an arrow name must be a list, got {value!r}")
+                        for n in exact_items(p, "a path must be a list, got {value!r}")]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"{path}: bad complex entry: {exc}") from exc
         # Report rows are keyed by the rendered names.

@@ -15,7 +15,10 @@ Conventions, fixed once and used everywhere:
   degrees are of type exactly ``int``; a float, bool or string is
   refused rather than rounded or truncated.  The summands, each entry,
   term and path are read by ``exact_items``, so a string is never a
-  path of its characters.  A complex with integer coefficients (every
+  path of its characters.  Complexes the package makes itself (each
+  localization object and module_of's F) skip those reads: the private
+  ``TwistedComplex._made`` stores their parts as the constructor would
+  and still checks delta^2.  A complex with integer coefficients (every
   localization object) has integer differential matrices, and its
   cohomology never builds a Fraction.
 * A Hom-complex basis element is (source summand, target summand,
@@ -106,6 +109,20 @@ class TwistedComplex:
                 terms.append((c, p))
         object.__setattr__(self, "diff", MappingProxyType(diff))
         self._check_delta_squared()
+
+    @classmethod
+    def _made(cls, q: GradedQuiver, summands, diff, _diff) -> "TwistedComplex":
+        """A complex whose parts the package made, stored as the
+        constructor stores them: ``summands`` a tuple of (label, shift)
+        pairs, ``diff`` a dict of tuples of (coefficient, names) terms and
+        ``_diff`` the same entries as lists of (coefficient, indices)
+        terms.  None of it is read again; delta^2 is still checked."""
+        cx = object.__new__(cls)
+        for name, value in (("quiver", q), ("summands", summands),
+                            ("diff", MappingProxyType(diff)), ("_diff", _diff)):
+            object.__setattr__(cx, name, value)
+        cx._check_delta_squared()
+        return cx
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, which checks
@@ -394,17 +411,18 @@ def localization_object(
             f"no position {kind}({i},{j}): the quiver has no arrow "
             f"{label_str(name)}"
         ) from None
-    one = 1
     chain = (((vertex, i, j), 2), ((vertex, i, j + 1), 1))
     for feed in aq.in_arrows(aq.arrow_ends(arrow)[0]):
         feed_name = aq.arrow_name(feed)
         if feed_name[0] == feed_kind:
-            return TwistedComplex(
+            return TwistedComplex._made(
                 aq,
                 ((aq.primary_label(aq.arrow_ends(feed)[0]), 3), *chain),
-                {(1, 0): [(one, (feed_name,))], (2, 1): [(one, (name,))]},
+                {(1, 0): ((1, (feed_name,)),), (2, 1): ((1, (name,)),)},
+                {(1, 0): [(1, (feed,))], (2, 1): [(1, (arrow,))]},
             )
-    return TwistedComplex(aq, chain, {(1, 0): [(one, (name,))]})
+    return TwistedComplex._made(aq, chain, {(1, 0): ((1, (name,)),)},
+                                {(1, 0): [(1, (arrow,))]})
 
 
 def all_localization_objects(aq: GradedQuiver) -> list[LocObject]:
@@ -432,7 +450,7 @@ def _arrows_among(q: GradedQuiver, vids) -> list[int]:
 # -- thin modules ------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThinModule:
     """A representation with every vertex space of dimension 0 or 1,
     recorded as its support plus one scalar per arrow (the map induced
@@ -509,7 +527,8 @@ def module_of(E: TwistedComplex) -> ThinModule:
     for lab, _ in E.summands:
         reached.update(q.paths_into(lab))
     vids = sorted(reached)
-    h = HomComplex(TwistedComplex(q, tuple((q.primary_label(v), 0) for v in vids)), E)
+    F = TwistedComplex._made(q, tuple([(q.primary_label(v), 0) for v in vids]), {}, {})
+    h = HomComplex(F, E)
     # The blocks by summand of F, each as its degree slices; the basis
     # runs summand by summand, so each slice lists its degree's run.
     blocks: list[dict[int, list[int]]] = [{} for _ in vids]

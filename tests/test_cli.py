@@ -429,6 +429,32 @@ def test_invalid_spec_is_a_usage_error(capsys, tmp_path, text, named):
     assert named in err
 
 
+@pytest.mark.parametrize(
+    "fields, named",
+    [({"summands": "ab"},
+      "'summands' must be a list of [label, shift] pairs, got 'ab'"),
+     ({"differential": "ab"},
+      "'differential' must be a list of [a, b, terms] entries, got 'ab'"),
+     ({"differential": [[1, 0, "xy"]]}, "differential entry 1<-0: 'terms' must be "
+      "a list of [coefficient, path] pairs, got 'xy'"),
+     ({"differential": {"a": 1}},
+      "'differential' must be a list of [a, b, terms] entries, got {'a': 1}")],
+    ids=["string_summands", "string_differential", "string_terms",
+         "object_differential"],
+)
+def test_ext_names_a_complex_container_of_the_wrong_shape(capsys, tmp_path, fields,
+                                                          named):
+    # a string or an object where a list belongs is refused by its field
+    # and its value, not split into characters or keys and unpacked
+    data = json.loads(_complexes())
+    data["complexes"][0].update(fields)
+    path = _write_json(tmp_path / "complexes.json", data)
+    code, out, err = run(capsys, "ext", "--spec", QUIVER, path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: bad complex entry: {named}\n"
+    assert "unpack" not in err
+
+
 def test_fraction_coefficient_is_accepted(capsys, tmp_path):
     complexes = tmp_path / "complexes.json"
     complexes.write_text(_complexes(coeff=[-3, 2]))

@@ -520,6 +520,16 @@ def test_twisted_complexes_are_read_only():
     assert hom_cohomology(E, E) == {0: 1, 1: 1}
 
 
+def test_thin_modules_are_frozen():
+    aq = build_aside(GluingSpec("linear", (1, 2, 1), (identity(2),)))
+    module = module_of(localization_object(aq, "E-", 1, 0))
+    with pytest.raises(AttributeError):
+        module.junk = 1
+    with pytest.raises(AttributeError):
+        module.degree = None
+    assert module == module_of(localization_object(aq, "E-", 1, 0))
+
+
 def test_twisted_complexes_copy_and_pickle(monkeypatch):
     aq = build_aside(GluingSpec("linear", (3, 1), ()))
     E = localization_object(aq, "E-", 1, 1)
