@@ -235,6 +235,8 @@ def _load_complexes(path, q):
     out = []
     for entry in entries:
         try:
+            if not isinstance(entry, dict):
+                raise SpecError(f"a complex must be an object, got {entry!r}")
             name = entry["name"]
             summands = []
             for s in exact_items(entry["summands"], "'summands' must be a list of "
@@ -261,7 +263,9 @@ def _load_complexes(path, q):
                     read.append((_coeff(c), [
                         exact_items(n, "an arrow name must be a list, got {value!r}")
                         for n in exact_items(p, "a path must be a list, got {value!r}")]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise SpecError(f"{path}: bad complex entry: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise SpecError(f"{path}: bad complex entry: {exc}") from exc
         # Report rows are keyed by the rendered names.
         if str(name) in (str(n) for n, _ in out):

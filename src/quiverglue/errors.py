@@ -33,29 +33,36 @@ def exact_ints(values, message: str, types=(int,), **where) -> tuple[int, ...]:
     ``types``).  Anything else, even a bool or a whole float, or a
     ``values`` that is not iterable, raises SpecError: ``message``
     formatted with the refused ``value``, its ``index`` and ``where``."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise SpecError(message.format(value=values, index=None, **where)) from None
-    for value in values:
+    items = values if type(values) is tuple else _items(values)
+    if items is None:
+        raise SpecError(message.format(value=values, index=None, **where))
+    for value in items:
         if type(value) not in types:
-            index = [v is value for v in values].index(True)
+            index = [v is value for v in items].index(True)
             raise SpecError(message.format(value=value, index=index, **where))
-    return values
+    return items
 
 
 def exact_items(value, message: str, size=None, error=SpecError, **where) -> tuple:
     """``value``'s items as a tuple, ``size`` of them if given.  A str,
     bytes or dict (never its characters or keys), a non-iterable or
     another count raises ``error(message.format(value=value, **where))``."""
-    try:
-        items = (value if type(value) is tuple else
-                 None if isinstance(value, (str, bytes, dict)) else tuple(value))
-    except TypeError:
-        items = None
+    items = (value if type(value) is tuple else
+             None if isinstance(value, (str, bytes, dict)) else _items(value))
     if items is None or size is not None and len(items) != size:
         raise error(message.format(value=value, **where))
     return items
+
+
+def _items(value) -> tuple | None:
+    """``value``'s items as a tuple, or None when it is not iterable.  An
+    error raised while iterating, a TypeError too, is the iterable's own
+    and propagates."""
+    try:
+        iter(value)
+    except TypeError:
+        return None
+    return tuple(value)
 
 
 def exact_scalars(values, message: str, **where) -> tuple[int | Fraction, ...]:

@@ -185,9 +185,12 @@ class Shape:
         and the items of the spec class.  Every number must be an
         integer; bools and floats are rejected."""
         try:
-            items = cls._items_from_obj(data[cls._ITEMS])
+            items = cls._items_from_obj(exact_items(
+                data[cls._ITEMS], "{key!r} must be a list, got {value!r}", key=cls._ITEMS))
             return cls(data["shape"], data["ranks"], items)
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise SpecError(f"bad {cls.__name__} data: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise SpecError(f"bad {cls.__name__} data: {exc}") from exc
 
     @staticmethod

@@ -59,14 +59,14 @@ def _correspondence(
     return vmap
 
 
-@dataclass
+@dataclass(frozen=True)
 class Check:
     name: str
     ok: bool
     details: list[str] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyReport:
     checks: list[Check]
 

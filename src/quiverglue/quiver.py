@@ -29,10 +29,9 @@ module reads the arrays: to_text, to_json_obj and to_dot render a
 quiver's three formats, each listing its relations sorted by arrow
 names.  Homology reads them by arrow index through ``arrow_index``,
 ``arrow_name``, ``arrow_ends``, ``in_arrows`` and ``is_relation``.
-The ``Arrow`` objects of ``arrows``, ``arrows_from``, ``arrows_into``
-and ``arrow``, and the arrow-name pairs of ``relations``, are views
-built on first use for callers outside the package; no code in the
-package reads them.
+The ``Arrow`` objects of ``arrows`` are the one name-level view left,
+built on first use for the benchmark tracer's arrow count; no code in
+the package reads it.
 
 A path is a tuple of arrow indices.  This module composes paths,
 grades them and traces their endpoints for the rest of the package, and
@@ -113,14 +112,14 @@ class GradedQuiver:
     ``arrow_names()`` make the labels, shifts and arrow names in the
     same order.  The quiver asks for each of those on first use, and
     builds its label and name lookups from them on first lookup.  The
-    ``Arrow`` objects and the name pairs of ``relations`` are built on
-    first use too.  Every attribute is read-only after construction, so
-    neither those caches nor the path memo can go stale.
+    ``Arrow`` objects of ``arrows`` are built on first use too.  Every
+    attribute is read-only after construction, so neither those caches
+    nor the path memo can go stale.
     """
 
     __slots__ = ("_src", "_tgt", "_deg", "_out", "_in", "_rel", "_numbering",
                  "_labels", "_shifts", "_arrow_names", "_label_to_id", "_index",
-                 "_relations", "_arrows", "_paths")
+                 "_arrows", "_paths")
 
     __setattr__ = __delattr__ = read_only
 
@@ -219,7 +218,6 @@ class GradedQuiver:
                 )
             pairs.append(pair)
         init(self, "_rel", frozenset(pairs))
-        init(self, "_relations", None)
         init(self, "_arrows", None)
         # Nonzero paths into each target id, per source id, filled by
         # paths_into.
@@ -267,12 +265,6 @@ class GradedQuiver:
     def primary_label(self, vid: int) -> Label:
         return (self._labels or self.vertex_labels)[vid][0]
 
-    def shift_of(self, label: Label) -> int:
-        return self.vertex_shifts[self.vertex_id(label)]
-
-    def arrow(self, name: ArrowName) -> Arrow:
-        return self.arrows[self.arrow_index(name)]
-
     # -- structure ------------------------------------------------------
 
     @property
@@ -311,30 +303,12 @@ class GradedQuiver:
         return (f, g) in self._rel
 
     @property
-    def relations(self) -> frozenset:
-        """The relations as arrow-name pairs (f, g), meaning g∘f = 0,
-        built on first use."""
-        if self._relations is None:
-            names = self._names
-            object.__setattr__(self, "_relations", frozenset(
-                [(names[f], names[g]) for f, g in self._rel]))
-        return self._relations
-
-    @property
     def arrows(self) -> tuple[Arrow, ...]:
         """The arrows in the order they came, built on first use."""
         if self._arrows is None:
             object.__setattr__(self, "_arrows", tuple(
                 map(Arrow, self._names, self._src, self._tgt, self._deg)))
         return self._arrows
-
-    def arrows_from(self, vid: int) -> tuple[Arrow, ...]:
-        arrows = self.arrows
-        return tuple([arrows[i] for i in self._out[vid]])
-
-    def arrows_into(self, vid: int) -> tuple[Arrow, ...]:
-        arrows = self.arrows
-        return tuple([arrows[i] for i in self._in[vid]])
 
     def topological_order(self) -> list[int]:
         """Vertex ids in topological order; raises on a directed cycle."""
@@ -500,7 +474,7 @@ class GradedQuiver:
             ],
             "relations": [
                 [list(self._names[f]), list(self._names[g])]
-                for f, g in self._sorted_relations()
+                for f, g in self._rel_by_names()
             ],
         }
 
@@ -514,13 +488,21 @@ class GradedQuiver:
             return exact_items(value, "bad quiver data: {what} must be a list, got "
                                "{value!r}", what=what)
 
+        def objects(field, what):
+            found = items(data.get(field), repr(field))
+            for obj in found:
+                if not isinstance(obj, dict):
+                    raise SpecError(f"bad quiver data: {what} must be an object, "
+                                    f"got {obj!r}")
+            return found
+
         try:
             return cls(
                 ((tuple(map(items, items(v["labels"], "'labels'"))), v.get("shift", 0))
-                 for v in items(data.get("vertices"), "'vertices'")),
+                 for v in objects("vertices", "a vertex")),
                 ((items(a["name"], "'name'"), items(a["source"], "'source'"),
                   items(a["target"], "'target'"), a.get("degree", 0))
-                 for a in items(data.get("arrows"), "'arrows'")),
+                 for a in objects("arrows", "an arrow")),
                 (tuple(map(items, items(r, "a relation")))
                  for r in items(data.get("relations"), "'relations'")),
             )
@@ -541,7 +523,7 @@ class GradedQuiver:
             lines.append(
                 f'  "{names[s]}" -> "{names[t]}" [label="{label_str(name)}{deg}"];'
             )
-        for f, g in self._sorted_relations():
+        for f, g in self._rel_by_names():
             lines.append(f"  // relation: {self._relation_str(f, g)}")
         lines.append("}")
         return "\n".join(lines)
@@ -556,11 +538,11 @@ class GradedQuiver:
         for name, s, t, d in zip(self._names, self._src, self._tgt, self._deg):
             deg = f" (degree {d})" if d else ""
             lines.append(f"  {label_str(name)}: {names[s]} -> {names[t]}{deg}")
-        for f, g in self._sorted_relations():
+        for f, g in self._rel_by_names():
             lines.append(f"  relation: {self._relation_str(f, g)}")
         return "\n".join(lines)
 
-    def _sorted_relations(self) -> list[tuple[int, int]]:
+    def _rel_by_names(self) -> list[tuple[int, int]]:
         """The relations as arrow-index pairs, sorted by their arrows'
         names: the order every report lists them in."""
         names = self._names
@@ -581,7 +563,7 @@ def _new_key(key, keys: dict, what: str):
     return key
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomTable:
     """Paths in arrow names, keyed by (source label, target label, degree)."""
 
@@ -602,7 +584,7 @@ class HomTable:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatchReport:
     ok: bool
     diffs: list[str] = field(default_factory=list)
@@ -636,7 +618,7 @@ def _resolve_vmap(
     return (None, diffs) if diffs else (id_map, [])
 
 
-def _transports_relations(
+def _transports_rel(
     q1: GradedQuiver, q2: GradedQuiver, canonical: list[int], parallel: list
 ) -> bool:
     """Whether some arrow matching that changes ``canonical`` only
@@ -698,7 +680,7 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
     report lists the first structural mismatches found.
 
     Each relation of q1, the left quiver, is read once, and those of q2
-    are only looked up (_transports_relations says why).  The
+    are only looked up (_transports_rel says why).  The
     order-preserving arrow matching is built once.  It forces the image
     of every group with one arrow on each side, so every relation
     between two such arrows is read against it in one pass; the
@@ -760,7 +742,7 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
             parallel.append((g1, g2))
             for a1, a2 in zip(g1, g2):
                 canonical[a1] = a2
-    if not diffs and _transports_relations(q1, q2, canonical, parallel):
+    if not diffs and _transports_rel(q1, q2, canonical, parallel):
         return MatchReport(True)
 
     # No arrow matching carries the relations across.  The backtracking
@@ -769,12 +751,12 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
     inv = [0] * len(canonical)
     for a1, a2 in enumerate(canonical):
         inv[a2] = a1
-    for f, g in q1._sorted_relations():
+    for f, g in q1._rel_by_names():
         if (canonical[f], canonical[g]) not in q2._rel:
             diffs.append(
                 f"relation {q1._relation_str(f, g)} has no image on the right"
             )
-    for f, g in q2._sorted_relations():
+    for f, g in q2._rel_by_names():
         if (inv[f], inv[g]) not in q1._rel:
             diffs.append(f"right relation {q2._relation_str(f, g)} has no preimage")
     return MatchReport(False, diffs)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .gluing import GluingSpec, SurfaceTopology
 
 
-@dataclass
+@dataclass(frozen=True)
 class CombinatorialMap:
     """Faces as cyclic dart sequences plus a partial gluing involution.
 

@@ -24,26 +24,31 @@ def count_hom_complexes(monkeypatch):
     return counts
 
 
+def relation_names(q):
+    """The relations of q as arrow-name pairs (f, g), meaning g∘f = 0:
+    each arrow g paired with the arrows into its source that it kills,
+    read through in_arrows, arrow_ends and is_relation."""
+    return frozenset(
+        (q.arrow_name(f), q.arrow_name(g))
+        for g in range(q.num_arrows)
+        for f in q.in_arrows(q.arrow_ends(g)[0])
+        if q.is_relation(f, g)
+    )
+
+
 @pytest.fixture
 def view_uses(monkeypatch):
-    """A list that records each ``Arrow`` built (a counting stand-in for
-    ``quiver.Arrow``, through which ``arrows``, ``arrows_from``,
-    ``arrows_into`` and ``arrow`` build theirs) and each read of a
-    quiver's ``relations``: the views kept for callers outside the
-    package."""
+    """A list that records each ``Arrow`` built: a counting stand-in for
+    ``quiver.Arrow``, through which ``arrows``, the one name-level view
+    kept for callers outside the package, builds its objects."""
     uses = []
-    arrow, relations = quiver.Arrow, quiver.GradedQuiver.relations
+    arrow = quiver.Arrow
 
     def counted_arrow(*args):
         uses.append("Arrow")
         return arrow(*args)
 
-    def counted_relations(q):
-        uses.append("relations")
-        return relations.fget(q)
-
     monkeypatch.setattr(quiver, "Arrow", counted_arrow)
-    monkeypatch.setattr(quiver.GradedQuiver, "relations", property(counted_relations))
     return uses
 
 

@@ -379,6 +379,20 @@ def _complexes(shift=1, coeff=1, index=(1, 0), extra=(), label=("v", 2),
          '"source": ["a"], "target": ["a"]}], "relations": []}',
          "'name' must be a list, got 'f'"),
         (_complexes(path="y"), "a path must be a list, got 'y'"),
+        ('{"vertices": [["v"]], "arrows": [], "relations": []}',
+         "bad quiver data: a vertex must be an object, got ['v']\n"),
+        ('{"vertices": [], "arrows": [5], "relations": []}',
+         "bad quiver data: an arrow must be an object, got 5\n"),
+        ('{"shape": "linear", "perms": []}',
+         "bad GluingSpec data: missing field 'ranks'\n"),
+        ('{"shape": "linear", "ranks": [1, 1], "perms": 5}',
+         "bad GluingSpec data: 'perms' must be a list, got 5\n"),
+        ('{"complexes": [5]}', "bad complex entry: a complex must be an object, got 5\n"),
+        ('{"complexes": [["M1", []]]}',
+         "bad complex entry: a complex must be an object, got ['M1', []]\n"),
+        ('{"complexes": [{"summands": []}]}', "bad complex entry: missing field 'name'\n"),
+        ('{"complexes": [{"name": "M1"}]}',
+         "bad complex entry: missing field 'summands'\n"),
     ],
     ids=[
         "empty_ranks",
@@ -415,6 +429,14 @@ def _complexes(shift=1, coeff=1, index=(1, 0), extra=(), label=("v", 2),
         "quiver_string_label",
         "quiver_string_arrow_name",
         "complex_string_path",
+        "quiver_vertex_not_an_object",
+        "quiver_arrow_not_an_object",
+        "spec_missing_ranks",
+        "spec_perms_not_a_list",
+        "complex_an_int",
+        "complex_a_list",
+        "complex_missing_name",
+        "complex_missing_summands",
     ],
 )
 def test_invalid_spec_is_a_usage_error(capsys, tmp_path, text, named):
@@ -861,8 +883,8 @@ def test_full_stdout_is_a_usage_error():
 
 
 def test_reports_read_no_quiver_views(capsys, tmp_path, view_uses):
-    # Every quiver format renders from the arrays; the Arrow objects and
-    # the name pairs of relations serve only callers outside the package.
+    # Every quiver format renders from the arrays; the Arrow objects
+    # serve only callers outside the package.
     for command, (args, formats) in FORMAT_CASES.items():
         for fmt in formats:
             assert run(capsys, command, *args, "--format", fmt)[0] == 0

@@ -54,6 +54,18 @@ def test_exact_items_takes_the_callers_words():
             exact_items(refused, "{value!r}", 2)
 
 
+def test_an_iterables_own_type_error_propagates():
+    # only iter() is asked whether a value is a container: a TypeError
+    # raised while its items are made is the caller's fault to report
+    def items():
+        yield 1
+        raise TypeError("raised partway")
+
+    for read in exact_items, exact_ints:
+        with pytest.raises(TypeError, match="^raised partway$"):
+            read(items(), "{value!r} is not a sequence")
+
+
 def test_containers_of_the_wrong_shape_are_refused():
     with pytest.raises(SpecError, match=r"permutations must be Permutations, got \(1, 0\)"):
         GluingSpec("circular", (2,), ((1, 0),))

@@ -36,7 +36,7 @@ from quiverglue.homology import (
 from quiverglue.perms import Permutation, identity, tau
 from quiverglue.quiver import Arrow, GradedQuiver
 from quiverglue.sweeps import gluing_sweep
-from conftest import count_hom_complexes
+from conftest import count_hom_complexes, relation_names
 from test_paths import walk_out
 
 ONE = Fraction(1)
@@ -492,13 +492,6 @@ def test_quiver_takes_no_new_attributes():
         q.gluing = GluingSpec("linear", (1, 2, 1), (identity(2),))
 
 
-def test_quiver_relations_are_frozen():
-    q = line_quiver([(("x",), ("a",))])
-    assert isinstance(q.relations, frozenset)
-    with pytest.raises(AttributeError):
-        q.relations.discard((("x",), ("a",)))
-
-
 def test_twisted_complexes_are_read_only():
     # a hom complex caches its matrices, so the complexes it reads must
     # not change under it
@@ -788,6 +781,7 @@ def reference_module(E):
     paths_between nor HomComplex.
     Returns (degree, dims, actions) as module_of orders them."""
     q = E.quiver
+    relations = relation_names(q)
     summand_ids = [q.vertex_id(lab) for lab, _ in E.summands]
     shifts = [n for _, n in E.summands]
     spaces = {}
@@ -801,7 +795,8 @@ def reference_module(E):
         index = {elt: i for i, elt in enumerate(basis)}
         slices = {}
         for i, (t, p) in enumerate(basis):
-            slices.setdefault(sum(q.arrow(n).degree for n in p) - shifts[t], []).append(i)
+            grade = sum(q.arrows[q.arrow_index(n)].degree for n in p)
+            slices.setdefault(grade - shifts[t], []).append(i)
 
         def matrix(d, basis=basis, index=index, slices=slices):
             # P(v) has no differential, so D(f) = delta_E after f
@@ -814,7 +809,7 @@ def reference_module(E):
                     if b != t:
                         continue
                     for c, step in entry:
-                        if p and step and (p[-1], step[0]) in q.relations:
+                        if p and step and (p[-1], step[0]) in relations:
                             continue
                         mat[pos[index[(a, p + step)]]][col] += c
             return mat
@@ -853,7 +848,7 @@ def reference_module(E):
         image = {}
         for c, i in zip(gens[w], slices_w[degree]):
             t, p = basis_w[i]
-            if c and not (p and (ar.name, p[0]) in q.relations):
+            if c and not (p and (ar.name, p[0]) in relations):
                 image[index_u[(t, (ar.name,) + p)]] = c
         vec = [image.get(i, Fraction(0)) for i in slices_u[degree]]
         below = matrix_u(degree - 1) if degree - 1 in slices_u else []
@@ -886,18 +881,19 @@ def reaching(q, targets):
     search backwards over (vertex, first arrow of the path so far)
     states: an arrow f may be put in front of a path starting with g
     unless g after f is a relation, and each state is visited once."""
+    relations = relation_names(q)
     found = set(targets)
     stack = [(t, None) for t in targets]
     seen = set(stack)
     while stack:
         v, first = stack.pop()
-        for ar in q.arrows_into(v):
-            state = (ar.source, ar.name)
-            if state in seen or (ar.name, first) in q.relations:
+        for i in q.in_arrows(v):
+            state = source, name = q.arrow_ends(i)[0], q.arrow_name(i)
+            if state in seen or (name, first) in relations:
                 continue
             seen.add(state)
             stack.append(state)
-            found.add(ar.source)
+            found.add(source)
     return found
 
 

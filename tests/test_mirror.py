@@ -2,8 +2,10 @@
 controls, and the genus-targeted search."""
 
 import math
+from dataclasses import fields
 
 import pytest
+from conftest import relation_names
 
 from quiverglue import mirror
 from quiverglue.aside import build_aside
@@ -21,7 +23,7 @@ from quiverglue.mirror import (
 )
 from quiverglue.perms import Permutation, from_twist
 from quiverglue.quiver import GradedQuiver, find_isomorphism, map_equals
-from quiverglue.surface import surface_topology
+from quiverglue.surface import build_map, surface_topology
 
 SMOKE_CURVES = [
     StackyCurveSpec("ring", (1,), (0,)),
@@ -95,6 +97,24 @@ def test_verify_builds_one_gluing(monkeypatch):
     assert len(calls) == len(SMOKE_CURVES) + 1
 
 
+def test_result_classes_are_frozen():
+    c = SMOKE_CURVES[2]
+    report = verify_theorem_A(c)
+    bq, aq = build_bside(c), build_aside(twisted_gluing(c))
+    results = (report, report.checks[0], map_equals(bq, aq, canonical_correspondence(c)),
+               aq.path_dims(), build_map(twisted_gluing(c)))
+    assert [type(r).__name__ for r in results] == [
+        "VerifyReport", "Check", "MatchReport", "HomTable", "CombinatorialMap"]
+    for result in results:
+        field = fields(result)[0].name
+        with pytest.raises(AttributeError):
+            result.junk = 1
+        with pytest.raises(AttributeError):
+            setattr(result, field, None)
+        with pytest.raises(AttributeError):
+            delattr(result, field)
+
+
 def test_verify_report_serializes():
     obj = verify_theorem_A(SMOKE_CURVES[2]).to_json_obj()
     assert obj["pass"] is True
@@ -115,7 +135,7 @@ def tampered_aside(c, dropped=None, retargeted=None):
     return GradedQuiver(
         zip(aq.vertex_labels, aq.vertex_shifts),
         [(a.name, aq.primary_label(a.source), target(a), a.degree) for a in aq.arrows],
-        aq.relations - {dropped},
+        relation_names(aq) - {dropped},
     )
 
 
@@ -137,8 +157,10 @@ def test_negative_control_retargeted_arrow():
         c, dropped=(("b", 1, 0), ("x", 2, 1)), retargeted=(("b", 1, 0), ("P-", 2, 0))
     )
     # the arrow and the per-vertex arrow lists agree on the new target
-    moved = tampered.arrow(("b", 1, 0))
-    assert moved in tampered.arrows_into(tampered.vertex_id(("P-", 2, 0)))
+    moved = tampered.arrow_index(("b", 1, 0))
+    target = tampered.vertex_id(("P-", 2, 0))
+    assert tampered.arrow_ends(moved)[1] == target
+    assert moved in tampered.in_arrows(target)
     report = verify_theorem_A(c, aside_quiver=tampered)
     assert not report.ok
     assert any("arrows" in d for d in report.checks[0].details)

@@ -8,6 +8,7 @@ import itertools
 import random
 
 import pytest
+from conftest import relation_names
 
 from quiverglue.aside import build_aside
 from quiverglue.bside import build_bside
@@ -66,11 +67,10 @@ def test_arrow_lists_keep_insertion_order():
         ],
         [],
     )
-    b, a, loop = q.arrows
-    assert q.arrows_from(0) == (b, a)
-    assert q.arrows_into(1) == (b, a, loop)
-    assert q.arrows_from(1) == (loop,)
-    assert q.arrows_into(0) == ()
+    assert [a.name for a in q.arrows] == [("b",), ("a",), ("l",)]
+    assert q._out == ((0, 1), (2,))
+    assert q.in_arrows(1) == (0, 1, 2)
+    assert q.in_arrows(0) == ()
 
 
 def test_paths_come_in_depth_first_preorder():
@@ -100,18 +100,22 @@ def walk_out(q, s):
     in depth-first preorder along the out-arrows: the reference walk
     for paths_into, which walks the in-arrows instead.  Raises
     QuiverError once a nonzero path has more arrows than the quiver."""
+    relations = relation_names(q)
+    out = [[] for _ in range(q.num_vertices)]
+    for ar in q.arrows:
+        out[ar.source].append(ar)
     names = []
     yield s, ()
-    stack = [iter(q.arrows_from(s))]
+    stack = [iter(out[s])]
     while stack:
         for ar in stack[-1]:
-            if names and (names[-1], ar.name) in q.relations:
+            if names and (names[-1], ar.name) in relations:
                 continue
             if len(names) == len(q.arrows):
                 raise QuiverError("path space is infinite")
             names.append(ar.name)
             yield ar.target, tuple(names)
-            stack.append(iter(q.arrows_from(ar.target)))
+            stack.append(iter(out[ar.target]))
             break
         else:
             stack.pop()
@@ -131,7 +135,7 @@ def shuffled(q, rng):
         for a in q.arrows
     ]
     rng.shuffle(arrows)
-    return GradedQuiver(zip(q.vertex_labels, q.vertex_shifts), arrows, q.relations)
+    return GradedQuiver(zip(q.vertex_labels, q.vertex_shifts), arrows, relation_names(q))
 
 
 def test_backward_walk_keeps_the_forward_preorder():
@@ -198,15 +202,16 @@ def bounded_paths(q, s):
     arrows, as (end vertex id, path): long enough to hold a repeated
     arrow whenever some path s -> t, for any t, is one of infinitely
     many."""
+    relations = relation_names(q)
     limit = 3 * len(q.arrows)
     stack = [(s, ())]
     while stack:
         v, path = stack.pop()
         yield v, path
         if len(path) < limit:
-            for ar in q.arrows_from(v):
-                i = q.arrow_index(ar.name)
-                if not path or (q.arrow_name(path[-1]), ar.name) not in q.relations:
+            for i, ar in enumerate(q.arrows):
+                if ar.source == v and (
+                        not path or (q.arrow_name(path[-1]), ar.name) not in relations):
                     stack.append((ar.target, path + (i,)))
 
 

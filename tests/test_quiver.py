@@ -1,13 +1,16 @@
 """Path-space dimensions, the isomorphism checker, and the searcher."""
 
+import ast
 import copy
 import gc
 import hashlib
 import json
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from conftest import relation_names
 
 from quiverglue.aside import build_aside
 from quiverglue.bside import build_bside
@@ -61,7 +64,7 @@ def test_construction_guards():
     vertices = [((("v", 1), ("alias", 1)), 0), ((("v", 2),), 0)]
     f = (("f",), ("alias", 1), ("v", 2), 0)
     q = GradedQuiver(vertices, [f], [])
-    assert q.arrow(("f",)).source == q.vertex_id(("v", 1))
+    assert q.arrows[q.arrow_index(("f",))].source == q.vertex_id(("v", 1))
     with pytest.raises(QuiverError, match="at least one label"):
         GradedQuiver([((), 0)], [], [])
     with pytest.raises(QuiverError, match="duplicate vertex"):
@@ -84,7 +87,7 @@ def test_construction_reads_each_part_once():
         (a for a in DOUBLE_ARROWS),
         (r for r in [(("a",), ("y",))]),
     )
-    assert q.relations == frozenset({(("a",), ("y",))})
+    assert relation_names(q) == frozenset({(("a",), ("y",))})
     assert q.num_vertices == 3 and len(q.arrows) == 4
     assert tuple(map(q.path_names, q.paths_between(("v", 1), ("v", 3)))) == (
         (("a",), ("x",)), (("b",), ("x",)), (("b",), ("y",))
@@ -119,27 +122,65 @@ def test_arrow_views_keep_insertion_order():
     )
     assert q.arrows == expected and q.arrows is q.arrows
     for v in range(q.num_vertices):
-        assert q.arrows_from(v) == tuple(a for a in expected if a.source == v)
-        assert q.arrows_into(v) == tuple(a for a in expected if a.target == v)
-    for a in expected:
-        assert q.arrow(a.name) == a
-    assert q.relations == {
+        assert q.in_arrows(v) == tuple(i for i, a in enumerate(expected) if a.target == v)
+    for i, a in enumerate(expected):
+        assert q.arrows[q.arrow_index(a.name)] == a
+        assert (q.arrow_name(i), q.arrow_ends(i)) == (a.name, (a.source, a.target))
+    assert relation_names(q) == {
         (("a",), ("c", 1)), (("c", 1), ("d",)), (("d",), ("e",)), (("d",), ("b", 2))
     }
     with pytest.raises(QuiverError, match="unknown arrow"):
-        q.arrow(("zz",))
+        q.arrow_index(("zz",))
+
+
+RETIRED_VIEWS = ("arrow", "arrows_from", "arrows_into", "relations", "shift_of")
+SRC = Path(__file__).resolve().parent.parent / "src" / "quiverglue"
+
+
+def test_name_level_views_are_retired():
+    for name in RETIRED_VIEWS:
+        assert not hasattr(GradedQuiver, name), name
+        assert not hasattr(view_quiver(), name), name
+
+
+def _arrow_view_references(tree):
+    """Each name, attribute, import or string ``arrows`` or ``Arrow`` in
+    a module's syntax tree, as (node type, line)."""
+    names = {"arrows", "Arrow"}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.alias) and node.name in names
+                or isinstance(node, ast.Constant) and node.value in names
+                or isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name in names):
+            found.append((type(node).__name__, node.lineno))
+    return found
+
+
+def test_arrow_view_is_read_in_quiver_py_alone():
+    # Arrow and the arrows view stay for callers outside the package;
+    # past quiver.py, only the package's export names them
+    users = {}
+    for path in sorted(SRC.glob("*.py")):
+        found = _arrow_view_references(ast.parse(path.read_text()))
+        if found:
+            users[path.name] = found
+    assert set(users) == {"quiver.py", "__init__.py"}, users
+    assert sorted(kind for kind, _ in users["__init__.py"]) == ["Constant", "alias"]
 
 
 def test_quivers_and_arrows_are_read_only():
     q = view_quiver()
     paths = q.paths_into(("u",))
-    relations, arrows = q.relations, q.arrows
-    for name in ("relations", "arrows", "vertex_labels", "_rel", "_paths", "junk"):
+    arrows = q.arrows
+    for name in ("arrows", "vertex_labels", "_rel", "_paths", "junk"):
         with pytest.raises(AttributeError):
             setattr(q, name, frozenset())
         with pytest.raises(AttributeError):
             delattr(q, name)
-    assert q.relations is relations and q.arrows is arrows
+    assert q.arrows is arrows
     assert q.paths_into(("u",)) is paths
     a = q.arrows[0]
     with pytest.raises(AttributeError):
@@ -177,11 +218,12 @@ def test_quivers_copy_and_pickle():
             for twin in twins:
                 assert twin.to_text() == q.to_text() and twin.to_dot() == q.to_dot()
                 assert twin.to_json_obj() == q.to_json_obj()
-                assert twin.arrows == q.arrows and twin.relations == q.relations
+                assert twin.arrows == q.arrows
+                assert relation_names(twin) == relation_names(q)
                 assert twin.paths_into(label) == q.paths_into(label)
                 assert map_equals(twin, q, identity) and map_equals(q, twin, identity)
                 with pytest.raises(AttributeError):
-                    twin.relations = frozenset()
+                    twin._rel = frozenset()
     assert pickle.loads(pickle.dumps(q.arrows[0])) == q.arrows[0]
 
 
@@ -290,8 +332,8 @@ def test_path_dims_matches_matrix_powers():
 def test_relation_deletion_is_monotone():
     full = three_vertex_double()
     full_dims = full.path_dims().dims
-    for dropped in full.relations:
-        q = three_vertex_double(relations=full.relations - {dropped})
+    for dropped in relation_names(full):
+        q = three_vertex_double(relations=relation_names(full) - {dropped})
         bigger = q.path_dims().dims
         for key, count in full_dims.items():
             assert bigger.get(key, 0) >= count
