@@ -57,7 +57,8 @@ class _Numbering:
     the next vertex ids, and its arrows b(i,0..r-1), then a(i,0..r-1),
     the next arrow indices.  The rows are numbered as aside numbers
     its chains, but written out apart: verify_theorem_A matches the two
-    quivers as independent constructions.
+    quivers as independent constructions, by the vertex ids of
+    mirror._correspondence_ids, which a test checks against the labels.
     """
 
     c: StackyCurveSpec

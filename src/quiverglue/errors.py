@@ -31,9 +31,11 @@ def read_only(obj, name, value=None):
 def exact_ints(values, message: str, types=(int,), **where) -> tuple[int, ...]:
     """``values`` as a tuple, each of type exactly ``int`` (or one of
     ``types``).  Anything else, even a bool or a whole float, or a
-    ``values`` that is not iterable, raises SpecError: ``message``
-    formatted with the refused ``value``, its ``index`` and ``where``."""
-    items = values if type(values) is tuple else _items(values)
+    ``values`` that is a dict (never its keys) or not iterable, raises
+    SpecError: ``message`` formatted with the refused ``value``, its
+    ``index`` and ``where``."""
+    items = (values if type(values) is tuple else
+             None if isinstance(values, dict) else _items(values))
     if items is None:
         raise SpecError(message.format(value=values, index=None, **where))
     for value in items:

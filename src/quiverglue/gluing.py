@@ -184,6 +184,8 @@ class Shape:
         """Build a spec from parsed JSON: an object with "shape", "ranks"
         and the items of the spec class.  Every number must be an
         integer; bools and floats are rejected."""
+        if not isinstance(data, dict):
+            raise SpecError(f"bad {cls.__name__} data: must be an object, got {data!r}")
         try:
             items = cls._items_from_obj(exact_items(
                 data[cls._ITEMS], "{key!r} must be a list, got {value!r}", key=cls._ITEMS))
@@ -275,11 +277,14 @@ def window_origins(
     curve: StackyCurveSpec, bases: dict[int, tuple[int, int]] | None = None
 ) -> dict[int, tuple[int, int]]:
     """The window origin (j_i, m_i) of every component of ``curve``:
-    ``DEFAULT_BASE`` unless ``bases`` moves it.  Rejects components the
-    curve does not have, and an origin that is not a pair of integers."""
+    ``DEFAULT_BASE`` unless ``bases``, a dict by component, moves it.
+    Rejects components the curve does not have, and an origin that is
+    not a pair of integers."""
     base = dict.fromkeys(curve.components(), DEFAULT_BASE)
     if bases:
-        unknown = set(exact_ints(bases, "component {value!r} is not an integer"))
+        if not isinstance(bases, dict):
+            raise SpecError(f"window origins must be a dict by component, got {bases!r}")
+        unknown = set(exact_ints(bases.keys(), "component {value!r} is not an integer"))
         unknown -= set(base)
         if unknown:
             raise SpecError(f"no components {sorted(unknown)}")

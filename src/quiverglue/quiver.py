@@ -22,12 +22,14 @@ instead, and hand the quiver a numbering that makes the vertex labels,
 shifts and arrow names from the same spec: the quiver asks for each
 only when something first reads it, and builds its label and name
 lookups from them on the first lookup, so a quiver that is only walked
-never makes a name.  map_equals takes its vertex map by label, and
-find_isomorphism answers with one, so matching makes both quivers'
-labels and label lookups.  Every walk, search and report in this
-module reads the arrays: to_text, to_json_obj and to_dot render a
-quiver's three formats, each listing its relations sorted by arrow
-names.  Homology reads them by arrow index through ``arrow_index``,
+never makes a name.  Matching runs on vertex ids: map_equals resolves
+its label-keyed vertex map to ids once, in front of the id-level
+_match_ids, which verify_theorem_A calls directly on builder quivers.
+So labels are made only for reports and for label-keyed callers
+(map_equals, and find_isomorphism's answer).  Every walk, search and
+report in this module reads the arrays: to_text, to_json_obj and to_dot
+render a quiver's three formats, each listing its relations sorted by
+arrow names.  Homology reads them by arrow index through ``arrow_index``,
 ``arrow_name``, ``arrow_ends``, ``in_arrows`` and ``is_relation``.
 The ``Arrow`` objects of ``arrows`` are the one name-level view left,
 built on first use for the benchmark tracer's arrow count; no code in
@@ -49,11 +51,13 @@ The module also checks whether a given vertex bijection is an
 isomorphism of quivers with relations, and searches for one.  Neither
 search recurses: each backtracks in a loop over an explicit stack of
 iterators, and each step costs only the arrows and relations it
-touches.  map_equals reads each relation of the left quiver once: it
-builds the order-preserving arrow matching once, reads each relation
-between two arrows of singleton groups against it, and backtracks from
-it only over groups of parallel arrows, reading each other relation at
-the one step that fixes both its arrows; find_isomorphism places one
+touches.  The arrow matching groups arrows by one int key each, from
+(image of source, image of target, degree), in one stable sort per
+side.  It reads each relation of the left quiver once: it builds the
+order-preserving arrow matching once, reads each relation between two
+arrows of singleton groups against it, and backtracks from it only
+over groups of parallel arrows, reading each other relation at the one
+step that fixes both its arrows; find_isomorphism places one
 vertex per step and compares a candidate's arrows to placed vertices
 only.  Its candidates come from one colour refinement of both quivers
 at once, driven by a worklist of splitter classes, in O((V + A) log V)
@@ -63,6 +67,7 @@ for V vertices and A arrows.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -483,6 +488,8 @@ class GradedQuiver:
         """Inverse of to_json_obj: every container is a list, each label
         and arrow name too, and ``shift`` and ``degree`` default to 0.
         Malformed data raises SpecError naming the field, or QuiverError."""
+        if not isinstance(data, dict):
+            raise SpecError(f"bad quiver data: must be an object, got {data!r}")
 
         def items(value, what="a name"):
             return exact_items(value, "bad quiver data: {what} must be a list, got "
@@ -595,27 +602,30 @@ class MatchReport:
 
 def _resolve_vmap(
     q1: GradedQuiver, q2: GradedQuiver, vmap: dict
-) -> tuple[dict[int, int] | None, list[str]]:
+) -> tuple[list[int] | None, list[str]]:
+    """``vmap``, from q1 labels to q2 labels, as the q2 vertex id of each
+    q1 vertex id; or None and the diffs when it is not a bijection."""
     diffs = []
-    id_map: dict[int, int] = {}
+    image = [-1] * q1.num_vertices
     for l1, l2 in vmap.items():
         v1, v2 = q1.vertex_id(l1), q2.vertex_id(l2)
-        if id_map.get(v1, v2) != v2:
+        if image[v1] not in (-1, v2):
             diffs.append(
                 f"vertex {label_str(l1)} mapped to two distinct targets"
             )
-        id_map[v1] = v2
-    if len(id_map) != q1.num_vertices:
+        image[v1] = v2
+    mapped = [v for v in image if v >= 0]
+    if len(mapped) != q1.num_vertices:
         diffs.append(
-            f"map covers {len(id_map)} of {q1.num_vertices} vertices"
+            f"map covers {len(mapped)} of {q1.num_vertices} vertices"
         )
-    if len(set(id_map.values())) != len(id_map):
+    if len(set(mapped)) != len(mapped):
         diffs.append("map is not injective on vertices")
     if q1.num_vertices != q2.num_vertices:
         diffs.append(
             f"vertex counts differ: {q1.num_vertices} vs {q2.num_vertices}"
         )
-    return (None, diffs) if diffs else (id_map, [])
+    return (None, diffs) if diffs else (image, [])
 
 
 def _transports_rel(
@@ -677,71 +687,67 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
     the relation set of one side exactly onto the other.
 
     ``vmap`` maps q1 vertex labels (any alias) to q2 vertex labels.  The
-    report lists the first structural mismatches found.
+    report lists the first structural mismatches found.  The labels are
+    resolved to vertex ids once, and _match_ids checks the rest.
+    """
+    image, diffs = _resolve_vmap(q1, q2, vmap)
+    if image is None:
+        return MatchReport(False, diffs)
+    return _match_ids(q1, q2, image)
+
+
+def _match_ids(q1: GradedQuiver, q2: GradedQuiver, image: list[int]) -> MatchReport:
+    """map_equals for a vertex bijection given by id: ``image[v]`` is the
+    q2 vertex id of q1 vertex id v.
+
+    Each arrow gets one int key from (image of its source, image of its
+    target, degree), the degree offset by the least of both quivers so
+    that every key is a distinct natural number.  A stable sort of each
+    side's arrow indices by key is the one grouping: the groups are the
+    runs of equal keys, and zipping the two sorted orders together is
+    the order-preserving arrow matching.
 
     Each relation of q1, the left quiver, is read once, and those of q2
     are only looked up (_transports_rel says why).  The
-    order-preserving arrow matching is built once.  It forces the image
-    of every group with one arrow on each side, so every relation
-    between two such arrows is read against it in one pass; the
-    backtracking starts from it, and a failure is reported against it.
-    The rest is a backtracking over the groups of parallel arrows, in a
-    loop over an explicit stack of permutation iterators, not a
-    recursion.  Each other relation is filed under the later parallel
-    group of its two arrows and read only at that group's step, so a
-    step costs its group's size plus the relations filed there; with no
-    parallel arrows the whole check reads each relation of q1 exactly
-    once.  Arrows and relations are compared as the quivers' arrow
-    indices and index pairs.
+    order-preserving arrow matching forces the image of every group with
+    one arrow on each side, so every relation between two such arrows is
+    read against it in one pass; the backtracking starts from it, and a
+    failure is reported against it.  The rest is a backtracking over the
+    groups of parallel arrows, in a loop over an explicit stack of
+    permutation iterators, not a recursion.  Each other relation is
+    filed under the later parallel group of its two arrows and read only
+    at that group's step, so a step costs its group's size plus the
+    relations filed there; with no parallel arrows the whole check reads
+    each relation of q1 exactly once.
     """
-    id_map, diffs = _resolve_vmap(q1, q2, vmap)
-    if id_map is None:
-        return MatchReport(False, diffs)
-
-    image = id_map.__getitem__
-    groups1: dict[tuple[int, int, int], list[int]] = {}
-    for i, key in enumerate(zip(map(image, q1._src), map(image, q1._tgt), q1._deg)):
-        groups1.setdefault(key, []).append(i)
-    groups2: dict[tuple[int, int, int], list[int]] = {}
-    for i, key in enumerate(zip(q2._src, q2._tgt, q2._deg)):
-        groups2.setdefault(key, []).append(i)
-
-    def names(q, group):
-        return ", ".join(label_str(q._names[i]) for i in group)
-
-    for key, g1 in groups1.items():
-        g2 = groups2.get(key, [])
-        if len(g1) != len(g2):
-            src, tgt, deg = key
-            diffs.append(
-                f"{len(g1)} vs {len(g2)} arrows "
-                f"{label_str(q2.primary_label(src))} -> "
-                f"{label_str(q2.primary_label(tgt))} at degree {deg} "
-                f"(left: {names(q1, g1)})"
-            )
-    for key, g2 in groups2.items():
-        if key not in groups1:
-            diffs.append(f"extra arrows {names(q2, g2)} on right at degree {key[2]}")
-    if diffs:
-        return MatchReport(False, diffs)
+    n, deg1, deg2 = q2.num_vertices, q1._deg, q2._deg
+    low = min(min(deg1, default=0), min(deg2, default=0))
+    span = max(max(deg1, default=0), max(deg2, default=0)) - low + 1
+    keys1 = [(image[s] * n + image[t]) * span + d - low
+             for s, t, d in zip(q1._src, q1._tgt, deg1)]
+    keys2 = [(s * n + t) * span + d - low for s, t, d in zip(q2._src, q2._tgt, deg2)]
+    order1 = sorted(range(len(keys1)), key=keys1.__getitem__)
+    order2 = sorted(range(len(keys2)), key=keys2.__getitem__)
+    sorted1 = [keys1[a] for a in order1]
+    if sorted1 != [keys2[a] for a in order2]:
+        return MatchReport(False, _arrow_diffs(q1, q2, image, _runs(keys1, order1),
+                                               _runs(keys2, order2)))
+    diffs = []
     if len(q1._rel) != len(q2._rel):
         diffs.append(
             f"relation counts differ: {len(q1._rel)} vs {len(q2._rel)}"
         )
 
     # The order-preserving arrow matching: the backtracking starts from
-    # it, and a failure is reported against it.  Most groups hold one
-    # arrow, which is mapped without a zip.
-    canonical = [0] * len(q1._src)
+    # it, and a failure is reported against it.  The runs are listed
+    # only when some key repeats.
+    canonical = [0] * len(order1)
+    for a1, a2 in zip(order1, order2):
+        canonical[a1] = a2
     parallel = []
-    for key, g1 in groups1.items():
-        g2 = groups2[key]
-        if len(g1) == 1:
-            canonical[g1[0]] = g2[0]
-        else:
-            parallel.append((g1, g2))
-            for a1, a2 in zip(g1, g2):
-                canonical[a1] = a2
+    if any(map(operator.eq, sorted1, itertools.islice(sorted1, 1, None))):
+        parallel = [(g1, g2) for (_, g1), (_, g2)
+                    in zip(_runs(keys1, order1), _runs(keys2, order2)) if len(g1) > 1]
     if not diffs and _transports_rel(q1, q2, canonical, parallel):
         return MatchReport(True)
 
@@ -760,6 +766,50 @@ def map_equals(q1: GradedQuiver, q2: GradedQuiver, vmap: dict) -> MatchReport:
         if (inv[f], inv[g]) not in q1._rel:
             diffs.append(f"right relation {q2._relation_str(f, g)} has no preimage")
     return MatchReport(False, diffs)
+
+
+def _runs(keys: list[int], order: list[int]) -> list[tuple[int, list[int]]]:
+    """Each run of equal keys along ``order``: the key and the run's arrow
+    indices, ascending."""
+    return [(key, list(run)) for key, run in itertools.groupby(order, keys.__getitem__)]
+
+
+def _arrow_diffs(q1: GradedQuiver, q2: GradedQuiver, image: list[int],
+                 runs1: list, runs2: list) -> list[str]:
+    """The arrow groups that differ, merged from both sides' runs: each
+    group of q1 whose count differs on q2, then each group only q2 has,
+    each side's groups in the order of their first arrows."""
+
+    def names(q, group):
+        return ", ".join(label_str(q._names[i]) for i in group)
+
+    counts, extras = [], []
+    j = 0
+    for key, g1 in runs1:
+        while j < len(runs2) and runs2[j][0] < key:
+            extras.append(runs2[j][1])
+            j += 1
+        g2 = []
+        if j < len(runs2) and runs2[j][0] == key:
+            g2 = runs2[j][1]
+            j += 1
+        if len(g1) != len(g2):
+            counts.append((g1, g2))
+    extras += [g2 for _, g2 in runs2[j:]]
+    counts.sort(key=lambda gs: gs[0][0])
+    extras.sort(key=lambda g2: g2[0])
+    diffs = []
+    for g1, g2 in counts:
+        a = g1[0]
+        diffs.append(
+            f"{len(g1)} vs {len(g2)} arrows "
+            f"{label_str(q2.primary_label(image[q1._src[a]]))} -> "
+            f"{label_str(q2.primary_label(image[q1._tgt[a]]))} at degree {q1._deg[a]} "
+            f"(left: {names(q1, g1)})"
+        )
+    for g2 in extras:
+        diffs.append(f"extra arrows {names(q2, g2)} on right at degree {q2._deg[g2[0]]}")
+    return diffs
 
 
 def _refine_colors(q1: GradedQuiver, q2: GradedQuiver) -> list[int]:

@@ -104,20 +104,21 @@ def test_search_degenerate_input(capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("argv", [["2", "1000000000"], ["1000000000"], ["2", "749"]])
+@pytest.mark.parametrize("argv", [["2", "1000000000"], ["1000000000"], ["2", "1499"]])
 def test_search_rejects_rings_past_the_limit(capsys, argv):
-    # 2g + n - 2 strips over MAX_STRIPS (750): rejected before any ring is
-    # built
+    # 2g + n - 2 strips over MAX_STRIPS (1,500): rejected before any ring
+    # is built
     start = time.process_time()
     code, _, err = run(capsys, "search", *argv)
     assert code == 2
-    assert "exceeds the search limit 750" in err
+    assert "exceeds the search limit 1500" in err
     assert time.process_time() - start < 1.0
 
 
 @pytest.mark.parametrize("genus, n", [(2, 1), (3, 2), (4, 3), (2, 186), (2, 748)])
 def test_search_passes_up_to_the_limit(capsys, genus, n):
-    # (2, 748) is a ring of exactly 750 strips
+    # (2, 748) is a ring of 750 strips; no test runs a ring at the limit,
+    # since `search 750 2` (1,500 strips) takes tens of CPU seconds
     code, out, _ = run(capsys, "search", str(genus), str(n), "--format", "json")
     assert code == 0
     assert json.loads(out)
@@ -573,9 +574,10 @@ def test_infinite_path_space_is_a_usage_error(capsys, tmp_path):
     assert err == "error: path space is infinite\n"
 
 
-@pytest.mark.parametrize("ranks", [[751], [375, 376]])
+@pytest.mark.parametrize("ranks", [[1501], [750, 751]])
 def test_verify_rejects_curves_past_the_limit(capsys, tmp_path, ranks):
-    # a rank sum over MAX_STRIPS (750): rejected before any quiver is built
+    # a rank sum over MAX_STRIPS (1,500): rejected before any quiver is
+    # built
     spec = _write_json(
         tmp_path / "ring.json",
         {"shape": "ring", "ranks": ranks, "twists": [1] * len(ranks)},
@@ -583,13 +585,13 @@ def test_verify_rejects_curves_past_the_limit(capsys, tmp_path, ranks):
     start = time.process_time()
     code, out, err = run(capsys, "verify", "--spec", spec)
     assert (code, out) == (2, "")
-    assert err == "error: curve of 751 strips exceeds the verify limit 750\n"
+    assert err == "error: curve of 1501 strips exceeds the verify limit 1500\n"
     assert time.process_time() - start < 1.0
 
 
 def test_verify_passes_at_the_limit(capsys, tmp_path):
     spec = _write_json(
-        tmp_path / "ring.json", {"shape": "ring", "ranks": [750], "twists": [1]}
+        tmp_path / "ring.json", {"shape": "ring", "ranks": [1500], "twists": [1]}
     )
     code, out, _ = run(capsys, "verify", "--spec", spec)
     assert code == 0

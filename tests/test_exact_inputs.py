@@ -34,6 +34,8 @@ def test_exact_ints_takes_the_callers_words():
         exact_ints((0, True), "item {index} of {where}: {value!r}", where="x")
     with pytest.raises(SpecError, match=r"^None at None$"):
         exact_ints(None, "{value!r} at {index}")
+    with pytest.raises(SpecError, match=r"^\{1: 2\} at None$"):
+        exact_ints({1: 2}, "{value!r} at {index}")  # never its keys
     for refused in (1.0, True, "1", Fraction(1)):
         with pytest.raises(SpecError):
             exact_ints((refused,), "{value!r}")
@@ -117,6 +119,35 @@ def test_a_string_or_a_dict_is_never_a_sequence(call, error, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: StackyCurveSpec("ring", {2: "x"}, (1,)),
+     "ranks must be integers, got {2: 'x'}"),
+    (lambda: StackyCurveSpec("ring", (3,), {1: "x"}),
+     "twists must be integers, got {1: 'x'}"),
+    (lambda: build_bside(StackyCurveSpec("ring", (3,), (1,)), {1: {0: 0, 1: 1}}),
+     "window origin 1: {0: 0, 1: 1} is not an integer"),
+], ids=["ranks", "twists", "window_origin"])
+def test_a_dict_is_never_a_sequence_of_ints(call, message):
+    # exact_ints once read a dict as its keys: these ranks built the
+    # curve of ranks (2,)
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GradedQuiver.from_json_obj([1]),
+     "bad quiver data: must be an object, got [1]"),
+    (lambda: GluingSpec.from_json("[1]"),
+     "bad GluingSpec data: must be an object, got [1]"),
+    (lambda: StackyCurveSpec.from_obj("ring"),
+     "bad StackyCurveSpec data: must be an object, got 'ring'"),
+], ids=["quiver", "gluing", "curve"])
+def test_readers_refuse_data_that_is_not_an_object(call, message):
+    # once a bare AttributeError and "list indices must be integers"
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_permutation_images_must_be_ints():
     with pytest.raises(SpecError, match=r"permutation images must be integers, got 1\.0"):
         Permutation((1.0, 0.0))
@@ -142,7 +173,10 @@ def test_topology_counts_must_be_ints():
     ({1.0: (0, 0)}, r"component 1\.0 is not an integer"),
     ({"1": (0, 0)}, "component '1' is not an integer"),
     ({2: (0, 0)}, r"no components \[2\]"),
-], ids=["float", "bool", "short", "long", "none", "float_key", "str_key", "unknown"])
+    (5, "window origins must be a dict by component, got 5"),
+    ([(1, (0, 0))], r"window origins must be a dict by component, got \[\(1, \(0, 0\)\)\]"),
+], ids=["float", "bool", "short", "long", "none", "float_key", "str_key", "unknown",
+        "not_a_dict", "pairs"])
 def test_window_origins_are_pairs_of_ints(bases, message):
     with pytest.raises(SpecError, match=message):
         build_bside(StackyCurveSpec("ring", (3,), (1,)), bases)

@@ -11,6 +11,7 @@ module-level map_equals, which the benchmark's tracer counts."""
 
 import itertools
 import math
+import random
 import sys
 from contextlib import contextmanager
 
@@ -261,6 +262,49 @@ def test_map_equals_agrees_with_the_rescan_reference():
         new, old = map_equals(bq, q, vmap), rescan_map_equals(bq, q, vmap)
         assert (new.ok, new.diffs) == (old.ok, old.diffs), c
         seen.add(new.ok)
+    assert seen == {True, False}
+
+
+def random_graded_pair(rng):
+    """Two random quivers on the vertices 0..2 with arrows of degrees -3
+    to 3 (negative ones too, and loops), the second often a copy of the
+    first with one arrow or relation changed, each with relations on
+    random composable pairs."""
+
+    def make(arrows, relations):
+        return GradedQuiver(
+            [(((v,),), 0) for v in range(3)],
+            [((f"f{i}",), (s,), (t,), d) for i, (s, t, d) in enumerate(arrows)],
+            [((f"f{a}",), (f"f{b}",)) for a, b in relations
+             if arrows[a][1] == arrows[b][0]],
+        )
+
+    def arrow():
+        return rng.randrange(3), rng.randrange(3), rng.randint(-3, 3)
+
+    arrows = [arrow() for _ in range(rng.randint(0, 6))]
+    pairs = [(a, b) for a in range(len(arrows)) for b in range(len(arrows))]
+    relations = rng.sample(pairs, min(len(pairs), rng.randint(0, 3)))
+    other, other_relations = list(arrows), list(relations)
+    if arrows and rng.random() < 0.5:
+        other[rng.randrange(len(other))] = arrow()
+    elif pairs and rng.random() < 0.5:
+        other_relations = rng.sample(pairs, len(relations))
+    return make(arrows, relations), make(other, other_relations)
+
+
+def test_map_equals_agrees_with_the_rescan_reference_at_any_degree():
+    # Keys offset by the least degree of both quivers: negative degrees
+    # and loops must neither collide nor reorder the groups.
+    rng = random.Random(2017)
+    identity = {(v,): (v,) for v in range(3)}
+    seen = set()
+    for _ in range(600):
+        q1, q2 = random_graded_pair(rng)
+        for vmap in identity, {(v,): ((v + 1) % 3,) for v in range(3)}:
+            new, old = map_equals(q1, q2, vmap), rescan_map_equals(q1, q2, vmap)
+            assert (new.ok, new.diffs) == (old.ok, old.diffs)
+            seen.add(new.ok)
     assert seen == {True, False}
 
 

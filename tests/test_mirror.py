@@ -2,6 +2,7 @@
 controls, and the genus-targeted search."""
 
 import math
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -11,7 +12,13 @@ from quiverglue import mirror
 from quiverglue.aside import build_aside
 from quiverglue.bside import build_bside
 from quiverglue.errors import FalsificationError, SpecError
-from quiverglue.gluing import GluingSpec, StackyCurveSpec, SurfaceTopology, from_curve
+from quiverglue.gluing import (
+    GluingSpec,
+    StackyCurveSpec,
+    SurfaceTopology,
+    from_curve,
+    window_origins,
+)
 from quiverglue.mirror import (
     Check,
     VerifyReport,
@@ -24,6 +31,7 @@ from quiverglue.mirror import (
 from quiverglue.perms import Permutation, from_twist
 from quiverglue.quiver import GradedQuiver, find_isomorphism, map_equals
 from quiverglue.surface import build_map, surface_topology
+from quiverglue.sweeps import curve_sweep
 
 SMOKE_CURVES = [
     StackyCurveSpec("ring", (1,), (0,)),
@@ -70,6 +78,55 @@ def test_correspondence_twist_classes():
     vmap = canonical_correspondence(c)
     images = {cls: vmap[("S", 1, cls)][2] for cls in range(5)}
     assert images == {0: 0, 1: 2, 2: 4, 3: 1, 4: 3}
+
+
+def moved_origins(c):
+    """Two choices of window origins for every component of ``c`` besides
+    the default."""
+    return ({i: (i, -i - 2) for i in c.components()},
+            {i: (-2 * i, 3) for i in c.components()})
+
+
+def test_id_correspondence_is_the_label_correspondence():
+    # verify matches builder quivers by the ids of _correspondence_ids;
+    # canonical_correspondence, resolved through each quiver's labels,
+    # must give the same ids, alias by alias
+    compared = 0
+    for c in curve_sweep(2, 4):
+        for bases in (None, *moved_origins(c)):
+            g = twisted_gluing(c, bases)
+            bq, aq = build_bside(c, bases), build_aside(g)
+            resolved = {}
+            for l1, l2 in canonical_correspondence(c, bases).items():
+                v, w = bq.vertex_id(l1), aq.vertex_id(l2)
+                assert resolved.setdefault(v, w) == w, (c, l1)
+            ids = mirror._correspondence_ids(c, window_origins(c, bases), g)
+            assert ids == [resolved[v] for v in range(bq.num_vertices)], (c, bases)
+            compared += 1
+    assert compared == 3 * 154
+
+
+def test_verify_matches_builder_quivers_without_labels():
+    c = StackyCurveSpec("ring", (5, 3), (2, 1))
+    for bases in (None, *moved_origins(c)):
+        bq, aq = build_bside(c, bases), build_aside(twisted_gluing(c, bases))
+        assert verify_theorem_A(c, bases, aside_quiver=aq, bside_quiver=bq).ok
+        for q in bq, aq:
+            assert q._labels is None and q._label_to_id is None
+
+
+def test_verify_stays_small_at_the_cli_limit():
+    # The 1,500-strip ring, matched by vertex id, peaks at about 4 MiB;
+    # making both quivers' labels and label lookups for the match would
+    # take it past 7 MiB.
+    c = StackyCurveSpec("ring", (1500,), (1,))
+    tracemalloc.start()
+    try:
+        assert verify_theorem_A(c).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_verify_passes_on_smoke_curves():
@@ -164,6 +221,48 @@ def test_negative_control_retargeted_arrow():
     report = verify_theorem_A(c, aside_quiver=tampered)
     assert not report.ok
     assert any("arrows" in d for d in report.checks[0].details)
+
+
+def reversed_vertices(q):
+    """``q`` rebuilt through the constructor with its vertices in reverse
+    order and its arrows and relations as they were, so every vertex id
+    changes and no builder numbering applies."""
+    return GradedQuiver(
+        list(zip(q.vertex_labels, q.vertex_shifts))[::-1],
+        [(a.name, q.primary_label(a.source), q.primary_label(a.target), a.degree)
+         for a in q.arrows],
+        relation_names(q),
+    )
+
+
+@pytest.mark.parametrize("c, tampering, details", [
+    (StackyCurveSpec("chain", (1, 2, 1), (1,)),
+     {"dropped": (("a", 1, 0), ("y", 1, 0))},
+     ["relation counts differ: 4 vs 3",
+      "relation y(1,0) o a(1,0) = 0 has no image on the right"]),
+    (StackyCurveSpec("chain", (1, 2, 1), (1,)),
+     {"dropped": (("b", 1, 0), ("x", 2, 1)), "retargeted": (("b", 1, 0), ("P-", 2, 0))},
+     ["1 vs 0 arrows S(1,0) -> P-(2,1) at degree 0 (left: b(1,1))",
+      "extra arrows b(1,0) on right at degree 0"]),
+    (StackyCurveSpec("ring", (3, 2), (2, 1)),
+     {"dropped": (("a", 2, 1), ("y", 2, 1)), "retargeted": (("x", 1, 0), ("P+", 1, 1))},
+     ["1 vs 0 arrows P-(1,0) -> P-(1,1) at degree 0 (left: x(1,0))",
+      "1 vs 2 arrows P-(1,0) -> P+(1,1) at degree 0 (left: y(1,0))"]),
+], ids=["dropped", "retargeted", "ring"])
+def test_verify_reads_a_reordered_quiver_by_its_labels(c, tampering, details):
+    # Injected copies in another vertex order are matched through the
+    # labels of the canonical correspondence: a faithful copy passes on
+    # either side, and a tampered one fails with the details of the same
+    # tampering in the builder's vertex order.
+    bq, aq = build_bside(c), build_aside(twisted_gluing(c))
+    for q, side in ((aq, "aside_quiver"), (bq, "bside_quiver")):
+        copy = reversed_vertices(q)
+        assert copy.vertex_id(q.primary_label(0)) == q.num_vertices - 1
+        assert verify_theorem_A(c, **{side: copy}).ok
+    tampered = tampered_aside(c, **tampering)
+    for q in tampered, reversed_vertices(tampered):
+        report = verify_theorem_A(c, aside_quiver=q)
+        assert (report.ok, report.checks[0].details) == (False, details)
 
 
 def test_verify_quiver_isomorphism_independent_witness():
