@@ -34,7 +34,6 @@ from .gluing import (
 )
 from .surface import CombinatorialMap, build_map, surface_topology
 from .quiver import (
-    Arrow,
     GradedQuiver,
     HomTable,
     MatchReport,
@@ -95,7 +94,6 @@ __all__ = [
     "CombinatorialMap",
     "build_map",
     "surface_topology",
-    "Arrow",
     "GradedQuiver",
     "HomTable",
     "MatchReport",

@@ -17,8 +17,9 @@ Conventions, fixed once and used everywhere:
   term and path are read by ``exact_items``, so a string is never a
   path of its characters.  Complexes the package makes itself (each
   localization object and module_of's F) skip those reads: the private
-  ``TwistedComplex._made`` stores their parts as the constructor would
-  and still checks delta^2.  A complex with integer coefficients (every
+  ``TwistedComplex._made`` takes their differential in arrow indices,
+  renders its names, stores the parts as the constructor would and
+  still checks delta^2.  A complex with integer coefficients (every
   localization object) has integer differential matrices, and its
   cohomology never builds a Fraction.
 * A Hom-complex basis element is (source summand, target summand,
@@ -34,8 +35,8 @@ Conventions, fixed once and used everywhere:
   that reach E, at shift 0 and with no differential: its differential
   is block diagonal, one block Hom(P(v), E) per summand, and each value
   is read from its own block.
-* A path is a tuple of arrow indices.  Arrow names are read from a
-  complex's ``diff`` and made for messages and a module's actions.
+* A path is a tuple of arrow indices.  The names of arrows are read
+  from a complex's ``diff`` and made for messages and a module's actions.
 """
 
 from __future__ import annotations
@@ -111,12 +112,14 @@ class TwistedComplex:
         self._check_delta_squared()
 
     @classmethod
-    def _made(cls, q: GradedQuiver, summands, diff, _diff) -> "TwistedComplex":
+    def _made(cls, q: GradedQuiver, summands, _diff) -> "TwistedComplex":
         """A complex whose parts the package made, stored as the
         constructor stores them: ``summands`` a tuple of (label, shift)
-        pairs, ``diff`` a dict of tuples of (coefficient, names) terms and
-        ``_diff`` the same entries as lists of (coefficient, indices)
-        terms.  None of it is read again; delta^2 is still checked."""
+        pairs and ``_diff`` a dict of lists of (coefficient, indices)
+        terms, from which ``diff`` is rendered in arrow names.  None of
+        it is read again; delta^2 is still checked."""
+        diff = {ab: tuple([(c, q.path_names(p)) for c, p in terms])
+                for ab, terms in _diff.items()}
         cx = object.__new__(cls)
         for name, value in (("quiver", q), ("summands", summands),
                             ("diff", MappingProxyType(diff)), ("_diff", _diff)):
@@ -413,16 +416,11 @@ def localization_object(
         ) from None
     chain = (((vertex, i, j), 2), ((vertex, i, j + 1), 1))
     for feed in aq.in_arrows(aq.arrow_ends(arrow)[0]):
-        feed_name = aq.arrow_name(feed)
-        if feed_name[0] == feed_kind:
+        if aq.arrow_name(feed)[0] == feed_kind:
             return TwistedComplex._made(
-                aq,
-                ((aq.primary_label(aq.arrow_ends(feed)[0]), 3), *chain),
-                {(1, 0): ((1, (feed_name,)),), (2, 1): ((1, (name,)),)},
-                {(1, 0): [(1, (feed,))], (2, 1): [(1, (arrow,))]},
-            )
-    return TwistedComplex._made(aq, chain, {(1, 0): ((1, (name,)),)},
-                                {(1, 0): [(1, (arrow,))]})
+                aq, ((aq.primary_label(aq.arrow_ends(feed)[0]), 3), *chain),
+                {(1, 0): [(1, (feed,))], (2, 1): [(1, (arrow,))]})
+    return TwistedComplex._made(aq, chain, {(1, 0): [(1, (arrow,))]})
 
 
 def all_localization_objects(aq: GradedQuiver) -> list[LocObject]:
@@ -527,7 +525,7 @@ def module_of(E: TwistedComplex) -> ThinModule:
     for lab, _ in E.summands:
         reached.update(q.paths_into(lab))
     vids = sorted(reached)
-    F = TwistedComplex._made(q, tuple([(q.primary_label(v), 0) for v in vids]), {}, {})
+    F = TwistedComplex._made(q, tuple([(q.primary_label(v), 0) for v in vids]), {})
     h = HomComplex(F, E)
     # The blocks by summand of F, each as its degree slices; the basis
     # runs summand by summand, so each slice lists its degree's run.

@@ -30,10 +30,9 @@ So labels are made only for reports and for label-keyed callers
 report in this module reads the arrays: to_text, to_json_obj and to_dot
 render a quiver's three formats, each listing its relations sorted by
 arrow names.  Homology reads them by arrow index through ``arrow_index``,
-``arrow_name``, ``arrow_ends``, ``in_arrows`` and ``is_relation``.
-The ``Arrow`` objects of ``arrows`` are the one name-level view left,
-built on first use for the benchmark tracer's arrow count; no code in
-the package reads it.
+``arrow_name``, ``arrow_ends``, ``in_arrows`` and ``is_relation``, and
+``arrows`` is the range of arrow indices for callers that count or walk
+every arrow; a quiver has no name-level view of its arrows.
 
 A path is a tuple of arrow indices.  This module composes paths,
 grades them and traces their endpoints for the rest of the package, and
@@ -85,19 +84,6 @@ def label_str(label) -> str:
     return str(label)
 
 
-@dataclass(frozen=True, slots=True)
-class Arrow:
-    name: ArrowName
-    source: int
-    target: int
-    degree: int = 0
-
-
-# slots=True replaces the class that frozen=True wrote __setattr__ for,
-# so on CPython 3.11 a name that is not a field raised TypeError.
-Arrow.__setattr__ = Arrow.__delattr__ = read_only
-
-
 class GradedQuiver:
     """A graded quiver with quadratic monomial relations, built once from
     its parts.
@@ -108,23 +94,22 @@ class GradedQuiver:
     any alias; ``relations`` yields composable pairs ``(f, g)``, meaning
     g∘f = 0.  Each is read once, in that order, so generators will do.
 
-    Arrow i is entry i of the int tuples ``_src``, ``_tgt`` and
-    ``_deg``; ``_out`` and ``_in`` hold each vertex's arrow indices, and
-    ``_rel`` the relations as index pairs.  The aside and bside builders
-    hand ``_numbered`` a numbering instead, a picklable object that
-    holds their spec: its ``arrays()`` fills those arrays by index
-    arithmetic, and its ``vertex_labels()``, ``vertex_shifts()`` and
-    ``arrow_names()`` make the labels, shifts and arrow names in the
-    same order.  The quiver asks for each of those on first use, and
-    builds its label and name lookups from them on first lookup.  The
-    ``Arrow`` objects of ``arrows`` are built on first use too.  Every
+    The arrow of index i is entry i of the int tuples ``_src``,
+    ``_tgt`` and ``_deg``; ``_out`` and ``_in`` hold each vertex's arrow
+    indices, and ``_rel`` the relations as index pairs.  The aside and
+    bside builders hand ``_numbered`` a numbering instead, a picklable
+    object that holds their spec: its ``arrays()`` fills those arrays
+    by index arithmetic, and its ``vertex_labels()``,
+    ``vertex_shifts()`` and ``arrow_names()`` make the labels, shifts
+    and arrow names in the same order.  The quiver asks for each of those on first use, and
+    builds its label and name lookups from them on first lookup.  Every
     attribute is read-only after construction, so neither those caches
     nor the path memo can go stale.
     """
 
     __slots__ = ("_src", "_tgt", "_deg", "_out", "_in", "_rel", "_numbering",
                  "_labels", "_shifts", "_arrow_names", "_label_to_id", "_index",
-                 "_arrows", "_paths")
+                 "_paths")
 
     __setattr__ = __delattr__ = read_only
 
@@ -223,7 +208,6 @@ class GradedQuiver:
                 )
             pairs.append(pair)
         init(self, "_rel", frozenset(pairs))
-        init(self, "_arrows", None)
         # Nonzero paths into each target id, per source id, filled by
         # paths_into.
         init(self, "_paths", {})
@@ -308,12 +292,9 @@ class GradedQuiver:
         return (f, g) in self._rel
 
     @property
-    def arrows(self) -> tuple[Arrow, ...]:
-        """The arrows in the order they came, built on first use."""
-        if self._arrows is None:
-            object.__setattr__(self, "_arrows", tuple(
-                map(Arrow, self._names, self._src, self._tgt, self._deg)))
-        return self._arrows
+    def arrows(self) -> range:
+        """The arrow indices, in the order the arrows came."""
+        return range(len(self._src))
 
     def topological_order(self) -> list[int]:
         """Vertex ids in topological order; raises on a directed cycle."""
@@ -436,13 +417,11 @@ class GradedQuiver:
         that walk is infinite too: a cycle no relation kills, on a
         nonzero path from source, ahead of a nonzero path into target.
         """
-        s, t = self.vertex_id(source), self.vertex_id(target)
-        into = self._paths.get(t)
-        if into is None:
-            try:
-                into = self._paths[t] = self._walk_into(t, self._in)
-            except QuiverError:  # infinitely many paths into target
-                return self._walk_from(s, t)
+        s = self.vertex_id(source)
+        try:
+            into = self.paths_into(target)
+        except QuiverError:  # infinitely many; an unknown target raises again
+            return self._walk_from(s, self.vertex_id(target))
         return into.get(s, ())
 
     def _walk_from(self, s: int, t: int) -> tuple[Path, ...]:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from quiverglue import quiver
 from quiverglue.aside import build_aside
 from quiverglue.homology import HomComplex, all_localization_objects, module_of
 from quiverglue.sweeps import gluing_sweep
@@ -24,32 +23,29 @@ def count_hom_complexes(monkeypatch):
     return counts
 
 
+def arrow_rows(q, labels=False):
+    """Each arrow of q as a row (name, source, target, degree), in arrow
+    order, read through arrows, arrow_name, arrow_ends and path_degree:
+    the ends as vertex ids, or as primary labels when ``labels``."""
+    rows = []
+    for a in q.arrows:
+        s, t = q.arrow_ends(a)
+        if labels:
+            s, t = q.primary_label(s), q.primary_label(t)
+        rows.append((q.arrow_name(a), s, t, q.path_degree((a,))))
+    return rows
+
+
 def relation_names(q):
     """The relations of q as arrow-name pairs (f, g), meaning g∘f = 0:
     each arrow g paired with the arrows into its source that it kills,
     read through in_arrows, arrow_ends and is_relation."""
     return frozenset(
         (q.arrow_name(f), q.arrow_name(g))
-        for g in range(q.num_arrows)
+        for g in q.arrows
         for f in q.in_arrows(q.arrow_ends(g)[0])
         if q.is_relation(f, g)
     )
-
-
-@pytest.fixture
-def view_uses(monkeypatch):
-    """A list that records each ``Arrow`` built: a counting stand-in for
-    ``quiver.Arrow``, through which ``arrows``, the one name-level view
-    kept for callers outside the package, builds its objects."""
-    uses = []
-    arrow = quiver.Arrow
-
-    def counted_arrow(*args):
-        uses.append("Arrow")
-        return arrow(*args)
-
-    monkeypatch.setattr(quiver, "Arrow", counted_arrow)
-    return uses
 
 
 @pytest.fixture(scope="session")

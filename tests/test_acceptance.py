@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import relation_names
+from conftest import arrow_rows, relation_names
 
 import quiverglue
 from quiverglue.aside import build_aside
@@ -317,10 +317,7 @@ def test_criterion_10_property_suite():
     c = StackyCurveSpec("chain", (1, 2, 1), (1,))
     aq = build_aside(twisted_gluing(c))
     vertices = list(zip(aq.vertex_labels, aq.vertex_shifts))
-    arrows = [
-        (a.name, aq.primary_label(a.source), aq.primary_label(a.target), a.degree)
-        for a in aq.arrows
-    ]
+    arrows = arrow_rows(aq, labels=True)
     missing = GradedQuiver(
         vertices, arrows, relation_names(aq) - {(("a", 1, 0), ("y", 1, 0))}
     )

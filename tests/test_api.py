@@ -17,8 +17,8 @@ PUBLIC = [
     # surface
     "CombinatorialMap", "build_map", "surface_topology",
     # quiver
-    "Arrow", "GradedQuiver", "HomTable", "MatchReport", "find_isomorphism",
-    "label_str", "map_equals",
+    "GradedQuiver", "HomTable", "MatchReport", "find_isomorphism", "label_str",
+    "map_equals",
     # aside and bside
     "build_aside", "object_count", "DEFAULT_BASE", "build_bside",
     # mirror

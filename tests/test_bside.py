@@ -18,7 +18,7 @@ def test_minimal_chain():
     q = build_bside(c)
     assert q.num_vertices == 5
     s = q.vertex_id(("S", 1, 0))
-    assert len([a for a in q.arrows if a.source == s]) == 2
+    assert len([a for a in q.arrows if q.arrow_ends(a)[0] == s]) == 2
     assert q.in_arrows(s) == ()
     assert q.vertex_shifts[s] == -1
 
@@ -41,26 +41,25 @@ def test_row_arrows_are_slot_labeled():
     c = StackyCurveSpec("chain", (1, 2, 1), (1,))
     q = build_bside(c, bases={2: (3, -2)})
     # slot labels ignore the window origin; coordinates do not
-    x0 = q.arrows[q.arrow_index(("x", 2, 0))]
-    assert q.primary_label(x0.source) == ("P", 2, 3, -2)
-    assert q.primary_label(x0.target) == ("P", 2, 4, -2)
+    source, target = q.arrow_ends(q.arrow_index(("x", 2, 0)))
+    assert q.primary_label(source) == ("P", 2, 3, -2)
+    assert q.primary_label(target) == ("P", 2, 4, -2)
 
 
 def test_node_classes_and_relations():
     c = StackyCurveSpec("chain", (1, 2, 1), (1,))
     q = build_bside(c)
     # b(1,j) starts at class -j-1 mod 2 and hits x-row slot j next door
-    b0 = q.arrows[q.arrow_index(("b", 1, 0))]
-    assert q.primary_label(b0.source) == ("S", 1, 1)
-    assert q.primary_label(b0.target) == ("P", 2, 0, -1)
-    b1 = q.arrows[q.arrow_index(("b", 1, 1))]
-    assert q.primary_label(b1.source) == ("S", 1, 0)
+    b0 = q.arrow_ends(q.arrow_index(("b", 1, 0)))
+    assert tuple(map(q.primary_label, b0)) == (("S", 1, 1), ("P", 2, 0, -1))
+    b1 = q.arrow_ends(q.arrow_index(("b", 1, 1)))
+    assert q.primary_label(b1[0]) == ("S", 1, 0)
     relations = relation_names(q)
     assert (("b", 1, 0), ("x", 2, 0)) in relations
     assert (("b", 1, 1), ("x", 2, 1)) in relations
     # a(1,m) starts at class -k(m_i+m+1) = -m mod 2
-    a0 = q.arrows[q.arrow_index(("a", 1, 0))]
-    assert q.primary_label(a0.source) == ("S", 1, 0)
+    a0 = q.arrow_ends(q.arrow_index(("a", 1, 0)))
+    assert q.primary_label(a0[0]) == ("S", 1, 0)
     assert (("a", 1, 0), ("y", 1, 0)) in relations
     assert (("a", 1, 1), ("y", 1, 1)) in relations
     assert len(relations) == 4
@@ -73,8 +72,8 @@ def test_each_class_feeds_one_a_and_one_b():
         lab = q.primary_label(vid)
         if lab[0] != "S":
             continue
-        out = [a for a in q.arrows if a.source == vid]
-        assert sorted(a.name[0] for a in out) == ["a", "b"]
+        out = [a for a in q.arrows if q.arrow_ends(a)[0] == vid]
+        assert sorted(q.arrow_name(a)[0] for a in out) == ["a", "b"]
         assert q.in_arrows(vid) == ()
     assert q.is_acyclic()
 
@@ -104,8 +103,8 @@ def test_ring_single_component_wraps_to_itself():
     c = StackyCurveSpec("ring", (3,), (1,))
     q = build_bside(c)
     # the node feeds the same component's rows
-    b = q.arrows[q.arrow_index(("b", 1, 0))]
-    assert q.primary_label(b.target)[1] == 1
+    _, target = q.arrow_ends(q.arrow_index(("b", 1, 0)))
+    assert q.primary_label(target)[1] == 1
     assert q.num_vertices == 9
 
 

@@ -8,14 +8,16 @@ it, and every graded dimension and product computed by hand.
 
 import copy
 import hashlib
+import json
 import pickle
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from quiverglue import cli, homology, quiver
+from quiverglue import cli, homology
 from quiverglue.aside import build_aside
 from quiverglue.errors import FalsificationError, QuiverError, SpecError
 from quiverglue.gluing import GluingSpec
@@ -34,11 +36,12 @@ from quiverglue.homology import (
     projective,
 )
 from quiverglue.perms import Permutation, identity, tau
-from quiverglue.quiver import Arrow, GradedQuiver
+from quiverglue.quiver import GradedQuiver
 from quiverglue.sweeps import gluing_sweep
-from conftest import count_hom_complexes, relation_names
+from conftest import arrow_rows, count_hom_complexes, relation_names
 from test_paths import walk_out
 
+DATA = Path(__file__).resolve().parent / "data"
 ONE = Fraction(1)
 
 
@@ -438,6 +441,24 @@ def test_ext_product_needs_matching_middle():
         ext_product(cls_a, cls_a)
 
 
+def test_ext_product_drops_composites_a_relation_kills():
+    # v1 =a,b=> v2 =x,y=> v3 with y o a = x o b = 0: Hom(P(v1), P(v3))
+    # has the basis ax, by, so y after a is zero and y after b is by
+    q = GradedQuiver.from_json_obj(
+        json.loads((DATA / "three_vertex_quiver.json").read_text()))
+    p1, p2, p3 = (projective(q, ("v", v)) for v in (1, 2, 3))
+    f = unit_cocycle(HomComplex(p2, p3), 0, (0, 0, (("y",),)))
+    products = {}
+    for name in "ab":
+        g = unit_cocycle(HomComplex(p1, p2), 0, (0, 0, ((name,),)))
+        fg = ext_product(f, g)
+        assert fg.degree == 0
+        assert [q.path_names(p) for _, _, p in fg.hom.basis] == [
+            (("a",), ("x",)), (("b",), ("y",))]
+        products[name] = fg.vector
+    assert products == {"a": (0, 0), "b": (0, 1)}
+
+
 # -- projectives and cones ---------------------------------------------
 
 
@@ -795,7 +816,7 @@ def reference_module(E):
         index = {elt: i for i, elt in enumerate(basis)}
         slices = {}
         for i, (t, p) in enumerate(basis):
-            grade = sum(q.arrows[q.arrow_index(n)].degree for n in p)
+            grade = q.path_degree(tuple(map(q.arrow_index, p)))
             slices.setdefault(grade - shifts[t], []).append(i)
 
         def matrix(d, basis=basis, index=index, slices=slices):
@@ -839,8 +860,7 @@ def reference_module(E):
             raise AssertionError(f"no generating cocycle at {v}")
 
     actions = {}
-    for ar in q.arrows:
-        u, w = ar.source, ar.target
+    for name, u, w, _ in arrow_rows(q):
         if u not in gens or w not in gens:
             continue
         basis_u, index_u, slices_u, matrix_u, _ = spaces[u]
@@ -848,14 +868,14 @@ def reference_module(E):
         image = {}
         for c, i in zip(gens[w], slices_w[degree]):
             t, p = basis_w[i]
-            if c and not (p and (ar.name, p[0]) in relations):
-                image[index_u[(t, (ar.name,) + p)]] = c
+            if c and not (p and (name, p[0]) in relations):
+                image[index_u[(t, (name,) + p)]] = c
         vec = [image.get(i, Fraction(0)) for i in slices_u[degree]]
         below = matrix_u(degree - 1) if degree - 1 in slices_u else []
         rows = [row + [g] for row, g in zip(below or [[]] * len(vec), gens[u])]
         lam = solve(rows, vec)[-1]
         if lam:
-            actions[ar.name] = lam
+            actions[name] = lam
     return degree, dims, actions
 
 
@@ -1019,17 +1039,10 @@ def test_localization_grid_hom_complex_counts(localization_grid):
     assert (counts["built"], counts["basis"]) == (17610, 173658)
 
 
-def test_localization_builds_no_arrow_objects(monkeypatch, tmp_path, capsys):
-    # homology reads arrows by index: neither localize on the 6,000-strip
-    # chain nor both routes over the objects of a grid gluing build the
-    # quiver's Arrow view
-    made = []
-
-    def counting_arrow(*fields):
-        made.append(fields)
-        return Arrow(*fields)
-
-    monkeypatch.setattr(quiver, "Arrow", counting_arrow)
+def test_localization_builds_no_arrow_objects(tmp_path, capsys):
+    # homology reads arrows by index, and a quiver has no arrow objects
+    # to build: localize on the 6,000-strip chain, and both routes over
+    # the objects of a grid gluing
     spec = tmp_path / "chain.json"
     spec.write_text(GluingSpec("linear", (6000, 1), ()).to_json())
     assert cli.main(["localize", "--spec", str(spec), "E-:1:0"]) == 0
@@ -1043,8 +1056,7 @@ def test_localization_builds_no_arrow_objects(monkeypatch, tmp_path, capsys):
         assert module.same_pattern(
             predicted_module(aq, obj.kind, obj.component, obj.position)
         )
-    assert len(objects) == 8 and made == []
-    assert len(aq.arrows) == len(made) > 0  # the stand-in does count
+    assert len(objects) == 8
 
 
 # -- cohomology over the integers: one rank per differential -----------

@@ -9,7 +9,7 @@ relation g∘f = 0."""
 import random
 
 import pytest
-from conftest import relation_names
+from conftest import arrow_rows, relation_names
 
 from quiverglue.aside import build_aside
 from quiverglue.bside import build_bside
@@ -25,10 +25,10 @@ def as_digraph(q: GradedQuiver):
     g = nx.DiGraph()
     for v in range(q.num_vertices):
         g.add_node(("vertex", v), degree=None)
-    for a in q.arrows:
-        g.add_node(("arrow", a.name), degree=a.degree)
-        g.add_edge(("vertex", a.source), ("arrow", a.name))
-        g.add_edge(("arrow", a.name), ("vertex", a.target))
+    for name, source, target, degree in arrow_rows(q):
+        g.add_node(("arrow", name), degree=degree)
+        g.add_edge(("vertex", source), ("arrow", name))
+        g.add_edge(("arrow", name), ("vertex", target))
     for f, h in relation_names(q):
         g.add_edge(("arrow", f), ("arrow", h))
     return g
@@ -45,18 +45,18 @@ def rebuilt(q: GradedQuiver, retarget=None, relations=None, shuffle=None) -> Gra
     vertices and arrows optionally added in an order shuffled by
     ``shuffle`` (a random.Random)."""
     vertices = list(zip(q.vertex_labels, q.vertex_shifts))
-    arrows = list(q.arrows)
+    arrows = arrow_rows(q)
     if shuffle:
         shuffle.shuffle(vertices)
         shuffle.shuffle(arrows)
 
-    def target(a):
-        return retarget[1] if retarget and a.name == retarget[0] else a.target
+    def target(name, t):
+        return retarget[1] if retarget and name == retarget[0] else t
 
     return GradedQuiver(
         vertices,
-        [(a.name, q.primary_label(a.source), q.primary_label(target(a)), a.degree)
-         for a in arrows],
+        [(name, q.primary_label(s), q.primary_label(target(name, t)), degree)
+         for name, s, t, degree in arrows],
         sorted(relation_names(q) if relations is None else relations),
     )
 
@@ -64,11 +64,12 @@ def rebuilt(q: GradedQuiver, retarget=None, relations=None, shuffle=None) -> Gra
 def moved_relation(q: GradedQuiver, rng) -> GradedQuiver | None:
     """One relation dropped and a composable pair that was not one added."""
     relations = set(relation_names(q))
+    rows = arrow_rows(q)
     free = [
-        (f.name, h.name)
-        for f in q.arrows
-        for h in q.arrows
-        if h.source == f.target and (f.name, h.name) not in relations
+        (f, h)
+        for f, _, f_target, _ in rows
+        for h, h_source, _, _ in rows
+        if h_source == f_target and (f, h) not in relations
     ]
     if not relations or not free:
         return None
@@ -81,12 +82,12 @@ def retargeted_arrow(q: GradedQuiver, rng) -> GradedQuiver | None:
     """One arrow that starts no relation sent to another vertex, so every
     relation stays composable."""
     starts = {f for f, _ in relation_names(q)}
-    movable = [a for a in q.arrows if a.name not in starts]
+    movable = [row for row in arrow_rows(q) if row[0] not in starts]
     if not movable or q.num_vertices < 2:
         return None
-    a = rng.choice(movable)
-    target = rng.choice([v for v in range(q.num_vertices) if v != a.target])
-    return rebuilt(q, retarget=(a.name, target))
+    name, _, old, _ = rng.choice(movable)
+    target = rng.choice([v for v in range(q.num_vertices) if v != old])
+    return rebuilt(q, retarget=(name, target))
 
 
 def seeded_pairs(count):

@@ -6,7 +6,7 @@ import tracemalloc
 from dataclasses import fields
 
 import pytest
-from conftest import relation_names
+from conftest import arrow_rows, relation_names
 
 from quiverglue import mirror
 from quiverglue.aside import build_aside
@@ -183,15 +183,14 @@ def tampered_aside(c, dropped=None, retargeted=None):
     the relation ``dropped`` left out, or with the arrow named first in
     ``retargeted`` sent to the vertex labelled second."""
     aq = build_aside(twisted_gluing(c))
-
-    def target(a):
-        if retargeted and a.name == retargeted[0]:
-            return retargeted[1]
-        return aq.primary_label(a.target)
-
+    arrows = arrow_rows(aq, labels=True)
+    if retargeted:
+        k = aq.arrow_index(retargeted[0])
+        name, source, _, degree = arrows[k]
+        arrows[k] = (name, source, retargeted[1], degree)
     return GradedQuiver(
         zip(aq.vertex_labels, aq.vertex_shifts),
-        [(a.name, aq.primary_label(a.source), target(a), a.degree) for a in aq.arrows],
+        arrows,
         relation_names(aq) - {dropped},
     )
 
@@ -229,8 +228,7 @@ def reversed_vertices(q):
     changes and no builder numbering applies."""
     return GradedQuiver(
         list(zip(q.vertex_labels, q.vertex_shifts))[::-1],
-        [(a.name, q.primary_label(a.source), q.primary_label(a.target), a.degree)
-         for a in q.arrows],
+        arrow_rows(q, labels=True),
         relation_names(q),
     )
 

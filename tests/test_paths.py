@@ -8,7 +8,7 @@ import itertools
 import random
 
 import pytest
-from conftest import relation_names
+from conftest import arrow_rows, relation_names
 
 from quiverglue.aside import build_aside
 from quiverglue.bside import build_bside
@@ -67,7 +67,7 @@ def test_arrow_lists_keep_insertion_order():
         ],
         [],
     )
-    assert [a.name for a in q.arrows] == [("b",), ("a",), ("l",)]
+    assert list(map(q.arrow_name, q.arrows)) == [("b",), ("a",), ("l",)]
     assert q._out == ((0, 1), (2,))
     assert q.in_arrows(1) == (0, 1, 2)
     assert q.in_arrows(0) == ()
@@ -102,20 +102,20 @@ def walk_out(q, s):
     QuiverError once a nonzero path has more arrows than the quiver."""
     relations = relation_names(q)
     out = [[] for _ in range(q.num_vertices)]
-    for ar in q.arrows:
-        out[ar.source].append(ar)
+    for name, source, target, _ in arrow_rows(q):
+        out[source].append((name, target))
     names = []
     yield s, ()
     stack = [iter(out[s])]
     while stack:
-        for ar in stack[-1]:
-            if names and (names[-1], ar.name) in relations:
+        for name, target in stack[-1]:
+            if names and (names[-1], name) in relations:
                 continue
             if len(names) == len(q.arrows):
                 raise QuiverError("path space is infinite")
-            names.append(ar.name)
-            yield ar.target, tuple(names)
-            stack.append(iter(out[ar.target]))
+            names.append(name)
+            yield target, tuple(names)
+            stack.append(iter(out[target]))
             break
         else:
             stack.pop()
@@ -130,10 +130,7 @@ def forward_paths(q, s, t):
 
 def shuffled(q, rng):
     """q rebuilt with its arrows inserted in a shuffled order."""
-    arrows = [
-        (a.name, q.primary_label(a.source), q.primary_label(a.target), a.degree)
-        for a in q.arrows
-    ]
+    arrows = arrow_rows(q, labels=True)
     rng.shuffle(arrows)
     return GradedQuiver(zip(q.vertex_labels, q.vertex_shifts), arrows, relation_names(q))
 
@@ -148,7 +145,7 @@ def test_backward_walk_keeps_the_forward_preorder():
     for _ in range(40):
         for q in (build_aside(random_gluing(rng)), build_bside(random_curve(rng))):
             for q in (q, shuffled(q, rng)):
-                assert {a.degree for a in q.arrows} == {0}
+                assert {degree for *_, degree in arrow_rows(q)} == {0}
                 table = q.path_dims().paths
                 for s, t in itertools.product(range(q.num_vertices), repeat=2):
                     s_lab, t_lab = q.primary_label(s), q.primary_label(t)
@@ -204,15 +201,16 @@ def bounded_paths(q, s):
     many."""
     relations = relation_names(q)
     limit = 3 * len(q.arrows)
+    rows = arrow_rows(q)
     stack = [(s, ())]
     while stack:
         v, path = stack.pop()
         yield v, path
         if len(path) < limit:
-            for i, ar in enumerate(q.arrows):
-                if ar.source == v and (
-                        not path or (q.arrow_name(path[-1]), ar.name) not in relations):
-                    stack.append((ar.target, path + (i,)))
+            for i, (name, source, target, _) in enumerate(rows):
+                if source == v and (
+                        not path or (q.arrow_name(path[-1]), name) not in relations):
+                    stack.append((target, path + (i,)))
 
 
 def test_paths_between_is_exact_about_infinity():

@@ -10,8 +10,10 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from conftest import relation_names
+from conftest import arrow_rows, relation_names
 
+import quiverglue
+from quiverglue import quiver
 from quiverglue.aside import build_aside
 from quiverglue.bside import build_bside
 from quiverglue.errors import QuiverError
@@ -19,7 +21,6 @@ from quiverglue.gluing import GluingSpec, StackyCurveSpec
 from quiverglue.mirror import twisted_gluing
 from quiverglue.perms import Permutation
 from quiverglue.quiver import (
-    Arrow,
     GradedQuiver,
     find_isomorphism,
     label_str,
@@ -64,7 +65,7 @@ def test_construction_guards():
     vertices = [((("v", 1), ("alias", 1)), 0), ((("v", 2),), 0)]
     f = (("f",), ("alias", 1), ("v", 2), 0)
     q = GradedQuiver(vertices, [f], [])
-    assert q.arrows[q.arrow_index(("f",))].source == q.vertex_id(("v", 1))
+    assert q.arrow_ends(q.arrow_index(("f",)))[0] == q.vertex_id(("v", 1))
     with pytest.raises(QuiverError, match="at least one label"):
         GradedQuiver([((), 0)], [], [])
     with pytest.raises(QuiverError, match="duplicate vertex"):
@@ -117,15 +118,16 @@ def view_quiver():
 
 def test_arrow_views_keep_insertion_order():
     q = view_quiver()
-    expected = tuple(
-        Arrow(name, q.vertex_id(s), q.vertex_id(t), d) for name, s, t, d in VIEW_ARROWS
-    )
-    assert q.arrows == expected and q.arrows is q.arrows
+    expected = [
+        (name, q.vertex_id(s), q.vertex_id(t), d) for name, s, t, d in VIEW_ARROWS
+    ]
+    assert q.arrows == range(len(VIEW_ARROWS))
+    assert arrow_rows(q) == expected
     for v in range(q.num_vertices):
-        assert q.in_arrows(v) == tuple(i for i, a in enumerate(expected) if a.target == v)
-    for i, a in enumerate(expected):
-        assert q.arrows[q.arrow_index(a.name)] == a
-        assert (q.arrow_name(i), q.arrow_ends(i)) == (a.name, (a.source, a.target))
+        assert q.in_arrows(v) == tuple(i for i, a in enumerate(expected) if a[2] == v)
+    for i, (name, s, t, _) in enumerate(expected):
+        assert q.arrow_index(name) == i
+        assert (q.arrow_name(i), q.arrow_ends(i)) == (name, (s, t))
     assert relation_names(q) == {
         (("a",), ("c", 1)), (("c", 1), ("d",)), (("d",), ("e",)), (("d",), ("b", 2))
     }
@@ -141,6 +143,8 @@ def test_name_level_views_are_retired():
     for name in RETIRED_VIEWS:
         assert not hasattr(GradedQuiver, name), name
         assert not hasattr(view_quiver(), name), name
+    assert not hasattr(quiver, "Arrow")
+    assert "Arrow" not in quiverglue.__all__
 
 
 def _arrow_view_references(tree):
@@ -160,36 +164,29 @@ def _arrow_view_references(tree):
 
 
 def test_arrow_view_is_read_in_quiver_py_alone():
-    # Arrow and the arrows view stay for callers outside the package;
-    # past quiver.py, only the package's export names them
+    # the arrows range stays for callers outside the package, which
+    # reads its arrows by index alone: past quiver.py, nothing names it
     users = {}
     for path in sorted(SRC.glob("*.py")):
         found = _arrow_view_references(ast.parse(path.read_text()))
         if found:
             users[path.name] = found
-    assert set(users) == {"quiver.py", "__init__.py"}, users
-    assert sorted(kind for kind, _ in users["__init__.py"]) == ["Constant", "alias"]
+    assert set(users) == {"quiver.py"}, users
 
 
 def test_quivers_and_arrows_are_read_only():
     q = view_quiver()
     paths = q.paths_into(("u",))
-    arrows = q.arrows
+    rows = arrow_rows(q)
     for name in ("arrows", "vertex_labels", "_rel", "_paths", "junk"):
         with pytest.raises(AttributeError):
             setattr(q, name, frozenset())
         with pytest.raises(AttributeError):
             delattr(q, name)
-    assert q.arrows is arrows
+    assert q.arrows == range(5)
+    assert arrow_rows(q) == rows
+    assert rows[0] == (("c", 1), 1, 2, -3)
     assert q.paths_into(("u",)) is paths
-    a = q.arrows[0]
-    with pytest.raises(AttributeError):
-        a.target = 0
-    with pytest.raises(AttributeError):
-        a.junk = 1
-    with pytest.raises(AttributeError):
-        del a.name
-    assert a == Arrow(("c", 1), 1, 2, -3)
 
 
 def copy_cases():
@@ -218,13 +215,13 @@ def test_quivers_copy_and_pickle():
             for twin in twins:
                 assert twin.to_text() == q.to_text() and twin.to_dot() == q.to_dot()
                 assert twin.to_json_obj() == q.to_json_obj()
-                assert twin.arrows == q.arrows
+                assert twin.arrows == q.arrows == range(q.num_arrows)
+                assert arrow_rows(twin) == arrow_rows(q)
                 assert relation_names(twin) == relation_names(q)
                 assert twin.paths_into(label) == q.paths_into(label)
                 assert map_equals(twin, q, identity) and map_equals(q, twin, identity)
                 with pytest.raises(AttributeError):
                     twin._rel = frozenset()
-    assert pickle.loads(pickle.dumps(q.arrows[0])) == q.arrows[0]
 
 
 def test_aside_quiver_memory_on_a_long_ring():
@@ -250,7 +247,7 @@ def test_aside_quiver_memory_on_a_long_ring():
 # sha256 of the text, json and dot reports of both quivers (aside only
 # for the gluings), and of every blind witness, over gluing_sweep(2, 3)
 # and every eighth curve of curve_sweep(3, 5); recorded while each arrow
-# was stored as an Arrow object.
+# was stored as an object of its own.
 QUIVER_DIGESTS = {
     "text": "44c56217988f9b3056fc3e1c427655bba7d18a915b650d3fd12fd3ea6df2a1d8",
     "json": "9b1f36b4351168cea476110fbaeda16d3ca32bd4658290c48c501fe70f2583ed",
@@ -313,7 +310,8 @@ def test_path_dims_matches_matrix_powers():
     n = 3
     adj = [[0] * n for _ in range(n)]
     for a in free.arrows:
-        adj[a.source][a.target] += 1
+        s, t = free.arrow_ends(a)
+        adj[s][t] += 1
     total = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     power = total
     for _ in range(n):

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import quiverglue
 import quiverglue.cli  # noqa: F401  (the tracer patches every package module)
+from quiverglue.aside import build_aside
 from quiverglue.gluing import GluingSpec, StackyCurveSpec
+from quiverglue.mirror import twisted_gluing
 from quiverglue.perms import swap
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -53,16 +55,20 @@ def _bench_module(name, monkeypatch):
 
 def test_tracer_runs_an_item_of_each_grid(monkeypatch, tmp_path):
     # The tracer counts results through the package's public API (the
-    # aside count reads q.arrows), so an API change shows here first.
+    # aside counts read num_vertices and len(q.arrows)), so an API change
+    # shows here first.
     tracing = _bench_module("tracing", monkeypatch)
     _bench_module("grids", monkeypatch)
     workloads = _bench_module("workloads", monkeypatch)
     glue = GluingSpec("linear", (1, 3, 3, 1), (swap(0, 1, 3), swap(0, 1, 3)))
+    ring = StackyCurveSpec("ring", (2, 2), (1, 1))
     items = [
         (workloads.GlueGrid(), glue),
-        (workloads.MirrorGrid(), (StackyCurveSpec("ring", (2, 2), (1, 1)), True)),
+        (workloads.MirrorGrid(), (ring, True)),
         (workloads.LocGrid(), (glue, [("E-", 2, 1)])),
     ]
+    # each item builds one aside quiver
+    asides = [build_aside(g) for g in (glue, twisted_gluing(ring), glue)]
     original = quiverglue.gluing.predicted_topology
     tracer = tracing.Tracer()
     tracer.install()
@@ -82,3 +88,5 @@ def test_tracer_runs_an_item_of_each_grid(monkeypatch, tmp_path):
     # reach every work counter
     assert set(counts) == set(tracing.WORK_COUNTS)
     assert {name: n for name, n in counts.items() if n <= 0} == {}
+    assert counts["aside.vertices"] == sum(q.num_vertices for q in asides)
+    assert counts["aside.arrows"] == sum(q.num_arrows for q in asides)

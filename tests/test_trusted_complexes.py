@@ -53,7 +53,6 @@ def test_made_keeps_the_d_squared_check():
     with pytest.raises(SpecError, match=r"^differential does not square to zero at 2<-0$"):
         TwistedComplex._made(
             q, ((("v1",), 2), (("v2",), 1), (("v3",), 0)),
-            {(1, 0): ((1, (("a",),)),), (2, 1): ((1, (("b",),)),)},
             {(1, 0): [(1, (a,))], (2, 1): [(1, (b,))]})
 
 
