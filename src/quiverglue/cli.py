@@ -13,7 +13,8 @@ Each ``cmd_x`` reads its spec through one gate, ``_spec``, which refuses
 the kinds it cannot use, and writes through one writer, ``_emit``;
 reports printed as text or indented JSON go through ``_report``.  A
 quiver's text, JSON and dot formats are its own methods in quiver.py,
-and ``_format_quiver`` only picks one.  A write that fails, to
+``to_text``, ``to_json`` and ``to_dot``, and ``_format_quiver`` only
+picks one by the format's name.  A write that fails, to
 ``--out`` or to stdout (a closed pipe, a full disk), is a usage error;
 ``run``, the program's entry point, then sends stdout to the null device
 so that interpreter exit does not write what the stream still holds.
@@ -116,11 +117,7 @@ def _report(args, obj, text, code=0):
 
 
 def _format_quiver(q, fmt):
-    if fmt == "dot":
-        return q.to_dot()
-    if fmt == "json":
-        return json.dumps(q.to_json_obj(), indent=2)
-    return q.to_text()
+    return getattr(q, f"to_{fmt}")()
 
 
 # -- subcommands -------------------------------------------------------

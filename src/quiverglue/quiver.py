@@ -27,9 +27,11 @@ its label-keyed vertex map to ids once, in front of the id-level
 _match_ids, which verify_theorem_A calls directly on builder quivers.
 So labels are made only for reports and for label-keyed callers
 (map_equals, and find_isomorphism's answer).  Every walk, search and
-report in this module reads the arrays: to_text, to_json_obj and to_dot
-render a quiver's three formats, each listing its relations sorted by
-arrow names.  Homology reads them by arrow index through ``arrow_index``,
+report in this module reads the arrays: to_text, to_json and to_dot
+render a quiver's three formats, each from one rendering of every
+vertex label and arrow name, and each lists its relations sorted by
+arrow names; to_json_obj reads to_json back, so the JSON content has
+one renderer.  Homology reads them by arrow index through ``arrow_index``,
 ``arrow_name``, ``arrow_ends``, ``in_arrows`` and ``is_relation``, and
 ``arrows`` is the range of arrow indices for callers that count or walk
 every arrow; a quiver has no name-level view of its arrows.
@@ -66,9 +68,11 @@ for V vertices and A arrows.
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .errors import QuiverError, SpecError, exact_ints, exact_items, read_only
 
@@ -82,6 +86,31 @@ def label_str(label) -> str:
         head, *rest = label
         return f"{head}({','.join(map(str, rest))})" if rest else str(head)
     return str(label)
+
+
+# json's own encoders of the atoms builder labels hold
+_JSON_ATOMS = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _json_list(items, level: int) -> str:
+    """``json.dumps(list(items), indent=2)`` as it reads ``level`` deep
+    in an indented document: each str or int atom by json's own encoder,
+    any other by ``json.dumps(atom, indent=2)``, indented into place."""
+    pad = "\n" + "  " * (level + 1)
+    parts = []
+    for atom in items:
+        encode = _JSON_ATOMS.get(type(atom))
+        parts.append(encode(atom) if encode else
+                     json.dumps(atom, indent=2).replace("\n", pad))
+    return _json_join(parts, level)
+
+
+def _json_join(parts: list[str], level: int) -> str:
+    """A JSON list of the encoded ``parts``, indented as at ``level``."""
+    if not parts:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return f"[{pad}{(',' + pad).join(parts)}\n{'  ' * level}]"
 
 
 class GradedQuiver:
@@ -441,26 +470,37 @@ class GradedQuiver:
 
     # -- export ---------------------------------------------------------
 
+    def to_json(self) -> str:
+        """The quiver as JSON, byte for byte as ``json.dumps(obj,
+        indent=2)`` writes its object: "vertices" (each vertex's "labels"
+        and "shift"), "arrows" ("name", "source", "target", "degree") and
+        "relations" (pairs of arrow names, sorted), every label and name
+        a list.  Each primary label is encoded once, at the depth of an
+        arrow's ends, and each arrow name once, for its arrow and its
+        relations."""
+        labels = [_json_list(labs[0], 3) for labs in self.vertex_labels]
+        vertices = []
+        for primary, labs, sh in zip(labels, self.vertex_labels, self.vertex_shifts):
+            # a vertex's labels sit one level deeper than an arrow's ends
+            own = [primary.replace("\n", "\n  ")]
+            own += [_json_list(l, 4) for l in labs[1:]]
+            vertices.append(f'{{\n      "labels": {_json_join(own, 3)},\n'
+                            f'      "shift": {sh}\n    }}')
+        names = [_json_list(name, 3) for name in self._names]
+        arrows = [
+            f'{{\n      "name": {name},\n      "source": {labels[s]},\n'
+            f'      "target": {labels[t]},\n      "degree": {d}\n    }}'
+            for name, s, t, d in zip(names, self._src, self._tgt, self._deg)
+        ]
+        relations = [f"[\n      {names[f]},\n      {names[g]}\n    ]"
+                     for f, g in self._rel_by_names()]
+        return (f'{{\n  "vertices": {_json_join(vertices, 1)},\n'
+                f'  "arrows": {_json_join(arrows, 1)},\n'
+                f'  "relations": {_json_join(relations, 1)}\n}}')
+
     def to_json_obj(self) -> dict:
-        return {
-            "vertices": [
-                {"labels": [list(l) for l in labs], "shift": sh}
-                for labs, sh in zip(self.vertex_labels, self.vertex_shifts)
-            ],
-            "arrows": [
-                {
-                    "name": list(name),
-                    "source": list(self.primary_label(s)),
-                    "target": list(self.primary_label(t)),
-                    "degree": d,
-                }
-                for name, s, t, d in zip(self._names, self._src, self._tgt, self._deg)
-            ],
-            "relations": [
-                [list(self._names[f]), list(self._names[g])]
-                for f, g in self._rel_by_names()
-            ],
-        }
+        """The quiver as a JSON object: every label and arrow name a list."""
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_obj(cls, data: dict) -> "GradedQuiver":
@@ -504,13 +544,11 @@ class GradedQuiver:
             extra = "".join(" = " + label_str(l) for l in labs[1:])
             tag = f"{name}{extra}" + (f" [{sh}]" if sh else "")
             lines.append(f'  "{name}" [label="{tag}"];')
-        for name, s, t, d in zip(self._names, self._src, self._tgt, self._deg):
+        arrow_names = [label_str(name) for name in self._names]
+        for name, s, t, d in zip(arrow_names, self._src, self._tgt, self._deg):
             deg = f" ({d})" if d else ""
-            lines.append(
-                f'  "{names[s]}" -> "{names[t]}" [label="{label_str(name)}{deg}"];'
-            )
-        for f, g in self._rel_by_names():
-            lines.append(f"  // relation: {self._relation_str(f, g)}")
+            lines.append(f'  "{names[s]}" -> "{names[t]}" [label="{name}{deg}"];')
+        lines += self._relation_lines("  // relation: ", arrow_names)
         lines.append("}")
         return "\n".join(lines)
 
@@ -521,11 +559,11 @@ class GradedQuiver:
         for name, labs, sh in zip(names, self.vertex_labels, self.vertex_shifts):
             extra = "".join(", " + label_str(l) for l in labs[1:])
             lines.append(f"  vertex {name}{extra}" + (f"  [shift {sh}]" if sh else ""))
-        for name, s, t, d in zip(self._names, self._src, self._tgt, self._deg):
+        arrow_names = [label_str(name) for name in self._names]
+        for name, s, t, d in zip(arrow_names, self._src, self._tgt, self._deg):
             deg = f" (degree {d})" if d else ""
-            lines.append(f"  {label_str(name)}: {names[s]} -> {names[t]}{deg}")
-        for f, g in self._rel_by_names():
-            lines.append(f"  relation: {self._relation_str(f, g)}")
+            lines.append(f"  {name}: {names[s]} -> {names[t]}{deg}")
+        lines += self._relation_lines("  relation: ", arrow_names)
         return "\n".join(lines)
 
     def _rel_by_names(self) -> list[tuple[int, int]]:
@@ -533,6 +571,12 @@ class GradedQuiver:
         names: the order every report lists them in."""
         names = self._names
         return sorted(self._rel, key=lambda fg: (names[fg[0]], names[fg[1]]))
+
+    def _relation_lines(self, prefix: str, arrow_names: list[str]) -> list[str]:
+        """Each relation as a report line, sorted by arrow names, from the
+        arrow names the report has rendered already."""
+        return [f"{prefix}{arrow_names[g]} o {arrow_names[f]} = 0"
+                for f, g in self._rel_by_names()]
 
     def _relation_str(self, f: int, g: int) -> str:
         return f"{label_str(self._names[g])} o {label_str(self._names[f])} = 0"

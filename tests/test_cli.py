@@ -998,6 +998,29 @@ def test_raw_quiver_reports_are_byte_identical():
         "7998a7fd72657e8aaea33c8a095efe87f6f1beedb0515fc215ced31f6846f0d4")
     assert hashlib.sha256(q.to_text().encode()).hexdigest() == (
         "be09483b413cf958a0ba57c45ab0aee17b0a2088cc119809c822432621090858")
+    assert hashlib.sha256(q.to_json().encode()).hexdigest() == (
+        "1b5091b8d1acc70880862d676b795c1bf79bf6647abc398d24d779adf91df443")
+
+
+def test_json_quiver_reports_skip_the_pure_python_encoder(capsys, monkeypatch,
+                                                          tmp_path):
+    # json.dumps with an indent runs json.encoder._make_iterencode, a
+    # pure-Python encoder several times slower than to_json on a large
+    # quiver; the reports of builder quivers must never reach it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    ranks = [86, 85, 85]
+    specs = {"aside": {"shape": "circular", "ranks": ranks,
+                       "perms": [list(range(r))[::-1] for r in ranks]},
+             "bside": {"shape": "ring", "ranks": ranks, "twists": [1, 2, 3]}}
+    for command, spec in specs.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, command, "--spec", str(path), "--format", "json")
+        assert code == 0, err
+        assert len(json.loads(out)["vertices"]) == 3 * 256
 
 
 # sha256 of "<exit code>\n<stdout>\n<stderr>" of every other report on

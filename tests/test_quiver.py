@@ -5,7 +5,9 @@ import copy
 import gc
 import hashlib
 import json
+import math
 import pickle
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from quiverglue.bside import build_bside
 from quiverglue.errors import QuiverError
 from quiverglue.gluing import GluingSpec, StackyCurveSpec
 from quiverglue.mirror import twisted_gluing
-from quiverglue.perms import Permutation
+from quiverglue.perms import Permutation, random_permutation
 from quiverglue.quiver import (
     GradedQuiver,
     find_isomorphism,
@@ -401,6 +403,60 @@ def test_json_round_trip_preserves_everything():
         q, clone, {q.primary_label(v): q.primary_label(v) for v in range(3)}
     )
     assert report.ok
+
+
+def json_reference(q):
+    """The JSON object of q, built from the index API alone: labels and
+    shifts by vertex id, arrow rows in arrow order, and the relations
+    sorted by their arrows' names."""
+    return {
+        "vertices": [{"labels": [list(l) for l in labs], "shift": shift}
+                     for labs, shift in zip(q.vertex_labels, q.vertex_shifts)],
+        "arrows": [{"name": list(name), "source": list(s), "target": list(t),
+                    "degree": degree}
+                   for name, s, t, degree in arrow_rows(q, labels=True)],
+        "relations": [[list(f), list(g)] for f, g in sorted(relation_names(q))],
+    }
+
+
+def seeded_256_strip_quivers():
+    """The aside quiver of a seeded 256-strip circular gluing and the
+    bside quiver of a seeded 256-strip ring."""
+    rng = random.Random(2030)
+    ranks = (86, 85, 85)
+    perms = tuple(random_permutation(r, rng) for r in ranks)
+    twists = tuple(rng.choice([k for k in range(r) if math.gcd(k, r) == 1])
+                   for r in ranks)
+    return [build_aside(GluingSpec("circular", ranks, perms)),
+            build_bside(StackyCurveSpec("ring", ranks, twists))]
+
+
+def odd_atom_quiver(nested=False):
+    """A raw quiver whose labels hold a non-ASCII string, a quote, a
+    newline, True, None, a float and an empty label; with ``nested``,
+    also a tuple inside a label."""
+    odd = ("x", True, None, 1.5)
+    deep = ("n", (1, ("a", 2.5)), ()) if nested else ("n",)
+    return GradedQuiver(
+        [((("é", 'q"uo\nte', ""),), 0), ((odd,), 3), (((),), -1),
+         ((deep, ("tab\t", -7)), 0)],
+        [(("é",), ("é", 'q"uo\nte', ""), odd, 0), ((), odd, (), -4),
+         (("z", None), (), deep, 2)],
+        [(("é",), ()), ((), ("z", None))],
+    )
+
+
+def test_to_json_matches_a_reference_built_from_the_index_api():
+    quivers = [build_aside(g) for g in gluing_sweep(2, 3)]
+    quivers += [build_bside(c) for c in curve_sweep(2, 4)]
+    quivers += seeded_256_strip_quivers()
+    quivers += [odd_atom_quiver(), GradedQuiver([], [], []), three_vertex_double()]
+    for q in quivers + [odd_atom_quiver(nested=True)]:
+        assert q.to_json() == json.dumps(json_reference(q), indent=2)
+    # JSON has no tuples, so a label with a tuple inside reads back with
+    # a list there, which cannot name a vertex: it is left out here.
+    for q in quivers:
+        assert GradedQuiver.from_json_obj(q.to_json_obj()).to_json() == q.to_json()
 
 
 def test_to_dot_is_deterministic():
