@@ -43,7 +43,7 @@ from .gluing import (
 )
 from .homology import HomComplex, TwistedComplex, localization_object, module_of
 from .mirror import MAX_STRIPS, search_ring_mirror, verify_theorem_A
-from .quiver import GradedQuiver, label_str
+from .quiver import GradedQuiver, json_tuple, label_str
 from .surface import surface_topology
 
 
@@ -240,7 +240,7 @@ def _load_complexes(path, q):
                                  "[label, shift] pairs, got {value!r}"):
                 lab, sh = exact_items(s, "a summand must be a [label, shift] pair, "
                                       "got {value!r}", 2)
-                summands.append((exact_items(lab, "a label must be a list, got {value!r}"),
+                summands.append((json_tuple(lab, "a label must be a list, got {value!r}"),
                                  _integer("shift", sh)))
             diff = {}
             for e in exact_items(entry.get("differential", []), "'differential' must be "
@@ -258,7 +258,7 @@ def _load_complexes(path, q):
                                        "a [coefficient, path] pair, got {value!r}", 2,
                                        a=a, b=b)
                     read.append((_coeff(c), [
-                        exact_items(n, "an arrow name must be a list, got {value!r}")
+                        json_tuple(n, "an arrow name must be a list, got {value!r}")
                         for n in exact_items(p, "a path must be a list, got {value!r}")]))
         except KeyError as exc:
             raise SpecError(f"{path}: bad complex entry: missing field {exc}") from exc

@@ -15,13 +15,12 @@ Conventions, fixed once and used everywhere:
   degrees are of type exactly ``int``; a float, bool or string is
   refused rather than rounded or truncated.  The summands, each entry,
   term and path are read by ``exact_items``, so a string is never a
-  path of its characters.  Complexes the package makes itself (each
-  localization object and module_of's F) skip those reads: the private
-  ``TwistedComplex._made`` takes their differential in arrow indices,
-  renders its names, stores the parts as the constructor would and
-  still checks delta^2.  A complex with integer coefficients (every
-  localization object) has integer differential matrices, and its
-  cohomology never builds a Fraction.
+  path of its characters.  The localization objects, made by the
+  package, skip those reads: the private ``TwistedComplex._made`` takes
+  their differential in arrow indices, renders its names, stores the
+  parts as the constructor would and still checks delta^2.  Integer
+  coefficients (as in every localization object) give integer
+  differential matrices, and a cohomology that never builds a Fraction.
 * A Hom-complex basis element is (source summand, target summand,
   nonzero path); its degree is the path degree plus shift(source) minus
   shift(target).  The differential is D(f) = delta_Y∘f - (-1)^|f|
@@ -30,11 +29,9 @@ Conventions, fixed once and used everywhere:
   dimensions; tests exercise both.
 * Hom(P(v), E) for a projective P(v) is the module value at v; arrows
   act by precomposition, so the action of an arrow u -> w carries the
-  value at w to the value at u.  All values of E come from one complex
-  Hom(F, E), with F the sum of the projectives P(v) of the vertices
-  that reach E, at shift 0 and with no differential: its differential
-  is block diagonal, one block Hom(P(v), E) per summand, and each value
-  is read from its own block.
+  value at w to the value at u.  module_of builds each Hom(P(v), E) from
+  the paths into E's summands, with no HomComplex, so the generic
+  hom_cohomology(projective(q, v), E) is a second route to each value.
 * A path is a tuple of arrow indices.  The names of arrows are read
   from a complex's ``diff`` and made for messages and a module's actions.
 """
@@ -235,11 +232,7 @@ class HomComplex:
     def matrix(self, d: int) -> list[list[Scalar]]:
         """D on degree d: one row per degree-(d+1) basis element, one
         column per degree-d element."""
-        return self._matrix(self.degrees.get(d, []), self.degrees.get(d + 1, []))
-
-    def _matrix(self, cols: list[int], rows: list[int]) -> list[list[Scalar]]:
-        """D from the basis elements ``cols`` to those of ``rows``, which
-        must hold every element their images reach."""
+        cols, rows = self.degrees.get(d, []), self.degrees.get(d + 1, [])
         pos = {j: r for r, j in enumerate(rows)}
         mat = [[0] * len(cols) for _ in rows]
         for col, i in enumerate(cols):
@@ -251,12 +244,10 @@ class HomComplex:
         return _cohomology(self.degrees, self.matrix)
 
     def d_squared_vanishes(self) -> bool:
-        for i in range(len(self.basis)):
-            acc: dict[int, Scalar] = {}
-            for j, c in self.apply(i).items():
-                for l, c2 in self.apply(j).items():
-                    acc[l] = acc.get(l, 0) + c * c2
-            if any(acc.values()):
+        for d in self.degrees:
+            first, then = self.matrix(d), self.matrix(d + 1)
+            if any(sum(a * b for a, b in zip(row, col))
+                   for row in then for col in zip(*first)):
                 return False
         return True
 
@@ -266,16 +257,9 @@ class HomComplex:
         exact_ints((degree,), "cocycle degree {value!r} is not an integer")
         vec = tuple(map(Fraction, exact_scalars(
             vector, "cocycle entry {value!r} is not an integer or a Fraction")))
-        idxs = self.degrees.get(degree, [])
-        if len(vec) != len(idxs):
+        if len(vec) != len(self.degrees.get(degree, [])):
             raise SpecError("vector length does not match the degree slice")
-        image: dict[int, Scalar] = {}
-        for col, (i, c) in enumerate(zip(idxs, vec)):
-            if not c:
-                continue
-            for j, cc in self.apply(i).items():
-                image[j] = image.get(j, 0) + c * cc
-        if any(image.values()):
+        if any(sum(m * x for m, x in zip(row, vec)) for row in self.matrix(degree)):
             raise SpecError("not a cocycle")
         return Cocycle(self, degree, vec)
 
@@ -502,48 +486,47 @@ class ThinModule:
 
 
 def module_of(E: TwistedComplex) -> ThinModule:
-    """Hom(P(v), E) at every vertex v, assembled into a thin module, with
-    every value read from one complex Hom(F, E), block by block.
+    """Hom(P(v), E) at every vertex v, assembled into a thin module.
 
     Only the vertices with a nonzero path into a summand of E have a
-    nonzero Hom(P(v), E), so one backward walk into each summand finds
-    them.  F is the sum of their projectives P(v), in vertex-id order,
-    each at shift 0, with no differential.  D on Hom(F, E) then only
-    composes with E's differential, so it keeps the basis elements out
-    of each summand P(v) among themselves: Hom(F, E) is the direct sum
-    of the Hom(P(v), E), and v's block is one run of every degree slice.
-    The value at v and its generating cocycle come from v's block alone,
-    and each arrow's scalar from the blocks at its two ends, so no
-    matrix is wider than one block.
+    nonzero Hom(P(v), E).  One backward walk into each summand finds
+    them and lists v's basis: (t, p) for each summand t of E and nonzero
+    path p from v into t's vertex, in degree path_degree(p) - shift(t).
+    P(v) has no differential, so D is postcomposition with E's alone.
 
     Raises a falsification alarm unless every value space has dimension
     at most one and all of them sit in one cohomological degree; both
     facts are theorems for localization objects.
     """
-    q = E.quiver
-    reached = set()
-    for lab, _ in E.summands:
-        reached.update(q.paths_into(lab))
-    vids = sorted(reached)
-    F = TwistedComplex._made(q, tuple([(q.primary_label(v), 0) for v in vids]), {})
-    h = HomComplex(F, E)
-    # The blocks by summand of F, each as its degree slices; the basis
-    # runs summand by summand, so each slice lists its degree's run.
-    blocks: list[dict[int, list[int]]] = [{} for _ in vids]
-    for i, ((k, _, _), d) in enumerate(zip(h.basis, h._degree_of)):
-        blocks[k].setdefault(d, []).append(i)
+    q, compose = E.quiver, E.quiver.compose
+    into = [q.paths_into(lab) for lab, _ in E.summands]
+    # E's differential by the summand each entry leaves
+    leaving = [[(a, entry) for (a, b), entry in E._diff.items() if b == t]
+               for t in range(len(into))]
 
     dims: dict[Label, int] = {}
     degree: int | None = None
-    # per supported vertex id: its summand of F, its slice in the
-    # module's degree, D on its block, and its generating cocycle
+    # per supported vertex id: each basis element's place in its slice,
+    # the slice in the module's degree, D, and the generating cocycle
     values = {}
-    for k, (vid, slices) in enumerate(zip(vids, blocks)):
+    for vid in sorted(set().union(*into)):
+        slices: dict[int, list[tuple[int, Path]]] = {}
+        for t, (paths, (_, shift)) in enumerate(zip(into, E.summands)):
+            for p in paths.get(vid, ()):
+                slices.setdefault(q.path_degree(p) - shift, []).append((t, p))
+        index = {elt: i for run in slices.values() for i, elt in enumerate(run)}
         mats: dict[int, list[list[Scalar]]] = {}
 
-        def matrix(d, slices=slices, mats=mats):
+        def matrix(d, slices=slices, index=index, mats=mats):
             if d not in mats:
-                mats[d] = h._matrix(slices.get(d, []), slices.get(d + 1, []))
+                cols = slices.get(d, [])
+                mat = mats[d] = [[0] * len(cols) for _ in slices.get(d + 1, ())]
+                for col, (t, p) in enumerate(cols):
+                    for a, entry in leaving[t]:
+                        for c, step in entry:
+                            comp = compose(p, step)
+                            if comp is not None:
+                                mat[index[a, comp]][col] += c
             return mats[d]
 
         coh = _cohomology(slices, matrix)
@@ -567,24 +550,22 @@ def module_of(E: TwistedComplex) -> ThinModule:
                 break
         else:
             raise FalsificationError(f"no generating cocycle at {v}")
-        values[vid] = (k, slices[d], matrix, gen)
+        values[vid] = (index, slices[d], matrix, gen)
 
-    # An arrow a: u -> w acts by precomposition: the basis element
-    # (k_w, t, p) of w's block goes to (k_u, t, a p) of u's, or to zero
-    # when (a, p[0]) is a relation.  Its scalar solves the image against
-    # u's generator modulo the image of D.
+    # An arrow a: u -> w acts by precomposition: the basis element (t, p)
+    # of w's complex goes to (t, a p) of u's, or to zero when (a, p[0])
+    # is a relation.  Its scalar solves the image against u's generator
+    # modulo the image of D.
     actions: dict[ArrowName, Fraction] = {}
     for a in _arrows_among(q, values):
         u, w = q.arrow_ends(a)
-        k, run, matrix, gen = values[u]
+        index, run, matrix, gen = values[u]
         _, run_w, _, gen_w = values[w]
-        image: dict[int, Scalar] = {}
-        for c, i in zip(gen_w, run_w):
-            _, t, p = h.basis[i]
-            comp = q.compose((a,), p)
+        vec = [0] * len(run)
+        for c, (t, p) in zip(gen_w, run_w):
+            comp = compose((a,), p)
             if c and comp is not None:
-                image[h._index[(k, t, comp)]] = c
-        vec = [image.get(i, 0) for i in run]
+                vec[index[t, comp]] = c
         # precomposition is a chain map, so the image is a cocycle
         if any(sum(m * x for m, x in zip(row, vec)) for row in matrix(degree)):
             raise FalsificationError(

@@ -88,6 +88,24 @@ def label_str(label) -> str:
     return str(label)
 
 
+def json_tuple(value, message: str, **where) -> tuple:
+    """exact_items, with every list inside read as a tuple, so that JSON
+    labels hash; a loop, so no nesting json.loads reads is too deep."""
+    stack = [(iter(exact_items(value, message, **where)), [])]
+    while True:
+        items, done = stack[-1]
+        for item in items:
+            if type(item) is list:
+                stack.append((iter(item), []))
+                break
+            done.append(item)
+        else:
+            stack.pop()
+            if not stack:
+                return tuple(done)
+            stack[-1][1].append(tuple(done))
+
+
 # json's own encoders of the atoms builder labels hold
 _JSON_ATOMS = {str: encode_basestring_ascii, int: int.__repr__}
 
@@ -504,18 +522,18 @@ class GradedQuiver:
 
     @classmethod
     def from_json_obj(cls, data: dict) -> "GradedQuiver":
-        """Inverse of to_json_obj: every container is a list, each label
-        and arrow name too, and ``shift`` and ``degree`` default to 0.
-        Malformed data raises SpecError naming the field, or QuiverError."""
+        """Inverse of to_json_obj: each label and arrow name, a list in JSON,
+        reads back as a tuple all the way down; ``shift`` and ``degree``
+        default to 0.  Malformed data raises SpecError naming the field, or QuiverError."""
         if not isinstance(data, dict):
             raise SpecError(f"bad quiver data: must be an object, got {data!r}")
 
-        def items(value, what="a name"):
-            return exact_items(value, "bad quiver data: {what} must be a list, got "
-                               "{value!r}", what=what)
+        def items(value, what="a name", read=json_tuple):
+            return read(value, "bad quiver data: {what} must be a list, got "
+                        "{value!r}", what=what)
 
         def objects(field, what):
-            found = items(data.get(field), repr(field))
+            found = items(data.get(field), repr(field), exact_items)
             for obj in found:
                 if not isinstance(obj, dict):
                     raise SpecError(f"bad quiver data: {what} must be an object, "

@@ -365,8 +365,8 @@ def _complexes(shift=1, coeff=1, index=(1, 0), extra=(), label=("v", 2),
         (_complexes(index=(1.5, 0)), "'differential index'"),
         (_complexes(index=(True, False)), "'differential index'"),
         (_complexes(extra=[[1, 0, [[0, [["y"]]]]]]), "entry 1<-0 is given twice"),
-        (_complexes(label=[["v"], 2]), "unknown vertex ['v'](2)"),
-        (_complexes(path=[[["y"]]]), "unknown arrow ['y']"),
+        (_complexes(label=[["v"], 2]), "unknown vertex ('v',)(2)"),
+        (_complexes(path=[[["y"]]]), "unknown arrow ('y',)"),
         (_complexes(label=[]), "unknown vertex ()"),
         (_complexes(path=[[]]), "unknown arrow ()"),
         ('{"vertices": [{"labels": [["a"]]}], "arrows": [{"name": ["f"], '
@@ -572,6 +572,34 @@ def test_infinite_path_space_is_a_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "ext", "--spec", spec, _one_projective(tmp_path, ["v", 0]))
     assert code == 2
     assert err == "error: path space is infinite\n"
+
+
+def test_ext_reads_nested_labels_at_every_depth_json_reads(capsys, tmp_path):
+    # a label or arrow name holding lists reads as nested tuples, in the
+    # spec and in the complexes alike; a label nested as deep as
+    # json.loads reads still loads, and a deeper one is a usage error
+    codes = {}
+    for depth in (1, 2, *range(700, 1000, 5), 100_000):
+        inner = "[" * depth + "1" + "]" * depth
+        v, a = f'["v", {inner}]', f'["a", {inner}]'
+        spec = tmp_path / "quiver.json"
+        spec.write_text(f'{{"vertices": [{{"labels": [{v}]}}, {{"labels": [["w"]]}}], '
+                        f'"arrows": [{{"name": {a}, "source": {v}, "target": ["w"]}}], '
+                        '"relations": []}')
+        complexes = tmp_path / "complexes.json"
+        complexes.write_text(f'{{"complexes": [{{"name": "P", "summands": [[{v}, 0]]}}, '
+                             f'{{"name": "C", "summands": [[{v}, 1], [["w"], 0]], '
+                             f'"differential": [[1, 0, [[1, [{a}]]]]]}}]}}')
+        code, out, err = run(capsys, "ext", "--spec", str(spec), str(complexes))
+        codes[depth] = code
+        if code == 0:
+            assert out == ("hom(P -> P): {0: 1}\nhom(P -> C): 0\n"
+                           "hom(C -> P): {1: 1}\nhom(C -> C): {0: 1}\n")
+        else:
+            assert (code, out) == (2, "")
+            assert err.endswith(": JSON nested too deeply\n")
+    assert codes[700] == 0 and codes[100_000] == 2
+    assert set(codes.values()) == {0, 2}
 
 
 @pytest.mark.parametrize("ranks", [[1501], [750, 751]])

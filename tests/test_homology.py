@@ -782,6 +782,39 @@ def test_stop_orthogonality():
     assert is_stop_orthogonal(projective(aq, ("S", 1, 0)), [])
 
 
+def core_band(aq, i, lam):
+    """The band of component i with parameter lam: P-(i,0) shifted by
+    one, mapped to the chains' shared end by the whole x chain plus lam
+    times the whole y chain."""
+    xs = [aq.arrow_name(a) for a in aq.arrows if aq.arrow_name(a)[:2] == ("x", i)]
+    ys = [aq.arrow_name(a) for a in aq.arrows if aq.arrow_name(a)[:2] == ("y", i)]
+    return TwistedComplex(
+        aq, ((("P-", i, 0), 1), (("P-", i, len(xs)), 0)),
+        {(1, 0): [(1, tuple(xs)), (lam, tuple(ys))]},
+    )
+
+
+def test_core_bands_are_stop_orthogonal():
+    # each band sees no localization object, its endomorphisms are a
+    # scalar and one extension, and distinct bands see nothing of each
+    # other
+    bands = pairs = 0
+    for g in gluing_sweep(2, 3):
+        aq = build_aside(g)
+        objs = all_localization_objects(aq)
+        family = [core_band(aq, i, lam) for i in g.components()
+                  for lam in (1, 2, Fraction(-1, 3))]
+        for B in family:
+            assert is_stop_orthogonal(B, objs), g.to_json()
+            assert hom_cohomology(B, B) == {0: 1, 1: 1}
+            for other in family:
+                if other is not B:
+                    assert hom_cohomology(B, other) == {}, g.to_json()
+                    pairs += 1
+            bands += 1
+    assert (bands, pairs) == (1026, 4968)
+
+
 def test_localization_hom_conventions_agree():
     g = GluingSpec("circular", (3,), (Permutation((1, 2, 0)),))
     aq = build_aside(g)
@@ -893,7 +926,7 @@ def test_module_of_agrees_with_the_all_vertex_route():
     assert objects > 1000
 
 
-# -- work counts: one hom complex per object ---------------------------
+# -- work counts: one complex Hom(P(v), E) per vertex reaching E ------
 
 
 def reaching(q, targets):
@@ -917,80 +950,54 @@ def reaching(q, targets):
     return found
 
 
-def block_cohomology(h, k):
-    """The cohomology of the basis elements of h out of source summand
-    k, with D's matrices built here from h.apply and ranked by linalg."""
-    slices = {}
-    for i, (si, _, _) in enumerate(h.basis):
-        if si == k:
-            slices.setdefault(h._degree_of[i], []).append(i)
-
-    def ranked(d):
-        cols, rows = slices.get(d, []), slices.get(d + 1, [])
-        pos = {j: r for r, j in enumerate(rows)}
-        mat = [[0] * len(cols) for _ in rows]
-        for col, i in enumerate(cols):
-            for j, c in h.apply(i).items():
-                mat[pos[j]][col] = c
-        return rank(mat)
-
-    dims = {d: len(idxs) - ranked(d) - ranked(d - 1) for d, idxs in slices.items()}
-    return {d: n for d, n in dims.items() if n}
-
-
-def test_module_of_reads_one_block_diagonal_complex(monkeypatch):
-    # module_of's one Hom(F, E), F the sum of the projectives P(v) of
-    # the vertices reaching E: D keeps each summand's block, and each
-    # block's cohomology is Hom(P(v), E), the per-vertex route
+def test_module_of_agrees_with_hom_from_each_projective(monkeypatch):
+    # module_of builds each Hom(P(v), E) from the paths into E and no
+    # HomComplex, so the generic complex Hom(P(v), E) checks every value
     counts = count_hom_complexes(monkeypatch)
-    objects = blocks = 0
+    objects = pairs = 0
     for g in gluing_sweep(2, 3):
         aq = build_aside(g)
         for obj in all_localization_objects(aq):
             E = obj.cx
             built = counts["built"]
-            module_of(E)
-            assert counts["built"] == built + 1
-            h = counts["last"]
-            assert h.Y is E and not h.X.diff
-            summands = [aq.vertex_id(lab) for lab, _ in E.summands]
-            vids = [aq.vertex_id(lab) for lab, _ in h.X.summands]
-            assert vids == sorted(reaching(aq, summands))
-            assert {n for _, n in h.X.summands} == {0}
-            for i, (k, _, _) in enumerate(h.basis):
-                assert all(h.basis[j][0] == k for j in h.apply(i))
-            for k, (lab, _) in enumerate(h.X.summands):
-                oracle = hom_cohomology(projective(aq, lab), E)
-                assert block_cohomology(h, k) == oracle, (g.to_json(), lab)
-                blocks += 1
+            mod = module_of(E)
+            assert counts["built"] == built
+            for vid in range(aq.num_vertices):
+                v = aq.primary_label(vid)
+                expected = {mod.degree: 1} if v in mod.dims else {}
+                assert hom_cohomology(projective(aq, v), E) == expected, (g.to_json(), v)
+                pairs += 1
             objects += 1
-    assert (objects, blocks) == (1648, 9304)
+    assert counts["built"] == pairs
+    assert (objects, pairs) == (1648, 22632)
 
 
-def test_long_chain_localization_builds_few_hom_complexes(monkeypatch):
-    # one HomComplex however long the chain, its source summing the
-    # projectives of the few vertices a nonzero path leads from into a
-    # summand of E; at 6,000 strips a build per vertex made localize
-    # quadratic in the chain length
+def test_long_chain_localization_ranks_only_the_vertices_reaching_E(monkeypatch):
+    # module_of ranks D only for the few vertices a nonzero path leads
+    # from into a summand of E; at 6,000 strips work per vertex of the
+    # quiver made localize quadratic in the chain length
     aq = build_aside(GluingSpec("linear", (6000, 1), ()))
     E = localization_object(aq, "E-", 1, 0)
     counts = count_hom_complexes(monkeypatch)
+    ranked = []
+
+    def counted(rows):
+        ranked.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(homology, "rank", counted)
     mod = module_of(E)
     assert (mod.degree, mod.dims, mod.actions) == (-1, {("P-", 1, 1): 1}, {})
-    summands = [aq.vertex_id(lab) for lab, _ in E.summands]
-    F = counts["last"].X
-    assert counts["built"] == 1
-    assert [aq.vertex_id(lab) for lab, _ in F.summands] == sorted(
-        reaching(aq, summands)
-    )
-    assert len(F.summands) < 10
+    reached = reaching(aq, [aq.vertex_id(lab) for lab, _ in E.summands])
+    assert counts["built"] == 0
+    assert 0 < len(ranked) <= len(reached) < 10
     assert aq.num_vertices > 6000
 
 
 def test_far_end_of_a_long_chain_ranks_one_block_at_a_time(monkeypatch):
     # E-(1,749) is reached from every vertex of the 750-strip chain's
-    # minus side, so one degree slice of its Hom(F, E) spans hundreds
-    # of blocks; each ranked matrix stays within one
+    # minus side, so module_of builds hundreds of blocks Hom(P(v), E);
+    # each ranked matrix stays within one, at most 3 columns wide
     aq = build_aside(GluingSpec("linear", (750, 1), ()))
     E = localization_object(aq, "E-", 1, 749)
     counts = count_hom_complexes(monkeypatch)
@@ -1005,11 +1012,12 @@ def test_far_end_of_a_long_chain_ranks_one_block_at_a_time(monkeypatch):
     assert mod.degree == -1
     assert mod.dims == {("P-", 1, 0): 1, ("P-", 1, 750): 1}
     assert mod.actions == {("y", 1, 0): 1}
-    h = counts["last"]
-    block_sizes = Counter(k for k, _, _ in h.basis)
-    assert counts["built"] == 1 and len(block_sizes) > 700
-    assert max(len(idxs) for idxs in h.degrees.values()) > 700
-    assert widths and max(widths) <= max(block_sizes.values()) == 3
+    sizes = Counter()
+    for lab, _ in E.summands:
+        for vid, paths in aq.paths_into(lab).items():
+            sizes[vid] += len(paths)
+    assert counts["built"] == 0 and len(sizes) > 700
+    assert widths and max(widths) <= max(sizes.values()) == 3
 
 
 def test_module_of_looks_up_no_names_per_path_arrow(monkeypatch):
@@ -1031,12 +1039,17 @@ def test_module_of_looks_up_no_names_per_path_arrow(monkeypatch):
 
 
 def test_localization_grid_hom_complex_counts(localization_grid):
-    # over the 17,610 objects of the restricted grid: one complex each,
-    # spanning the 173,658 basis elements of the 104,690 per-vertex
-    # complexes that module_of built before, one per vertex reaching E
+    # over the 17,610 objects of the restricted grid module_of builds no
+    # HomComplex: its 104,690 complexes Hom(P(v), E), one per vertex
+    # reaching E, span 173,658 pairs (summand, path), read off paths_into
     _, modules, counts = localization_grid
+    vertices = pairs = 0
+    for _, aq, obj, _ in modules:
+        into = [aq.paths_into(lab) for lab, _ in obj.cx.summands]
+        vertices += len(set().union(*into))
+        pairs += sum(len(paths) for found in into for paths in found.values())
     assert len(modules) == 17610
-    assert (counts["built"], counts["basis"]) == (17610, 173658)
+    assert (counts["built"], vertices, pairs) == (0, 104690, 173658)
 
 
 def test_localization_builds_no_arrow_objects(tmp_path, capsys):

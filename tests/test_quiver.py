@@ -405,6 +405,23 @@ def test_json_round_trip_preserves_everything():
     assert report.ok
 
 
+def test_json_round_trip_reads_nested_labels_as_tuples():
+    # JSON has no tuples, so a label or name holding one writes it as a
+    # list; from_json_obj reads every list inside it back as a tuple
+    n, m, k = ("n", (1, 2)), ("m", ((3,), ()), "x"), ("k",)
+    q = GradedQuiver(
+        [((n,), 0), ((m, ("alias", ((),))), 1), ((k,), -1)],
+        [(("a", (1, (2,))), n, m, 0), (("b", ()), m, k, 1)],
+        [(("a", (1, (2,))), ("b", ()))],
+    )
+    clone = GradedQuiver.from_json_obj(q.to_json_obj())
+    assert clone.vertex_labels == q.vertex_labels
+    assert [clone.arrow_name(a) for a in clone.arrows] == [("a", (1, (2,))), ("b", ())]
+    assert relation_names(clone) == relation_names(q)
+    assert clone.to_json() == q.to_json()
+    assert map_equals(q, clone, {lab: lab for lab in (n, m, k)}).ok
+
+
 def json_reference(q):
     """The JSON object of q, built from the index API alone: labels and
     shifts by vertex id, arrow rows in arrow order, and the relations

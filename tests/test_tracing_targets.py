@@ -62,12 +62,17 @@ def test_tracer_runs_an_item_of_each_grid(monkeypatch, tmp_path):
     workloads = _bench_module("workloads", monkeypatch)
     glue = GluingSpec("linear", (1, 3, 3, 1), (swap(0, 1, 3), swap(0, 1, 3)))
     ring = StackyCurveSpec("ring", (2, 2), (1, 1))
+    cli = workloads.CliLadder()
+    # the first ext item, Hom tables of two complexes over a raw quiver
+    ext = next(unit for unit in cli.inputs(quiverglue, 0, tmp_path)
+               if unit[0]["cmd"] == "ext")
     items = [
         (workloads.GlueGrid(), glue),
         (workloads.MirrorGrid(), (ring, True)),
         (workloads.LocGrid(), (glue, [("E-", 2, 1)])),
+        (cli, ext),
     ]
-    # each item builds one aside quiver
+    # each item but the ext one builds one aside quiver
     asides = [build_aside(g) for g in (glue, twisted_gluing(ring), glue)]
     original = quiverglue.gluing.predicted_topology
     tracer = tracing.Tracer()
@@ -84,8 +89,9 @@ def test_tracer_runs_an_item_of_each_grid(monkeypatch, tmp_path):
         tracer.uninstall()
     assert quiverglue.gluing.predicted_topology is original
     assert not (tmp_path / "failures.jsonl").exists()
-    # one glue, one mirror (with its blind search) and one loc item
-    # reach every work counter
+    # one glue, one mirror (with its blind search), one loc and one ext
+    # item reach every work counter: module_of builds no HomComplex, so
+    # the ext item's Hom tables count the hom basis and the paths
     assert set(counts) == set(tracing.WORK_COUNTS)
     assert {name: n for name, n in counts.items() if n <= 0} == {}
     assert counts["aside.vertices"] == sum(q.num_vertices for q in asides)

@@ -19,8 +19,8 @@ from quiverglue.sweeps import gluing_sweep
 
 SRC = Path(homology.__file__).resolve().parent
 
-# the functions whose complexes are made from parts the package built
-TRUSTED = {"localization_object", "module_of"}
+# the one function whose complexes are made from parts the package built
+TRUSTED = {"localization_object"}
 
 
 def test_made_complexes_equal_the_public_ones():
