@@ -172,8 +172,8 @@ class Cocycle:
 class HomComplex:
     """The graded Hom space between two twisted complexes over one
     quiver, with its differential realized as dense matrices (lists of
-    rows) between degree slices, whose entries are ints unless a
-    coefficient is a ``Fraction``."""
+    rows) between degree slices, each filled in one pass over its
+    columns; entries are ints unless a coefficient is a ``Fraction``."""
 
     def __init__(
         self,
@@ -191,43 +191,17 @@ class HomComplex:
 
         self.basis: list[tuple[int, int, Path]] = []
         self.degrees: dict[int, list[int]] = {}
-        self._degree_of: list[int] = []
         for si, (vs, ns) in enumerate(X.summands):
             for ti, (vt, nt) in enumerate(Y.summands):
                 for p in q.paths_between(vs, vt):
                     d = q.path_degree(p) + ns - nt
                     self.degrees.setdefault(d, []).append(len(self.basis))
-                    self._degree_of.append(d)
                     self.basis.append((si, ti, p))
         self._index = {elt: i for i, elt in enumerate(self.basis)}
-
-    def apply(self, index: int) -> dict[int, Scalar]:
-        """Image of a basis element under D, as sparse coefficients."""
-        si, ti, p = self.basis[index]
-        d = self._degree_of[index]
-        compose = self.quiver.compose
-        out: dict[int, Scalar] = {}
-        for (ta, tb), entry in self.Y._diff.items():
-            if tb != ti:
-                continue
-            for c, qpath in entry:
-                comp = compose(p, qpath)
-                if comp is None:
-                    continue
-                j = self._index[(si, ta, comp)]
-                out[j] = out.get(j, 0) + c
-        sign = 1 if self.convention == "flipped" else -1
-        sign *= -1 if d % 2 else 1
-        for (sa, sb), entry in self.X._diff.items():
-            if sa != si:
-                continue
-            for c, qpath in entry:
-                comp = compose(qpath, p)
-                if comp is None:
-                    continue
-                j = self._index[(sb, ti, comp)]
-                out[j] = out.get(j, 0) + sign * c
-        return {j: c for j, c in out.items() if c}
+        self._leaving = [[(a, e) for (a, b), e in Y._diff.items() if b == t]
+                         for t in range(len(Y.summands))]
+        self._entering = [[(b, e) for (a, b), e in X._diff.items() if a == s]
+                          for s in range(len(X.summands))]
 
     def matrix(self, d: int) -> list[list[Scalar]]:
         """D on degree d: one row per degree-(d+1) basis element, one
@@ -235,9 +209,20 @@ class HomComplex:
         cols, rows = self.degrees.get(d, []), self.degrees.get(d + 1, [])
         pos = {j: r for r, j in enumerate(rows)}
         mat = [[0] * len(cols) for _ in rows]
+        compose, index = self.quiver.compose, self._index
+        sign = (1 if self.convention == "flipped" else -1) * (-1 if d % 2 else 1)
         for col, i in enumerate(cols):
-            for j, c in self.apply(i).items():
-                mat[pos[j]][col] = c
+            si, ti, p = self.basis[i]
+            for ta, entry in self._leaving[ti]:
+                for c, step in entry:
+                    comp = compose(p, step)
+                    if comp is not None:
+                        mat[pos[index[si, ta, comp]]][col] += c
+            for sb, entry in self._entering[si]:
+                for c, step in entry:
+                    comp = compose(step, p)
+                    if comp is not None:
+                        mat[pos[index[sb, ti, comp]]][col] += sign * c
         return mat
 
     def cohomology(self) -> GradedDims:
@@ -274,6 +259,8 @@ class HomComplex:
         return self.cocycle(vec, 0)
 
     def is_coboundary(self, cocycle: Cocycle) -> bool:
+        if cocycle.hom is not self:
+            raise SpecError("cocycle lives in another Hom complex")
         # With nothing below, D into the slice has one empty row per
         # element, and only the zero vector solves it.
         return solve(self.matrix(cocycle.degree - 1), list(cocycle.vector)) is not None
@@ -283,6 +270,8 @@ class HomComplex:
         requires the class to lie on the line the generator spans.  A
         zero class on a zero generator gives 0, the free variable's
         value, also in a degree with no basis elements."""
+        if cocycle.hom is not self or generator.hom is not self:
+            raise SpecError("cocycle lives in another Hom complex")
         if cocycle.degree != generator.degree:
             raise SpecError("degree mismatch")
         if not generator.vector:  # no rows, so solve would see no columns
@@ -335,6 +324,9 @@ def ext_product(f: Cocycle, g: Cocycle) -> Cocycle:
     hg, hf = g.hom, f.hom
     if hg.Y != hf.X:
         raise SpecError("cocycles do not share the middle complex")
+    if hg.convention != hf.convention:
+        raise SpecError(f"cocycles under different sign conventions: "
+                        f"{hf.convention!r} and {hg.convention!r}")
     target = HomComplex(hg.X, hf.Y, hg.convention)
     acc: dict[int, Scalar] = {}
     g_idxs = hg.degrees.get(g.degree, [])

@@ -3,10 +3,10 @@ matrices that Hom-complex differentials produce.
 
 Entries may be ints or ``fractions.Fraction``s; a row holding a
 Fraction is scaled to integers first, and everything after that runs on
-Python ints.  Rank uses fraction-free (Bareiss) elimination.  Solving
-and kernel bases use integer Gauss-Jordan elimination, dividing each
-row by the gcd of its entries; since the reduced row echelon form is
-unique, a Fraction is built only for each entry that is returned.
+Python ints.  One integer Gauss-Jordan elimination, dividing each row
+by the gcd of its entries, answers rank (its pivot count), kernel bases
+and solves; since the reduced row echelon form is unique, a Fraction is
+built only for each entry that is returned.
 
 A matrix is given by its rows, which must all have the same width;
 ``ValueError`` says which row or right-hand side does not.
@@ -42,26 +42,9 @@ def _integral(row: list[Fraction | int]) -> list[int]:
 
 
 def rank(rows: Matrix) -> int:
-    """Rank by Bareiss elimination; exact for any rational input."""
-    ncols = _width(rows)
-    m = [_integral(r) for r in rows if any(r)]
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == len(m):
-            break
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        top = m[r]
-        p = top[c]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
-        prev = p
-        r += 1
-    return r
+    """The pivot count of the elimination: exact for any rational input."""
+    _width(rows)
+    return len(_rref([_integral(r) for r in rows if any(r)])[1])
 
 
 def _rref(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -69,13 +52,14 @@ def _rref(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     rows of ``m``: each pivot row ends up a multiple of the reduced row
     echelon form's, with zeros in every other pivot column."""
     pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
         if r == len(m):
             break
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, len(m)):
+            if m[pivot][c]:
+                break
+        else:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         top = m[r]
@@ -87,7 +71,6 @@ def _rref(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
                 g = gcd(*row)
                 m[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
-        r += 1
     return m, pivots
 
 

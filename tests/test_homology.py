@@ -459,6 +459,50 @@ def test_ext_product_drops_composites_a_relation_kills():
     assert products == {"a": (0, 0), "b": (0, 1)}
 
 
+def first_kernel_cocycle(h, degree):
+    return h.cocycle(kernel_basis(h.matrix(degree), len(h.degrees[degree]))[0], degree)
+
+
+def test_ext_product_refuses_mixed_sign_conventions():
+    # E-(1,0) on the linear gluing of ranks (1, 1): the two conventions
+    # give different degree-0 cocycles, so a product taken in one
+    # convention of a factor made in the other means nothing
+    E = localization_object(build_aside(GluingSpec("linear", (1, 1), ())), "E-", 1, 0)
+    homs = {conv: HomComplex(E, E, conv) for conv in ("standard", "flipped")}
+    for fd in (0, 1):
+        for gd in (0, 1):
+            for fc, gc in (("flipped", "standard"), ("standard", "flipped")):
+                f = first_kernel_cocycle(homs[fc], fd)
+                g = first_kernel_cocycle(homs[gc], gd)
+                with pytest.raises(SpecError, match="^cocycles under different sign "
+                                   f"conventions: '{fc}' and '{gc}'$"):
+                    ext_product(f, g)
+            h = homs["standard"]
+            fg = ext_product(first_kernel_cocycle(h, fd), first_kernel_cocycle(h, gd))
+            assert (fg.hom.convention, fg.degree) == ("standard", fd + gd)
+
+
+def test_class_questions_refuse_a_cocycle_of_another_complex():
+    # a cocycle of Hom(P0, P1) has as many entries as Hom(E, E) has in
+    # degree 0, and one of Hom(P0, P0) fewer; neither may be read there
+    aq = build_aside(GluingSpec("linear", (1, 1), ()))
+    E = localization_object(aq, "E-", 1, 0)
+    P0, P1 = (projective(aq, ("P-", 1, j)) for j in (0, 1))
+    h = HomComplex(E, E)
+    own = first_kernel_cocycle(h, 0)
+    for foreign in (HomComplex(P0, P1).cocycle([1, 1], 0),
+                    HomComplex(P0, P0).identity_cocycle(),
+                    HomComplex(E, E).identity_cocycle(),
+                    first_kernel_cocycle(HomComplex(E, E, "flipped"), 0)):
+        for call in (lambda: h.is_coboundary(foreign),
+                     lambda: h.scalar_against(foreign, own),
+                     lambda: h.scalar_against(own, foreign)):
+            with pytest.raises(SpecError, match="^cocycle lives in another Hom complex$"):
+                call()
+    assert not h.is_coboundary(own)
+    assert h.scalar_against(own, own) == 1
+
+
 # -- projectives and cones ---------------------------------------------
 
 
@@ -822,6 +866,83 @@ def test_localization_hom_conventions_agree():
     a, b = objs[0].cx, objs[1].cx
     assert hom_cohomology(a, b) == hom_cohomology(a, b, "flipped")
     assert HomComplex(a, b, "flipped").d_squared_vanishes()
+
+
+# -- each differential against the per-element route -------------------
+
+
+def sparse_image(h, index, i, degree):
+    """D of basis element i (of the given degree) as sparse coefficients,
+    by scanning every differential entry of both complexes in arrow
+    names: a per-element route, the reference for HomComplex.matrix.
+    ``index`` maps each basis element to its position."""
+    q = h.quiver
+    si, ti, p = h.basis[i]
+    sign = (1 if h.convention == "flipped" else -1) * (-1 if degree % 2 else 1)
+    out = {}
+    for (ta, tb), entry in h.Y.diff.items():
+        for c, names in entry:
+            comp = q.compose(p, tuple(map(q.arrow_index, names)))
+            if tb == ti and comp is not None:
+                j = index[si, ta, comp]
+                out[j] = out.get(j, 0) + c
+    for (sa, sb), entry in h.X.diff.items():
+        for c, names in entry:
+            comp = q.compose(tuple(map(q.arrow_index, names)), p)
+            if sa == si and comp is not None:
+                j = index[sb, ti, comp]
+                out[j] = out.get(j, 0) + sign * c
+    return {j: c for j, c in out.items() if c}
+
+
+def assert_matrices_match_sparse_images(X, Y):
+    """Every slice's matrix of Hom(X, Y), in both conventions, column by
+    column against sparse_image; returns the number of matrices."""
+    matrices = 0
+    for conv in ("standard", "flipped"):
+        h = HomComplex(X, Y, conv)
+        index = {elt: j for j, elt in enumerate(h.basis)}
+        for d, cols in h.degrees.items():
+            rows = {j: r for r, j in enumerate(h.degrees.get(d + 1, []))}
+            expected = [[0] * len(cols) for _ in rows]
+            for col, i in enumerate(cols):
+                for j, c in sparse_image(h, index, i, d).items():
+                    expected[rows[j]][col] = c
+            assert h.matrix(d) == expected, (X, Y, conv, d)
+            matrices += 1
+    return matrices
+
+
+def test_matrices_match_the_per_element_route_on_localization_objects():
+    complexes = matrices = 0
+    for g in gluing_sweep(2, 3):
+        objs = [obj.cx for obj in all_localization_objects(build_aside(g))]
+        for X in objs:
+            for Y in objs:
+                matrices += assert_matrices_match_sparse_images(X, Y)
+                complexes += 2
+    assert (complexes, matrices) == (32320, 44352)
+
+
+def test_matrices_match_the_per_element_route_with_fraction_coefficients():
+    # the bands of tests/data, as written (integer coefficients), with
+    # every coefficient scaled by a Fraction, and with every term split
+    # into two Fraction terms on one path, whose images must add up
+    q = GradedQuiver.from_json_obj(
+        json.loads((DATA / "three_vertex_quiver.json").read_text()))
+    bands = [cx for _, cx in cli._load_complexes(DATA / "bands_complexes.json", q)]
+
+    def rescaled(cx, scales):
+        return TwistedComplex(q, cx.summands, {
+            ab: [(c * k, names) for c, names in entry for k in scales]
+            for ab, entry in cx.diff.items()})
+
+    scaled = [rescaled(cx, scales) for cx in bands for scales in (
+        (Fraction(1, 2),), (Fraction(-2, 3),), (Fraction(1, 3), Fraction(2, 3)))]
+    complexes = bands + scaled
+    matrices = sum(assert_matrices_match_sparse_images(X, Y)
+                   for X in complexes for Y in complexes)
+    assert (len(complexes), matrices) == (8, 256)
 
 
 # -- module_of against a third route -------------------------------------
