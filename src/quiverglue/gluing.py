@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import FalsificationError, SpecError, exact_ints, exact_items
-from .perms import Permutation, tau
+from .perms import Permutation
 
 LINEAR = "linear"
 CIRCULAR = "circular"
@@ -329,16 +329,31 @@ def predicted_topology(g: GluingSpec) -> SurfaceTopology:
 
     Each junction contributes -r_i to the Euler characteristic.  Its
     boundary circles correspond to the cycles of [sigma_i, tau]; a cycle
-    of length l yields a circle with 2l marks.  A linear gluing keeps
-    two unglued circles with r_0 and r_n marks.
+    of length l yields a circle with 2l marks.  With tau(x) = x - 1 mod
+    r, the commutator sends x to sigma(sigma^-1(x + 1) - 1), so its
+    cycles are walked in one pass over sigma and its inverse, with no
+    commutator built.  A linear gluing keeps two unglued circles with
+    r_0 and r_n marks.
     """
     boundary: list[int] = []
     chi = 0
-    for i in g.junctions():
-        r = g.junction_rank(i)
+    for p in g.perms:
+        sigma = p.image
+        r = len(sigma)
         chi -= r
-        comm = g.perm(i).commutator(tau(r))
-        boundary.extend(2 * l for l in comm.cycle_decomposition().lengths)
+        inv = [0] * r
+        for x, y in enumerate(sigma):
+            inv[y] = x
+        seen = bytearray(r)
+        x = 0
+        while x >= 0:  # each cycle from its least point; sigma[-1] is sigma(r - 1)
+            length = 0
+            while not seen[x]:
+                seen[x] = 1
+                length += 1
+                x = sigma[inv[(x + 1) % r] - 1]
+            boundary.append(2 * length)
+            x = seen.find(0, x)
     if not g.closed:
         boundary.append(g.ranks[0])
         boundary.append(g.ranks[-1])

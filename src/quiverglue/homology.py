@@ -26,7 +26,9 @@ Conventions, fixed once and used everywhere:
   shift(target).  The differential is D(f) = delta_Y∘f - (-1)^|f|
   f∘delta_X.  The mirrored sign choice (available as
   convention="flipped") also squares to zero and yields the same
-  dimensions; tests exercise both.
+  dimensions; tests exercise both.  Composition is a chain map only
+  for the standard sign, so identity cocycles and ext products are
+  defined only there, and a flipped complex refuses both.
 * Hom(P(v), E) for a projective P(v) is the module value at v; arrows
   act by precomposition, so the action of an arrow u -> w carries the
   value at w to the value at u.  module_of builds each Hom(P(v), E) from
@@ -251,6 +253,8 @@ class HomComplex:
     def identity_cocycle(self) -> Cocycle:
         if self.X != self.Y:
             raise SpecError("identity lives in an endomorphism complex")
+        if self.convention != "standard":
+            raise SpecError(_STANDARD_ONLY)
         vec = [0] * len(self.degrees.get(0, []))
         for pos, i in enumerate(self.degrees.get(0, [])):
             si, ti, p = self.basis[i]
@@ -303,6 +307,12 @@ def _cohomology(slices: dict[int, list[int]], matrix) -> GradedDims:
     return dims
 
 
+# Under the flipped sign, D(id) = 2 delta and f∘g of cocycles need not
+# be one, so the questions that compose are asked only in the standard.
+_STANDARD_ONLY = ("identities and products are defined only under the standard "
+                  "sign convention")
+
+
 def hom_cohomology(
     X: TwistedComplex, Y: TwistedComplex, convention: str = "standard"
 ) -> GradedDims:
@@ -327,6 +337,8 @@ def ext_product(f: Cocycle, g: Cocycle) -> Cocycle:
     if hg.convention != hf.convention:
         raise SpecError(f"cocycles under different sign conventions: "
                         f"{hf.convention!r} and {hg.convention!r}")
+    if hg.convention != "standard":
+        raise SpecError(_STANDARD_ONLY)
     target = HomComplex(hg.X, hf.Y, hg.convention)
     acc: dict[int, Scalar] = {}
     g_idxs = hg.degrees.get(g.degree, [])

@@ -57,9 +57,12 @@ class CombinatorialMap:
         so each free dart starts one open orbit, and every dart that
         those orbits miss lies on a closed cycle.
         """
+        return self._vertices([d for d, e in enumerate(self.pair) if e < 0])
+
+    def _vertices(self, free) -> int:
+        """The orbit count of :meth:`num_vertices`, given the free darts."""
         nxt, pair = self.next_in_face, self.pair
         seen = bytearray(len(nxt))
-        free = [d for d, e in enumerate(pair) if e < 0]
         for d in free:  # each open orbit, walked from its start
             while d >= 0 and not seen[d]:
                 seen[d] = 1
@@ -75,7 +78,10 @@ class CombinatorialMap:
         return orbits
 
     def num_edges(self) -> int:
-        free = sum(1 for e in self.pair if e < 0)
+        return self._edges(sum(1 for e in self.pair if e < 0))
+
+    def _edges(self, free: int) -> int:
+        """Each free dart is an edge of its own; the rest pair up."""
         return free + (self.num_darts - free) // 2
 
     def euler_characteristic(self) -> int:
@@ -102,9 +108,15 @@ class CombinatorialMap:
         return walks
 
     def topology(self) -> SurfaceTopology:
+        """Boundary marks and Euler characteristic from one boundary walk:
+        its darts are exactly the free darts, which give the edge count
+        and start the open vertex orbits."""
+        walks = self.boundary_components()
+        free = [d for walk in walks for d in walk]
+        chi = self._vertices(free) - self._edges(len(free)) + len(self.faces)
         mark = self.marked.__getitem__
-        marks = [sum(map(mark, walk)) for walk in self.boundary_components()]
-        return SurfaceTopology.measured(marks, self.euler_characteristic(), "the oracle")
+        marks = [sum(map(mark, walk)) for walk in walks]
+        return SurfaceTopology.measured(marks, chi, "the oracle")
 
 
 def build_map(g: GluingSpec) -> CombinatorialMap:

@@ -3,7 +3,7 @@ predictors on both sides."""
 
 import pytest
 
-from quiverglue import gluing
+from quiverglue import gluing, perms
 from quiverglue.errors import FalsificationError, SpecError
 from quiverglue.gluing import (
     GluingSpec,
@@ -13,7 +13,9 @@ from quiverglue.gluing import (
     predicted_topology,
     predicted_topology_curve,
 )
-from quiverglue.perms import from_twist, identity, swap, tau
+from quiverglue.perms import Permutation, all_permutations, from_twist, identity, swap, tau
+from quiverglue.surface import surface_topology
+from quiverglue.sweeps import gluing_sweep
 
 
 FIG_GLUING = GluingSpec(
@@ -139,6 +141,38 @@ def test_predicted_topology_identity_junction():
 def test_predicted_topology_circular_rank_one():
     t = predicted_topology(GluingSpec("circular", (1,), (identity(1),)))
     assert t == SurfaceTopology(1, (2,), -1)
+
+
+def test_predicted_topology_walks_the_commutator_cycles_exhaustively():
+    # every sigma of degree 1 to 7 against the commutator built and
+    # decomposed through the public permutation API
+    count = 0
+    for r in range(1, 8):
+        for sigma in all_permutations(r):
+            t = predicted_topology(GluingSpec("circular", (r,), (sigma,)))
+            lengths = sigma.commutator(tau(r)).cycle_decomposition().lengths
+            assert t.boundary_marks == tuple(sorted(2 * l for l in lengths)), sigma
+            assert t.euler_characteristic == -r
+            count += 1
+    assert count == 5913
+
+
+def test_predicted_topology_builds_no_permutation(monkeypatch):
+    specs = gluing_sweep(2, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a permutation was built or composed")
+
+    monkeypatch.setattr(perms.Permutation, "__post_init__", refuse)
+    monkeypatch.setattr(perms.Permutation, "commutator", refuse)
+    monkeypatch.setattr(perms.Permutation, "cycle_decomposition", refuse)
+    monkeypatch.setattr(perms, "tau", refuse)
+    monkeypatch.setattr(gluing, "tau", refuse, raising=False)
+    with pytest.raises(AssertionError):
+        Permutation((0,))
+    for g in specs:
+        # the oracle reads the images too, and builds no permutation either
+        assert predicted_topology(g) == surface_topology(g), g
 
 
 def test_curve_predictor_matches_gluing_predictor():

@@ -482,6 +482,25 @@ def test_ext_product_refuses_mixed_sign_conventions():
             assert (fg.hom.convention, fg.degree) == ("standard", fd + gd)
 
 
+def test_flipped_complexes_refuse_identities_and_products():
+    # under the flipped sign D(id) = 2 delta, so the identity is no
+    # cocycle there and composition is no chain map
+    E = localization_object(build_aside(GluingSpec("linear", (1, 1), ())), "E-", 1, 0)
+    flipped = HomComplex(E, E, "flipped")
+    refused = "^identities and products are defined only under the standard sign convention$"
+    with pytest.raises(SpecError, match=refused):
+        flipped.identity_cocycle()
+    for fd in (0, 1):
+        for gd in (0, 1):
+            f = first_kernel_cocycle(flipped, fd)
+            g = first_kernel_cocycle(flipped, gd)
+            with pytest.raises(SpecError, match=refused):
+                ext_product(f, g)
+    standard = HomComplex(E, E)
+    one = standard.identity_cocycle()
+    assert ext_product(one, one).vector == one.vector
+
+
 def test_class_questions_refuse_a_cocycle_of_another_complex():
     # a cocycle of Hom(P0, P1) has as many entries as Hom(E, E) has in
     # degree 0, and one of Hom(P0, P0) fewer; neither may be read there

@@ -6,7 +6,7 @@ import random
 
 import networkx as nx
 
-from quiverglue.gluing import GluingSpec, predicted_topology
+from quiverglue.gluing import GluingSpec, SurfaceTopology, predicted_topology
 from quiverglue.perms import all_permutations, random_permutation, swap
 from quiverglue.surface import CombinatorialMap, build_map, surface_topology
 from quiverglue.sweeps import gluing_sweep
@@ -131,9 +131,13 @@ def slot_components(m: CombinatorialMap) -> int:
     return nx.number_connected_components(graph)
 
 
+# One square with opposite sides glued, then a triangle with all sides free.
+TORUS = CombinatorialMap([1, 2, 3, 0], [2, 3, 0, 1], [False] * 4, [[0, 1, 2, 3]])
+DISK = CombinatorialMap([1, 2, 0], [-1, -1, -1], [True] * 3, [[0, 1, 2]])
+
+
 def test_vertex_count_matches_slot_components():
-    torus = CombinatorialMap([1, 2, 3, 0], [2, 3, 0, 1], [False] * 4, [[0, 1, 2, 3]])
-    disk = CombinatorialMap([1, 2, 0], [-1, -1, -1], [True] * 3, [[0, 1, 2]])
+    torus, disk = TORUS, DISK
     # Only closed corner orbits, then only open ones.
     assert torus.num_vertices() == slot_components(torus) == 1
     assert disk.num_vertices() == slot_components(disk) == 3
@@ -141,6 +145,21 @@ def test_vertex_count_matches_slot_components():
     for g in gluing_sweep(2, 4):
         m = build_map(g)
         assert m.num_vertices() == slot_components(m), g
+
+
+def test_topology_agrees_with_the_public_methods():
+    # topology() counts from one boundary walk; the public methods each
+    # scan the darts themselves
+    maps = [TORUS, DISK] + [build_map(g) for g in gluing_sweep(2, 4)]
+    for m in maps:
+        t = m.topology()
+        walks = m.boundary_components()
+        assert t.euler_characteristic == m.euler_characteristic()
+        assert t.num_boundary == len(walks)
+        marks = sorted(sum(m.marked[d] for d in walk) for walk in walks)
+        assert list(t.boundary_marks) == marks
+    assert (TORUS.topology().num_boundary, DISK.topology()) == (
+        0, SurfaceTopology(0, (3,), 1))
 
 
 def test_face_runs_pairing_and_dart_count():
