@@ -107,7 +107,5 @@ class _Numbering:
 
 def object_count(g: GluingSpec) -> int:
     """Closed-form generator count: three per strip of each junction,
-    plus the end ranks r_0 + r_n of an open gluing."""
-    if g.closed:
-        return 3 * sum(g.node_ranks())
-    return g.ranks[0] + 3 * sum(g.node_ranks()) + g.ranks[-1]
+    plus the free end ranks r_0 + r_n of an open gluing."""
+    return 3 * sum(g.node_ranks()) + sum(g.free_ranks)

@@ -38,7 +38,8 @@ DEFAULT_BASE = (0, -1)
 @dataclass(frozen=True)
 class SurfaceTopology:
     """Genus, Euler characteristic, and the multiset of boundary mark
-    counts of a compact oriented surface with marked boundary."""
+    counts of a compact oriented surface with marked boundary; neither
+    the genus nor any mark count is negative."""
 
     genus: int
     boundary_marks: tuple[int, ...]
@@ -46,9 +47,12 @@ class SurfaceTopology:
 
     def __post_init__(self) -> None:
         message = "topology counts must be integers, got {value!r}"
-        marks = exact_ints(self.boundary_marks, message)
-        object.__setattr__(self, "boundary_marks", tuple(sorted(marks)))
+        marks = tuple(sorted(exact_ints(self.boundary_marks, message)))
+        object.__setattr__(self, "boundary_marks", marks)
         exact_ints((self.genus, self.euler_characteristic), message)
+        if self.genus < 0 or marks and marks[0] < 0:
+            raise SpecError(f"no surface has genus {self.genus} and boundary "
+                            f"marks {marks}")
         expected = 2 - 2 * self.genus - len(self.boundary_marks)
         if expected != self.euler_characteristic:
             raise SpecError(
@@ -60,13 +64,15 @@ class SurfaceTopology:
     @classmethod
     def measured(cls, boundary_marks, euler_characteristic: int, of) -> "SurfaceTopology":
         """The surface of ``of`` with these boundary marks and Euler
-        characteristic, its genus taken from 2g = 2 - b - chi; an odd 2g,
-        which no oriented surface has, raises FalsificationError."""
+        characteristic, its genus taken from 2g = 2 - b - chi; an odd or
+        negative 2g, which no oriented surface has, raises
+        FalsificationError."""
         genus2 = 2 - len(boundary_marks) - euler_characteristic
-        if genus2 % 2:
+        if genus2 % 2 or genus2 < 0:
             raise FalsificationError(
-                f"odd 2g = {genus2} for {of}: {len(boundary_marks)} boundary "
-                f"components and chi = {euler_characteristic}"
+                f"{'odd' if genus2 % 2 else 'negative'} 2g = {genus2} for {of}: "
+                f"{len(boundary_marks)} boundary components and chi = "
+                f"{euler_characteristic}"
             )
         return cls(genus2 // 2, boundary_marks, euler_characteristic)
 
@@ -124,6 +130,12 @@ class Shape:
     @property
     def closed(self) -> bool:
         return self.shape in self._CLOSED
+
+    @property
+    def free_ranks(self) -> tuple[int, ...]:
+        """The mark counts of the two free end sides: r_0 and r_n for an
+        open shape, none for a closed one."""
+        return () if self.closed else (self.ranks[0], self.ranks[-1])
 
     @property
     def n_components(self) -> int:
@@ -354,9 +366,7 @@ def predicted_topology(g: GluingSpec) -> SurfaceTopology:
                 x = sigma[inv[(x + 1) % r] - 1]
             boundary.append(2 * length)
             x = seen.find(0, x)
-    if not g.closed:
-        boundary.append(g.ranks[0])
-        boundary.append(g.ranks[-1])
+    boundary.extend(g.free_ranks)
     # Commutators are even permutations, so 2g is never odd here.
     return SurfaceTopology.measured(boundary, chi, g)
 
@@ -375,12 +385,8 @@ def predicted_topology_curve(curve: StackyCurveSpec) -> SurfaceTopology:
         p = math.gcd(k + 1, r)
         defect += r - p
         boundary.extend([2 * (r // p)] * p)
-    if not curve.closed:
-        boundary.append(curve.ranks[0])
-        boundary.append(curve.ranks[-1])
-        genus = defect // 2
-    else:
-        genus = 1 + defect // 2
+    boundary.extend(curve.free_ranks)
+    genus = defect // 2 + (1 if curve.closed else 0)
     topology = SurfaceTopology.measured(boundary, -sum(curve.node_ranks()), curve)
     if topology.genus != genus:
         raise FalsificationError(

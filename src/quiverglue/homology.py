@@ -15,10 +15,11 @@ Conventions, fixed once and used everywhere:
   degrees are of type exactly ``int``; a float, bool or string is
   refused rather than rounded or truncated.  The summands, each entry,
   term and path are read by ``exact_items``, so a string is never a
-  path of its characters.  The localization objects, made by the
-  package, skip those reads: the private ``TwistedComplex._made`` takes
-  their differential in arrow indices, renders its names, stores the
-  parts as the constructor would and still checks delta^2.  Integer
+  path of its characters.  The differential is stored once, by the
+  summand each entry leaves and in arrow indices, and ``diff`` is
+  rendered from it.  The localization objects, made by the package,
+  skip the reads: the private ``TwistedComplex._made`` takes that
+  stored form and still checks delta^2.  Integer
   coefficients (as in every localization object) give integer
   differential matrices, and a cohomology that never builds a Fraction.
 * A Hom-complex basis element is (source summand, target summand,
@@ -34,8 +35,7 @@ Conventions, fixed once and used everywhere:
   value at w to the value at u.  module_of builds each Hom(P(v), E) from
   the paths into E's summands, with no HomComplex, so the generic
   hom_cohomology(projective(q, v), E) is a second route to each value.
-* A path is a tuple of arrow indices.  The names of arrows are read
-  from a complex's ``diff`` and made for messages and a module's actions.
+* Paths are tuples of arrow indices, named only in ``diff`` and output.
 """
 
 from __future__ import annotations
@@ -60,13 +60,14 @@ Entry = tuple[tuple[Scalar, Path], ...]
 class TwistedComplex:
     """A formal shifted sum of quiver vertices with a strictly
     triangular differential; validated on construction and read-only
-    after it, ``diff`` included, so nothing built from it goes stale;
-    ``_diff`` is ``diff`` with each path read into arrow indices."""
+    after it, so nothing built from it goes stale.  ``_leaving[b]`` lists
+    the (a, terms) of each entry a<-b, paths in arrow indices: the one
+    stored form, from which ``diff`` is rendered in tuples of names."""
 
     quiver: GradedQuiver
     summands: tuple[tuple[Label, int], ...]
     diff: Mapping[tuple[int, int], Entry] = field(default_factory=dict)
-    _diff: dict[tuple[int, int], Entry] = field(init=False, repr=False, compare=False)
+    _leaving: list[list[tuple[int, list]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         summands = tuple([
@@ -75,22 +76,20 @@ class TwistedComplex:
                                  "(label, shift) pairs, got {value!r}")])
         if not isinstance(self.diff, Mapping):
             raise SpecError(f"differential must be a mapping, got {self.diff!r}")
-        q, diff = self.quiver, {}
-        object.__setattr__(self, "summands", summands)
-        object.__setattr__(self, "_diff", {})
+        q, leaving = self.quiver, [[] for _ in summands]
         vids = [q.vertex_id(lab) for lab, _ in summands]
         shifts = exact_ints([n for _, n in summands],
                             "summand {index}: shift {value!r} is not an integer")
         for ab, entry in self.diff.items():
-            entry = diff[ab] = exact_items(entry, "differential entry {ab!r} must be a "
-                                           "sequence of terms, got {value!r}", ab=ab)
+            entry = exact_items(entry, "differential entry {ab!r} must be a "
+                                "sequence of terms, got {value!r}", ab=ab)
             a, b = exact_items(ab, "differential key {value!r} is not a pair (a, b)", 2)
             exact_ints((a, b), "differential entry {a!r}<-{b!r}: indices are not "
                        "integers", a=a, b=b)
             if not 0 <= b < a < len(summands):
                 raise SpecError(f"differential entry {a}<-{b} is not forward")
             degree = 1 + shifts[a] - shifts[b]
-            terms = self._diff[a, b] = []
+            terms = []
             for term in entry:
                 c, names = exact_items(term, "entry {a}<-{b}: term {value!r} is not "
                                        "(coefficient, path)", 2, a=a, b=b)
@@ -107,24 +106,30 @@ class TwistedComplex:
                     raise SpecError(f"entry {a}<-{b}: path degree "
                                     f"{q.path_degree(p)} != {degree}")
                 terms.append((c, p))
-        object.__setattr__(self, "diff", MappingProxyType(diff))
-        self._check_delta_squared()
+            leaving[b].append((a, terms))
+        self._store(summands, leaving)
 
     @classmethod
-    def _made(cls, q: GradedQuiver, summands, _diff) -> "TwistedComplex":
-        """A complex whose parts the package made, stored as the
-        constructor stores them: ``summands`` a tuple of (label, shift)
-        pairs and ``_diff`` a dict of lists of (coefficient, indices)
-        terms, from which ``diff`` is rendered in arrow names.  None of
-        it is read again; delta^2 is still checked."""
-        diff = {ab: tuple([(c, q.path_names(p)) for c, p in terms])
-                for ab, terms in _diff.items()}
+    def _made(cls, q: GradedQuiver, summands, leaving) -> "TwistedComplex":
+        """A complex whose parts the package made, already in the stored
+        form: ``summands`` a tuple of (label, shift) pairs and
+        ``leaving`` as ``_leaving``.  None of it is read again; delta^2
+        is still checked."""
         cx = object.__new__(cls)
-        for name, value in (("quiver", q), ("summands", summands),
-                            ("diff", MappingProxyType(diff)), ("_diff", _diff)):
-            object.__setattr__(cx, name, value)
-        cx._check_delta_squared()
+        object.__setattr__(cx, "quiver", q)
+        cx._store(summands, leaving)
         return cx
+
+    def _store(self, summands, leaving) -> None:
+        # the one step both constructors end in: diff is rendered from
+        # the stored form, so the two cannot disagree
+        names = self.quiver.path_names
+        diff = {(a, b): tuple([(c, names(p)) for c, p in terms])
+                for b, out in enumerate(leaving) for a, terms in out}
+        for name, value in (("summands", summands), ("_leaving", leaving),
+                            ("diff", MappingProxyType(diff))):
+            object.__setattr__(self, name, value)
+        self._check_delta_squared()
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, which checks
@@ -135,24 +140,22 @@ class TwistedComplex:
         # delta^2 from b to c sums the composites of the entry pairs
         # a<-b, c<-a, so only pairs of entries are walked; the first
         # failure reported is at the smallest b, then the smallest c.
-        compose = self.quiver.compose
-        leaving: dict[int, list[tuple[int, Entry]]] = {}
-        for (c, a), entry in self._diff.items():
-            leaving.setdefault(a, []).append((c, entry))
-        squares: dict[tuple[int, int], dict[Path, Scalar]] = {}
-        for (a, b), first in self._diff.items():
-            for c, second in leaving.get(a, ()):
-                acc = squares.setdefault((b, c), {})
-                for c1, p1 in first:
-                    for c2, p2 in second:
-                        comp = compose(p1, p2)
-                        if comp is not None:
-                            acc[comp] = acc.get(comp, 0) + c1 * c2
-        for b, c in sorted(squares):
-            if any(squares[b, c].values()):
-                raise SpecError(
-                    f"differential does not square to zero at {c}<-{b}"
-                )
+        compose, leaving = self.quiver.compose, self._leaving
+        for b, out in enumerate(leaving):
+            squares: dict[int, dict[Path, Scalar]] = {}
+            for a, first in out:
+                for c, second in leaving[a]:
+                    acc = squares.setdefault(c, {})
+                    for c1, p1 in first:
+                        for c2, p2 in second:
+                            comp = compose(p1, p2)
+                            if comp is not None:
+                                acc[comp] = acc.get(comp, 0) + c1 * c2
+            for c in sorted(squares):
+                if any(squares[c].values()):
+                    raise SpecError(
+                        f"differential does not square to zero at {c}<-{b}"
+                    )
 
 
 # slots=True replaces the class that frozen=True wrote __setattr__ for,
@@ -200,10 +203,9 @@ class HomComplex:
                     self.degrees.setdefault(d, []).append(len(self.basis))
                     self.basis.append((si, ti, p))
         self._index = {elt: i for i, elt in enumerate(self.basis)}
-        self._leaving = [[(a, e) for (a, b), e in Y._diff.items() if b == t]
-                         for t in range(len(Y.summands))]
-        self._entering = [[(b, e) for (a, b), e in X._diff.items() if a == s]
-                          for s in range(len(X.summands))]
+        # X's differential by the summand each entry enters
+        self._entering = [[(b, e) for b, out in enumerate(X._leaving) for a, e in out
+                           if a == s] for s in range(len(X.summands))]
 
     def matrix(self, d: int) -> list[list[Scalar]]:
         """D on degree d: one row per degree-(d+1) basis element, one
@@ -215,7 +217,7 @@ class HomComplex:
         sign = (1 if self.convention == "flipped" else -1) * (-1 if d % 2 else 1)
         for col, i in enumerate(cols):
             si, ti, p = self.basis[i]
-            for ta, entry in self._leaving[ti]:
+            for ta, entry in self.Y._leaving[ti]:
                 for c, step in entry:
                     comp = compose(p, step)
                     if comp is not None:
@@ -407,8 +409,8 @@ def localization_object(
         if aq.arrow_name(feed)[0] == feed_kind:
             return TwistedComplex._made(
                 aq, ((aq.primary_label(aq.arrow_ends(feed)[0]), 3), *chain),
-                {(1, 0): [(1, (feed,))], (2, 1): [(1, (arrow,))]})
-    return TwistedComplex._made(aq, chain, {(1, 0): [(1, (arrow,))]})
+                [[(1, [(1, (feed,))])], [(2, [(1, (arrow,))])], []])
+    return TwistedComplex._made(aq, chain, [[(1, [(1, (arrow,))])], []])
 
 
 def all_localization_objects(aq: GradedQuiver) -> list[LocObject]:
@@ -504,9 +506,6 @@ def module_of(E: TwistedComplex) -> ThinModule:
     """
     q, compose = E.quiver, E.quiver.compose
     into = [q.paths_into(lab) for lab, _ in E.summands]
-    # E's differential by the summand each entry leaves
-    leaving = [[(a, entry) for (a, b), entry in E._diff.items() if b == t]
-               for t in range(len(into))]
 
     dims: dict[Label, int] = {}
     degree: int | None = None
@@ -526,7 +525,7 @@ def module_of(E: TwistedComplex) -> ThinModule:
                 cols = slices.get(d, [])
                 mat = mats[d] = [[0] * len(cols) for _ in slices.get(d + 1, ())]
                 for col, (t, p) in enumerate(cols):
-                    for a, entry in leaving[t]:
+                    for a, entry in E._leaving[t]:
                         for c, step in entry:
                             comp = compose(p, step)
                             if comp is not None:

@@ -743,10 +743,10 @@ def _match_ids(q1: GradedQuiver, q2: GradedQuiver, image: list[int]) -> MatchRep
 
     Each arrow gets one int key from (image of its source, image of its
     target, degree), the degree offset by the least of both quivers so
-    that every key is a distinct natural number.  A stable sort of each
-    side's arrow indices by key is the one grouping: the groups are the
-    runs of equal keys, and zipping the two sorted orders together is
-    the order-preserving arrow matching.
+    that every key is a distinct natural number.  Zipping the two
+    sides' arrow indices, each stably sorted by key, together is the
+    order-preserving arrow matching; the arrows are grouped by key only
+    when the sorted keys differ or some key repeats.
 
     Each relation of q1, the left quiver, is read once, and those of q2
     are only looked up (_transports_rel says why).  The
@@ -771,8 +771,8 @@ def _match_ids(q1: GradedQuiver, q2: GradedQuiver, image: list[int]) -> MatchRep
     order2 = sorted(range(len(keys2)), key=keys2.__getitem__)
     sorted1 = [keys1[a] for a in order1]
     if sorted1 != [keys2[a] for a in order2]:
-        return MatchReport(False, _arrow_diffs(q1, q2, image, _runs(keys1, order1),
-                                               _runs(keys2, order2)))
+        return MatchReport(False, _arrow_diffs(q1, q2, image, _groups(keys1),
+                                               _groups(keys2)))
     diffs = []
     if len(q1._rel) != len(q2._rel):
         diffs.append(
@@ -780,15 +780,16 @@ def _match_ids(q1: GradedQuiver, q2: GradedQuiver, image: list[int]) -> MatchRep
         )
 
     # The order-preserving arrow matching: the backtracking starts from
-    # it, and a failure is reported against it.  The runs are listed
-    # only when some key repeats.
+    # it, and a failure is reported against it.  The groups of parallel
+    # arrows are listed only when some key repeats.
     canonical = [0] * len(order1)
     for a1, a2 in zip(order1, order2):
         canonical[a1] = a2
     parallel = []
     if any(map(operator.eq, sorted1, itertools.islice(sorted1, 1, None))):
-        parallel = [(g1, g2) for (_, g1), (_, g2)
-                    in zip(_runs(keys1, order1), _runs(keys2, order2)) if len(g1) > 1]
+        groups2 = _groups(keys2)
+        parallel = [(g1, groups2[key]) for key, g1 in _groups(keys1).items()
+                    if len(g1) > 1]
     if not diffs and _transports_rel(q1, q2, canonical, parallel):
         return MatchReport(True)
 
@@ -809,47 +810,38 @@ def _match_ids(q1: GradedQuiver, q2: GradedQuiver, image: list[int]) -> MatchRep
     return MatchReport(False, diffs)
 
 
-def _runs(keys: list[int], order: list[int]) -> list[tuple[int, list[int]]]:
-    """Each run of equal keys along ``order``: the key and the run's arrow
-    indices, ascending."""
-    return [(key, list(run)) for key, run in itertools.groupby(order, keys.__getitem__)]
+def _groups(keys: list[int]) -> dict[int, list[int]]:
+    """The arrow indices of each key, ascending, with the keys in the
+    order of their first arrows."""
+    groups: dict[int, list[int]] = {}
+    for a, key in enumerate(keys):
+        groups.setdefault(key, []).append(a)
+    return groups
 
 
 def _arrow_diffs(q1: GradedQuiver, q2: GradedQuiver, image: list[int],
-                 runs1: list, runs2: list) -> list[str]:
-    """The arrow groups that differ, merged from both sides' runs: each
-    group of q1 whose count differs on q2, then each group only q2 has,
-    each side's groups in the order of their first arrows."""
+                 groups1: dict, groups2: dict) -> list[str]:
+    """The arrow groups that differ: each group of q1 whose count
+    differs on q2, then each group only q2 has, each side's groups in
+    the order of their first arrows."""
 
     def names(q, group):
         return ", ".join(label_str(q._names[i]) for i in group)
 
-    counts, extras = [], []
-    j = 0
-    for key, g1 in runs1:
-        while j < len(runs2) and runs2[j][0] < key:
-            extras.append(runs2[j][1])
-            j += 1
-        g2 = []
-        if j < len(runs2) and runs2[j][0] == key:
-            g2 = runs2[j][1]
-            j += 1
-        if len(g1) != len(g2):
-            counts.append((g1, g2))
-    extras += [g2 for _, g2 in runs2[j:]]
-    counts.sort(key=lambda gs: gs[0][0])
-    extras.sort(key=lambda g2: g2[0])
     diffs = []
-    for g1, g2 in counts:
-        a = g1[0]
-        diffs.append(
-            f"{len(g1)} vs {len(g2)} arrows "
-            f"{label_str(q2.primary_label(image[q1._src[a]]))} -> "
-            f"{label_str(q2.primary_label(image[q1._tgt[a]]))} at degree {q1._deg[a]} "
-            f"(left: {names(q1, g1)})"
-        )
-    for g2 in extras:
-        diffs.append(f"extra arrows {names(q2, g2)} on right at degree {q2._deg[g2[0]]}")
+    for key, g1 in groups1.items():
+        g2 = groups2.get(key, ())
+        if len(g1) != len(g2):
+            a = g1[0]
+            diffs.append(
+                f"{len(g1)} vs {len(g2)} arrows "
+                f"{label_str(q2.primary_label(image[q1._src[a]]))} -> "
+                f"{label_str(q2.primary_label(image[q1._tgt[a]]))} at degree {q1._deg[a]} "
+                f"(left: {names(q1, g1)})"
+            )
+    for key, g2 in groups2.items():
+        if key not in groups1:
+            diffs.append(f"extra arrows {names(q2, g2)} on right at degree {q2._deg[g2[0]]}")
     return diffs
 
 

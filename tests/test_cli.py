@@ -176,6 +176,19 @@ def test_ext_json(capsys):
     assert data["M1 -> M2"] == {"1": 1}
 
 
+def test_loaded_complexes_hold_only_tuples():
+    # the file's lists are read into the stored form and diff is
+    # rendered from it, so no list of the file's survives in diff
+    q = cli.load_spec(QUIVER)[1]
+    for _, cx in cli._load_complexes(COMPLEXES, q):
+        assert cx.diff
+        for entry in cx.diff.values():
+            assert type(entry) is tuple
+            for term in entry:
+                assert type(term) is tuple and type(term[1]) is tuple
+                assert all(type(name) is tuple for name in term[1])
+
+
 def test_aside_text_and_dot(capsys):
     code, out, _ = run(capsys, "aside", "--spec", GLUING)
     assert code == 0

@@ -33,6 +33,9 @@ def test_linear_bookkeeping():
     assert (g.minus_rank(3), g.plus_rank(3)) == (3, 1)
     assert g.junction_rank(1) == 3
     assert g.next_component(1) == 2
+    assert g.free_ranks == (1, 1)
+    assert GluingSpec("linear", (2, 5), ()).free_ranks == (2, 5)
+    assert StackyCurveSpec("chain", (4, 2, 3), (1,)).free_ranks == (4, 3)
 
 
 def test_circular_bookkeeping():
@@ -45,6 +48,8 @@ def test_circular_bookkeeping():
     assert (g.minus_rank(1), g.plus_rank(1)) == (3, 2)
     assert (g.minus_rank(2), g.plus_rank(2)) == (2, 3)
     assert g.next_component(2) == 1
+    assert g.free_ranks == ()
+    assert StackyCurveSpec("ring", (3,), (1,)).free_ranks == ()
 
 
 def test_gluing_validation():
@@ -100,6 +105,21 @@ def test_surface_topology_consistency_guard():
     SurfaceTopology(2, (1, 1, 6, 6), -6)
     with pytest.raises(SpecError):
         SurfaceTopology(2, (1, 1, 6, 6), -5)
+
+
+def test_surface_topology_refuses_negative_counts():
+    for genus, marks, chi in ((-1, (), 4), (0, (-3, 1), 0), (-2, (2,), 5)):
+        with pytest.raises(SpecError, match="^no surface has genus -?[0-9]+ and boundary "):
+            SurfaceTopology(genus, marks, chi)
+    assert SurfaceTopology(0, (0, 2), 0).boundary_marks == (0, 2)
+
+
+def test_measured_topology_refuses_a_negative_genus():
+    for marks, chi, genus2 in (((2,), 3, -2), ((), 4, -2), ((1, 1, 1, 1), 0, -2)):
+        with pytest.raises(FalsificationError,
+                           match=f"^negative 2g = {genus2} for t: {len(marks)} boundary "
+                                 f"components and chi = {chi}$"):
+            SurfaceTopology.measured(marks, chi, "t")
 
 
 def test_measured_topology_takes_the_genus_from_chi():

@@ -625,6 +625,22 @@ def test_twisted_complexes_copy_and_pickle(monkeypatch):
     assert len(checked) == 1
 
 
+def test_the_callers_lists_do_not_reach_a_complex():
+    # the differential is stored once, so changing the term and path
+    # lists it was read from changes neither diff nor a copy's Hom table
+    q = GradedQuiver(plain(("v",), ("w",)), [(("a",), ("v",), ("w",), 0)], [])
+    for change in (lambda term: term.__setitem__(0, 0),
+                   lambda term: term[1].append(("a",))):
+        term = [1, [("a",)]]
+        cx = TwistedComplex(q, [(("v",), 1), (("w",), 0)], {(1, 0): [term]})
+        change(term)
+        assert dict(cx.diff) == {(1, 0): ((1, (("a",),)),)}
+        assert hom_cohomology(cx, cx) == {0: 1}
+        for twin in copy.deepcopy(cx), pickle.loads(pickle.dumps(cx)):
+            assert twin == TwistedComplex(twin.quiver, cx.summands, cx.diff)
+            assert hom_cohomology(twin, twin) == {0: 1}
+
+
 def test_localization_objects_are_valid_complexes():
     for g in SMOKE_GLUINGS:
         aq = build_aside(g)

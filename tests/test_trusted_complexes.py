@@ -31,12 +31,12 @@ def test_made_complexes_equal_the_public_ones():
             cx = obj.cx
             twin = TwistedComplex(aq, cx.summands, dict(cx.diff))
             assert cx == twin
-            assert cx._diff == twin._diff
+            assert cx._leaving == twin._leaving
             assert type(cx.summands) is tuple
             assert all(type(s) is tuple for s in cx.summands)
             assert type(cx.diff) is MappingProxyType
             assert all(type(e) is tuple for e in cx.diff.values())
-            assert all(type(e) is list for e in cx._diff.values())
+            assert all(type(e) is list for out in cx._leaving for _, e in out)
             with pytest.raises(TypeError):
                 cx.diff[(1, 0)] = ()
             assert module_of(cx) == module_of(twin)
@@ -53,7 +53,7 @@ def test_made_keeps_the_d_squared_check():
     with pytest.raises(SpecError, match=r"^differential does not square to zero at 2<-0$"):
         TwistedComplex._made(
             q, ((("v1",), 2), (("v2",), 1), (("v3",), 0)),
-            {(1, 0): [(1, (a,))], (2, 1): [(1, (b,))]})
+            [[(1, [(1, (a,))])], [(2, [(1, (b,))])], []])
 
 
 def _made_references(tree):
