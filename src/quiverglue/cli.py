@@ -10,11 +10,11 @@ command name: subcommand ``x`` runs the module's ``cmd_x``, looked up at
 call time, so the cached parser holds no functions.
 
 Each ``cmd_x`` reads its spec through one gate, ``_spec``, which refuses
-the kinds it cannot use, and writes through one writer, ``_emit``;
-reports printed as text or indented JSON go through ``_report``.  A
-quiver's text, JSON and dot formats are its own methods in quiver.py,
-``to_text``, ``to_json`` and ``to_dot``, and ``_format_quiver`` only
-picks one by the format's name.  A write that fails, to
+the kinds it cannot use and a gluing or curve of more strips than the
+command's limit, and writes through one writer, ``_emit``; reports
+printed as text or indented JSON go through ``_report``.  A quiver's
+text, JSON and dot formats are its own methods in quiver.py,
+``to_text``, ``to_json`` and ``to_dot``.  A write that fails, to
 ``--out`` or to stdout (a closed pipe, a full disk), is a usage error;
 ``run``, the program's entry point, then sends stdout to the null device
 so that interpreter exit does not write what the stream still holds.
@@ -82,11 +82,21 @@ def load_spec(path):
     )
 
 
-def _spec(args, *kinds):
-    """The ``--spec`` object, refused unless it is one of ``kinds``."""
+# The most strips (rank sum) of a gluing or curve spec, but for verify's
+# MAX_STRIPS: a memory bound just past the localize ladder's 6,001 strips.
+# At 8,000, localize E-:1:7998 on the (7,999, 1) chain peaks at 515 MB RSS.
+MAX_SPEC_STRIPS = 8000
+
+
+def _spec(args, *kinds, limit=MAX_SPEC_STRIPS):
+    """The ``--spec`` object, refused unless it is one of ``kinds`` and,
+    for a gluing or curve, has at most ``limit`` strips."""
     kind, spec = load_spec(args.spec)
     if kind not in kinds:
         raise SpecError(f"{args.command} needs a {' or '.join(kinds)} spec")
+    if kind != "quiver" and (strips := sum(spec.ranks)) > limit:
+        raise SpecError(f"{kind} of {strips} strips exceeds the {args.command} "
+                        f"limit {limit}")
     return spec
 
 
@@ -116,10 +126,6 @@ def _report(args, obj, text, code=0):
     return code
 
 
-def _format_quiver(q, fmt):
-    return getattr(q, f"to_{fmt}")()
-
-
 # -- subcommands -------------------------------------------------------
 
 
@@ -146,22 +152,19 @@ def cmd_topology(args):
 
 
 def cmd_aside(args):
-    spec = _gluing(_spec(args, "gluing", "curve"))
-    _emit(_format_quiver(build_aside(spec), args.format), args.out)
+    q = build_aside(_gluing(_spec(args, "gluing", "curve")))
+    _emit(getattr(q, f"to_{args.format}")(), args.out)
     return 0
 
 
 def cmd_bside(args):
-    _emit(_format_quiver(build_bside(_spec(args, "curve")), args.format), args.out)
+    q = build_bside(_spec(args, "curve"))
+    _emit(getattr(q, f"to_{args.format}")(), args.out)
     return 0
 
 
 def cmd_verify(args):
-    spec = _spec(args, "curve")
-    strips = sum(spec.ranks)
-    if strips > MAX_STRIPS:
-        raise SpecError(f"curve of {strips} strips exceeds the verify limit "
-                        f"{MAX_STRIPS}")
+    spec = _spec(args, "curve", limit=MAX_STRIPS)
     report = verify_theorem_A(spec)
     curve = spec.to_json()
     return _report(args, {"curve": json.loads(curve), **report.to_json_obj()},
@@ -272,9 +275,10 @@ def _load_complexes(path, q):
 
 
 def cmd_ext(args):
-    kind, spec = load_spec(args.spec)
-    build = {"gluing": build_aside, "curve": build_bside}.get(kind)
-    complexes = _load_complexes(args.complexes, build(spec) if build else spec)
+    spec = _spec(args, "gluing", "curve", "quiver")
+    q = (build_bside(spec) if isinstance(spec, StackyCurveSpec) else
+         build_aside(spec) if isinstance(spec, GluingSpec) else spec)
+    complexes = _load_complexes(args.complexes, q)
     report = {
         f"{sname} -> {tname}": {
             str(d): n for d, n in sorted(HomComplex(X, Y).cohomology().items())

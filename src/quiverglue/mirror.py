@@ -36,14 +36,7 @@ def canonical_correspondence(
     P+(i,m)); the twist class S(i,c) maps to the S(i,j) whose b-arrow
     lands on the same slot on the other side.
     """
-    return _correspondence(c, window_origins(c, bases), twisted_gluing(c, bases))
-
-
-def _correspondence(
-    c: StackyCurveSpec, base: dict[int, tuple[int, int]], g: GluingSpec
-) -> dict:
-    """``canonical_correspondence`` given the window origins and the
-    twisted gluing they produce."""
+    base, g = window_origins(c, bases), twisted_gluing(c, bases)
     vmap = {}
     for i in c.components():
         ji, mi = base[i]
@@ -64,9 +57,10 @@ def _correspondence(
 def _correspondence_ids(
     c: StackyCurveSpec, base: dict[int, tuple[int, int]], g: GluingSpec
 ) -> list[int]:
-    """``_correspondence`` as vertex ids: entry v is the id, in
-    ``build_aside(g)``, of the image of vertex id v of ``build_bside`` at
-    ``base``.
+    """``canonical_correspondence`` as vertex ids, given the window
+    origins ``base`` and the twisted gluing ``g`` they produce: entry v
+    is the id, in ``build_aside(g)``, of the image of vertex id v of
+    ``build_bside`` at ``base``.
 
     Both builders number each component's row block alike, slot by
     slot, so the map is the identity there.  Node i numbers its classes
@@ -143,7 +137,7 @@ def verify_theorem_A(
     if bq._numbering == _BsideNumbering(c, base) and aq._numbering == _AsideNumbering(g):
         report = _match_ids(bq, aq, _correspondence_ids(c, base, g))
     else:
-        report = map_equals(bq, aq, _correspondence(c, base, g))
+        report = map_equals(bq, aq, canonical_correspondence(c, bases))
     checks.append(Check("quiver", report.ok, report.diffs))
 
     predicted = predicted_topology_curve(c)

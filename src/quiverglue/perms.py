@@ -66,15 +66,8 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def commutator(self, other: "Permutation") -> "Permutation":
-        """[self, other] = self * other * self^-1 * other^-1, composed in
-        one pass: x goes to self(other(self^-1(other^-1(x))))."""
-        p, q = self.image, other.image
-        if len(q) != len(p):
-            raise SpecError("degree mismatch")
-        p_inv, q_inv = [0] * len(p), [0] * len(q)
-        for x in range(len(p)):
-            p_inv[p[x]] = q_inv[q[x]] = x
-        return Permutation(tuple([p[q[p_inv[y]]] for y in q_inv]))
+        """[self, other] = self * other * self^-1 * other^-1."""
+        return self * other * self.inverse() * other.inverse()
 
     def __pow__(self, n: int) -> "Permutation":
         (n,) = exact_ints((n,), "power must be an integer, got {value!r}")

@@ -73,6 +73,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 
 from .errors import QuiverError, SpecError, exact_ints, exact_items, read_only
 
@@ -259,10 +260,15 @@ class GradedQuiver:
         # paths_into.
         init(self, "_paths", {})
 
+    def __getstate__(self):
+        # a copy leaves the path memo, a cache of unpicklable views, behind
+        return None, {n: getattr(self, n) for n in self.__slots__ if n != "_paths"}
+
     def __setstate__(self, state) -> None:
         # copy and pickle restore the slots past the read-only __setattr__
         for name, value in state[1].items():
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_paths", {})
 
     # -- labels and names -----------------------------------------------
 
@@ -408,10 +414,11 @@ class GradedQuiver:
                     paths.setdefault(key, []).append(self.path_names(p))
         return HomTable(paths)
 
-    def paths_into(self, target: Label) -> dict[int, tuple[Path, ...]]:
+    def paths_into(self, target: Label) -> MappingProxyType:
         """Nonzero paths into ``target`` as arrow-index tuples, keyed by
         source vertex id in ascending order, from one depth-first walk
-        along the in-arrows that is remembered per target.  Each
+        along the in-arrows that is remembered per target and handed
+        out as the same read-only mapping on every call.  Each
         source's paths come sorted, which is forward depth-first
         preorder.  A nonzero path with more arrows than the quiver
         repeats one, so it runs round a cycle no relation kills: the
@@ -420,7 +427,7 @@ class GradedQuiver:
         t = self.vertex_id(target)
         into = self._paths.get(t)
         if into is None:
-            into = self._paths[t] = self._walk_into(t, self._in)
+            into = self._paths[t] = MappingProxyType(self._walk_into(t, self._in))
         return into
 
     def _walk_into(self, t: int, ins) -> dict[int, tuple[Path, ...]]:

@@ -630,6 +630,35 @@ def test_verify_rejects_curves_past_the_limit(capsys, tmp_path, ranks):
     assert time.process_time() - start < 1.0
 
 
+@pytest.mark.parametrize("command", ["topology", "aside", "bside", "localize", "ext"])
+def test_spec_commands_reject_specs_past_the_limit(capsys, tmp_path, command):
+    # a rank sum over MAX_SPEC_STRIPS, in a curve, in a curve with a rank
+    # of 2**70 that once overflowed a list size (exit 3), and in a gluing:
+    # each rejected before anything is built
+    limit = cli.MAX_SPEC_STRIPS
+    cases = [("curve", {"shape": "chain", "ranks": [limit, 1], "twists": []}),
+             ("curve", {"shape": "chain", "ranks": [2**70, 2, 1], "twists": [1]})]
+    if command != "bside":
+        cases.append(("gluing", {"shape": "linear", "ranks": [limit, 1], "perms": []}))
+    for kind, obj in cases:
+        spec = _write_json(tmp_path / "spec.json", obj)
+        start = time.process_time()
+        code, out, err = run(capsys, command, "--spec", spec, *FUZZ_COMMANDS[command])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {kind} of {sum(obj['ranks'])} strips exceeds the "
+                       f"{command} limit {limit}\n")
+        assert time.process_time() - start < 1.0
+
+
+def test_topology_passes_at_the_spec_limit(capsys, tmp_path):
+    spec = _write_json(tmp_path / "linear.json",
+                       {"shape": "linear", "ranks": [cli.MAX_SPEC_STRIPS - 1, 1],
+                        "perms": []})
+    code, out, _ = run(capsys, "topology", "--spec", spec)
+    assert code == 0
+    assert out.strip().endswith("AGREE")
+
+
 def test_verify_passes_at_the_limit(capsys, tmp_path):
     spec = _write_json(
         tmp_path / "ring.json", {"shape": "ring", "ranks": [1500], "twists": [1]}
@@ -766,9 +795,10 @@ def test_ext_rejects_duplicate_or_missing_complexes(capsys, tmp_path, entries,
     assert named in err
 
 
-# Values a mutation puts in a spec: wrong shapes and types, and ints
-# small enough that no mutated spec builds a large quiver.
-FUZZ_VALUES = ([], [[]], 1.5, True, None, "x", *range(-2, 6))
+# Values a mutation puts in a spec: wrong shapes and types, ints small
+# enough that no mutated spec builds a large quiver, and one too large
+# for any list, which the spec limits refuse.
+FUZZ_VALUES = ([], [[]], 1.5, True, None, "x", *range(-2, 6), 2**70)
 FUZZ_COMMANDS = {"topology": (), "aside": (), "bside": (), "verify": (),
                  "localize": ("E-:1:0",), "ext": (COMPLEXES,)}
 

@@ -307,6 +307,31 @@ def test_search_known_answers():
     assert search_ring_mirror(4) == [1, 2, 3, 4, 5]
 
 
+def test_search_filter_drops_exactly_the_twists_the_oracle_refuses():
+    # a second route for the twists search drops: for every unit twist k
+    # mod m = 2g - 1, the arithmetic filter gcd(k + 1, m) = 1 against the
+    # surface oracle's genus and marks (2m, 2, ..., 2) of the twisted ring
+    checked = 0
+    for genus in range(2, 41):
+        m = 2 * genus - 1
+        for n in 1, 2, 3:
+            marks = tuple(sorted([2 * m] + [2] * (n - 1)))
+            kept = []
+            for k in range(1, m):
+                if math.gcd(k, m) != 1:
+                    continue
+                c = StackyCurveSpec("ring", (m,) + (1,) * (n - 1), (k,) + (0,) * (n - 1))
+                topo = surface_topology(twisted_gluing(c))
+                oracle = topo.genus == genus and topo.boundary_marks == marks
+                assert (math.gcd(k + 1, m) == 1) == oracle, (genus, n, k, topo)
+                if oracle:
+                    kept.append(k)
+                checked += 1
+            if genus <= 12:
+                assert search_ring_mirror(genus, n) == kept, (genus, n)
+    assert checked == 3906
+
+
 def test_search_a_187_strip_ring():
     # genus 94, one boundary circle: a ring of rank 187 = 11 * 17,
     # verified in full for every hit

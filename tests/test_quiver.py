@@ -20,6 +20,7 @@ from quiverglue.aside import build_aside
 from quiverglue.bside import build_bside
 from quiverglue.errors import QuiverError
 from quiverglue.gluing import GluingSpec, StackyCurveSpec
+from quiverglue.homology import hom_cohomology, localization_object, module_of
 from quiverglue.mirror import twisted_gluing
 from quiverglue.perms import Permutation, random_permutation
 from quiverglue.quiver import (
@@ -191,6 +192,23 @@ def test_quivers_and_arrows_are_read_only():
     assert q.paths_into(("u",)) is paths
 
 
+def test_callers_cannot_change_the_path_memo():
+    # paths_into hands out its memo as a read-only mapping: clearing the
+    # paths into E's summands once emptied E's module and Hom table on
+    # every later call on the quiver
+    q = build_aside(GluingSpec("linear", (1, 2, 1), (Permutation((1, 0)),)))
+    E = localization_object(q, "E-", 1, 0)
+    dims, homs = module_of(E).dims, hom_cohomology(E, E)
+    assert (len(dims), homs) == (3, {0: 1, 1: 1})
+    for lab, _ in E.summands:
+        paths = q.paths_into(lab)
+        with pytest.raises(AttributeError):
+            paths.clear()
+        with pytest.raises(TypeError):
+            paths[0] = ()
+    assert (module_of(E).dims, hom_cohomology(E, E)) == (dims, homs)
+
+
 def copy_cases():
     """(quiver, a vertex label, the identity vertex map) for a quiver from
     the public constructor and for builders' quivers, each built fresh:
@@ -215,6 +233,7 @@ def test_quivers_copy_and_pickle():
             unread = fresh and q._numbering is not None
             assert [t._labels is None for t in (q, *twins)] == [unread] * 3
             for twin in twins:
+                assert twin._paths == {}  # a copy leaves the memo, a cache, behind
                 assert twin.to_text() == q.to_text() and twin.to_dot() == q.to_dot()
                 assert twin.to_json_obj() == q.to_json_obj()
                 assert twin.arrows == q.arrows == range(q.num_arrows)
