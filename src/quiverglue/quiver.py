@@ -9,10 +9,11 @@ arrow names are structured tuples like ``("P-", 1, 0)`` or
 
 A quiver is built once and refuses every attribute assignment
 afterwards.  Arrows are stored as parallel int tuples indexed by
-insertion order: source and target vertex ids and degrees.  Each vertex
-keeps the indices of its out- and in-arrows, and the relations are a
-set of arrow-index pairs.  The public constructor reads vertices,
-arrows and relations by name, in one pass, for JSON input and for
+insertion order: source and target vertex ids and degrees.  The
+relations are a set of arrow-index pairs, and each vertex's out- and
+in-arrow indices are built from the arrays when something first walks
+them.  The public constructor reads vertices, arrows and relations by
+name, in one pass, for JSON input and for
 tests: it reads each container through exact_items (never a string as
 a sequence), numbers them with a label and a name dict, resolves every
 endpoint and relation arrow through vertex_id and arrow_index, and
@@ -142,22 +143,25 @@ class GradedQuiver:
     any alias; ``relations`` yields composable pairs ``(f, g)``, meaning
     g∘f = 0.  Each is read once, in that order, so generators will do.
 
-    The arrow of index i is entry i of the int tuples ``_src``,
-    ``_tgt`` and ``_deg``; ``_out`` and ``_in`` hold each vertex's arrow
-    indices, and ``_rel`` the relations as index pairs.  The aside and
-    bside builders hand ``_numbered`` a numbering instead, a picklable
-    object that holds their spec: its ``arrays()`` fills those arrays
-    by index arithmetic, and its ``vertex_labels()``,
-    ``vertex_shifts()`` and ``arrow_names()`` make the labels, shifts
-    and arrow names in the same order.  The quiver asks for each of those on first use, and
-    builds its label and name lookups from them on first lookup.  Every
-    attribute is read-only after construction, so neither those caches
-    nor the path memo can go stale.
+    The arrow of index i is entry i of the int tuples ``_src``, ``_tgt``
+    and ``_deg``, ``_rel`` holds the relations as index pairs, and
+    ``_num_vertices`` the vertex count.  ``_out`` and ``_in``, each
+    vertex's arrow indices, are derived from those arrays on first read
+    and then kept, so a quiver that is only built, reported or matched
+    never makes them.  The aside and bside builders hand ``_numbered`` a
+    numbering instead, a picklable object that holds their spec: its
+    ``arrays()`` fills those arrays by index arithmetic, and its
+    ``vertex_labels()``, ``vertex_shifts()`` and ``arrow_names()`` make
+    the labels, shifts and arrow names in the same order.  The quiver asks
+    for each of those on first use, and builds its label and name lookups
+    from them on first lookup.  Every attribute is read-only after
+    construction, so neither those caches, the arrow lists nor the path
+    memo can go stale.
     """
 
-    __slots__ = ("_src", "_tgt", "_deg", "_out", "_in", "_rel", "_numbering",
-                 "_labels", "_shifts", "_arrow_names", "_label_to_id", "_index",
-                 "_paths")
+    __slots__ = ("_src", "_tgt", "_deg", "_num_vertices", "_adjacency", "_rel",
+                 "_numbering", "_labels", "_shifts", "_arrow_names", "_label_to_id",
+                 "_index", "_paths")
 
     __setattr__ = __delattr__ = read_only
 
@@ -222,28 +226,15 @@ class GradedQuiver:
         return q
 
     def _set_arrays(self, num_vertices: int, src, tgt, deg, relations) -> None:
-        """Store the arrow arrays, each vertex's out- and in-arrow indices
-        in arrow order, and the relations, each checked composable."""
+        """Store the vertex count, the arrow arrays and the relations, each
+        checked composable; each vertex's arrow lists wait for a reader."""
         init = object.__setattr__
+        init(self, "_num_vertices", num_vertices)
         init(self, "_src", tuple(src))
         init(self, "_tgt", tuple(tgt))
         init(self, "_deg", tuple(deg))
+        init(self, "_adjacency", None)
         src, tgt = self._src, self._tgt
-        out = [[] for _ in range(num_vertices)]
-        into = [[] for _ in range(num_vertices)]
-        for i, s, t in zip(range(len(src)), src, tgt):
-            out[s].append(i)
-            into[t].append(i)
-        # From lists, so each tuple is made at its final size: CPython
-        # resizes a tuple drawn from an iterator of unknown length, and
-        # frees it onto the spare list of the new size, where such tuples
-        # pile up between full garbage collections.  Each list gives way
-        # to its tuple in place, so the build never holds all of both.
-        for lists in out, into:
-            for v, a in enumerate(lists):
-                lists[v] = tuple(a)
-        init(self, "_out", tuple(out))
-        init(self, "_in", tuple(into))
         pairs = []
         for pair in relations:
             f, g = pair
@@ -269,6 +260,38 @@ class GradedQuiver:
         for name, value in state[1].items():
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_paths", {})
+
+    # -- adjacency --------------------------------------------------------
+
+    @property
+    def _out(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's out-arrow indices, in arrow order."""
+        return (self._adjacency or self._adjacent())[0]
+
+    @property
+    def _in(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's in-arrow indices, in arrow order."""
+        return (self._adjacency or self._adjacent())[1]
+
+    def _adjacent(self) -> tuple:
+        """Build both arrow lists from the arrow arrays, on first read, and
+        keep them as one value, so no copy holds one without the other."""
+        out = [[] for _ in range(self._num_vertices)]
+        into = [[] for _ in range(self._num_vertices)]
+        for i, s, t in zip(range(len(self._src)), self._src, self._tgt):
+            out[s].append(i)
+            into[t].append(i)
+        # From lists, so each tuple is made at its final size: CPython
+        # resizes a tuple drawn from an iterator of unknown length, and
+        # frees it onto the spare list of the new size, where such tuples
+        # pile up between full garbage collections.  Each list gives way
+        # to its tuple in place, so the build never holds all of both.
+        for lists in out, into:
+            for v, a in enumerate(lists):
+                lists[v] = tuple(a)
+        adjacency = tuple(out), tuple(into)
+        object.__setattr__(self, "_adjacency", adjacency)
+        return adjacency
 
     # -- labels and names -----------------------------------------------
 
@@ -311,7 +334,7 @@ class GradedQuiver:
 
     @property
     def num_vertices(self) -> int:
-        return len(self._out)
+        return self._num_vertices
 
     @property
     def num_arrows(self) -> int:
@@ -351,14 +374,14 @@ class GradedQuiver:
 
     def topological_order(self) -> list[int]:
         """Vertex ids in topological order; raises on a directed cycle."""
-        tgt = self._tgt
+        tgt, outs = self._tgt, self._out
         indeg = [len(arrows) for arrows in self._in]
         queue = [v for v, d in enumerate(indeg) if d == 0]
         order = []
         while queue:
             v = queue.pop()
             order.append(v)
-            for i in self._out[v]:
+            for i in outs[v]:
                 w = tgt[i]
                 indeg[w] -= 1
                 if indeg[w] == 0:
@@ -368,6 +391,21 @@ class GradedQuiver:
         return order
 
     def is_acyclic(self) -> bool:
+        """Whether the quiver has no directed cycle.
+
+        First one pass over the arrows, which builds no arrow lists:
+        when every arrow raises the vertex id or leaves a vertex that no
+        arrow enters, the quiver is acyclic, since every vertex on a
+        cycle is entered, so each arrow of a cycle would raise the id all
+        the way round.  The builders' numberings pass it (their S
+        vertices are sources, and their chain arrows raise the id).  Only
+        a quiver that fails it is answered by topological_order."""
+        entered = set(self._tgt)
+        for s, t in zip(self._src, self._tgt):
+            if s >= t and s in entered:
+                break
+        else:
+            return True
         try:
             self.topological_order()
             return True

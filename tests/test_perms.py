@@ -140,12 +140,23 @@ def test_all_permutations_counts():
     )
 
 
+def inverse_image(p):
+    """p^-1 as an image list, read off p.image by hand."""
+    inv = [None] * p.degree
+    for x, y in enumerate(p.image):
+        inv[y] = x
+    return inv
+
+
 def test_commutator_is_the_product_of_four():
-    # composed in one pass, it equals p q p^-1 q^-1 built as products
+    # [p, q] = p q p^-1 q^-1 sends x to p(q(p^-1(q^-1(x)))), a map built
+    # here pointwise from the images, with no product and no inverse()
     for r in range(1, 5):
         perms = list(all_permutations(r))
         for p, q in itertools.product(perms, perms):
-            assert p.commutator(q) == p * q * p.inverse() * q.inverse()
+            p_inv, q_inv = inverse_image(p), inverse_image(q)
+            expected = tuple(p.image[q.image[p_inv[q_inv[x]]]] for x in range(r))
+            assert p.commutator(q).image == expected
     with pytest.raises(ValueError, match="degree mismatch"):
         identity(2).commutator(identity(3))
 

@@ -222,17 +222,25 @@ def copy_cases():
 
 
 def test_quivers_copy_and_pickle():
-    # before the names are first read, and after the reports, a path
-    # memo and a lookup have read them
-    for fresh in True, False:
+    # before the arrow lists and names are first read, after a walk has
+    # read only the arrow lists, and after the reports, a path memo and a
+    # lookup have read them
+    for state in "fresh", "walked", "reported":
         for q, label, identity in copy_cases():
-            if not fresh:
+            if state == "walked":
+                q.in_arrows(0)
+            elif state == "reported":
                 q.to_text()
                 q.paths_into(label)
             twins = copy.deepcopy(q), pickle.loads(pickle.dumps(q))
-            unread = fresh and q._numbering is not None
+            unread = state != "reported" and q._numbering is not None
             assert [t._labels is None for t in (q, *twins)] == [unread] * 3
+            # both arrow lists or neither, in the quiver and in each copy
+            assert [t._adjacency is None for t in (q, *twins)] == [state == "fresh"] * 3
             for twin in twins:
+                assert twin._out == q._out and twin._in == q._in
+                assert twin.num_vertices == q.num_vertices
+                assert twin.is_acyclic() == q.is_acyclic()
                 assert twin._paths == {}  # a copy leaves the memo, a cache, behind
                 assert twin.to_text() == q.to_text() and twin.to_dot() == q.to_dot()
                 assert twin.to_json_obj() == q.to_json_obj()
