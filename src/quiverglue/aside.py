@@ -49,10 +49,8 @@ class _Numbering:
     def arrays(self):
         """The vertex count, and each arrow's source, target and degree,
         and the relations as arrow-index pairs, in this numbering."""
-        g = self.g
-        src, tgt, rows = [], [], {}
-        for i in g.components():
-            rm, rp = g.minus_rank(i), g.plus_rank(i)
+        src, tgt, rows = [], [], []
+        for rm, rp in self.g.side_ranks():
             v = len(src)  # the block's first vertex id and first arrow index
             end = v + rm + rp - 1
             xs = [v, *range(v + 1, v + rm), end]  # P-(i,0..rm)
@@ -61,13 +59,13 @@ class _Numbering:
             tgt += xs[1:]
             src += ys[:-1]
             tgt += ys[1:]
-            rows[i] = xs, ys, v, v + rm  # and the indices of x(i,0), y(i,0)
+            rows.append((xs, ys, v, v + rm))  # and the indices of x(i,0), y(i,0)
         n, relations = len(src), []
-        for i in g.junctions():
-            sigma = g.perm(i).image
+        for i, p in enumerate(self.g.perms):  # junction i + 1 joins rows[i] to the next
+            sigma = p.image
             r = len(sigma)
             _, ys, _, y0 = rows[i]
-            xs, _, x0, _ = rows[g.next_component(i)]
+            xs, _, x0, _ = rows[(i + 1) % len(rows)]
             for j, s in enumerate(range(n, n + r)):
                 k = r - 1 - sigma[j]
                 a = len(src)

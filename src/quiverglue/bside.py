@@ -68,9 +68,8 @@ class _Numbering:
         """The vertex count, and each arrow's source, target and degree,
         and the relations as arrow-index pairs, in this numbering."""
         c, base = self.c, self.base
-        src, tgt, rows = [], [], {}
-        for i in c.components():
-            rm, rp = c.minus_rank(i), c.plus_rank(i)
+        src, tgt, rows = [], [], []
+        for rm, rp in c.side_ranks():
             v = len(src)  # the block's first vertex id and first arrow index
             sink = v + rm + rp - 1
             xs = [v, *range(v + 1, v + rm), sink]  # x-row slots 0..rm
@@ -79,12 +78,11 @@ class _Numbering:
             tgt += xs[1:]
             src += ys[:-1]
             tgt += ys[1:]
-            rows[i] = xs, ys, v, v + rm  # and the indices of x(i,0), y(i,0)
+            rows.append((xs, ys, v, v + rm))  # and the indices of x(i,0), y(i,0)
         n, relations = len(src), []
-        for i, k in zip(c.junctions(), c.twists):
-            r = c.junction_rank(i)
-            nxt = c.next_component(i)
-            jn, mi = base[nxt][0], base[i][1]
+        for i, (k, r) in enumerate(zip(c.twists, c.node_ranks())):
+            nxt = (i + 1) % len(rows)  # node i + 1 joins rows[i] to the next
+            jn, mi = base[nxt + 1][0], base[i + 1][1]
             xs, _, x0, _ = rows[nxt]
             _, ys, _, y0 = rows[i]
             b = len(src)

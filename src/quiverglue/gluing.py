@@ -22,7 +22,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import FalsificationError, SpecError, exact_ints, exact_items
+from .errors import (FalsificationError, SpecError, exact_ints, exact_items,
+                     read_only)
 from .perms import Permutation
 
 LINEAR = "linear"
@@ -91,7 +92,7 @@ class SurfaceTopology:
         return self.num_marks - self.euler_characteristic
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shape:
     """A shape with its ranks, and the index arithmetic that a gluing and
     its mirror curve share.
@@ -178,6 +179,14 @@ class Shape:
         when that side is free."""
         return i if self.closed or i < len(self.ranks) - 1 else None
 
+    def side_ranks(self) -> list[tuple[int, int]]:
+        """The (minus rank, plus rank) of every component, in order, in
+        one pass over the ranks.  Junction k joins the plus side of the
+        k-th pair to the minus side of the next pair, cyclically; an open
+        shape leaves the first minus and the last plus side free."""
+        r = self.ranks
+        return list(zip(r[-1:] + r[:-1], r) if self.closed else zip(r, r[1:]))
+
     # -- spec plumbing: each subclass names its per-junction field in _ITEMS
 
     def _per_junction(self, items: tuple, noun: str):
@@ -228,7 +237,7 @@ class Shape:
         return self.to_json() if hasattr(self, "_ITEMS") else repr(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GluingSpec(Shape):
     """Combinatorial gluing data for a surface assembled from annuli.
 
@@ -242,7 +251,7 @@ class GluingSpec(Shape):
     _ITEMS = "perms"
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        Shape.__post_init__(self)
         perms = exact_ints(self.perms, "permutations must be Permutations, got "
                            "{value!r}", (Permutation,))
         object.__setattr__(self, "perms", perms)
@@ -261,7 +270,7 @@ class GluingSpec(Shape):
         return self.perms[i - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StackyCurveSpec(Shape):
     """A chain or ring of rational curves with one stacky point of order
     ``ranks[i]`` per component and twist ``twists[i]`` at node i.
@@ -277,12 +286,20 @@ class StackyCurveSpec(Shape):
     _ITEMS = "twists"
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        Shape.__post_init__(self)
         twists = exact_ints(self.twists, "twists must be integers, got {value!r}")
         object.__setattr__(self, "twists", twists)
         for i, r, k in self._per_junction(twists, "twists"):
             if math.gcd(k, r) != 1:
                 raise SpecError(f"twist {k} at node {i} is not a unit mod {r}")
+
+
+# slots=True replaces each class that frozen=True wrote __setattr__ for,
+# so on CPython 3.11 setting a name that is not a field would raise
+# TypeError; for the same reason the subclasses call Shape.__post_init__
+# by name, not through a zero-argument super().
+for _spec in (Shape, GluingSpec, StackyCurveSpec):
+    _spec.__setattr__ = _spec.__delattr__ = read_only
 
 
 def window_origins(

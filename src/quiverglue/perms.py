@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import SpecError, exact_ints
+from .errors import SpecError, exact_ints, read_only
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class CycleDecomposition:
         return len(self.cycles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     image: tuple[int, ...]
 
@@ -102,6 +102,12 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.image)})"
+
+
+# slots=True replaces the class that frozen=True wrote __setattr__ for,
+# so on CPython 3.11 setting a name that is not a field would raise
+# TypeError.
+Permutation.__setattr__ = Permutation.__delattr__ = read_only
 
 
 def _degree(r) -> int:

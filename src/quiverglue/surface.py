@@ -14,7 +14,9 @@ by junction.  Everything downstream (vertex count, Euler characteristic,
 boundary walks) is pure combinatorics on the resulting darts, with no
 input from the predicted formulas it is meant to check.  Vertices are
 counted as the orbits of the corner turn (see
-:meth:`CombinatorialMap.num_vertices`).
+:meth:`CombinatorialMap.num_vertices`); :meth:`CombinatorialMap.topology`
+counts them, the edges and the boundary marks in one walk of the
+boundary plus one of the closed orbits, on any numbering of the darts.
 """
 
 from __future__ import annotations
@@ -57,11 +59,8 @@ class CombinatorialMap:
         so each free dart starts one open orbit, and every dart that
         those orbits miss lies on a closed cycle.
         """
-        return self._vertices([d for d, e in enumerate(self.pair) if e < 0])
-
-    def _vertices(self, free) -> int:
-        """The orbit count of :meth:`num_vertices`, given the free darts."""
         nxt, pair = self.next_in_face, self.pair
+        free = [d for d, e in enumerate(pair) if e < 0]
         seen = bytearray(len(nxt))
         for d in free:  # each open orbit, walked from its start
             while d >= 0 and not seen[d]:
@@ -78,10 +77,8 @@ class CombinatorialMap:
         return orbits
 
     def num_edges(self) -> int:
-        return self._edges(sum(1 for e in self.pair if e < 0))
-
-    def _edges(self, free: int) -> int:
         """Each free dart is an edge of its own; the rest pair up."""
+        free = sum(1 for e in self.pair if e < 0)
         return free + (self.num_darts - free) // 2
 
     def euler_characteristic(self) -> int:
@@ -108,14 +105,41 @@ class CombinatorialMap:
         return walks
 
     def topology(self) -> SurfaceTopology:
-        """Boundary marks and Euler characteristic from one boundary walk:
-        its darts are exactly the free darts, which give the edge count
-        and start the open vertex orbits."""
-        walks = self.boundary_components()
-        free = [d for walk in walks for d in walk]
-        chi = self._vertices(free) - self._edges(len(free)) + len(self.faces)
-        mark = self.marked.__getitem__
-        marks = [sum(map(mark, walk)) for walk in walks]
+        """Boundary marks and Euler characteristic from one walk of the
+        boundary.  After a free dart f the walk turns through the corners
+        of f's open vertex orbit, f, pair[next(f)], ..., until it meets
+        the next free dart; so marking each dart it turns through marks
+        every open orbit, the free darts it counts give the edges and the
+        open orbits, and only the darts left unmarked, which lie on
+        closed orbits, are walked again."""
+        nxt, pair, marked = self.next_in_face, self.pair, self.marked
+        seen = bytearray(len(pair))
+        marks, free = [], 0
+        for d, e in enumerate(pair):
+            if e >= 0 or seen[d]:
+                continue
+            count = 0
+            while not seen[d]:  # d is free; turn through its open orbit
+                seen[d] = 1
+                free += 1
+                count += marked[d]
+                d = nxt[d]
+                e = pair[d]
+                while e >= 0:
+                    seen[e] = 1
+                    d = nxt[e]
+                    e = pair[d]
+            marks.append(count)
+        closed = 0
+        d = seen.find(0)
+        while d >= 0:  # each closed orbit, from its least dart
+            closed += 1
+            while not seen[d]:
+                seen[d] = 1
+                d = pair[nxt[d]]
+            d = seen.find(0, d)
+        # vertices free + closed, edges free + (darts - free) / 2
+        chi = closed - (len(pair) - free) // 2 + len(self.faces)
         return SurfaceTopology.measured(marks, chi, "the oracle")
 
 
@@ -132,15 +156,14 @@ def build_map(g: GluingSpec) -> CombinatorialMap:
     nxt: list[int] = []
     marked: list[bool] = []
     faces: list[Sequence[int]] = []
-    sides: dict[int, tuple[int, int]] = {}  # component -> first bottom, top arc
-    for i in g.components():
+    sides: list[tuple[int, int]] = []  # each annulus's first bottom, top arc
+    closed, last = g.closed, g.n_components - 1
+    for k, (rm, rp) in enumerate(g.side_ranks()):
         b = len(nxt)
-        r = g.plus_rank(i)
-        marked += [False, True] * r if g.junction_after(i) is not None else [True] * r
+        marked += [False, True] * rp if closed or k < last else [True] * rp
         marked.append(False)  # right seam
-        sides[i] = b, len(marked)
-        r = g.minus_rank(i)
-        marked += [True, False] * r if g.junction_before(i) is not None else [True] * r
+        sides.append((b, len(marked)))
+        marked += [True, False] * rm if closed or k else [True] * rm
         marked.append(False)  # left seam
         nxt += range(b + 1, len(marked))
         nxt.append(b)
@@ -153,12 +176,12 @@ def build_map(g: GluingSpec) -> CombinatorialMap:
     faces += map(range, range(strips, n, 4), range(strips + 4, n + 4, 4))
     marked += [False] * (n - strips)
     pair = [-1] * n
-    for (_, t0), face in zip(sides.values(), faces):  # right seam to left seam
+    for (_, t0), face in zip(sides, faces):  # right seam to left seam
         pair[t0 - 1], pair[face[-1]] = face[-1], t0 - 1
     q0 = strips
-    for i in g.junctions():
-        sigma = g.perm(i).image
-        r, b, t0 = len(sigma), sides[i][0], sides[g.next_component(i)][1]
+    for i, p in enumerate(g.perms):  # junction i + 1 joins sides[i] to the next
+        sigma = p.image
+        r, b, t0 = len(sigma), sides[i][0], sides[(i + 1) % len(sides)][1]
         q1 = q0 + 4 * r
         # plus slot r-1-j at b + 2(r-1-j); minus slot r-1-s at t0 + 2s + 1
         pair[q0:q1:4] = range(b + 2 * r - 2, b - 2, -2)

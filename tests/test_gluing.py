@@ -1,6 +1,10 @@
 """Spec validation, serialization, and the closed-form topology
 predictors on both sides."""
 
+import copy
+import pickle
+from dataclasses import fields
+
 import pytest
 
 from quiverglue import gluing, perms
@@ -15,7 +19,7 @@ from quiverglue.gluing import (
 )
 from quiverglue.perms import Permutation, all_permutations, from_twist, identity, swap, tau
 from quiverglue.surface import surface_topology
-from quiverglue.sweeps import gluing_sweep
+from quiverglue.sweeps import curve_sweep, gluing_sweep
 
 
 FIG_GLUING = GluingSpec(
@@ -50,6 +54,79 @@ def test_circular_bookkeeping():
     assert g.next_component(2) == 1
     assert g.free_ranks == ()
     assert StackyCurveSpec("ring", (3,), (1,)).free_ranks == ()
+
+
+# one component with both sides free, and one glued to itself
+ONE_COMPONENT = [
+    GluingSpec("linear", (2, 3), ()),
+    StackyCurveSpec("chain", (1, 4), ()),
+    GluingSpec("circular", (3,), (swap(0, 2, 3),)),
+    StackyCurveSpec("ring", (5,), (2,)),
+]
+
+
+def test_side_ranks_agree_with_the_per_index_methods():
+    # junction k joins component k to component k + 1 mod n; an open
+    # shape leaves the first minus and the last plus side free
+    specs = ONE_COMPONENT + gluing_sweep(2, 4) + curve_sweep(2, 4)
+    assert {(s.shape, s.n_components) for s in specs} == {
+        (shape, n) for shape in ("linear", "circular", "chain", "ring") for n in (1, 2)}
+    for s in specs:
+        sides, n = s.side_ranks(), s.n_components
+        assert sides == [(s.minus_rank(i), s.plus_rank(i)) for i in s.components()], s
+        for i, (rm, rp) in enumerate(sides, 1):
+            after, before = s.junction_after(i), s.junction_before(i)
+            assert after == (i if s.closed or i < n else None), s
+            assert before == ((i - 2) % n + 1 if s.closed or i > 1 else None), s
+            if after is not None:
+                assert (s.junction_rank(after), s.next_component(after)) == (rp, i % n + 1)
+            if before is not None:
+                assert (s.junction_rank(before), s.next_component(before)) == (rm, i)
+        free = [sides[0][0], sides[-1][1]] if not s.closed else []
+        assert tuple(free) == s.free_ranks, s
+
+
+SLOTTED = [
+    FIG_GLUING,
+    StackyCurveSpec("ring", (3, 4, 5), (2, 3, 4)),
+    Permutation((2, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("spec", SLOTTED, ids=lambda s: type(s).__name__)
+def test_specs_are_slotted_and_read_only(spec):
+    # a frozen dataclass with slots=True raised TypeError (not
+    # AttributeError) for a name that is not a field on CPython 3.11
+    assert not hasattr(spec, "__dict__")
+    name = fields(spec)[0].name
+    before = getattr(spec, name)
+    for change in (lambda: setattr(spec, name, before),
+                   lambda: delattr(spec, name),
+                   lambda: setattr(spec, "junk", 1),
+                   lambda: delattr(spec, "junk")):
+        with pytest.raises(AttributeError):
+            change()
+    with pytest.raises(AttributeError):
+        object.__setattr__(spec, "junk", 1)
+    assert getattr(spec, name) is before
+
+
+@pytest.mark.parametrize("spec", SLOTTED, ids=lambda s: type(s).__name__)
+def test_specs_copy_and_pickle(spec):
+    for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert type(twin) is type(spec)
+        assert twin == spec and hash(twin) == hash(spec)
+        assert not hasattr(twin, "__dict__")
+        assert str(twin) == str(spec)
+    if isinstance(spec, GluingSpec):
+        assert surface_topology(pickle.loads(pickle.dumps(spec))) == surface_topology(spec)
+
+
+def test_no_spec_of_the_sweeps_has_a_dict():
+    specs = ONE_COMPONENT + gluing_sweep(2, 4) + curve_sweep(2, 4)
+    assert not any(hasattr(s, "__dict__") for s in specs)
+    assert not any(hasattr(p, "__dict__") for s in specs for p in getattr(s, "perms", ()))
+    assert not hasattr(gluing.Shape("ring", (2, 3)), "__dict__")
 
 
 def test_gluing_validation():

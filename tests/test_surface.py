@@ -2,14 +2,16 @@
 predictor on exhaustive small sweeps, and its vertex count against
 connected components of the endpoint-slot graph (networkx)."""
 
+import hashlib
+import json
 import random
 
 import networkx as nx
 
-from quiverglue.gluing import GluingSpec, SurfaceTopology, predicted_topology
+from quiverglue.gluing import GluingSpec, SurfaceTopology, predicted_topology, twisted_gluing
 from quiverglue.perms import all_permutations, random_permutation, swap
 from quiverglue.surface import CombinatorialMap, build_map, surface_topology
-from quiverglue.sweeps import gluing_sweep
+from quiverglue.sweeps import curve_sweep, gluing_sweep
 
 
 def test_bare_annulus():
@@ -160,6 +162,75 @@ def test_topology_agrees_with_the_public_methods():
         assert list(t.boundary_marks) == marks
     assert (TORUS.topology().num_boundary, DISK.topology()) == (
         0, SurfaceTopology(0, (3,), 1))
+
+
+def random_map(rng: random.Random) -> CombinatorialMap:
+    """A connected map of random faces, some darts left free, its dart
+    ids shuffled so that no face need be a run of ids."""
+    sizes = [rng.randint(2, 5)] + [rng.randint(1, 5) for _ in range(rng.randint(0, 7))]
+    faces, open_darts, pairs, n = [], [], [], 0
+    for size in sizes:
+        face = list(range(n, n + size))
+        if faces:  # glue one dart to an unglued dart of an earlier face
+            if not open_darts:
+                break
+            other = open_darts.pop(rng.randrange(len(open_darts)))
+            pairs.append((face[0], other))
+        faces.append(face)
+        open_darts += face[1:] if len(faces) > 1 else face
+        n += size
+    rng.shuffle(open_darts)
+    while len(open_darts) >= 2 and rng.random() < 0.7:
+        pairs.append((open_darts.pop(), open_darts.pop()))
+    ids = list(range(n))
+    rng.shuffle(ids)
+    nxt, pair = [0] * n, [-1] * n
+    for face in faces:
+        for d, e in zip(face, face[1:] + face[:1]):
+            nxt[ids[d]] = ids[e]
+    for d, e in pairs:
+        pair[ids[d]], pair[ids[e]] = ids[e], ids[d]
+    marked = [rng.random() < 0.5 for _ in range(n)]
+    return CombinatorialMap(nxt, pair, marked, [[ids[d] for d in face] for face in faces])
+
+
+def test_topology_on_random_maps_with_shuffled_ids():
+    # topology() walks the boundary once and then only the closed corner
+    # orbits; it must not lean on build_map's layout of one run per face
+    rng = random.Random(38)
+    scattered = free = closed = 0
+    for _ in range(400):
+        m = random_map(rng)
+        t, walks = m.topology(), m.boundary_components()
+        assert m.num_vertices() == slot_components(m)
+        assert t.euler_characteristic == m.euler_characteristic() == (
+            slot_components(m) - m.num_edges() + len(m.faces))
+        marks = sorted(sum(m.marked[d] for d in walk) for walk in walks)
+        assert list(t.boundary_marks) == marks
+        scattered += any(sorted(f) != list(range(min(f), max(f) + 1)) for f in m.faces)
+        free += bool(walks)
+        closed += not walks
+    # the sample holds scattered faces, open maps and closed ones
+    assert scattered > 300 and free > 300 and closed > 0
+
+
+def map_digest(gluings) -> str:
+    """sha256 of build_map's four arrays, one JSON line per gluing."""
+    h = hashlib.sha256()
+    for g in gluings:
+        m = build_map(g)
+        line = json.dumps([m.next_in_face, m.pair, m.marked, [list(f) for f in m.faces]])
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_build_map_arrays_are_pinned():
+    # recorded before build_map read the side ranks in one pass; the
+    # arrays, not only the topology, must come out byte for byte the same
+    assert map_digest(gluing_sweep(2, 4)) == (
+        "10dd85a1def599d650e14c587d1fd2515b5633f4abd79df14c603959a8d8e81e")
+    assert map_digest(map(twisted_gluing, curve_sweep(2, 4))) == (
+        "58f77a0bed35835ded72c6dd0287c9e0759c9dba586a6d92a7f04a4e795bbc26")
 
 
 def test_face_runs_pairing_and_dart_count():
