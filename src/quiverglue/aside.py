@@ -76,29 +76,27 @@ class _Numbering:
         return n, src, tgt, (0,) * len(src), relations
 
     def vertex_labels(self) -> tuple:
-        g, labels = self.g, []
-        for i in g.components():
-            rm, rp = g.minus_rank(i), g.plus_rank(i)
+        labels = []
+        for i, (rm, rp) in enumerate(self.g.side_ranks(), 1):
             labels.append((("P-", i, 0), ("P+", i, 0)))
             labels += [(("P-", i, j),) for j in range(1, rm)]
             labels += [(("P+", i, j),) for j in range(1, rp)]
             labels.append((("P-", i, rm), ("P+", i, rp)))
-        for i in g.junctions():
-            labels += [(("S", i, j),) for j in range(g.junction_rank(i))]
+        for i, r in enumerate(self.g.node_ranks(), 1):
+            labels += [(("S", i, j),) for j in range(r)]
         return tuple(labels)
 
     def vertex_shifts(self) -> tuple:
         g = self.g
-        rows = sum(g.minus_rank(i) + g.plus_rank(i) for i in g.components())
-        return (0,) * (rows + sum(g.node_ranks()))
+        return (0,) * (sum(map(sum, g.side_ranks())) + sum(g.node_ranks()))
 
     def arrow_names(self) -> tuple:
-        g, names = self.g, []
-        for i in g.components():
-            names += [("x", i, j) for j in range(g.minus_rank(i))]
-            names += [("y", i, j) for j in range(g.plus_rank(i))]
-        for i in g.junctions():
-            for j in range(g.junction_rank(i)):
+        names = []
+        for i, (rm, rp) in enumerate(self.g.side_ranks(), 1):
+            names += [("x", i, j) for j in range(rm)]
+            names += [("y", i, j) for j in range(rp)]
+        for i, r in enumerate(self.g.node_ranks(), 1):
+            for j in range(r):
                 names += ("a", i, j), ("b", i, j)
         return tuple(names)
 

@@ -96,30 +96,27 @@ class _Numbering:
         return n, src, tgt, (0,) * len(src), relations
 
     def vertex_labels(self) -> tuple:
-        c, labels = self.c, []
-        for i in c.components():
-            rm, rp = c.minus_rank(i), c.plus_rank(i)
+        labels = []
+        for i, (rm, rp) in enumerate(self.c.side_ranks(), 1):
             ji, mi = self.base[i]
             labels.append((("P", i, ji, mi),))
             labels += [(("P", i, ji + t, mi),) for t in range(1, rm)]
             labels += [(("P", i, ji, mi + s),) for s in range(1, rp)]
             labels.append((("P", i, ji + rm, mi), ("P", i, ji, mi + rp)))
-        for i in c.junctions():
-            labels += [(("S", i, cls),) for cls in range(c.junction_rank(i))]
+        for i, r in enumerate(self.c.node_ranks(), 1):
+            labels += [(("S", i, cls),) for cls in range(r)]
         return tuple(labels)
 
     def vertex_shifts(self) -> tuple:
         c = self.c
-        rows = sum(c.minus_rank(i) + c.plus_rank(i) for i in c.components())
-        return (0,) * rows + (-1,) * sum(c.node_ranks())
+        return (0,) * sum(map(sum, c.side_ranks())) + (-1,) * sum(c.node_ranks())
 
     def arrow_names(self) -> tuple:
-        c, names = self.c, []
-        for i in c.components():
-            names += [("x", i, t) for t in range(c.minus_rank(i))]
-            names += [("y", i, s) for s in range(c.plus_rank(i))]
-        for i in c.junctions():
-            r = c.junction_rank(i)
+        names = []
+        for i, (rm, rp) in enumerate(self.c.side_ranks(), 1):
+            names += [("x", i, t) for t in range(rm)]
+            names += [("y", i, s) for s in range(rp)]
+        for i, r in enumerate(self.c.node_ranks(), 1):
             names += [("b", i, j) for j in range(r)]
             names += [("a", i, m) for m in range(r)]
         return tuple(names)

@@ -28,6 +28,15 @@ def read_only(obj, name, value=None):
     raise FrozenInstanceError(f"{type(obj).__name__} is read-only: cannot change {name!r}")
 
 
+def read_only_slots(cls):
+    """Class decorator over ``@dataclass(frozen=True, slots=True)``: make
+    ``read_only`` the class's ``__setattr__`` and ``__delattr__``.
+    slots=True replaces the class that frozen=True wrote them for, so on
+    CPython 3.11 setting a name that is not a field raised TypeError."""
+    cls.__setattr__ = cls.__delattr__ = read_only
+    return cls
+
+
 def exact_ints(values, message: str, types=(int,), **where) -> tuple[int, ...]:
     """``values`` as a tuple, each of type exactly ``int`` (or one of
     ``types``).  Anything else, even a bool or a whole float, or a

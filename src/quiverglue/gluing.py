@@ -12,8 +12,11 @@ strips.  A *circular* gluing has ranks ``r_1..r_n``, every component
 glued to the next cyclically, with n junctions.  On the curve side the
 same numbers appear as a chain or ring of rational curves with stacky
 points of the given orders and a twist k_i at each node, gcd(k_i, r_i)
-= 1; the node permutation is x |-> -k_i * x.  :class:`Shape` holds the
-index arithmetic of all four shapes, and both spec classes build on it.
+= 1; the node permutation is x |-> -k_i * x.  :class:`Shape` is the one
+model of all four shapes: every component's (minus, plus) rank from
+``side_ranks()``, every junction's rank from ``node_ranks()``, and
+junction k joining component k to component k % n + 1.  Both spec
+classes build on it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import (FalsificationError, SpecError, exact_ints, exact_items,
-                     read_only)
+                     read_only_slots)
 from .perms import Permutation
 
 LINEAR = "linear"
@@ -92,17 +95,19 @@ class SurfaceTopology:
         return self.num_marks - self.euler_characteristic
 
 
+@read_only_slots
 @dataclass(frozen=True, slots=True)
 class Shape:
-    """A shape with its ranks, and the index arithmetic that a gluing and
-    its mirror curve share.
+    """A shape with its ranks, and the model of components and junctions
+    that a gluing and its mirror curve share.
 
-    Component i has a minus and a plus side.  Junction (or node) i glues
-    the plus side of component i to the minus side of component
-    ``next_component(i)`` and has the plus rank of component i.  An open
-    shape (linear, chain) with ranks ``r_0..r_n`` has n components,
-    junctions 1..n-1 and two free end sides; a closed one (circular,
-    ring) with ranks ``r_1..r_n`` has n components and n junctions.
+    Component i has a minus and a plus side, with the ranks of the i-th
+    pair of ``side_ranks()``.  Junction (or node) k, with the k-th rank of
+    ``node_ranks()``, glues the plus side of component k to the minus
+    side of component k % n + 1.  An open shape (linear, chain) with
+    ranks ``r_0..r_n`` has n components, junctions 1..n-1 and two free
+    end sides; a closed one (circular, ring) with ranks ``r_1..r_n`` has
+    n components and n junctions.
     """
 
     shape: str
@@ -145,39 +150,9 @@ class Shape:
     def components(self) -> range:
         return range(1, self.n_components + 1)
 
-    def junctions(self) -> range:
-        n = len(self.ranks)
-        return range(1, n + 1) if self.closed else range(1, n - 1)
-
-    def minus_rank(self, i: int) -> int:
-        """Mark count on the minus boundary circle of component i."""
-        if self.closed:
-            return self.ranks[(i - 2) % len(self.ranks)]
-        return self.ranks[i - 1]
-
-    def plus_rank(self, i: int) -> int:
-        return self.ranks[i - 1] if self.closed else self.ranks[i]
-
-    junction_rank = plus_rank
-
     def node_ranks(self) -> tuple[int, ...]:
         """The rank of every junction, in order."""
         return self.ranks if self.closed else self.ranks[1:-1]
-
-    def next_component(self, i: int) -> int:
-        return i % len(self.ranks) + 1 if self.closed else i + 1
-
-    def junction_before(self, i: int) -> int | None:
-        """The junction feeding the minus side of component i, or None
-        when that side is free."""
-        if self.closed:
-            return (i - 2) % len(self.ranks) + 1
-        return i - 1 if i > 1 else None
-
-    def junction_after(self, i: int) -> int | None:
-        """The junction leaving the plus side of component i, or None
-        when that side is free."""
-        return i if self.closed or i < len(self.ranks) - 1 else None
 
     def side_ranks(self) -> list[tuple[int, int]]:
         """The (minus rank, plus rank) of every component, in order, in
@@ -237,6 +212,9 @@ class Shape:
         return self.to_json() if hasattr(self, "_ITEMS") else repr(self)
 
 
+# slots=True makes a new class, so the subclasses call Shape.__post_init__
+# by name, not through a zero-argument super().
+@read_only_slots
 @dataclass(frozen=True, slots=True)
 class GluingSpec(Shape):
     """Combinatorial gluing data for a surface assembled from annuli.
@@ -266,10 +244,8 @@ class GluingSpec(Shape):
     def _items_from_obj(images) -> tuple[Permutation, ...]:
         return tuple(map(Permutation, images))
 
-    def perm(self, i: int) -> Permutation:
-        return self.perms[i - 1]
 
-
+@read_only_slots
 @dataclass(frozen=True, slots=True)
 class StackyCurveSpec(Shape):
     """A chain or ring of rational curves with one stacky point of order
@@ -292,14 +268,6 @@ class StackyCurveSpec(Shape):
         for i, r, k in self._per_junction(twists, "twists"):
             if math.gcd(k, r) != 1:
                 raise SpecError(f"twist {k} at node {i} is not a unit mod {r}")
-
-
-# slots=True replaces each class that frozen=True wrote __setattr__ for,
-# so on CPython 3.11 setting a name that is not a field would raise
-# TypeError; for the same reason the subclasses call Shape.__post_init__
-# by name, not through a zero-argument super().
-for _spec in (Shape, GluingSpec, StackyCurveSpec):
-    _spec.__setattr__ = _spec.__delattr__ = read_only
 
 
 def window_origins(
@@ -337,11 +305,10 @@ def twisted_gluing(
     default.  Rotated permutations have the same commutator with tau,
     so the surface never notices the origin.
     """
-    base = window_origins(curve, bases)
+    base, n = window_origins(curve, bases), curve.n_components
     perms = []
-    for i, k in zip(curve.junctions(), curve.twists):
-        r = curve.junction_rank(i)
-        shift = -k * (base[i][1] + 1) + base[curve.next_component(i)][0]
+    for i, (r, k) in enumerate(zip(curve.node_ranks(), curve.twists), 1):
+        shift = -k * (base[i][1] + 1) + base[i % n + 1][0]
         perms.append(Permutation(tuple((-k * x + shift) % r for x in range(r))))
     return GluingSpec(CIRCULAR if curve.closed else LINEAR, curve.ranks, tuple(perms))
 

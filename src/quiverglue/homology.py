@@ -46,7 +46,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import (FalsificationError, QuiverError, SpecError, exact_ints,
-                     exact_items, exact_scalars, read_only)
+                     exact_items, exact_scalars, read_only_slots)
 from .linalg import kernel_basis, rank, solve
 from .quiver import ArrowName, GradedQuiver, Label, Path, label_str
 
@@ -56,6 +56,7 @@ Scalar = int | Fraction
 Entry = tuple[tuple[Scalar, Path], ...]
 
 
+@read_only_slots
 @dataclass(frozen=True, slots=True)
 class TwistedComplex:
     """A formal shifted sum of quiver vertices with a strictly
@@ -156,11 +157,6 @@ class TwistedComplex:
                     raise SpecError(
                         f"differential does not square to zero at {c}<-{b}"
                     )
-
-
-# slots=True replaces the class that frozen=True wrote __setattr__ for,
-# so on CPython 3.11 a name that is not a field raised TypeError.
-TwistedComplex.__setattr__ = TwistedComplex.__delattr__ = read_only
 
 
 def projective(q: GradedQuiver, v: Label) -> TwistedComplex:

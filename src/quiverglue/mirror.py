@@ -37,17 +37,16 @@ def canonical_correspondence(
     lands on the same slot on the other side.
     """
     base, g = window_origins(c, bases), twisted_gluing(c, bases)
-    vmap = {}
-    for i in c.components():
+    n, vmap = c.n_components, {}
+    for i, (rm, rp) in enumerate(c.side_ranks(), 1):
         ji, mi = base[i]
-        for t in range(c.minus_rank(i) + 1):
+        for t in range(rm + 1):
             vmap[("P", i, ji + t, mi)] = ("P-", i, t)
-        for s in range(c.plus_rank(i) + 1):
+        for s in range(rp + 1):
             vmap[("P", i, ji, mi + s)] = ("P+", i, s)
-    for i in c.junctions():
-        r = c.junction_rank(i)
-        sigma_inv = g.perm(i).inverse()
-        jn = base[c.next_component(i)][0]
+    for i, (r, p) in enumerate(zip(c.node_ranks(), g.perms), 1):
+        sigma_inv = p.inverse()
+        jn = base[i % n + 1][0]
         for cls in range(r):
             j_slot = (-jn - cls - 1) % r
             vmap[("S", i, cls)] = ("S", i, sigma_inv((r - 1 - j_slot) % r))
@@ -68,12 +67,12 @@ def _correspondence_ids(
     S(i,c) goes to S(i, sigma_i^-1((j_{i+1} + c) mod r)): the inverse
     permutation's images, rotated by the next component's j origin.
     """
-    image = list(range(sum(c.minus_rank(i) + c.plus_rank(i) for i in c.components())))
-    for i in c.junctions():
-        inv = g.perm(i).inverse().image
-        s = base[c.next_component(i)][0] % len(inv)
-        n = len(image)
-        image += [n + j for j in inv[s:] + inv[:s]]
+    n = c.n_components
+    image = list(range(sum(map(sum, c.side_ranks()))))
+    for i, p in enumerate(g.perms, 1):
+        inv = p.inverse().image
+        s, v = base[i % n + 1][0] % len(inv), len(image)
+        image += [v + j for j in inv[s:] + inv[:s]]
     return image
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from .errors import SpecError, exact_ints
 from .gluing import GluingSpec, SurfaceTopology
 
 
@@ -33,18 +34,47 @@ class CombinatorialMap:
 
     Dart d runs from endpoint slot 2d (tail) to 2d+1 (head); paired
     darts are identified with opposite orientations, and a free dart has
-    ``pair[d] < 0``.  Each slot meets one slot of its face (the head of
+    ``pair[d] == -1``.  Each slot meets one slot of its face (the head of
     d is the tail of the next dart) and at most one across an edge, so a
     vertex is a chain or a cycle of corners, counted as one orbit of the
     corner turn.  The methods read any numbering of the darts; a map from
     :func:`build_map` numbers each face as one run, so there
     ``next_in_face[d]`` is d + 1 except at the last dart of a face.
+
+    The constructor raises SpecError unless ``next_in_face`` is a
+    permutation of the darts, ``pair`` a fixed-point-free involution on
+    the paired darts, and ``marked`` one flag per dart; on such a map
+    every walk of the methods ends.
     """
 
     next_in_face: list[int]
     pair: list[int]
     marked: list[bool]
     faces: list[Sequence[int]]
+
+    def __post_init__(self) -> None:
+        message = "{name} must hold integer dart ids, got {value!r}"
+        nxt = exact_ints(self.next_in_face, message, name="next_in_face")
+        pair = exact_ints(self.pair, message, name="pair")
+        n = len(nxt)
+        if sorted(nxt) != list(range(n)):
+            raise SpecError(f"next_in_face is not a permutation of the {n} darts")
+        if len(pair) != n:
+            raise SpecError(f"pair has {len(pair)} entries for {n} darts")
+        for d, e in enumerate(pair):
+            if e != -1 and not (0 <= e < n and e != d and pair[e] == d):
+                raise SpecError(f"pair sends dart {d} to {e}: not a fixed-point-free "
+                                f"involution on the paired darts (-1 marks a free dart)")
+        if len(self.marked) != n:
+            raise SpecError(f"marked has {len(self.marked)} flags for {n} darts")
+
+    @classmethod
+    def _built(cls, next_in_face, pair, marked, faces) -> "CombinatorialMap":
+        """A map that build_map made, which holds by construction: the
+        constructor's checks are skipped."""
+        m = object.__new__(cls)
+        vars(m).update(next_in_face=next_in_face, pair=pair, marked=marked, faces=faces)
+        return m
 
     @property
     def num_darts(self) -> int:
@@ -189,7 +219,7 @@ def build_map(g: GluingSpec) -> CombinatorialMap:
         for q, s in zip(range(q0 + 2, q1, 4), sigma):
             pair[q], pair[t0 + 2 * s + 1] = t0 + 2 * s + 1, q
         q0 = q1
-    return CombinatorialMap(nxt, pair, marked, faces)
+    return CombinatorialMap._built(nxt, pair, marked, faces)
 
 
 def surface_topology(g: GluingSpec) -> SurfaceTopology:

@@ -190,9 +190,8 @@ def test_criterion_06_genus_formulas(sweep):
     one for circular gluings) equals the oracle genus on the sweep."""
     for g, oracle in sweep:
         defect = 0
-        for i in g.junctions():
-            r = g.junction_rank(i)
-            comm = g.perm(i).commutator(tau(r))
+        for r, p in zip(g.node_ranks(), g.perms):
+            comm = p.commutator(tau(r))
             defect += r - len(comm.cycle_decomposition())
         assert defect % 2 == 0
         genus = defect // 2 if g.shape == "linear" else 1 + defect // 2

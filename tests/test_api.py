@@ -1,8 +1,9 @@
-"""The public API: ``quiverglue.__all__`` counts as behaviour, so a name
-enters or leaves it only together with this list and a CHANGES.md
-entry."""
+"""The public API: ``quiverglue.__all__`` and the public attributes of
+the two spec classes count as behaviour, so a name enters or leaves
+them only together with these lists and a CHANGES.md entry."""
 
 import quiverglue
+from quiverglue.gluing import GluingSpec, StackyCurveSpec
 
 PUBLIC = [
     # errors
@@ -39,3 +40,20 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in quiverglue.__all__:
         assert hasattr(quiverglue, name), name
+
+
+# The one shape model: every component's sides from side_ranks(), every
+# junction's rank from node_ranks(), junction k joining component k to
+# component k % n + 1.  No per-index lookups beside it.
+SHAPE = ["closed", "components", "free_ranks", "from_json", "from_obj",
+         "n_components", "node_ranks", "rank_count", "ranks", "shape",
+         "side_ranks", "to_json"]
+
+
+def public_attributes(cls):
+    return sorted(name for name in dir(cls) if not name.startswith("_"))
+
+
+def test_spec_attributes_are_pinned():
+    assert public_attributes(GluingSpec) == sorted(SHAPE + ["perms"])
+    assert public_attributes(StackyCurveSpec) == sorted(SHAPE + ["twists"])

@@ -29,29 +29,27 @@ from quiverglue.sweeps import DEFAULT_SEED, curve_sweep, gluing_sweep
 
 
 def aside_vertices(g):
-    for i in g.components():
-        rm, rp = g.minus_rank(i), g.plus_rank(i)
+    for i, (rm, rp) in enumerate(g.side_ranks(), 1):
         yield (("P-", i, 0), ("P+", i, 0)), 0
         yield from (((("P-", i, j),), 0) for j in range(1, rm))
         yield from (((("P+", i, j),), 0) for j in range(1, rp))
         yield (("P-", i, rm), ("P+", i, rp)), 0
-    for i in g.junctions():
-        for j in range(g.junction_rank(i)):
+    for i, r in enumerate(g.node_ranks(), 1):
+        for j in range(r):
             yield (("S", i, j),), 0
 
 
 def aside_arrows(g, relations):
     """Chain arrows, then the a- and b-arrows of each junction; each
     of those appends (itself, the chain arrow it kills) to ``relations``."""
-    for i in g.components():
-        for j in range(g.minus_rank(i)):
+    n = g.n_components
+    for i, (rm, rp) in enumerate(g.side_ranks(), 1):
+        for j in range(rm):
             yield ("x", i, j), ("P-", i, j), ("P-", i, j + 1), 0
-        for j in range(g.plus_rank(i)):
+        for j in range(rp):
             yield ("y", i, j), ("P+", i, j), ("P+", i, j + 1), 0
-    for i in g.junctions():
-        r = g.junction_rank(i)
-        sigma = g.perm(i)
-        nxt = g.next_component(i)
+    for i, (r, sigma) in enumerate(zip(g.node_ranks(), g.perms), 1):
+        nxt = i % n + 1  # junction i joins component i to the next
         for j in range(r):
             k = r - 1 - sigma(j)
             a, b = ("a", i, j), ("b", i, j)
@@ -61,30 +59,29 @@ def aside_arrows(g, relations):
 
 
 def bside_vertices(c, base):
-    for i in c.components():
-        rm, rp = c.minus_rank(i), c.plus_rank(i)
+    for i, (rm, rp) in enumerate(c.side_ranks(), 1):
         ji, mi = base[i]
         yield (("P", i, ji, mi),), 0
         yield from (((("P", i, ji + t, mi),), 0) for t in range(1, rm))
         yield from (((("P", i, ji, mi + s),), 0) for s in range(1, rp))
         yield (("P", i, ji + rm, mi), ("P", i, ji, mi + rp)), 0
-    for i in c.junctions():
-        for cls in range(c.junction_rank(i)):
+    for i, r in enumerate(c.node_ranks(), 1):
+        for cls in range(r):
             yield (("S", i, cls),), -1
 
 
 def bside_arrows(c, base, relations):
     """Row arrows, then the b- and a-arrows of each node; each of those
     appends (itself, the row arrow it kills) to ``relations``."""
-    for i in c.components():
+    n = c.n_components
+    for i, (rm, rp) in enumerate(c.side_ranks(), 1):
         ji, mi = base[i]
-        for t in range(c.minus_rank(i)):
+        for t in range(rm):
             yield ("x", i, t), ("P", i, ji + t, mi), ("P", i, ji + t + 1, mi), 0
-        for s in range(c.plus_rank(i)):
+        for s in range(rp):
             yield ("y", i, s), ("P", i, ji, mi + s), ("P", i, ji, mi + s + 1), 0
-    for i, k in zip(c.junctions(), c.twists):
-        r = c.junction_rank(i)
-        nxt = c.next_component(i)
+    for i, (r, k) in enumerate(zip(c.node_ranks(), c.twists), 1):
+        nxt = i % n + 1  # node i joins component i to the next
         jn, mn = base[nxt]
         ji, mi = base[i]
         for j in range(r):

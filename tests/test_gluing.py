@@ -31,12 +31,9 @@ def test_linear_bookkeeping():
     g = FIG_GLUING
     assert g.n_components == 3
     assert list(g.components()) == [1, 2, 3]
-    assert list(g.junctions()) == [1, 2]
-    assert (g.minus_rank(1), g.plus_rank(1)) == (1, 3)
-    assert (g.minus_rank(2), g.plus_rank(2)) == (3, 3)
-    assert (g.minus_rank(3), g.plus_rank(3)) == (3, 1)
-    assert g.junction_rank(1) == 3
-    assert g.next_component(1) == 2
+    # (minus, plus) of components 1..3, then the ranks of junctions 1, 2
+    assert g.side_ranks() == [(1, 3), (3, 3), (3, 1)]
+    assert g.node_ranks() == (3, 3)
     assert g.free_ranks == (1, 1)
     assert GluingSpec("linear", (2, 5), ()).free_ranks == (2, 5)
     assert StackyCurveSpec("chain", (4, 2, 3), (1,)).free_ranks == (4, 3)
@@ -45,13 +42,10 @@ def test_linear_bookkeeping():
 def test_circular_bookkeeping():
     g = GluingSpec("circular", (2, 3), (identity(2), identity(3)))
     assert g.n_components == 2
-    assert list(g.junctions()) == [1, 2]
-    # junction i glues the plus side of component i, whose rank is ranks[i-1]
-    assert g.junction_rank(1) == 2
-    assert g.junction_rank(2) == 3
-    assert (g.minus_rank(1), g.plus_rank(1)) == (3, 2)
-    assert (g.minus_rank(2), g.plus_rank(2)) == (2, 3)
-    assert g.next_component(2) == 1
+    # junction i glues the plus side of component i, whose rank is ranks[i-1],
+    # to the minus side of component i % 2 + 1
+    assert g.side_ranks() == [(3, 2), (2, 3)]
+    assert g.node_ranks() == (2, 3)
     assert g.free_ranks == ()
     assert StackyCurveSpec("ring", (3,), (1,)).free_ranks == ()
 
@@ -65,25 +59,27 @@ ONE_COMPONENT = [
 ]
 
 
-def test_side_ranks_agree_with_the_per_index_methods():
-    # junction k joins component k to component k + 1 mod n; an open
-    # shape leaves the first minus and the last plus side free
+def test_side_and_node_ranks_follow_the_ranks():
+    # A closed shape with ranks r_1..r_n: component i has sides
+    # (r_{i-1}, r_i), cyclically, and junction k has rank r_k.  An open one
+    # with ranks r_0..r_n: component i has sides (r_{i-1}, r_i), junctions
+    # 1..n-1 have ranks r_1..r_{n-1}, and r_0 and r_n are free.
     specs = ONE_COMPONENT + gluing_sweep(2, 4) + curve_sweep(2, 4)
     assert {(s.shape, s.n_components) for s in specs} == {
         (shape, n) for shape in ("linear", "circular", "chain", "ring") for n in (1, 2)}
     for s in specs:
-        sides, n = s.side_ranks(), s.n_components
-        assert sides == [(s.minus_rank(i), s.plus_rank(i)) for i in s.components()], s
-        for i, (rm, rp) in enumerate(sides, 1):
-            after, before = s.junction_after(i), s.junction_before(i)
-            assert after == (i if s.closed or i < n else None), s
-            assert before == ((i - 2) % n + 1 if s.closed or i > 1 else None), s
-            if after is not None:
-                assert (s.junction_rank(after), s.next_component(after)) == (rp, i % n + 1)
-            if before is not None:
-                assert (s.junction_rank(before), s.next_component(before)) == (rm, i)
-        free = [sides[0][0], sides[-1][1]] if not s.closed else []
-        assert tuple(free) == s.free_ranks, s
+        r, n = s.ranks, s.n_components
+        if s.closed:
+            sides, nodes, free = [(r[i - 1], r[i]) for i in range(n)], r, ()
+        else:
+            sides, nodes, free = [(r[i], r[i + 1]) for i in range(n)], r[1:-1], (r[0], r[-1])
+        assert s.side_ranks() == sides, s
+        assert s.node_ranks() == nodes, s
+        assert s.free_ranks == free, s
+        # junction k joins the plus side of component k to the minus side
+        # of component k % n + 1, and has the rank of both
+        for k, rank in enumerate(nodes, 1):
+            assert sides[k - 1][1] == rank == sides[k % n][0], s
 
 
 SLOTTED = [

@@ -689,21 +689,25 @@ def test_cones_follow_the_feed_arithmetic():
     # objects come per component, E- then E+, positions ascending.
     for g in gluing_sweep(2, 3):
         aq = build_aside(g)
+        sides, n = g.side_ranks(), g.n_components
         expected_order = []
-        for i in g.components():
-            expected_order += [("E-", i, j) for j in range(g.minus_rank(i))]
-            expected_order += [("E+", i, j) for j in range(g.plus_rank(i))]
+        for i, (rm, rp) in enumerate(sides, 1):
+            expected_order += [("E-", i, j) for j in range(rm)]
+            expected_order += [("E+", i, j) for j in range(rp)]
         objs = all_localization_objects(aq)
         assert [(o.kind, o.component, o.position) for o in objs] == expected_order
         for obj in objs:
             i, j = obj.component, obj.position
+            # junction k joins component k to component k % n + 1; an open
+            # gluing leaves the first minus and the last plus side free
             if obj.kind == "E-":
-                junction = g.junction_before(i)
+                junction = (i - 2) % n + 1 if g.closed or i > 1 else None
                 if junction is not None:
-                    r = g.minus_rank(i)
-                    s_vertex = ("S", junction, g.perm(junction).inverse()(r - 1 - j))
+                    r = sides[i - 1][0]
+                    sigma = g.perms[junction - 1]
+                    s_vertex = ("S", junction, sigma.inverse()(r - 1 - j))
             else:
-                junction = g.junction_after(i)
+                junction = i if g.closed or i < n else None
                 s_vertex = ("S", i, j)
             summands = [lab for lab, _ in obj.cx.summands]
             if junction is None:

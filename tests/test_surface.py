@@ -7,7 +7,9 @@ import json
 import random
 
 import networkx as nx
+import pytest
 
+from quiverglue.errors import SpecError
 from quiverglue.gluing import GluingSpec, SurfaceTopology, predicted_topology, twisted_gluing
 from quiverglue.perms import all_permutations, random_permutation, swap
 from quiverglue.surface import CombinatorialMap, build_map, surface_topology
@@ -138,6 +140,47 @@ TORUS = CombinatorialMap([1, 2, 3, 0], [2, 3, 0, 1], [False] * 4, [[0, 1, 2, 3]]
 DISK = CombinatorialMap([1, 2, 0], [-1, -1, -1], [True] * 3, [[0, 1, 2]])
 
 
+BAD_ARRAYS = {
+    # dart 0 follows darts 0, 6 and 13, so the boundary walk from dart 6
+    # never met another free dart and topology() never returned
+    "next_in_face repeats a dart": dict(
+        next_in_face=[0, 8, 2, 10, 4, 9, 0, 12, 11, 5, 3, 1, 7, 0],
+        pair=[11, 9, 8, 7, 10, 12, -1, 3, 2, 1, 4, 0, 5, -1],
+        marked=[False] * 14, faces=[[10, 3], [4], [7, 12], [5, 9], [1, 8, 11], [0], [2]]),
+    "next_in_face leaves the darts": dict(
+        next_in_face=[1, 2, 3], pair=[-1] * 3, marked=[True] * 3, faces=[[0, 1, 2]]),
+    "next_in_face holds a float": dict(
+        next_in_face=[1, 2, 0.0], pair=[-1] * 3, marked=[True] * 3, faces=[[0, 1, 2]]),
+    "pair fixes a dart": dict(
+        next_in_face=[1, 2, 0], pair=[0, -1, -1], marked=[True] * 3, faces=[[0, 1, 2]]),
+    "pair is not an involution": dict(
+        next_in_face=[1, 2, 0], pair=[1, 2, 0], marked=[True] * 3, faces=[[0, 1, 2]]),
+    "pair points at a free dart": dict(
+        next_in_face=[1, 2, 0], pair=[1, -1, -1], marked=[True] * 3, faces=[[0, 1, 2]]),
+    "pair leaves the darts": dict(
+        next_in_face=[1, 2, 0], pair=[3, -1, -1], marked=[True] * 3, faces=[[0, 1, 2]]),
+    "pair frees a dart with -2": dict(
+        next_in_face=[1, 2, 0], pair=[-2, -1, -1], marked=[True] * 3, faces=[[0, 1, 2]]),
+    "pair has another length": dict(
+        next_in_face=[1, 2, 0], pair=[-1, -1], marked=[True] * 3, faces=[[0, 1, 2]]),
+    "marked has another length": dict(
+        next_in_face=[1, 2, 0], pair=[-1] * 3, marked=[True] * 2, faces=[[0, 1, 2]]),
+}
+
+
+@pytest.mark.parametrize("arrays", BAD_ARRAYS.values(), ids=BAD_ARRAYS)
+def test_map_refuses_bad_arrays(arrays):
+    with pytest.raises(SpecError):
+        CombinatorialMap(**arrays)
+
+
+def test_built_maps_pass_the_constructor_checks():
+    # build_map skips the checks; each map it makes must pass them
+    for g in gluing_sweep(2, 4) + [twisted_gluing(c) for c in curve_sweep(2, 4)]:
+        m = build_map(g)
+        assert CombinatorialMap(m.next_in_face, m.pair, m.marked, m.faces) == m, g
+
+
 def test_vertex_count_matches_slot_components():
     torus, disk = TORUS, DISK
     # Only closed corner orbits, then only open ones.
@@ -249,21 +292,22 @@ def test_face_runs_pairing_and_dart_count():
         for d, e in enumerate(m.pair):
             assert e != d and (e < 0 or m.pair[e] == d), g
 
-        # the closed count: both sides and two seams per annulus, then strips
-        sides = [
-            ((1 + (g.junction_after(i) is not None)) * g.plus_rank(i),
-             (1 + (g.junction_before(i) is not None)) * g.minus_rank(i))
-            for i in g.components()
-        ]
+        # the closed count: both sides and two seams per annulus, then
+        # strips; an open gluing leaves the first minus and the last plus
+        # side free, and every other side meets a junction
+        n = g.n_components
+        meets = [(g.closed or i < n, g.closed or i > 1) for i in g.components()]
+        sides = [((1 + after) * rp, (1 + before) * rm)
+                 for (after, before), (rm, rp) in zip(meets, g.side_ranks())]
         annuli = sum(bottom + top + 2 for bottom, top in sides)
         assert m.num_darts == annuli + 4 * sum(g.node_ranks()), g
 
         # each glue slot, read off the annulus runs, meets one strip dart
         slots = []
-        for i, face, (bottom, top) in zip(g.components(), m.faces, sides):
-            if g.junction_after(i) is not None:
+        for (after, before), face, (bottom, top) in zip(meets, m.faces, sides):
+            if after:
                 slots += face[0:bottom:2]
-            if g.junction_before(i) is not None:
+            if before:
                 slots += face[bottom + 2 : bottom + 1 + top : 2]
             seam_r, seam_l = face[bottom], face[-1]
             assert m.pair[seam_r] == seam_l, g
