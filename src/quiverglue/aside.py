@@ -10,8 +10,8 @@ relations kill the composites y∘a and x∘b.  All arrows sit in degree 0.
 
 Every vertex id and arrow index follows from the gluing by index
 arithmetic, which _Numbering holds: build_aside fills the quiver's int
-arrays from it, and the quiver asks it for labels and names only when
-something reads them.
+arrays from it, and the quiver asks it for all its names, in one walk,
+only when something first reads one.
 """
 
 from __future__ import annotations
@@ -75,30 +75,21 @@ class _Numbering:
             n += r
         return n, src, tgt, (0,) * len(src), relations
 
-    def vertex_labels(self) -> tuple:
-        labels = []
+    def names(self) -> tuple:
+        """(vertex labels, vertex shifts, arrow names) in this numbering."""
+        labels, names = [], []
         for i, (rm, rp) in enumerate(self.g.side_ranks(), 1):
             labels.append((("P-", i, 0), ("P+", i, 0)))
             labels += [(("P-", i, j),) for j in range(1, rm)]
             labels += [(("P+", i, j),) for j in range(1, rp)]
             labels.append((("P-", i, rm), ("P+", i, rp)))
-        for i, r in enumerate(self.g.node_ranks(), 1):
-            labels += [(("S", i, j),) for j in range(r)]
-        return tuple(labels)
-
-    def vertex_shifts(self) -> tuple:
-        g = self.g
-        return (0,) * (sum(map(sum, g.side_ranks())) + sum(g.node_ranks()))
-
-    def arrow_names(self) -> tuple:
-        names = []
-        for i, (rm, rp) in enumerate(self.g.side_ranks(), 1):
             names += [("x", i, j) for j in range(rm)]
             names += [("y", i, j) for j in range(rp)]
         for i, r in enumerate(self.g.node_ranks(), 1):
+            labels += [(("S", i, j),) for j in range(r)]
             for j in range(r):
                 names += ("a", i, j), ("b", i, j)
-        return tuple(names)
+        return tuple(labels), (0,) * len(labels), tuple(names)
 
 
 def object_count(g: GluingSpec) -> int:

@@ -16,8 +16,8 @@ coordinates coincide.
 
 Every vertex id and arrow index follows from the curve and the window
 origins by index arithmetic, which _Numbering holds: build_bside fills
-the quiver's int arrays from it, and the quiver asks it for labels,
-shifts and names only when something reads them.
+the quiver's int arrays from it, and the quiver asks it for all its
+names, in one walk, only when something first reads one.
 """
 
 from __future__ import annotations
@@ -95,28 +95,20 @@ class _Numbering:
             n += r
         return n, src, tgt, (0,) * len(src), relations
 
-    def vertex_labels(self) -> tuple:
-        labels = []
+    def names(self) -> tuple:
+        """(vertex labels, vertex shifts, arrow names) in this numbering."""
+        labels, names = [], []
         for i, (rm, rp) in enumerate(self.c.side_ranks(), 1):
             ji, mi = self.base[i]
             labels.append((("P", i, ji, mi),))
             labels += [(("P", i, ji + t, mi),) for t in range(1, rm)]
             labels += [(("P", i, ji, mi + s),) for s in range(1, rp)]
             labels.append((("P", i, ji + rm, mi), ("P", i, ji, mi + rp)))
-        for i, r in enumerate(self.c.node_ranks(), 1):
-            labels += [(("S", i, cls),) for cls in range(r)]
-        return tuple(labels)
-
-    def vertex_shifts(self) -> tuple:
-        c = self.c
-        return (0,) * sum(map(sum, c.side_ranks())) + (-1,) * sum(c.node_ranks())
-
-    def arrow_names(self) -> tuple:
-        names = []
-        for i, (rm, rp) in enumerate(self.c.side_ranks(), 1):
             names += [("x", i, t) for t in range(rm)]
             names += [("y", i, s) for s in range(rp)]
+        rows = len(labels)
         for i, r in enumerate(self.c.node_ranks(), 1):
+            labels += [(("S", i, cls),) for cls in range(r)]
             names += [("b", i, j) for j in range(r)]
             names += [("a", i, m) for m in range(r)]
-        return tuple(names)
+        return tuple(labels), (0,) * rows + (-1,) * (len(labels) - rows), tuple(names)

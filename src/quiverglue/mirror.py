@@ -170,12 +170,12 @@ def k0_rank(g: GluingSpec) -> int:
 
 
 # The most strips (rank sum) a curve may have for `quiverglue verify`, and
-# (2g + n - 2) a ring for search_ring_mirror.  Matching no longer recurses,
-# so this is a memory limit: the largest capacity-ladder rung whose quivers
-# keep the CLI's peak RSS near that of its other subcommands.  Matched by
-# vertex id, verify_theorem_A on the 1,500-strip ring (twist 1) peaks at
-# about 4 MiB under tracemalloc, and a fresh process verifying it at
-# 20.5 MB RSS; the next rung, 3,000 strips, reads about 8.4 MiB and 25.3 MB.
+# (2g + n - 2) a ring for search_ring_mirror.  It bounds search's time,
+# which grows with the square of the strips, as each hit is verified:
+# about 4 CPU s at genus 400 and 30 s at 1,500 strips.  verify checks the
+# 8,000-strip ring (twist 1) in about 0.1 CPU s and 33 MB RSS, and keeps
+# 1,500 only because the benchmark's cli_ladder reads its peak RSS after
+# a verify ladder that climbs to this limit (ROADMAP, direction 1).
 MAX_STRIPS = 1500
 
 

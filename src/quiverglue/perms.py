@@ -1,6 +1,7 @@
-"""Permutations of {0, ..., r-1} with the handful of operations the rest
-of the package leans on: composition, commutators, the rotation tau, and
-the twist permutations x |-> -k*x used to encode gluing data.
+"""Permutations of {0, ..., r-1}.  The package's routes use Permutation
+(image, inverse), random_permutation and all_permutations; the rest,
+from composition and commutators to tau and the twists x |-> -k*x, is
+the algebra that criteria 3 and 6 and the closed-form tests check against.
 
 Conventions. A permutation is stored by its image tuple, so ``p.image[x]``
 is p(x).  Composition is function composition: ``(p * q)(x) = p(q(x))``.

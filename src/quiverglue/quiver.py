@@ -12,30 +12,29 @@ afterwards.  Arrows are stored as parallel int tuples indexed by
 insertion order: source and target vertex ids and degrees.  The
 relations are a set of arrow-index pairs, and each vertex's out- and
 in-arrow indices are built from the arrays when something first walks
-them.  The public constructor reads vertices, arrows and relations by
-name, in one pass, for JSON input and for
-tests: it reads each container through exact_items (never a string as
-a sequence), numbers them with a label and a name dict, resolves every
-endpoint and relation arrow through vertex_id and arrow_index, and
-refuses a shift or a degree that is not exactly an int.  The aside and
-bside builders fill the arrays from their spec by index arithmetic
-instead, and hand the quiver a numbering that makes the vertex labels,
-shifts and arrow names from the same spec: the quiver asks for each
-only when something first reads it, and builds its label and name
-lookups from them on the first lookup, so a quiver that is only walked
-never makes a name.  Matching runs on vertex ids: map_equals resolves
-its label-keyed vertex map to ids once, in front of the id-level
-_match_ids, which verify_theorem_A calls directly on builder quivers.
-So labels are made only for reports and for label-keyed callers
-(map_equals, and find_isomorphism's answer).  Every walk, search and
-report in this module reads the arrays: to_text, to_json and to_dot
-render a quiver's three formats, each from one rendering of every
-vertex label and arrow name, and each lists its relations sorted by
-arrow names; to_json_obj reads to_json back, so the JSON content has
-one renderer.  Homology reads them by arrow index through ``arrow_index``,
-``arrow_name``, ``arrow_ends``, ``in_arrows`` and ``is_relation``, and
-``arrows`` is the range of arrow indices for callers that count or walk
-every arrow; a quiver has no name-level view of its arrows.
+them.  The names are one value, the naming: vertex labels, vertex
+shifts and arrow names.  The public constructor reads vertices, arrows
+and relations by name, in one pass, for JSON input and for tests: it
+reads each container through exact_items (never a string as a
+sequence), resolves every endpoint and relation arrow through vertex_id
+and arrow_index, refuses a shift or a degree that is not exactly an
+int, and keeps the naming it read.  The aside and bside builders fill
+the arrays from their spec by index arithmetic instead, and hand the
+quiver a numbering whose names() makes the naming in one walk when a
+name is first read; the label and name lookups are each built on their
+own first use, so a quiver that is only walked never makes a name.
+Matching runs on vertex ids: map_equals resolves its label-keyed vertex
+map to ids once, in front of the id-level _match_ids, which
+verify_theorem_A calls directly on builder quivers.  So names are made
+only for reports and for label-keyed callers (map_equals, and
+find_isomorphism's answer).  Every walk, search and report in this
+module reads the arrays: to_text, to_json and to_dot render a quiver's
+three formats, each from one rendering of every vertex label and arrow
+name, and each lists its relations sorted by arrow names.  Homology
+reads them by arrow index through ``arrow_index``, ``arrow_name``,
+``arrow_ends``, ``in_arrows`` and ``is_relation``, and ``arrows`` is the
+range of arrow indices for callers that count or walk every arrow; a
+quiver has no name-level view of its arrows.
 
 A path is a tuple of arrow indices.  This module composes paths,
 grades them and traces their endpoints for the rest of the package, and
@@ -148,20 +147,19 @@ class GradedQuiver:
     ``_num_vertices`` the vertex count.  ``_out`` and ``_in``, each
     vertex's arrow indices, are derived from those arrays on first read
     and then kept, so a quiver that is only built, reported or matched
-    never makes them.  The aside and bside builders hand ``_numbered`` a
-    numbering instead, a picklable object that holds their spec: its
-    ``arrays()`` fills those arrays by index arithmetic, and its
-    ``vertex_labels()``, ``vertex_shifts()`` and ``arrow_names()`` make
-    the labels, shifts and arrow names in the same order.  The quiver asks
-    for each of those on first use, and builds its label and name lookups
-    from them on first lookup.  Every attribute is read-only after
-    construction, so neither those caches, the arrow lists nor the path
-    memo can go stale.
+    never makes them.  ``_naming`` holds the vertex labels, shifts and
+    arrow names as one triple: the public constructor keeps what it
+    read, and the aside and bside builders hand ``_numbered`` a
+    numbering instead, a picklable object that holds their spec, whose
+    ``arrays()`` fills the arrays by index arithmetic and whose
+    ``names()`` makes the triple, in one walk, when a name is first
+    read.  The label and name lookups are each built on their own first
+    lookup.  Every attribute is read-only after construction, so neither
+    those caches, the arrow lists nor the path memo can go stale.
     """
 
     __slots__ = ("_src", "_tgt", "_deg", "_num_vertices", "_adjacency", "_rel",
-                 "_numbering", "_labels", "_shifts", "_arrow_names", "_label_to_id",
-                 "_index", "_paths")
+                 "_numbering", "_naming", "_label_to_id", "_index", "_paths")
 
     __setattr__ = __delattr__ = read_only
 
@@ -182,9 +180,7 @@ class GradedQuiver:
                 ids[_new_key(lab, ids, "vertex label")] = len(all_labels)
             all_labels.append(labels)
             shifts.append(shift)
-        init(self, "_labels", tuple(all_labels))
-        init(self, "_shifts", exact_ints(
-            shifts, "vertex 'shift' must be an integer, got {value!r}"))
+        shifts = exact_ints(shifts, "vertex 'shift' must be an integer, got {value!r}")
 
         index: dict[ArrowName, int] = {}
         init(self, "_index", index)
@@ -199,10 +195,10 @@ class GradedQuiver:
             tgt.append(self.vertex_id(target))
             deg.append(degree)
             index[name] = len(index)
-        init(self, "_arrow_names", tuple(index))
         deg = exact_ints(deg, "arrow 'degree' must be an integer, got {value!r}")
 
         init(self, "_numbering", None)
+        init(self, "_naming", (tuple(all_labels), shifts, tuple(index)))
         # Resolved as _set_arrays checks them, so of an unknown arrow and
         # a pair that is not composable, the one that comes first is named.
         pairs = (exact_items(pair, "a relation must be a pair of arrows, got "
@@ -214,12 +210,11 @@ class GradedQuiver:
 
     @classmethod
     def _numbered(cls, numbering) -> "GradedQuiver":
-        """A builder's quiver: its arrays from ``numbering.arrays()``, the
-        vertex count, each arrow's source, target and degree, and the
-        relations as arrow-index pairs; its labels and names left to
-        ``numbering`` until read."""
+        """A builder's quiver: its arrays (the vertex count, each arrow's
+        source, target and degree, and the relations as arrow-index pairs)
+        from ``numbering.arrays()``, its names from ``names()`` once read."""
         q = object.__new__(cls)
-        for name in ("_labels", "_shifts", "_arrow_names", "_label_to_id", "_index"):
+        for name in ("_naming", "_label_to_id", "_index"):
             object.__setattr__(q, name, None)
         object.__setattr__(q, "_numbering", numbering)
         q._set_arrays(*numbering.arrays())
@@ -296,25 +291,26 @@ class GradedQuiver:
     # -- labels and names -----------------------------------------------
 
     @property
+    def _named(self) -> tuple:
+        """(vertex labels, vertex shifts, arrow names), made on first read."""
+        if self._naming is None:
+            object.__setattr__(self, "_naming", self._numbering.names())
+        return self._naming
+
+    @property
     def vertex_labels(self) -> tuple[tuple[Label, ...], ...]:
         """Each vertex's labels, primary first, by vertex id."""
-        if self._labels is None:
-            object.__setattr__(self, "_labels", self._numbering.vertex_labels())
-        return self._labels
+        return self._named[0]
 
     @property
     def vertex_shifts(self) -> tuple[int, ...]:
         """Each vertex's shift, by vertex id."""
-        if self._shifts is None:
-            object.__setattr__(self, "_shifts", self._numbering.vertex_shifts())
-        return self._shifts
+        return self._named[1]
 
     @property
     def _names(self) -> tuple[ArrowName, ...]:
         """Each arrow's name, by arrow index."""
-        if self._arrow_names is None:
-            object.__setattr__(self, "_arrow_names", self._numbering.arrow_names())
-        return self._arrow_names
+        return self._named[2]
 
     def vertex_id(self, label: Label) -> int:
         ids = self._label_to_id
@@ -328,7 +324,7 @@ class GradedQuiver:
             raise QuiverError(f"unknown vertex {label_str(label)}") from None
 
     def primary_label(self, vid: int) -> Label:
-        return (self._labels or self.vertex_labels)[vid][0]
+        return (self._naming or self._named)[0][vid][0]
 
     # -- structure ------------------------------------------------------
 
@@ -353,7 +349,7 @@ class GradedQuiver:
             raise QuiverError(f"unknown arrow {label_str(name)}") from None
 
     def arrow_name(self, i: int) -> ArrowName:
-        return (self._arrow_names or self._names)[i]
+        return (self._naming or self._named)[2][i]
 
     def arrow_ends(self, i: int) -> tuple[int, int]:
         """The source and target vertex ids of arrow i."""
@@ -561,15 +557,12 @@ class GradedQuiver:
                 f'  "arrows": {_json_join(arrows, 1)},\n'
                 f'  "relations": {_json_join(relations, 1)}\n}}')
 
-    def to_json_obj(self) -> dict:
-        """The quiver as a JSON object: every label and arrow name a list."""
-        return json.loads(self.to_json())
-
     @classmethod
     def from_json_obj(cls, data: dict) -> "GradedQuiver":
-        """Inverse of to_json_obj: each label and arrow name, a list in JSON,
-        reads back as a tuple all the way down; ``shift`` and ``degree``
-        default to 0.  Malformed data raises SpecError naming the field, or QuiverError."""
+        """The quiver q back from ``json.loads(q.to_json())``: each label
+        and arrow name, a list in JSON, reads back as a tuple all the way
+        down; ``shift`` and ``degree`` default to 0.  Malformed data raises
+        SpecError naming the field, or QuiverError."""
         if not isinstance(data, dict):
             raise SpecError(f"bad quiver data: must be an object, got {data!r}")
 
@@ -665,16 +658,6 @@ class HomTable:
     @property
     def dims(self) -> dict[tuple[Label, Label, int], int]:
         return {k: len(v) for k, v in self.paths.items()}
-
-    def dim(self, source: Label, target: Label, degree: int = 0) -> int:
-        return len(self.paths.get((source, target, degree), []))
-
-    def between(self, source: Label, target: Label) -> dict[int, int]:
-        out = {}
-        for (s, t, d), plist in self.paths.items():
-            if s == source and t == target and plist:
-                out[d] = len(plist)
-        return out
 
 
 @dataclass(frozen=True)
@@ -856,8 +839,8 @@ def _match_ids(q1: GradedQuiver, q2: GradedQuiver, image: list[int]) -> MatchRep
 
 
 def _groups(keys: list[int]) -> dict[int, list[int]]:
-    """The arrow indices of each key, ascending, with the keys in the
-    order of their first arrows."""
+    """The indices of each key (arrows, or vertices by colour), ascending,
+    with the keys in the order of their first indices."""
     groups: dict[int, list[int]] = {}
     for a, key in enumerate(keys):
         groups.setdefault(key, []).append(a)
@@ -987,10 +970,7 @@ def find_isomorphism(q1: GradedQuiver, q2: GradedQuiver) -> dict | None:
     c1, c2 = colors[:n], colors[n:]
     if Counter(c1) != Counter(c2):
         return None
-    by_color: dict[int, list[int]] = {}
-    for w, color in enumerate(c2):
-        by_color.setdefault(color, []).append(w)
-    candidates = [by_color[color] for color in c1]
+    candidates = list(map(_groups(c2).__getitem__, c1))
     order = sorted(range(q1.num_vertices), key=lambda v: len(candidates[v]))
 
     # assignment maps the placed q1 vertices into q2; used maps each q2

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import SpecError, exact_ints
+from .errors import SpecError, exact_ints, exact_items
 from .gluing import GluingSpec, SurfaceTopology
 
 
@@ -43,8 +43,9 @@ class CombinatorialMap:
 
     The constructor raises SpecError unless ``next_in_face`` is a
     permutation of the darts, ``pair`` a fixed-point-free involution on
-    the paired darts, and ``marked`` one flag per dart; on such a map
-    every walk of the methods ends.
+    the paired darts, ``marked`` one flag per dart and ``faces`` each
+    cycle of ``next_in_face`` once, in order; then every walk of the
+    methods ends, and the map keeps copies of the lists it checked.
     """
 
     next_in_face: list[int]
@@ -67,11 +68,21 @@ class CombinatorialMap:
                                 f"involution on the paired darts (-1 marks a free dart)")
         if len(self.marked) != n:
             raise SpecError(f"marked has {len(self.marked)} flags for {n} darts")
+        given = exact_items(self.faces, "faces must be a sequence, got {value!r}")
+        faces = [exact_ints(face, message, name="faces") for face in given]
+        if sorted(d for face in faces for d in face) != list(range(n)) or not all(
+                face and list(map(nxt.__getitem__, face)) == [*face[1:], face[0]]
+                for face in faces):
+            raise SpecError("faces must list each cycle of next_in_face once, in order")
+        # its own lists; a face that is a range, as build_map's are, cannot change
+        vars(self).update(next_in_face=list(nxt), pair=list(pair), marked=list(self.marked),
+                          faces=[f if type(f) is range else list(ints)
+                                 for f, ints in zip(given, faces)])
 
     @classmethod
     def _built(cls, next_in_face, pair, marked, faces) -> "CombinatorialMap":
-        """A map that build_map made, which holds by construction: the
-        constructor's checks are skipped."""
+        """A map that build_map made, which holds by construction and
+        owns its lists: the constructor's checks and copies are skipped."""
         m = object.__new__(cls)
         vars(m).update(next_in_face=next_in_face, pair=pair, marked=marked, faces=faces)
         return m

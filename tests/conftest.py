@@ -1,10 +1,61 @@
 """Helpers and fixtures shared by the test modules."""
 
+from fractions import Fraction
+
 import pytest
 
 from quiverglue.aside import build_aside
-from quiverglue.homology import HomComplex, all_localization_objects, module_of
+from quiverglue.homology import (
+    HomComplex,
+    TwistedComplex,
+    all_localization_objects,
+    module_of,
+)
+from quiverglue.quiver import GradedQuiver
 from quiverglue.sweeps import gluing_sweep
+
+ONE = Fraction(1)
+
+
+def plain(*labels):
+    """Vertex parts: one unshifted vertex per label."""
+    return [((lab,), 0) for lab in labels]
+
+
+# The worked example: two double arrows v1 -> v2 -> v3 with crossed zero
+# composites, and the two standard two-term complexes over it.
+DOUBLE_ARROWS = [
+    (("a",), ("v", 1), ("v", 2), 0),
+    (("b",), ("v", 1), ("v", 2), 0),
+    (("x",), ("v", 2), ("v", 3), 0),
+    (("y",), ("v", 2), ("v", 3), 0),
+]
+CROSSED = frozenset({(("a",), ("y",)), (("b",), ("x",))})
+
+
+def crossed_doubles(relations=CROSSED):
+    return GradedQuiver(plain(("v", 1), ("v", 2), ("v", 3)), DOUBLE_ARROWS, relations)
+
+
+def standard_pair(q):
+    m1 = TwistedComplex(
+        q, ((("v", 2), 1), (("v", 3), 0)), {(1, 0): [(ONE, (("y",),))]}
+    )
+    m2 = TwistedComplex(
+        q, ((("v", 1), 1), (("v", 2), 0)), {(1, 0): [(ONE, (("b",),))]}
+    )
+    return m1, m2
+
+
+def unit_cocycle(h, degree, element):
+    """The cocycle of one basis element (source summand, target summand,
+    path), its path given in arrow names."""
+    si, ti, names = element
+    path = tuple(map(h.quiver.arrow_index, names))
+    idxs = h.degrees[degree]
+    vec = [Fraction(0)] * len(idxs)
+    vec[idxs.index(h._index[si, ti, path])] = ONE
+    return h.cocycle(vec, degree)
 
 
 def count_hom_complexes(monkeypatch):

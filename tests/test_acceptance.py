@@ -14,11 +14,16 @@ import hashlib
 import math
 import random
 import types
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import arrow_rows, relation_names
+from conftest import (
+    arrow_rows,
+    crossed_doubles,
+    relation_names,
+    standard_pair,
+    unit_cocycle,
+)
 
 import quiverglue
 from quiverglue.aside import build_aside
@@ -31,7 +36,6 @@ from quiverglue.gluing import (
 )
 from quiverglue.homology import (
     HomComplex,
-    TwistedComplex,
     all_localization_objects,
     euler_characteristic,
     ext_product,
@@ -64,50 +68,11 @@ GRIDS = Path(__file__).resolve().parent.parent / "bench" / "grids.py"
 MAX_COMPONENTS = 3
 MAX_RANK = 5
 
-ONE = Fraction(1)
-
 
 @pytest.fixture(scope="module")
 def sweep():
     specs = gluing_sweep(MAX_COMPONENTS, MAX_RANK)
     return [(g, surface_topology(g)) for g in specs]
-
-
-CROSSED = frozenset({(("a",), ("y",)), (("b",), ("x",))})
-
-
-def crossed_doubles(relations=CROSSED):
-    return GradedQuiver(
-        [((("v", v),), 0) for v in (1, 2, 3)],
-        [
-            (("a",), ("v", 1), ("v", 2), 0),
-            (("b",), ("v", 1), ("v", 2), 0),
-            (("x",), ("v", 2), ("v", 3), 0),
-            (("y",), ("v", 2), ("v", 3), 0),
-        ],
-        relations,
-    )
-
-
-def standard_pair(q):
-    m1 = TwistedComplex(
-        q, ((("v", 2), 1), (("v", 3), 0)), {(1, 0): [(ONE, (("y",),))]}
-    )
-    m2 = TwistedComplex(
-        q, ((("v", 1), 1), (("v", 2), 0)), {(1, 0): [(ONE, (("b",),))]}
-    )
-    return m1, m2
-
-
-def unit_cocycle(h, degree, element):
-    """The cocycle of one basis element (source summand, target summand,
-    path), its path given in arrow names."""
-    si, ti, names = element
-    path = tuple(map(h.quiver.arrow_index, names))
-    idxs = h.degrees[degree]
-    vec = [Fraction(0)] * len(idxs)
-    vec[idxs.index(h._index[si, ti, path])] = ONE
-    return h.cocycle(vec, degree)
 
 
 def test_criterion_01_genus_two_figure():

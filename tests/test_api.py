@@ -1,9 +1,11 @@
 """The public API: ``quiverglue.__all__`` and the public attributes of
-the two spec classes count as behaviour, so a name enters or leaves
-them only together with these lists and a CHANGES.md entry."""
+the two spec classes, of GradedQuiver and of HomTable count as
+behaviour, so a name enters or leaves them only together with these
+lists and a CHANGES.md entry."""
 
 import quiverglue
 from quiverglue.gluing import GluingSpec, StackyCurveSpec
+from quiverglue.quiver import GradedQuiver, HomTable
 
 PUBLIC = [
     # errors
@@ -57,3 +59,18 @@ def public_attributes(cls):
 def test_spec_attributes_are_pinned():
     assert public_attributes(GluingSpec) == sorted(SHAPE + ["perms"])
     assert public_attributes(StackyCurveSpec) == sorted(SHAPE + ["twists"])
+
+
+# A quiver is read by index, and its three formats are text, JSON and
+# dot; a Hom table is its paths, and their counts.  No view repeats one.
+QUIVER = ["arrow_ends", "arrow_index", "arrow_name", "arrows", "compose",
+          "from_json_obj", "in_arrows", "is_acyclic", "is_relation",
+          "num_arrows", "num_vertices", "path_degree", "path_dims", "path_end",
+          "path_names", "paths_between", "paths_into", "primary_label", "to_dot",
+          "to_json", "to_text", "topological_order", "vertex_id", "vertex_labels",
+          "vertex_shifts"]
+
+
+def test_quiver_attributes_are_pinned():
+    assert public_attributes(GradedQuiver) == QUIVER
+    assert public_attributes(HomTable({})) == ["dims", "paths"]  # paths: a field

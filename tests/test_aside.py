@@ -27,7 +27,7 @@ def test_chain_endpoints_are_shared():
     assert q.vertex_id(("P-", 1, 2)) == q.vertex_id(("P+", 1, 3))
     assert q.num_vertices == 2 + 1 + 2  # endpoints + interiors
     table = q.path_dims()
-    assert table.dim(("P-", 1, 0), ("P-", 1, 2)) == 2
+    assert table.dims.get((("P-", 1, 0), ("P-", 1, 2), 0), 0) == 2
 
 
 def test_vertex_counts_match_closed_form():

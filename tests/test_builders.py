@@ -111,7 +111,7 @@ ARRAYS = ("_src", "_tgt", "_deg", "_out", "_in", "_rel")
 
 def assert_same(q, ref):
     # the arrays first, while q has made no label or name
-    assert q._labels is None and q._arrow_names is None
+    assert q._naming is None
     for name in ARRAYS:
         assert getattr(q, name) == getattr(ref, name), name
     assert q.num_vertices == ref.num_vertices

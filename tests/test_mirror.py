@@ -112,7 +112,7 @@ def test_verify_matches_builder_quivers_without_labels():
         bq, aq = build_bside(c, bases), build_aside(twisted_gluing(c, bases))
         assert verify_theorem_A(c, bases, aside_quiver=aq, bside_quiver=bq).ok
         for q in bq, aq:
-            assert q._labels is None and q._label_to_id is None
+            assert q._naming is None and q._label_to_id is None
 
 
 def test_verify_stays_small_at_the_cli_limit():

@@ -12,7 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from conftest import arrow_rows, relation_names
+from conftest import DOUBLE_ARROWS, arrow_rows, crossed_doubles, plain, relation_names
 
 import quiverglue
 from quiverglue import quiver
@@ -32,11 +32,6 @@ from quiverglue.quiver import (
 from quiverglue.sweeps import curve_sweep, gluing_sweep
 
 
-def plain(*labels):
-    """Vertex parts: one unshifted vertex per label."""
-    return [((lab,), 0) for lab in labels]
-
-
 def chain_quiver(n, relations=()):
     """Linear A_n quiver 1 -> 2 -> ... -> n with optional zero composites
     given as positions i, meaning arrow i+1 after arrow i dies."""
@@ -45,18 +40,6 @@ def chain_quiver(n, relations=()):
         [(("f", v), ("v", v), ("v", v + 1), 0) for v in range(1, n)],
         [(("f", i), ("f", i + 1)) for i in relations],
     )
-
-
-DOUBLE_ARROWS = [
-    (("a",), ("v", 1), ("v", 2), 0),
-    (("b",), ("v", 1), ("v", 2), 0),
-    (("x",), ("v", 2), ("v", 3), 0),
-    (("y",), ("v", 2), ("v", 3), 0),
-]
-
-
-def three_vertex_double(relations=((("a",), ("y",)), (("b",), ("x",)))):
-    return GradedQuiver(plain(("v", 1), ("v", 2), ("v", 3)), DOUBLE_ARROWS, relations)
 
 
 def test_label_str():
@@ -234,7 +217,7 @@ def test_quivers_copy_and_pickle():
                 q.paths_into(label)
             twins = copy.deepcopy(q), pickle.loads(pickle.dumps(q))
             unread = state != "reported" and q._numbering is not None
-            assert [t._labels is None for t in (q, *twins)] == [unread] * 3
+            assert [t._naming is None for t in (q, *twins)] == [unread] * 3
             # both arrow lists or neither, in the quiver and in each copy
             assert [t._adjacency is None for t in (q, *twins)] == [state == "fresh"] * 3
             for twin in twins:
@@ -243,7 +226,7 @@ def test_quivers_copy_and_pickle():
                 assert twin.is_acyclic() == q.is_acyclic()
                 assert twin._paths == {}  # a copy leaves the memo, a cache, behind
                 assert twin.to_text() == q.to_text() and twin.to_dot() == q.to_dot()
-                assert twin.to_json_obj() == q.to_json_obj()
+                assert twin.to_json() == q.to_json()
                 assert twin.arrows == q.arrows == range(q.num_arrows)
                 assert arrow_rows(twin) == arrow_rows(q)
                 assert relation_names(twin) == relation_names(q)
@@ -292,7 +275,7 @@ def test_quiver_reports_and_witnesses_are_pinned():
     quivers += [q for pair in pairs for q in pair]
     reports = {
         "text": GradedQuiver.to_text,
-        "json": lambda q: json.dumps(q.to_json_obj()),
+        "json": lambda q: json.dumps(json.loads(q.to_json())),
         "dot": GradedQuiver.to_dot,
     }
     digests = {}
@@ -312,20 +295,20 @@ def test_quiver_reports_and_witnesses_are_pinned():
 
 def test_path_dims_chain():
     table = chain_quiver(3).path_dims()
-    assert table.dim(("v", 1), ("v", 2)) == 1
-    assert table.dim(("v", 1), ("v", 3)) == 1
-    assert table.dim(("v", 1), ("v", 1)) == 1  # identity path
-    assert table.dim(("v", 3), ("v", 1)) == 0
+    assert table.dims.get((("v", 1), ("v", 2), 0), 0) == 1
+    assert table.dims.get((("v", 1), ("v", 3), 0), 0) == 1
+    assert table.dims.get((("v", 1), ("v", 1), 0), 0) == 1  # identity path
+    assert table.dims.get((("v", 3), ("v", 1), 0), 0) == 0
     # the zero composite removes exactly the long path
     rel = chain_quiver(3, relations=(1,)).path_dims()
-    assert rel.dim(("v", 1), ("v", 3)) == 0
-    assert rel.dim(("v", 1), ("v", 2)) == 1
+    assert rel.dims.get((("v", 1), ("v", 3), 0), 0) == 0
+    assert rel.dims.get((("v", 1), ("v", 2), 0), 0) == 1
 
 
 def test_path_dims_double_arrows_with_relations():
-    table = three_vertex_double().path_dims()
+    table = crossed_doubles().path_dims()
     # four length-2 composites, two killed by relations
-    assert table.dim(("v", 1), ("v", 3)) == 2
+    assert table.dims.get((("v", 1), ("v", 3), 0), 0) == 2
     assert sorted(table.paths[(("v", 1), ("v", 3), 0)]) == [
         (("a",), ("x",)),
         (("b",), ("y",)),
@@ -334,7 +317,7 @@ def test_path_dims_double_arrows_with_relations():
 
 def test_path_dims_matches_matrix_powers():
     # without relations the degree-0 dims are adjacency matrix powers
-    free = three_vertex_double(relations=())
+    free = crossed_doubles(relations=())
     table = free.path_dims()
     n = 3
     adj = [[0] * n for _ in range(n)]
@@ -353,14 +336,14 @@ def test_path_dims_matches_matrix_powers():
         ]
     for i in range(n):
         for j in range(n):
-            assert table.dim(("v", i + 1), ("v", j + 1)) == total[i][j]
+            assert table.dims.get((("v", i + 1), ("v", j + 1), 0), 0) == total[i][j]
 
 
 def test_relation_deletion_is_monotone():
-    full = three_vertex_double()
+    full = crossed_doubles()
     full_dims = full.path_dims().dims
     for dropped in relation_names(full):
-        q = three_vertex_double(relations=relation_names(full) - {dropped})
+        q = crossed_doubles(relations=relation_names(full) - {dropped})
         bigger = q.path_dims().dims
         for key, count in full_dims.items():
             assert bigger.get(key, 0) >= count
@@ -399,7 +382,7 @@ def test_path_dims_takes_a_cycle_that_relations_cut():
 
 
 def test_paths_between_respects_relations():
-    q = three_vertex_double()
+    q = crossed_doubles()
     assert sorted(map(q.path_names, q.paths_between(("v", 1), ("v", 3)))) == [
         (("a",), ("x",)),
         (("b",), ("y",)),
@@ -417,15 +400,16 @@ def test_arrow_degrees_show_up_in_path_degrees():
         [],
     )
     table = q.path_dims()
-    assert table.between(("v", 1), ("v", 3)) == {3: 1}
-    assert table.dim(("v", 1), ("v", 2), degree=1) == 1
-    assert table.dim(("v", 1), ("v", 2), degree=0) == 0
+    assert {d: n for (s, t, d), n in table.dims.items()
+            if (s, t) == (("v", 1), ("v", 3))} == {3: 1}
+    assert table.dims.get((("v", 1), ("v", 2), 1), 0) == 1
+    assert table.dims.get((("v", 1), ("v", 2), 0), 0) == 0
 
 
 def test_json_round_trip_preserves_everything():
-    q = three_vertex_double()
-    clone = GradedQuiver.from_json_obj(q.to_json_obj())
-    assert clone.to_json_obj() == q.to_json_obj()
+    q = crossed_doubles()
+    clone = GradedQuiver.from_json_obj(json.loads(q.to_json()))
+    assert clone.to_json() == q.to_json()
     report = map_equals(
         q, clone, {q.primary_label(v): q.primary_label(v) for v in range(3)}
     )
@@ -441,7 +425,7 @@ def test_json_round_trip_reads_nested_labels_as_tuples():
         [(("a", (1, (2,))), n, m, 0), (("b", ()), m, k, 1)],
         [(("a", (1, (2,))), ("b", ()))],
     )
-    clone = GradedQuiver.from_json_obj(q.to_json_obj())
+    clone = GradedQuiver.from_json_obj(json.loads(q.to_json()))
     assert clone.vertex_labels == q.vertex_labels
     assert [clone.arrow_name(a) for a in clone.arrows] == [("a", (1, (2,))), ("b", ())]
     assert relation_names(clone) == relation_names(q)
@@ -494,22 +478,22 @@ def test_to_json_matches_a_reference_built_from_the_index_api():
     quivers = [build_aside(g) for g in gluing_sweep(2, 3)]
     quivers += [build_bside(c) for c in curve_sweep(2, 4)]
     quivers += seeded_256_strip_quivers()
-    quivers += [odd_atom_quiver(), GradedQuiver([], [], []), three_vertex_double()]
+    quivers += [odd_atom_quiver(), GradedQuiver([], [], []), crossed_doubles()]
     for q in quivers + [odd_atom_quiver(nested=True)]:
         assert q.to_json() == json.dumps(json_reference(q), indent=2)
     # JSON has no tuples, so a label with a tuple inside reads back with
     # a list there, which cannot name a vertex: it is left out here.
     for q in quivers:
-        assert GradedQuiver.from_json_obj(q.to_json_obj()).to_json() == q.to_json()
+        assert GradedQuiver.from_json_obj(json.loads(q.to_json())).to_json() == q.to_json()
 
 
 def test_to_dot_is_deterministic():
-    assert three_vertex_double().to_dot() == three_vertex_double().to_dot()
-    assert '"v(1)" -> "v(2)"' in three_vertex_double().to_dot()
+    assert crossed_doubles().to_dot() == crossed_doubles().to_dot()
+    assert '"v(1)" -> "v(2)"' in crossed_doubles().to_dot()
 
 
 def test_map_equals_identity_and_perturbation():
-    q = three_vertex_double()
+    q = crossed_doubles()
     ident = {("v", v): ("v", v) for v in (1, 2, 3)}
     assert map_equals(q, q, ident).ok
 
@@ -524,8 +508,8 @@ def test_map_equals_identity_and_perturbation():
 
 
 def test_map_equals_relation_mismatch_is_reported():
-    q = three_vertex_double()
-    stripped = three_vertex_double(
+    q = crossed_doubles()
+    stripped = crossed_doubles(
         relations=((("b",), ("x",)), (("a",), ("x",)))
     )
     ident = {("v", v): ("v", v) for v in (1, 2, 3)}
@@ -544,14 +528,14 @@ def test_map_equals_needs_a_bijection():
 
 def test_map_equals_finds_the_right_arrow_matching():
     # swapping parallel arrow names still matches: x pairs with y
-    q1 = three_vertex_double()
-    q2 = three_vertex_double(relations=((("a",), ("x",)), (("b",), ("y",))))
+    q1 = crossed_doubles()
+    q2 = crossed_doubles(relations=((("a",), ("x",)), (("b",), ("y",))))
     ident = {("v", v): ("v", v) for v in (1, 2, 3)}
     assert map_equals(q1, q2, ident).ok
 
 
 def test_find_isomorphism_on_relabeled_quiver():
-    q1 = three_vertex_double()
+    q1 = crossed_doubles()
     q2 = GradedQuiver(
         plain(("w", "c"), ("w", "a"), ("w", "b")),  # scrambled order, new names
         [
@@ -596,8 +580,8 @@ def test_find_isomorphism_honest_negatives():
     )
     assert find_isomorphism(q, doubled) is None
     # both relations on the same composite vs one on each
-    q1 = three_vertex_double()
-    q2 = three_vertex_double(relations=((("a",), ("y",)), (("a",), ("x",))))
+    q1 = crossed_doubles()
+    q2 = crossed_doubles(relations=((("a",), ("y",)), (("a",), ("x",))))
     assert find_isomorphism(q1, q2) is None
 
 

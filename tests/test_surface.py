@@ -5,6 +5,7 @@ connected components of the endpoint-slot graph (networkx)."""
 import hashlib
 import json
 import random
+import signal
 
 import networkx as nx
 import pytest
@@ -165,6 +166,11 @@ BAD_ARRAYS = {
         next_in_face=[1, 2, 0], pair=[-1, -1], marked=[True] * 3, faces=[[0, 1, 2]]),
     "marked has another length": dict(
         next_in_face=[1, 2, 0], pair=[-1] * 3, marked=[True] * 2, faces=[[0, 1, 2]]),
+    # the torus with its one face listed as two: topology() counted two
+    # faces and raised FalsificationError on an odd 2g
+    "faces split a cycle of next_in_face": dict(
+        next_in_face=[1, 2, 3, 0], pair=[2, 3, 0, 1], marked=[False] * 4,
+        faces=[[0, 1], [2, 3]]),
 }
 
 
@@ -172,6 +178,28 @@ BAD_ARRAYS = {
 def test_map_refuses_bad_arrays(arrays):
     with pytest.raises(SpecError):
         CombinatorialMap(**arrays)
+
+
+def test_map_keeps_the_arrays_it_checked():
+    # the map walks its own copies: a later edit of the caller's list,
+    # here one that repeats dart 0, once made topology() loop for ever
+    nxt = list(range(1, 14)) + [0]
+    pair = [11, 9, 8, 7, 10, 12, -1, 3, 2, 1, 4, 0, 5, -1]
+    m = CombinatorialMap(nxt, pair, [False] * 14, [list(range(14))])
+    assert m.topology().genus == 2
+    nxt[:] = [0, 8, 2, 10, 4, 9, 0, 12, 11, 5, 3, 1, 7, 0]
+
+    def timeout(signum, frame):
+        raise TimeoutError("topology() walks the caller's edited list")
+
+    handler = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        assert m.topology().genus == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert m.next_in_face == list(range(1, 14)) + [0]
 
 
 def test_built_maps_pass_the_constructor_checks():
